@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "DegreeHistogram",
     "GraphStatsError",
-    "UnionFind",
     "count_edges",
     "count_vertices",
     "counts",
@@ -67,8 +68,11 @@ def degrees(edges) -> tuple[np.ndarray, np.ndarray]:
     arr = _as_edges(edges)
     if arr.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ids, inverse = np.unique(arr.ravel(), return_inverse=True)
-    return ids, np.bincount(inverse, minlength=ids.size).astype(np.int64)
+    ends = np.sort(arr.ravel())
+    # a new id starts wherever the sorted endpoints change; the run length
+    # from one start to the next is that id's degree
+    starts = np.flatnonzero(np.concatenate(([True], ends[1:] != ends[:-1])))
+    return ends[starts], np.diff(starts, append=ends.size).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -99,59 +103,23 @@ def degree_histogram(edges) -> DegreeHistogram:
     return DegreeHistogram(mapping, int(deg.size), int(values[-1]))
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of a and b; returns the size of the merged set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return self.size[ra]
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return self.size[ra]
-
-
 def largest_component_size(edges) -> int:
     """Size of the largest connected component (0 for an empty graph)."""
-    arr = _as_edges(edges)
-    if arr.size == 0:
-        return 0
-    ids, inverse = np.unique(arr.ravel(), return_inverse=True)
-    pairs = inverse.reshape(arr.shape)
-    uf = UnionFind(ids.size)
-    best = 1
-    for u, v in pairs:
-        if u != v:
-            merged = uf.union(int(u), int(v))
-            if merged > best:
-                best = merged
-    return best
+    return largest_component(edges)[0]
 
 
 def largest_component(edges) -> tuple[int, float]:
     """(size, fraction of visible vertices); (0, 0.0) for an empty graph."""
     arr = _as_edges(edges)
-    v = count_vertices(arr)
-    if v == 0:
+    if arr.size == 0:
         return 0, 0.0
-    size = largest_component_size(arr)
-    return size, size / v
+    ids, inverse = np.unique(arr.ravel(), return_inverse=True)
+    pairs = inverse.reshape(arr.shape)
+    adjacency = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
+                          shape=(ids.size, ids.size))
+    _, component = connected_components(adjacency, directed=False)
+    size = int(np.bincount(component).max())
+    return size, size / ids.size
 
 
 def sparsity_ratio(edges) -> float:

@@ -17,7 +17,12 @@ The generative process at truncation level nu:
    theta are assigned lazily: visibility is independent of the labels, so
    drawing i.i.d. U(0, nu) labels for the kept vertices afterwards leaves
    the joint law unchanged and avoids storing labels for the (often vastly
-   larger) invisible majority.
+   larger) invisible majority. Kept points are indexed in latent-slot
+   order, then star leaves, then isolated-edge endpoints. When a draw has
+   many edge endpoints per latent slot, a boolean mask over the slots finds
+   the kept points and one slot -> index table maps the endpoints; a huge
+   cloud with a small visible graph sorts its few endpoints and
+   binary-searches them instead, which gives the same indices.
 
 Pair sampling has two interchangeable implementations. The naive path flips
 one coin per pair in vectorised blocks, which is exact but quadratic. When
@@ -68,6 +73,13 @@ PROV_KERNEL = 0
 PROV_STAR = 1
 PROV_ISOLATED = 2
 PROV_NAMES = ("kernel", "star", "isolated")
+
+_CSV_BLOCK = 1 << 16  # edges formatted per write in SampledGraph.write_csv
+# sample_keg indexes visible points through a table over all latent slots
+# when there is at least one edge endpoint per this many slots, and by binary
+# search otherwise; measured on 2 cores, the search costs less below about
+# one endpoint per 64 slots and the table above one per 16
+_SLOT_TABLE_RATIO = 32
 
 _TAU = 0.5
 _C0 = -math.log(1.0 - _TAU) / _TAU  # 1.3862943611...
@@ -127,9 +139,12 @@ class SamplerConfig:
     max_proposals: float = 3e8
 
     def __post_init__(self):
-        if not (isinstance(self.nu, (int, float)) and math.isfinite(self.nu) and self.nu >= 0):
+        # bool is a subclass of int, but True is no truncation level or seed
+        if not (isinstance(self.nu, (int, float)) and not isinstance(self.nu, bool)
+                and math.isfinite(self.nu) and self.nu >= 0):
             raise SamplerError(f"nu must be a finite number >= 0, got {self.nu!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
             raise SamplerError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (isinstance(self.eps, (int, float)) and self.eps > 0):
             raise SamplerError(f"eps must be > 0, got {self.eps!r}")
@@ -168,10 +183,6 @@ class SampledGraph:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def degree_of(self, vertex: int) -> int:
-        """Degree of one vertex; a self loop contributes 2."""
-        return int(np.count_nonzero(self.edges == vertex))
-
     def edge_counts_by_provenance(self) -> dict:
         prov = self.provenance
         return {
@@ -194,13 +205,23 @@ class SampledGraph:
     def write_csv(self, dest) -> None:
         """One row per edge: u_index,v_index,u_label,v_label,provenance.
 
-        ``dest`` is a path or an open text stream.
+        ``dest`` is a path or an open text stream. Labels are written as the
+        ``repr`` of the float. Each vertex's index and label are formatted
+        once, and rows go out in blocks of ``_CSV_BLOCK`` edges, one write per
+        block, so memory stays bounded by a block's text, not the file's.
         """
-        lab = self.labels
+        index = [str(i) for i in range(self.n_vertices)]
+        label = [repr(x) for x in np.asarray(self.labels, dtype=float).tolist()]
         with _out_stream(dest) as fh:
             fh.write("u_index,v_index,u_label,v_label,provenance\n")
-            for (u, v), p in zip(self.edges.tolist(), self.provenance.tolist()):
-                fh.write(f"{u},{v},{float(lab[u])!r},{float(lab[v])!r},{PROV_NAMES[p]}\n")
+            for b0 in range(0, self.n_edges, _CSV_BLOCK):
+                # a flat list pairs up faster than the nested one tolist()
+                # makes of a 2-D block
+                ends = iter(self.edges[b0:b0 + _CSV_BLOCK].ravel().tolist())
+                prov = self.provenance[b0:b0 + _CSV_BLOCK].tolist()
+                fh.write("".join([
+                    f"{index[u]},{index[v]},{label[u]},{label[v]},{PROV_NAMES[p]}\n"
+                    for u, v, p in zip(ends, ends, prov)]))
 
     def write_latent_csv(self, dest) -> None:
         if self.latent is None:
@@ -292,6 +313,16 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
 # Kernel edges
 # ---------------------------------------------------------------------------
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-D integer array, by a sort and a mask of first
+    occurrences: the same result, and much faster than NumPy's hash-based
+    unique on large arrays."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndarray:
     """Separable fast path; see the module docstring for the scheme."""
     n = pts.size
@@ -330,11 +361,9 @@ def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndar
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
             ok = (lo != hi) & ~((f[lo] > _TAU) & (f[hi] > _TAU))
-            lo = lo[ok]
-            hi = hi[ok]
-            key = np.unique(lo.astype(np.int64) * n + hi)
-            lo = (key // n).astype(np.int64)
-            hi = (key % n).astype(np.int64)
+            # the keys come out ascending, as from np.unique, so the
+            # acceptance coins below fall on the same pairs
+            lo, hi = np.divmod(_sorted_unique(lo[ok].astype(np.int64) * n + hi[ok]), n)
             p = f[lo] * f[hi]
             accept = gen.random(p.size) < p / (-np.expm1(-_C0 * p))
             chunks.append(np.column_stack((lo[accept], hi[accept])))
@@ -439,9 +468,23 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
     if g.isolated_rate > 0.0 and nu > 0.0:
         n_iso = int(rngmod.stream(cfg.seed, _STREAM_ISOLATED).poisson(g.isolated_rate * nu * nu))
 
-    # visibility and final indexing
-    participants = [kernel_uv.ravel(), hubs, planted_slots]
-    visible = np.unique(np.concatenate(participants)) if n else np.empty(0, dtype=np.int64)
+    # visibility and final indexing: the kept latent slots in slot order, and
+    # each endpoint's index among them. A big visible graph has many
+    # endpoints per latent slot, and a mask and a slot -> index table over
+    # all n slots cost least. A huge cloud with a small visible graph would
+    # spend more on those O(n) arrays than on the graph, so its few endpoints
+    # are sorted and binary-searched instead. Both give the same indices.
+    ends = np.concatenate((kernel_uv.ravel(), hubs, planted_slots))
+    if ends.size * _SLOT_TABLE_RATIO >= n:
+        seen = np.zeros(n, dtype=bool)
+        seen[ends] = True
+        visible = np.flatnonzero(seen)
+        table = np.empty(n, dtype=np.int64)
+        table[visible] = np.arange(visible.size, dtype=np.int64)
+        index_of = table.__getitem__
+    else:
+        visible = _sorted_unique(ends)
+        index_of = visible.searchsorted
     v0 = visible.size
     n_leaves = hubs.size
     n_vertices = v0 + n_leaves + 2 * n_iso
@@ -449,13 +492,11 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
     rows = []
     provs = []
     if kernel_uv.shape[0]:
-        mapped = np.searchsorted(visible, kernel_uv)
-        rows.append(mapped)
-        provs.append(np.zeros(mapped.shape[0], dtype=np.uint8))
+        rows.append(index_of(kernel_uv))
+        provs.append(np.zeros(kernel_uv.shape[0], dtype=np.uint8))
     if n_leaves:
-        hub_mapped = np.searchsorted(visible, hubs)
         leaf_ids = v0 + np.arange(n_leaves, dtype=np.int64)
-        rows.append(np.column_stack((hub_mapped, leaf_ids)))
+        rows.append(np.column_stack((index_of(hubs), leaf_ids)))
         provs.append(np.full(n_leaves, PROV_STAR, dtype=np.uint8))
     if n_iso:
         base = v0 + n_leaves
@@ -466,7 +507,11 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
     if rows:
         edges = np.vstack(rows).astype(np.int64)
         provenance = np.concatenate(provs)
-        order = np.lexsort((provenance, edges[:, 1], edges[:, 0]))
+        # one stable sort on a combined key is the lexicographic order of
+        # (u, v, provenance) at half the cost of np.lexsort; u, v < n_vertices
+        # and provenance < 3, so the key fits int64 below 1.7e9 vertices
+        key = (edges[:, 0] * n_vertices + edges[:, 1]) * len(PROV_NAMES) + provenance
+        order = np.argsort(key, kind="stable")
         edges = edges[order]
         provenance = provenance[order]
     else:
@@ -481,7 +526,7 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         latent = np.full(n_vertices, np.nan)
         latent[:v0] = pts[visible]
 
-    planted_final = tuple(int(i) for i in np.searchsorted(visible, planted_slots))
+    planted_final = tuple(index_of(planted_slots).tolist())
 
     return SampledGraph(
         nu=nu, seed=cfg.seed, theta_max=float(theta), epsilon=float(cfg.eps),

@@ -115,6 +115,36 @@ edge_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=0, max_size=120)
 
 
+@st.composite
+def spread_edge_lists(draw):
+    """Edges over a few ids scattered across int64: negative ids, wide gaps
+    between ids, and self loops whenever both ends pick the same id."""
+    pool = draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=25,
+                         unique=True))
+    ids = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(ids, ids), max_size=80))
+
+
+any_edge_lists = st.one_of(edge_lists, spread_edge_lists())
+
+
+def unique_degrees(arr):
+    """Reference degrees: np.unique ids and a bincount over their inverse."""
+    ids, inverse = np.unique(arr.ravel(), return_inverse=True)
+    return ids, np.bincount(inverse, minlength=ids.size).astype(np.int64)
+
+
+@given(any_edge_lists)
+@settings(max_examples=200, deadline=None)
+def test_degrees_match_unique_reference(edges):
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ids, deg = degrees(arr)
+    ref_ids, ref_deg = unique_degrees(arr)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(deg, ref_deg)
+    assert ids.dtype == ref_ids.dtype and deg.dtype == np.int64
+
+
 @given(edge_lists)
 @settings(max_examples=200, deadline=None)
 def test_handshake_lemma(edges):
@@ -134,12 +164,14 @@ def test_histogram_is_consistent(edges):
     assert all(k >= 1 for k in hist.counts)
 
 
-@given(edge_lists)
+@given(any_edge_lists)
 @settings(max_examples=150, deadline=None)
 def test_largest_component_matches_bfs(edges):
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     sizes = bfs_component_sizes(edges)
     assert largest_component_size(arr) == (sizes[0] if sizes else 0)
+    assert largest_component(arr) == ((sizes[0], sizes[0] / sum(sizes)) if sizes
+                                      else (0, 0.0))
 
 
 @given(edge_lists)

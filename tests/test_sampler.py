@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -6,8 +7,10 @@ import pytest
 
 from graphex.model import build, dilate
 from graphex.sampler import (
+    _CSV_BLOCK,
     PROV_ISOLATED,
     PROV_KERNEL,
+    PROV_NAMES,
     PROV_STAR,
     SampledGraph,
     SamplerConfig,
@@ -164,6 +167,13 @@ def test_config_validation():
         SamplerConfig(nu=1.0, seed=0, eps=0.0)
     with pytest.raises(SamplerError):
         SamplerConfig(nu=1.0, seed=0, theta_max=-2.0)
+    # bool is an int subclass, but not a truncation level or a seed
+    with pytest.raises(SamplerError, match="nu"):
+        SamplerConfig(nu=True, seed=0)
+    with pytest.raises(SamplerError, match="seed"):
+        SamplerConfig(nu=1.0, seed=True)
+    with pytest.raises(SamplerError, match="seed"):
+        SamplerConfig(nu=1.0, seed=False)
 
 
 def test_capacity_guards():
@@ -195,6 +205,64 @@ def test_output_writers():
     assert set(meta) == {"nu", "seed", "theta_max", "epsilon", "vertices",
                          "edges", "edges_by_provenance"}
     assert meta["vertices"] == g.n_vertices
+
+
+def per_edge_csv(g: SampledGraph) -> str:
+    """Reference writer: one format call per edge, labels looked up each time."""
+    lab = g.labels
+    out = ["u_index,v_index,u_label,v_label,provenance\n"]
+    for (u, v), p in zip(g.edges.tolist(), g.provenance.tolist()):
+        out.append(f"{u},{v},{float(lab[u])!r},{float(lab[v])!r},{PROV_NAMES[p]}\n")
+    return "".join(out)
+
+
+def test_write_csv_matches_per_edge_writer(tmp_path):
+    # more edges than one write block, and labels whose repr has an exponent
+    rng = np.random.default_rng(0)
+    n = 2000
+    labels = rng.uniform(0.0, 5.0, n)
+    labels[:6] = [0.0, 5e-324, 1e-05, 2.5e-07, 1.2345678901234567e+16, 5.0]
+    uv = np.sort(rng.integers(0, n, size=(_CSV_BLOCK + 4321, 2)), axis=1)
+    g = SampledGraph(nu=5.0, seed=0, theta_max=1.0, epsilon=1e-3, labels=labels,
+                     edges=uv.astype(np.int64),
+                     provenance=rng.integers(0, 3, uv.shape[0]).astype(np.uint8))
+    want = per_edge_csv(g)
+    assert "e-05" in want and "e+16" in want
+    buf = io.StringIO()
+    g.write_csv(buf)
+    assert buf.getvalue() == want
+    path = tmp_path / "edges.csv"
+    g.write_csv(path)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def draw_digest(g: SampledGraph) -> str:
+    h = hashlib.sha256()
+    for arr in (g.edges, g.provenance, g.labels, g.latent):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(repr(g.planted_indices).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("graphex, nu, seed, planted, digest", [
+    # the first two index visible points through the slot table, the slow
+    # cloud (about 3e5 slots, 30 endpoints) through the binary search.
+    # The point planted at 40 has no edges: it is kept, but invisible
+    (FAST, 50.0, 5, (0.0, 40.0),
+     "5595068e7cd8998492102158ff19f14b4f4090fe7f5ef9bde4963baf4557f7bc"),
+    (STAR_ISO, 10.0, 3, (),
+     "d4aadb41315e379f4b87931eee70bb780f90d2e77ec734d96ab601a6b5254aa8"),
+    (SLOW, 10.0, 7, (),
+     "61b53df02445fda50f210906c8ea9987b5ee39b2bdfafaf3a7a4727fe7be28f7"),
+], ids=["fast-planted", "star-isolated", "slow"])
+def test_frozen_draws(graphex, nu, seed, planted, digest):
+    # frozen sha256 of whole draws: any change to how randomness is consumed,
+    # or to vertex indexing and edge order, shows here
+    g = sample_keg(graphex, SamplerConfig(nu=nu, seed=seed, retain_latent=True),
+                   planted=planted)
+    assert draw_digest(g) == digest
 
 
 # --------------------------------------------------------------------------
