@@ -28,7 +28,7 @@ from .harness import (
     projectivity_test,
     validate_expectations,
 )
-from .model import FAMILIES, Graphex, GraphexError, SpecError, build, build_from_json, dilate, marginal
+from .model import FAMILIES, Graphex, GraphexError, SpecError, build, build_from_json, dilate
 from .quadrature import IntegralResult, QuadratureError, integrate_interval, integrate_semiinf, poisson_tail
 from .rng import derive_key, stream
 from .sampler import (
@@ -101,7 +101,6 @@ __all__ = [
     "integrate_semiinf",
     "largest_component",
     "largest_component_size",
-    "marginal",
     "parse",
     "poisson_tail",
     "projectivity_test",

@@ -16,6 +16,9 @@ import sys
 from . import __version__, theory
 from .finiteness import check_local_finiteness
 from .harness import (
+    DEFAULT_P_FLOOR,
+    DEFAULT_STATS,
+    DEFAULT_Z_CRIT,
     HarnessError,
     connectivity_experiment,
     degdist_experiment,
@@ -66,12 +69,6 @@ def _emit(report_dict: dict, args) -> None:
         write_json(report_dict, args.out)
     else:
         sys.stdout.write(json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_csv(report, args) -> None:
-    if getattr(args, "csv", None):
-        fields, rows = report.csv_rows()
-        write_csv(args.csv, fields, rows)
 
 
 def _add_graphex(p) -> None:
@@ -131,13 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nus", type=_float_list, required=True, metavar="A,B,...")
     p.add_argument("--replicates", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stats", type=_str_list,
-                   default=["edges", "vertices", "degree_1", "degree_2"],
+    p.add_argument("--stats", type=_str_list, default=DEFAULT_STATS,
                    metavar="NAME,...", help="edges, vertices, degree_<k>")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--z-crit", type=float, default=4.0)
+    p.add_argument("--z-crit", type=float, default=DEFAULT_Z_CRIT)
     _add_report_flags(p)
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn=_report_command("validate_expectations", "nus", "stats", "eps", "z_crit"))
 
     p = sub.add_parser("degdist", help="empirical degree law vs. theory ratio")
     _add_graphex(p)
@@ -149,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--beta", type=float, help="per-nu degree floor(nu^beta)")
     p.add_argument("--eps", type=float, default=1e-3)
     _add_report_flags(p)
-    p.set_defaults(fn=cmd_degdist)
+    p.set_defaults(fn=_report_command("degdist_experiment", "nus", "k", "beta", "eps"))
 
     p = sub.add_parser("connectivity", help="largest-component fraction trend")
     _add_graphex(p)
@@ -159,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.95)
     p.add_argument("--eps", type=float, default=1e-3)
     _add_report_flags(p)
-    p.set_defaults(fn=cmd_connectivity)
+    p.set_defaults(fn=_report_command("connectivity_experiment", "nus", "eps", "threshold"))
 
     p = sub.add_parser("projectivity", help="KS test: restrict(sample(2nu), nu) "
                                             "vs sample(nu)")
@@ -167,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--p-floor", type=float, default=1e-3)
+    p.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR)
     p.add_argument("--eps", type=float, default=1e-3)
     _add_report_flags(p)
-    p.set_defaults(fn=cmd_projectivity)
+    p.set_defaults(fn=_report_command("projectivity_test", "nu", "eps", "p_floor"))
 
     return parser
 
@@ -220,44 +216,22 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.all_hold else EXIT_FAIL
 
 
-def cmd_validate(args) -> int:
-    g = _load_graphex(args.graphex)
-    report = validate_expectations(g, args.nus, args.replicates, args.seed,
-                                   stats=tuple(args.stats), eps=args.eps,
-                                   z_crit=args.z_crit, threads=args.threads)
-    _emit(report.to_dict(), args)
-    _emit_csv(report, args)
-    return EXIT_OK if report.all_ok else EXIT_FAIL
+def _report_command(experiment: str, levels: str, *options: str):
+    """The body of a report subcommand: run the harness function named
+    ``experiment`` (looked up in this module when the command runs) at the
+    level(s) in ``args.<levels>``, passing the flags named in ``options`` by
+    keyword, then write the report and exit by its verdict."""
+    def run(args) -> int:
+        g = _load_graphex(args.graphex)
+        report = globals()[experiment](
+            g, getattr(args, levels), args.replicates, args.seed, threads=args.threads,
+            **{name: getattr(args, name) for name in options})
+        _emit(report.to_dict(), args)
+        if args.csv:
+            write_csv(args.csv, *report.csv_rows())
+        return EXIT_OK if report.ok else EXIT_FAIL
 
-
-def cmd_degdist(args) -> int:
-    g = _load_graphex(args.graphex)
-    report = degdist_experiment(g, args.nus, args.replicates, args.seed,
-                                k=args.k, beta=args.beta, eps=args.eps,
-                                threads=args.threads)
-    _emit(report.to_dict(), args)
-    _emit_csv(report, args)
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_connectivity(args) -> int:
-    g = _load_graphex(args.graphex)
-    report = connectivity_experiment(g, args.nus, args.replicates, args.seed,
-                                     eps=args.eps, threshold=args.threshold,
-                                     threads=args.threads)
-    _emit(report.to_dict(), args)
-    _emit_csv(report, args)
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_projectivity(args) -> int:
-    g = _load_graphex(args.graphex)
-    report = projectivity_test(g, args.nu, args.replicates, args.seed,
-                               eps=args.eps, p_floor=args.p_floor,
-                               threads=args.threads)
-    _emit(report.to_dict(), args)
-    _emit_csv(report, args)
-    return EXIT_OK if report.ok else EXIT_FAIL
+    return run
 
 
 def main(argv=None) -> int:

@@ -175,6 +175,16 @@ def _probe_tail(f, start: float, config: ProbeConfig):
             f"shell sums decay too slowly to classify within {config.max_shells} shells")
 
 
+def _probe_verdict(key: str, probe, prefix: str) -> ConditionVerdict:
+    """The verdict on condition ``key`` from a :func:`_probe_tail` result."""
+    kind, value, note = probe
+    if kind == CONVERGENT:
+        return ConditionVerdict(key, HOLDS_NUMERIC, prefix + note, bound=value)
+    if kind == DIVERGENT:
+        return ConditionVerdict(key, VIOLATED, prefix + note)
+    return ConditionVerdict(key, UNDECIDABLE, prefix + note)
+
+
 # ---------------------------------------------------------------------------
 # Individual conditions
 # ---------------------------------------------------------------------------
@@ -192,16 +202,8 @@ def _check_star(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
     key = "star_rate_integrable"
     if g.s is None:
         return ConditionVerdict(key, HOLDS, "no star rate declared", bound=0.0)
-    if g.s_l1_value is not None and math.isfinite(g.s_l1_value):
-        return ConditionVerdict(key, HOLDS,
-                                f"declared integral of S = {g.s_l1_value:.6g}",
-                                bound=g.s_l1_value)
-    kind, value, note = _probe_tail(lambda x: float(g.s_at(x)), 0.0, config)
-    if kind == CONVERGENT:
-        return ConditionVerdict(key, HOLDS_NUMERIC, f"integral of S: {note}", bound=value)
-    if kind == DIVERGENT:
-        return ConditionVerdict(key, VIOLATED, f"integral of S: {note}")
-    return ConditionVerdict(key, UNDECIDABLE, f"integral of S: {note}")
+    return _probe_verdict(key, _probe_tail(lambda x: float(g.s_at(x)), 0.0, config),
+                          "integral of S: ")
 
 
 def _safe_marginal(g: Graphex, x: float) -> float:
@@ -330,20 +332,15 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
     nested = replace(config, panel_limit=1,
                      shell_rel_tol=max(config.shell_rel_tol, 1e-6))
     try:
-        kind, value, note = _probe_tail(inner, x0, nested)
+        probe = _probe_tail(inner, x0, nested)
     except (GraphexError, QuadratureError):
         return ConditionVerdict(
             key, UNDECIDABLE,
             "inner integrals of the restricted kernel did not converge")
-    region = f"[{x0:.6g}, inf)^2"
-    if kind == CONVERGENT:
-        return ConditionVerdict(
-            key, HOLDS_NUMERIC,
-            f"kernel restricted to {region} (where mu <= 1): {note}", bound=value)
-    if kind == DIVERGENT:
-        return ConditionVerdict(
-            key, VIOLATED, f"kernel restricted to {region}: {note}")
-    return ConditionVerdict(key, UNDECIDABLE, f"kernel restricted to {region}: {note}")
+    region = f"kernel restricted to [{x0:.6g}, inf)^2"
+    if probe[0] == CONVERGENT:
+        region += " (where mu <= 1)"
+    return _probe_verdict(key, probe, region + ": ")
 
 
 def _check_diagonal(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
@@ -360,13 +357,8 @@ def _check_diagonal(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
             key, HOLDS,
             f"the diagonal is bounded by 1 on [0, {g.support:.6g}] and zero beyond",
             bound=g.support)
-    kind, value, note = _probe_tail(lambda x: float(g.diag_at(x)), 0.0, config)
-    if kind == CONVERGENT:
-        return ConditionVerdict(key, HOLDS_NUMERIC, f"integral of W(x, x): {note}",
-                                bound=value)
-    if kind == DIVERGENT:
-        return ConditionVerdict(key, VIOLATED, f"integral of W(x, x): {note}")
-    return ConditionVerdict(key, UNDECIDABLE, f"integral of W(x, x): {note}")
+    return _probe_verdict(key, _probe_tail(lambda x: float(g.diag_at(x)), 0.0, config),
+                          "integral of W(x, x): ")
 
 
 def check_local_finiteness(g: Graphex, config: ProbeConfig | None = None) -> FinitenessReport:

@@ -50,11 +50,21 @@ def count_edges(edges) -> int:
     return int(_as_edges(edges).shape[0])
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-D integer array, by a sort and a mask of first
+    occurrences: the same result, and much faster than NumPy's hash-based
+    unique on large arrays."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def count_vertices(edges) -> int:
     arr = _as_edges(edges)
     if arr.size == 0:
         return 0
-    return int(np.unique(arr).size)
+    return int(sorted_unique(arr.ravel()).size)
 
 
 def counts(edges) -> tuple[int, int]:

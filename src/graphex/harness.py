@@ -1,10 +1,19 @@
 """Monte Carlo validation harness.
 
-Every experiment draws replicate graphs with per-replicate seeds derived from
-one base seed through the splittable RNG, so results do not depend on
-scheduling and the optional thread pool changes only wall time. Reports are
-plain dataclasses with ``to_dict`` (JSON) and ``csv_rows`` (flat CSV) views;
-serialising the same report twice gives byte-identical output.
+Every experiment runs on one replicate engine, :func:`_replicates`. For each
+truncation level nu of a grid it draws R graphs, and replicate ``rep`` at
+grid index ``i_nu`` always uses the child seed
+``derive_key(seed, i_nu, rep)[0]`` of the one base seed, so results do not
+depend on scheduling and the optional thread pool changes only wall time.
+Each graph is reduced to a value by the experiment's measure: counts of
+registered statistics, a degree fraction, a largest-component fraction, or
+an edge count. The projectivity test is the same engine over the two-level
+grid (2 nu, nu): arm 0 restricts its draws at 2 nu to [0, nu], arm 1 draws
+at nu directly.
+
+Reports are frozen dataclasses that share one serializer, :class:`_Record`:
+``to_dict`` (JSON) and ``csv_rows`` (flat CSV). Serialising the same report
+twice gives byte-identical output.
 
 Statistical conventions: z = (sample mean - theory) / (sd / sqrt(R)) with the
 sample sd using ddof=1. Zero sample variance needs care, because the sd
@@ -31,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -60,22 +69,12 @@ __all__ = [
 
 DEFAULT_Z_CRIT = 4.0
 DEFAULT_P_FLOOR = 1e-3
+DEFAULT_STATS = ("edges", "vertices", "degree_1", "degree_2")
 MIN_REPLICATES = 30
 
 
 class HarnessError(ValueError):
     pass
-
-
-def _child_seed(seed: int, *path: int) -> int:
-    return int(rngmod.derive_key(seed, *path)[0])
-
-
-def _map_replicates(fn, reps: int, threads: int | None):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(reps)))
-    return [fn(r) for r in range(reps)]
 
 
 def _check_reps(reps: int) -> None:
@@ -91,7 +90,47 @@ def _check_grid(nus) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# The replicate engine
+# ---------------------------------------------------------------------------
+
+def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float,
+                threads: int | None, measure):
+    """Yield (nu, [measure(graph, i_nu) for each replicate]) per grid level,
+    with replicate seeds addressed as in the module docstring."""
+    for i_nu, nu in enumerate(grid):
+        def one(rep: int, nu=nu, i_nu=i_nu):
+            child = int(rngmod.derive_key(seed, i_nu, rep)[0])
+            return measure(sample_keg(g, SamplerConfig(nu=nu, seed=child, eps=eps)), i_nu)
+
+        if threads and threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                values = list(pool.map(one, range(reps)))
+        else:
+            values = [one(rep) for rep in range(reps)]
+        yield nu, values
+
+
+def _drop_empty(values: list, nu: float, why: str) -> tuple[list, int]:
+    """(values of nonempty graphs, number of empty ones, which measure None)."""
+    kept = [v for v in values if v is not None]
+    if not kept:
+        raise HarnessError(f"every replicate at nu = {nu} produced an empty graph; {why}")
+    return kept, len(values) - len(kept)
+
+
+def _z_score(mean: float, sd: float, se: float, expected: float, reps: int) -> float:
+    """z of a replicate mean against theory, by the module docstring's rules."""
+    if sd != 0.0:
+        return (mean - expected) / se
+    if abs(mean - expected) <= 1e-12 * max(1.0, abs(expected)):
+        return 0.0
+    if mean == 0.0 and expected > 0.0:
+        return -math.sqrt(reps * expected)
+    return math.copysign(math.inf, mean - expected)
+
+
+# ---------------------------------------------------------------------------
+# Serialization
 # ---------------------------------------------------------------------------
 
 def write_json(data: dict, path) -> None:
@@ -101,11 +140,7 @@ def write_json(data: dict, path) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_csv(path, fieldnames, rows) -> None:
@@ -115,12 +150,38 @@ def write_csv(path, fieldnames, rows) -> None:
             fh.write(",".join(_fmt(row[name]) for name in fieldnames) + "\n")
 
 
+class _Record:
+    """Serializer of the rows and reports below. ``to_dict``: the dataclass
+    fields (``rows`` as a list of dicts), then the ``DERIVED`` properties.
+    ``csv_rows``: ``CSV_FIELDS`` and the rows as dicts (or the record itself)."""
+
+    DERIVED: tuple = ()
+    CSV_FIELDS: tuple = ()
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = [r.to_dict() for r in value] if f.name == "rows" else value
+        for name in self.DERIVED:
+            out[name] = getattr(self, name)
+        return out
+
+    def csv_rows(self):
+        rows = getattr(self, "rows", (self,))
+        return self.CSV_FIELDS, [r.to_dict() for r in rows]
+
+
+def _columns(row_type) -> tuple:
+    return tuple(f.name for f in fields(row_type)) + row_type.DERIVED
+
+
 # ---------------------------------------------------------------------------
 # Expectation validation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StatRow:
+class StatRow(_Record):
     statistic: str
     nu: float
     replicates: int
@@ -129,63 +190,58 @@ class StatRow:
     se: float
     theory: float
     z: float
-    ok: bool
+    verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic, "nu": self.nu,
-            "replicates": self.replicates, "mean": self.mean, "sd": self.sd,
-            "se": self.se, "theory": self.theory, "z": self.z,
-            "verdict": "pass" if self.ok else "fail",
-        }
+    @property
+    def ok(self) -> bool:
+        return self.verdict == "pass"
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     rows: tuple
     z_crit: float
     seed: int
     graphex: dict
 
+    DERIVED = ("all_ok",)
+    CSV_FIELDS = _columns(StatRow)
+
     @property
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "graphex": self.graphex, "seed": self.seed, "z_crit": self.z_crit,
-            "rows": [r.to_dict() for r in self.rows], "all_ok": self.all_ok,
-        }
-
-    CSV_FIELDS = ("statistic", "nu", "replicates", "mean", "sd", "se",
-                  "theory", "z", "verdict")
-
-    def csv_rows(self):
-        return self.CSV_FIELDS, [r.to_dict() for r in self.rows]
+    ok = all_ok
 
 
-def _parse_stat(name: str):
-    """Returns (label, per-graph extractor, theory evaluator)."""
-    if name == "edges":
-        return name, lambda gr, deg: gr.n_edges, \
-            lambda g, nu: theory.expected_edges(g, nu).value
-    if name == "vertices":
-        return name, lambda gr, deg: int(deg.size), \
-            lambda g, nu: theory.expected_vertices(g, nu).value
+# statistic -> (its count in one graph, given the graph and its degrees;
+# its expectation at nu). Theory is looked up on the module at call time.
+_STATISTICS = {
+    "edges": (lambda graph, deg: graph.n_edges,
+              lambda g, nu: theory.expected_edges(g, nu).value),
+    "vertices": (lambda graph, deg: int(deg.size),
+                 lambda g, nu: theory.expected_vertices(g, nu).value),
+}
+
+
+def _statistic(name: str):
+    """The registry entry of edges, vertices or degree_<k> with k >= 1."""
+    if name in _STATISTICS:
+        return _STATISTICS[name]
     if name.startswith("degree_"):
         try:
             k = int(name.split("_", 1)[1])
         except ValueError:
             k = 0
         if k >= 1:
-            return name, lambda gr, deg, k=k: int(np.count_nonzero(deg == k)), \
-                lambda g, nu, k=k: theory.expected_degree_count(g, nu, k).value
+            return (lambda graph, deg: int(np.count_nonzero(deg == k)),
+                    lambda g, nu: theory.expected_degree_count(g, nu, k).value)
     raise HarnessError(f"unknown statistic {name!r}; expected edges, vertices "
                        "or degree_<k> with k >= 1")
 
 
 def validate_expectations(g: Graphex, nus, reps: int, seed: int,
-                          stats=("edges", "vertices", "degree_1", "degree_2"),
+                          stats=DEFAULT_STATS,
                           eps: float = 1e-3, z_crit: float = DEFAULT_Z_CRIT,
                           threads: int | None = None) -> ValidationReport:
     """Compare replicate means of count statistics against the theory engine.
@@ -194,34 +250,24 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
     """
     _check_reps(reps)
     grid = _check_grid(nus)
-    parsed = [_parse_stat(s) for s in stats]
+    parsed = [(name, *_statistic(name)) for name in stats]
+
+    def counts(graph, i_nu):
+        _, deg = _degrees(graph.edges)
+        return [float(count(graph, deg)) for _, count, _ in parsed]
 
     rows = []
-    for i_nu, nu in enumerate(grid):
-        def one(rep: int, nu=nu, i_nu=i_nu):
-            cfg = SamplerConfig(nu=nu, seed=_child_seed(seed, i_nu, rep), eps=eps)
-            graph = sample_keg(g, cfg)
-            _, deg = _degrees(graph.edges)
-            return [float(extract(graph, deg)) for _, extract, _ in parsed]
-
-        samples = np.asarray(_map_replicates(one, reps, threads))
-        for j, (label, _, theory_fn) in enumerate(parsed):
+    for nu, samples in _replicates(g, grid, reps, seed, eps, threads, counts):
+        samples = np.asarray(samples)
+        for j, (label, _, expect) in enumerate(parsed):
             values = samples[:, j]
             mean = float(values.mean())
             sd = float(values.std(ddof=1))
             se = sd / math.sqrt(reps)
-            expected = float(theory_fn(g, nu))
-            if sd == 0.0:
-                if abs(mean - expected) <= 1e-12 * max(1.0, abs(expected)):
-                    z = 0.0
-                elif mean == 0.0 and expected > 0.0:
-                    z = -math.sqrt(reps * expected)
-                else:
-                    z = math.copysign(math.inf, mean - expected)
-            else:
-                z = (mean - expected) / se
+            expected = float(expect(g, nu))
+            z = _z_score(mean, sd, se, expected, reps)
             rows.append(StatRow(label, nu, reps, mean, sd, se, expected, z,
-                                abs(z) <= z_crit))
+                                "pass" if abs(z) <= z_crit else "fail"))
     return ValidationReport(tuple(rows), z_crit, seed, dict(g.spec))
 
 
@@ -230,7 +276,7 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DegreeLawRow:
+class DegreeLawRow(_Record):
     nu: float
     k: int
     replicates: int
@@ -240,25 +286,21 @@ class DegreeLawRow:
     empirical_pmf: float
     theory_pmf: float
 
+    DERIVED = ("gap",)
+
     @property
     def gap(self) -> float:
         return abs(self.empirical_ccdf - self.theory_ccdf)
 
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.nu, "k": self.k, "replicates": self.replicates,
-            "rejected": self.rejected,
-            "empirical_ccdf": self.empirical_ccdf, "theory_ccdf": self.theory_ccdf,
-            "empirical_pmf": self.empirical_pmf, "theory_pmf": self.theory_pmf,
-            "gap": self.gap,
-        }
-
 
 @dataclass(frozen=True)
-class DegreeLawReport:
+class DegreeLawReport(_Record):
     rows: tuple
     seed: int
     graphex: dict
+
+    DERIVED = ("gaps_shrink", "ok")
+    CSV_FIELDS = _columns(DegreeLawRow)
 
     @property
     def gaps_shrink(self) -> bool:
@@ -269,20 +311,6 @@ class DegreeLawReport:
     @property
     def ok(self) -> bool:
         return self.gaps_shrink
-
-    def to_dict(self) -> dict:
-        return {
-            "graphex": self.graphex, "seed": self.seed,
-            "rows": [r.to_dict() for r in self.rows],
-            "gaps_shrink": self.gaps_shrink,
-            "ok": self.ok,
-        }
-
-    CSV_FIELDS = ("nu", "k", "replicates", "rejected", "empirical_ccdf",
-                  "theory_ccdf", "empirical_pmf", "theory_pmf", "gap")
-
-    def csv_rows(self):
-        return self.CSV_FIELDS, [r.to_dict() for r in self.rows]
 
 
 def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = None,
@@ -303,27 +331,20 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
         raise HarnessError(f"k must be an integer >= 1, got {k!r}")
     if beta is not None and not (0.0 < beta < 1.0):
         raise HarnessError(f"beta must lie in (0, 1), got {beta!r}")
+    ks = [k if k is not None else max(1, int(math.floor(nu ** beta))) for nu in grid]
+
+    def fractions(graph, i_nu):
+        _, deg = _degrees(graph.edges)
+        if deg.size == 0:
+            return None
+        n = deg.size
+        return (float(np.count_nonzero(deg > ks[i_nu])) / n,
+                float(np.count_nonzero(deg == ks[i_nu])) / n)
 
     rows = []
-    for i_nu, nu in enumerate(grid):
-        k_nu = k if k is not None else max(1, int(math.floor(nu ** beta)))
-
-        def one(rep: int, nu=nu, i_nu=i_nu, k_nu=k_nu):
-            cfg = SamplerConfig(nu=nu, seed=_child_seed(seed, i_nu, rep), eps=eps)
-            graph = sample_keg(g, cfg)
-            _, deg = _degrees(graph.edges)
-            if deg.size == 0:
-                return None
-            n = deg.size
-            return (float(np.count_nonzero(deg > k_nu)) / n,
-                    float(np.count_nonzero(deg == k_nu)) / n)
-
-        results = [r for r in _map_replicates(one, reps, threads)]
-        kept = [r for r in results if r is not None]
-        rejected = reps - len(kept)
-        if not kept:
-            raise HarnessError(f"every replicate at nu = {nu} produced an empty graph; "
-                               "the degree experiment is undefined")
+    levels = _replicates(g, grid, reps, seed, eps, threads, fractions)
+    for k_nu, (nu, results) in zip(ks, levels):
+        kept, rejected = _drop_empty(results, nu, "the degree experiment is undefined")
         arr = np.asarray(kept)
         rows.append(DegreeLawRow(
             nu=nu, k=k_nu, replicates=reps, rejected=rejected,
@@ -340,23 +361,22 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConnectivityRow:
+class ConnectivityRow(_Record):
     nu: float
     replicates: int
     rejected: int
     mean_fraction: float
 
-    def to_dict(self) -> dict:
-        return {"nu": self.nu, "replicates": self.replicates,
-                "rejected": self.rejected, "mean_fraction": self.mean_fraction}
-
 
 @dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(_Record):
     rows: tuple
     threshold: float
     seed: int
     graphex: dict
+
+    DERIVED = ("nondecreasing", "final_ok", "ok")
+    CSV_FIELDS = _columns(ConnectivityRow)
 
     @property
     def nondecreasing(self) -> bool:
@@ -371,19 +391,6 @@ class ConnectivityReport:
     def ok(self) -> bool:
         return self.nondecreasing and self.final_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "graphex": self.graphex, "seed": self.seed, "threshold": self.threshold,
-            "rows": [r.to_dict() for r in self.rows],
-            "nondecreasing": self.nondecreasing, "final_ok": self.final_ok,
-            "ok": self.ok,
-        }
-
-    CSV_FIELDS = ("nu", "replicates", "rejected", "mean_fraction")
-
-    def csv_rows(self):
-        return self.CSV_FIELDS, [r.to_dict() for r in self.rows]
-
 
 def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
                             eps: float = 1e-3, threshold: float = 0.95,
@@ -395,21 +402,14 @@ def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
         raise HarnessError("the connectivity experiment expects a separable kernel "
                            "W(x, y) = f(x) f(y)")
 
-    rows = []
-    for i_nu, nu in enumerate(grid):
-        def one(rep: int, nu=nu, i_nu=i_nu):
-            cfg = SamplerConfig(nu=nu, seed=_child_seed(seed, i_nu, rep), eps=eps)
-            graph = sample_keg(g, cfg)
-            if graph.n_vertices == 0:
-                return None
-            return largest_component(graph.edges)[1]
+    def fraction(graph, i_nu):
+        if graph.n_vertices == 0:
+            return None
+        return largest_component(graph.edges)[1]
 
-        results = _map_replicates(one, reps, threads)
-        kept = [r for r in results if r is not None]
-        rejected = reps - len(kept)
-        if not kept:
-            raise HarnessError(f"every replicate at nu = {nu} produced an empty graph; "
-                               "is the kernel identically zero?")
+    rows = []
+    for nu, results in _replicates(g, grid, reps, seed, eps, threads, fraction):
+        kept, rejected = _drop_empty(results, nu, "is the kernel identically zero?")
         rows.append(ConnectivityRow(nu, reps, rejected, float(np.mean(kept))))
     return ConnectivityReport(tuple(rows), threshold, seed, dict(g.spec))
 
@@ -419,7 +419,7 @@ def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProjectivityReport:
+class ProjectivityReport(_Record):
     nu: float
     replicates: int
     ks_statistic: float
@@ -428,21 +428,12 @@ class ProjectivityReport:
     seed: int
     graphex: dict
 
+    DERIVED = ("ok",)
+    CSV_FIELDS = ("nu", "replicates", "ks_statistic", "p_value", "p_floor", "ok")
+
     @property
     def ok(self) -> bool:
         return self.p_value >= self.p_floor
-
-    def to_dict(self) -> dict:
-        return {
-            "graphex": self.graphex, "seed": self.seed, "nu": self.nu,
-            "replicates": self.replicates, "ks_statistic": self.ks_statistic,
-            "p_value": self.p_value, "p_floor": self.p_floor, "ok": self.ok,
-        }
-
-    CSV_FIELDS = ("nu", "replicates", "ks_statistic", "p_value", "p_floor", "ok")
-
-    def csv_rows(self):
-        return self.CSV_FIELDS, [self.to_dict()]
 
 
 def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
@@ -458,16 +449,11 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     if not (math.isfinite(nu) and nu > 0):
         raise HarnessError(f"nu must be positive and finite, got {nu!r}")
 
-    def one_restricted(rep: int):
-        cfg = SamplerConfig(nu=2.0 * nu, seed=_child_seed(seed, 0, rep), eps=eps)
-        return restrict(sample_keg(g, cfg), nu).n_edges
+    def edge_count(graph, i_nu):
+        return (restrict(graph, nu) if i_nu == 0 else graph).n_edges
 
-    def one_direct(rep: int):
-        cfg = SamplerConfig(nu=nu, seed=_child_seed(seed, 1, rep), eps=eps)
-        return sample_keg(g, cfg).n_edges
-
-    arm_a = np.asarray(_map_replicates(one_restricted, reps, threads), dtype=float)
-    arm_b = np.asarray(_map_replicates(one_direct, reps, threads), dtype=float)
+    arm_a, arm_b = (np.asarray(counts, dtype=float) for _, counts in
+                    _replicates(g, (2.0 * nu, nu), reps, seed, eps, threads, edge_count))
     result = ks_2samp(arm_a, arm_b, method="asymp")
     return ProjectivityReport(
         nu=float(nu), replicates=reps, ks_statistic=float(result.statistic),

@@ -45,20 +45,9 @@ __all__ = [
     "build",
     "build_from_json",
     "dilate",
-    "marginal",
     "FAMILIES",
     "PROBE_GRID_SIZE",
 ]
-
-FAMILIES = (
-    "constant",
-    "graphon-dilation",
-    "separable",
-    "slow-decay",
-    "fast-decay",
-    "caron-fox",
-    "custom",
-)
 
 # kernel expressions are vetted on this many log-spaced probe points per axis
 PROBE_GRID_SIZE = 64
@@ -104,12 +93,9 @@ class Graphex:
     tail_mu_fn: Callable | None = None
     w_l1_value: float | None = None
     diag_l1_value: float | None = None
-    s_l1_value: float | None = None
     tail_s_fn: Callable | None = None
     support: float = math.inf
     separable_f: Callable | None = None
-    f_l1_value: float | None = None
-    tail_f_fn: Callable | None = None
 
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -134,16 +120,26 @@ class Graphex:
 
     # -- marginal and integrals ---------------------------------------------
 
+    def integrate(self, h, rel_tol: float, lo: float = 0.0, limit: int = 200,
+                  tail_hint=None) -> IntegralResult:
+        """Integrate h over the latent axis from ``lo``: up to the support
+        when it is finite, else over [lo, inf) (``tail_hint(a)`` bounds the
+        mass past lo + a). ``limit`` caps the adaptive subdivisions."""
+        if math.isfinite(self.support):
+            if lo >= self.support:
+                return IntegralResult(0.0, 0.0, True, 0)
+            return integrate_interval(h, lo, self.support, rel_tol, limit=limit)
+        if lo:
+            h = lambda u, h=h: h(lo + u)  # noqa: E731
+        return integrate_semiinf(h, rel_tol, tail_hint=tail_hint, panel_limit=limit)
+
     def marginal(self, x: float, rel_tol: float = 1e-8) -> float:
         """mu(x) = integral of W(x, y) dy. Analytic when declared."""
         if self.mu is not None:
             return float(self.mu(x))
         if self.w is None:
             return 0.0
-        if math.isfinite(self.support):
-            res = integrate_interval(lambda y: float(self.w_at(x, y)), 0.0, self.support, rel_tol)
-        else:
-            res = integrate_semiinf(lambda y: float(self.w_at(x, y)), rel_tol)
+        res = self.integrate(lambda y: float(self.w_at(x, y)), rel_tol)
         if not res.converged:
             raise GraphexError(
                 f"marginal at x={x!r} did not converge "
@@ -161,12 +157,7 @@ class Graphex:
         # when the marginal is itself numeric, every outer node costs a full
         # inner integral, so let a loose caller buy loose inner evaluations
         inner_tol = max(1e-8, 0.1 * rel_tol)
-        if math.isfinite(self.support):
-            if x >= self.support:
-                return 0.0
-            res = integrate_interval(lambda t: self.marginal(t, inner_tol), x, self.support, rel_tol)
-        else:
-            res = integrate_semiinf(lambda u: self.marginal(x + u, inner_tol), rel_tol)
+        res = self.integrate(lambda t: self.marginal(t, inner_tol), rel_tol, lo=x)
         if not res.converged:
             raise GraphexError(f"tail of the marginal past x={x!r} did not converge")
         return res.value
@@ -196,12 +187,7 @@ class Graphex:
             # semi-infinite integral, so cap the outer refinement budget: a
             # non-integrable kernel must fail fast, not grind
             limit = 200 if self.mu is not None else 8
-            if math.isfinite(self.support):
-                res = integrate_interval(lambda x: self.marginal(x, 1e-8), 0.0, self.support,
-                                         rel_tol, limit=limit)
-            else:
-                res = integrate_semiinf(lambda x: self.marginal(x, 1e-8), rel_tol,
-                                        tail_hint=None, panel_limit=limit)
+            res = self.integrate(lambda x: self.marginal(x, 1e-8), rel_tol, limit=limit)
             if not res.converged:
                 if res.error_estimate > 0.01 * max(abs(res.value), 1e-300):
                     # catastrophic, not a budget shortfall: remember it so the
@@ -214,8 +200,6 @@ class Graphex:
     def s_l1(self, rel_tol: float = 1e-9) -> float:
         if self.s is None:
             return 0.0
-        if self.s_l1_value is not None:
-            return self.s_l1_value
         key = ("s_l1", rel_tol)
         if key not in self._cache:
             res = integrate_semiinf(lambda x: float(self.s_at(x)), rel_tol)
@@ -232,10 +216,7 @@ class Graphex:
             return self.diag_l1_value
         key = ("diag_l1", rel_tol)
         if key not in self._cache:
-            if math.isfinite(self.support):
-                res = integrate_interval(lambda x: float(self.diag_at(x)), 0.0, self.support, rel_tol)
-            else:
-                res = integrate_semiinf(lambda x: float(self.diag_at(x)), rel_tol)
+            res = self.integrate(lambda x: float(self.diag_at(x)), rel_tol)
             if not res.converged:
                 raise GraphexError("the diagonal W(x, x) is not integrable within probe budget")
             self._cache[key] = res.value
@@ -243,11 +224,6 @@ class Graphex:
 
     def to_json(self) -> str:
         return json.dumps(self.spec, sort_keys=True)
-
-
-def marginal(g: Graphex, x: float) -> float:
-    """Module-level alias for :meth:`Graphex.marginal`."""
-    return g.marginal(x)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +245,8 @@ def _compile_expr(source: str, allowed_vars: set[str], what: str) -> exprmod.Exp
     return e
 
 
-def _vet_kernel_range(w: Callable, what: str, grid: np.ndarray | None = None) -> None:
-    xs = _probe_grid() if grid is None else grid
+def _vet_kernel_range(w: Callable, what: str) -> None:
+    xs = _probe_grid()
     try:
         vals = w(xs[:, None], xs[None, :])
     except exprmod.EvalError as err:
@@ -287,7 +263,8 @@ def _vet_kernel_range(w: Callable, what: str, grid: np.ndarray | None = None) ->
                         f"(max |W(x,y)-W(y,x)| = {asym:.3g})")
 
 
-def _vet_unit_range(f: Callable, what: str) -> None:
+def _vet_nonnegative(f: Callable, what: str, factor: bool = False) -> None:
+    """f >= 0 on the probe grid; a separable ``factor`` must also stay <= 1."""
     xs = _probe_grid()
     try:
         vals = np.asarray(f(xs))
@@ -295,26 +272,16 @@ def _vet_unit_range(f: Callable, what: str) -> None:
         raise SpecError(f"{what}: fails to evaluate on [0, inf): {err}") from err
     if np.any(vals < -1e-15):
         raise SpecError(f"{what}: negative values on the probe grid")
-    if np.any(vals > 1.0 + 1e-12):
+    if factor and np.any(vals > 1.0 + 1e-12):
         raise SpecError(f"{what}: values above 1 on the probe grid; the induced kernel "
                         "f(x) f(y) would leave [0, 1]")
-
-
-def _vet_nonnegative(f: Callable, what: str) -> None:
-    xs = _probe_grid()
-    try:
-        vals = np.asarray(f(xs))
-    except exprmod.EvalError as err:
-        raise SpecError(f"{what}: fails to evaluate on [0, inf): {err}") from err
-    if np.any(vals < -1e-15):
-        raise SpecError(f"{what}: negative values on the probe grid")
 
 
 # ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
 
-def _family_constant(params: dict, self_edges: bool):
+def _family_constant(params: dict, exprs: dict):
     p = params.get("p")
     c = params.get("c")
     _require(isinstance(p, (int, float)) and 0.0 <= p <= 1.0, "constant: p must be in [0, 1]")
@@ -342,19 +309,13 @@ def _family_constant(params: dict, self_edges: bool):
     def f(x):
         return sqrt_p * (np.asarray(x, dtype=float) <= c)
 
-    def tail_f(x):
-        return sqrt_p * np.clip(c - np.asarray(x, dtype=float), 0.0, None)
-
     return dict(
         w=w, diag=diag, mu=mu, tail_mu_fn=tail_mu,
-        w_l1_value=p * c * c,
-        diag_l1_value=p * c if self_edges else 0.0,
-        support=c,
-        separable_f=f, f_l1_value=sqrt_p * c, tail_f_fn=tail_f,
+        w_l1_value=p * c * c, diag_l1_value=p * c, support=c, separable_f=f,
     )
 
 
-def _family_graphon_dilation(params: dict, self_edges: bool):
+def _family_graphon_dilation(params: dict, exprs: dict):
     c = params.get("c")
     grid = params.get("grid")
     _require(isinstance(c, (int, float)) and c > 0 and math.isfinite(c),
@@ -406,14 +367,14 @@ def _family_graphon_dilation(params: dict, self_edges: bool):
     return dict(
         w=w, diag=diag, mu=mu, tail_mu_fn=tail_mu,
         w_l1_value=float(arr.sum()) * cell_width * cell_width,
-        diag_l1_value=float(np.trace(arr)) * cell_width if self_edges else 0.0,
+        diag_l1_value=float(np.trace(arr)) * cell_width,
         support=c,
     )
 
 
-def _separable_meta(f: Callable, f_l1: float | None, tail_f: Callable | None,
-                    self_edges: bool):
-    """Assemble kernel metadata from a separable factor f."""
+def _separable_meta(f: Callable, f_l1: float, tail_f: Callable | None = None):
+    """Assemble kernel metadata from a separable factor f with integral f_l1
+    and, when known, the tail integral tail_f(x) of f past x."""
 
     def w(x, y):
         return f(x) * f(y)
@@ -422,26 +383,19 @@ def _separable_meta(f: Callable, f_l1: float | None, tail_f: Callable | None,
         fv = f(x)
         return fv * fv
 
-    out = dict(w=w, diag=diag, separable_f=f)
-    if f_l1 is not None:
-        out["f_l1_value"] = f_l1
-        out["w_l1_value"] = f_l1 * f_l1
+    def mu(x):
+        return f_l1 * f(x)
 
-        def mu(x):
-            return f_l1 * f(x)
+    out = dict(w=w, diag=diag, separable_f=f, w_l1_value=f_l1 * f_l1, mu=mu)
+    if tail_f is not None:
+        def tail_mu(x):
+            return f_l1 * tail_f(x)
 
-        out["mu"] = mu
-        if tail_f is not None:
-            out["tail_f_fn"] = tail_f
-
-            def tail_mu(x):
-                return f_l1 * tail_f(x)
-
-            out["tail_mu_fn"] = tail_mu
+        out["tail_mu_fn"] = tail_mu
     return out
 
 
-def _family_separable(params: dict, exprs: dict, self_edges: bool):
+def _family_separable(params: dict, exprs: dict):
     source = exprs.get("f")
     _require(isinstance(source, str), "separable: exprs.f (a function of x) is required")
     e = _compile_expr(source, {"x"}, "separable f")
@@ -449,17 +403,15 @@ def _family_separable(params: dict, exprs: dict, self_edges: bool):
     def f(x):
         return e(x=np.asarray(x, dtype=float))
 
-    _vet_unit_range(f, "separable f")
+    _vet_nonnegative(f, "separable f", factor=True)
     # numeric f_l1 up front; it doubles as an integrability check
     res = integrate_semiinf(lambda x: float(e(x=x)), 1e-10)
     if not res.converged:
         raise SpecError("separable: f is not integrable within probe budget")
-    out = _separable_meta(f, res.value, None, self_edges)
-    out["diag_l1_value"] = None  # numeric on demand
-    return out
+    return _separable_meta(f, res.value)
 
 
-def _family_slow_decay(params: dict, self_edges: bool):
+def _family_slow_decay(params: dict, exprs: dict):
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
 
     def f(x):
@@ -469,25 +421,22 @@ def _family_slow_decay(params: dict, self_edges: bool):
     def tail_f(x):
         return inv_sqrt3 / (np.asarray(x, dtype=float) + 1.0)
 
-    out = _separable_meta(f, inv_sqrt3, tail_f, self_edges)
+    out = _separable_meta(f, inv_sqrt3, tail_f)
     # W(x, x) = (1/3)(x+1)^-4 and int (x+1)^-4 dx = 1/3
-    out["diag_l1_value"] = (1.0 / 9.0) if self_edges else 0.0
+    out["diag_l1_value"] = 1.0 / 9.0
     return out
 
 
-def _family_fast_decay(params: dict, self_edges: bool):
+def _family_fast_decay(params: dict, exprs: dict):
     def f(x):
         return np.exp(-np.asarray(x, dtype=float))
 
-    def tail_f(x):
-        return np.exp(-np.asarray(x, dtype=float))
-
-    out = _separable_meta(f, 1.0, tail_f, self_edges)
-    out["diag_l1_value"] = 0.5 if self_edges else 0.0  # int e^-2x = 1/2
+    out = _separable_meta(f, 1.0, f)  # the tail integral of e^-x is e^-x
+    out["diag_l1_value"] = 0.5  # int e^-2x = 1/2
     return out
 
 
-def _family_caron_fox(params: dict, exprs: dict, self_edges: bool):
+def _family_caron_fox(params: dict, exprs: dict):
     source = exprs.get("g", "exp(-x)")
     _require(isinstance(source, str), "caron-fox: exprs.g must be an expression in x")
     e = _compile_expr(source, {"x"}, "caron-fox g")
@@ -507,7 +456,7 @@ def _family_caron_fox(params: dict, exprs: dict, self_edges: bool):
     return dict(w=w, diag=diag)
 
 
-def _family_custom(params: dict, exprs: dict, self_edges: bool):
+def _family_custom(params: dict, exprs: dict):
     source = exprs.get("W")
     _require(isinstance(source, str), "custom: exprs.W (a function of x and y) is required")
     e = _compile_expr(source, {"x", "y"}, "custom W")
@@ -527,6 +476,20 @@ def _family_custom(params: dict, exprs: dict, self_edges: bool):
         return w(x, x)
 
     return dict(w=w, diag=diag)
+
+
+# family name -> builder(params, exprs) of the kernel parts and their
+# metadata, as Graphex fields
+_BUILDERS = {
+    "constant": _family_constant,
+    "graphon-dilation": _family_graphon_dilation,
+    "separable": _family_separable,
+    "slow-decay": _family_slow_decay,
+    "fast-decay": _family_fast_decay,
+    "caron-fox": _family_caron_fox,
+    "custom": _family_custom,
+}
+FAMILIES = tuple(_BUILDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +519,7 @@ def build(spec: dict) -> Graphex:
              "I must be a number >= 0 (math.inf is representable but unsampleable)")
     isolated = float(isolated)
 
-    if family == "constant":
-        parts = _family_constant(params, self_edges)
-    elif family == "graphon-dilation":
-        parts = _family_graphon_dilation(params, self_edges)
-    elif family == "separable":
-        parts = _family_separable(params, exprs, self_edges)
-    elif family == "slow-decay":
-        parts = _family_slow_decay(params, self_edges)
-    elif family == "fast-decay":
-        parts = _family_fast_decay(params, self_edges)
-    elif family == "caron-fox":
-        parts = _family_caron_fox(params, exprs, self_edges)
-    else:
-        parts = _family_custom(params, exprs, self_edges)
+    parts = _BUILDERS[family](params, exprs)
 
     s_fn = None
     tail_s_fn = None
@@ -594,26 +544,10 @@ def build(spec: dict) -> Graphex:
         "self_edges": self_edges,
     }
 
-    kwargs = dict(
-        family=family,
-        isolated_rate=isolated,
-        w=parts.get("w"),
-        s=s_fn,
-        diag=parts.get("diag"),
-        self_edges=self_edges,
-        spec=echo,
-        mu=parts.get("mu"),
-        tail_mu_fn=parts.get("tail_mu_fn"),
-        w_l1_value=parts.get("w_l1_value"),
-        diag_l1_value=parts.get("diag_l1_value") if self_edges else 0.0,
-        s_l1_value=None,
-        tail_s_fn=tail_s_fn,
-        support=parts.get("support", math.inf),
-        separable_f=parts.get("separable_f"),
-        f_l1_value=parts.get("f_l1_value"),
-        tail_f_fn=parts.get("tail_f_fn"),
-    )
-    return Graphex(**kwargs)
+    if not self_edges:
+        parts["diag_l1_value"] = 0.0
+    return Graphex(family=family, isolated_rate=isolated, s=s_fn, self_edges=self_edges,
+                   spec=echo, tail_s_fn=tail_s_fn, **parts)
 
 
 def _jsonable(obj):

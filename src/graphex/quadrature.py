@@ -29,10 +29,6 @@ __all__ = [
     "integrate_semiinf",
     "integrate_interval",
     "poisson_tail",
-    "erf",
-    "log_gamma",
-    "lower_incomplete_gamma_regularized",
-    "upper_incomplete_gamma_regularized",
 ]
 
 
@@ -202,7 +198,7 @@ def _integrate_compactified(f, rel_tol: float, neval0: int,
 
 
 # ---------------------------------------------------------------------------
-# Poisson tails and special functions
+# Poisson tails
 # ---------------------------------------------------------------------------
 
 def poisson_tail(lam, k):
@@ -225,21 +221,3 @@ def poisson_tail(lam, k):
     if np.isscalar(lam) and (np.isscalar(k) or k_float.ndim == 0):
         return float(out)
     return out
-
-
-def erf(x):
-    return _special.erf(x)
-
-
-def log_gamma(x):
-    return _special.gammaln(x)
-
-
-def lower_incomplete_gamma_regularized(a, x):
-    """P(a, x) = gamma(a, x) / Gamma(a)."""
-    return _special.gammainc(a, x)
-
-
-def upper_incomplete_gamma_regularized(a, x):
-    """Q(a, x) = Gamma(a, x) / Gamma(a). Q(1, x) = e^-x."""
-    return _special.gammaincc(a, x)

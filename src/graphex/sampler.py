@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .graphstats import sorted_unique
 from .model import Graphex, GraphexError
 
 __all__ = [
@@ -313,16 +314,6 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
 # Kernel edges
 # ---------------------------------------------------------------------------
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) for a 1-D integer array, by a sort and a mask of first
-    occurrences: the same result, and much faster than NumPy's hash-based
-    unique on large arrays."""
-    a = np.sort(a)
-    first = np.ones(a.size, dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
-
-
 def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndarray:
     """Separable fast path; see the module docstring for the scheme."""
     n = pts.size
@@ -363,7 +354,7 @@ def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndar
             ok = (lo != hi) & ~((f[lo] > _TAU) & (f[hi] > _TAU))
             # the keys come out ascending, as from np.unique, so the
             # acceptance coins below fall on the same pairs
-            lo, hi = np.divmod(_sorted_unique(lo[ok].astype(np.int64) * n + hi[ok]), n)
+            lo, hi = np.divmod(sorted_unique(lo[ok].astype(np.int64) * n + hi[ok]), n)
             p = f[lo] * f[hi]
             accept = gen.random(p.size) < p / (-np.expm1(-_C0 * p))
             chunks.append(np.column_stack((lo[accept], hi[accept])))
@@ -483,7 +474,7 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         table[visible] = np.arange(visible.size, dtype=np.int64)
         index_of = table.__getitem__
     else:
-        visible = _sorted_unique(ends)
+        visible = sorted_unique(ends)
         index_of = visible.searchsorted
     v0 = visible.size
     n_leaves = hubs.size
@@ -550,25 +541,16 @@ def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:
                            f"at nu = {graph.nu}")
     lab = graph.labels
     edges = graph.edges
-    keep = np.empty(0, dtype=bool)
-    if edges.shape[0]:
-        keep = (lab[edges[:, 0]] <= nu_new) & (lab[edges[:, 1]] <= nu_new)
-    kept = edges[keep] if edges.shape[0] else edges
-    prov = graph.provenance[keep] if edges.shape[0] else graph.provenance
-    if kept.shape[0]:
-        old_ids = np.unique(kept)
-        remapped = np.searchsorted(old_ids, kept)
-        new_labels = lab[old_ids]
-        new_latent = graph.latent[old_ids] if graph.latent is not None else None
-    else:
-        remapped = np.empty((0, 2), dtype=np.int64)
-        new_labels = np.empty(0)
-        new_latent = np.empty(0) if graph.latent is not None else None
+    keep = (lab[edges[:, 0]] <= nu_new) & (lab[edges[:, 1]] <= nu_new)
+    kept = edges[keep]
+    old_ids = sorted_unique(kept.ravel())
     return SampledGraph(
         nu=float(nu_new), seed=graph.seed, theta_max=graph.theta_max,
-        epsilon=graph.epsilon, labels=new_labels,
-        edges=remapped.astype(np.int64), provenance=prov,
-        latent=new_latent, planted_indices=(),
+        epsilon=graph.epsilon, labels=lab[old_ids],
+        edges=old_ids.searchsorted(kept).astype(np.int64),
+        provenance=graph.provenance[keep],
+        latent=graph.latent[old_ids] if graph.latent is not None else None,
+        planted_indices=(),
     )
 
 
@@ -608,8 +590,8 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
         pos = gen.uniform(0.0, theta, total)
         w = np.clip(np.asarray(g.w_at(lam, pos), dtype=float), 0.0, 1.0)
         hit = gen.random(total) < w
-        cum = np.concatenate(([0], np.cumsum(hit)))
+        # hits of replicate i are those at positions bounds[i] .. bounds[i+1]
         bounds = np.concatenate(([0], np.cumsum(counts[r0:r1])))
-        degrees[r0:r1] = cum[bounds[1:]] - cum[bounds[:-1]]
+        degrees[r0:r1] = np.diff(np.flatnonzero(hit).searchsorted(bounds))
         r0 = r1
     return degrees

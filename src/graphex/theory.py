@@ -19,10 +19,11 @@ P(D > k) = int P(Poi(nu mu) > k) dx / int (1 - e^{-nu mu}) dx, which is the
 degree distribution of a visible vertex chosen uniformly at random, in the
 large-nu limit ignoring stars, self edges and isolated edges.
 
-All integrals run through the semi-infinite quadrature layer with certified
-tail bounds where the family metadata supports them: 1 - e^{-t} <= t and
-pois(k; t) <= t for k >= 1 give integrand tails dominated by
-nu^2 (tail_mu + tail_S).
+All integrals run through :meth:`Graphex.integrate`, which picks interval
+quadrature on a finite support and the semi-infinite layer otherwise, with
+certified tail bounds where the family metadata supports them:
+1 - e^{-t} <= t and pois(k; t) <= t for k >= 1 give integrand tails dominated
+by nu^2 (tail_mu + tail_S).
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from dataclasses import dataclass
 from scipy.special import gammaln
 
 from .model import Graphex, GraphexError
-from .quadrature import (
-    QuadratureError,
-    integrate_interval,
-    integrate_semiinf,
-    poisson_tail,
-)
+from .quadrature import QuadratureError, poisson_tail
 
 __all__ = [
     "ExpectationResult",
@@ -92,13 +88,6 @@ def _pois_pmf(k: int, rho: float) -> float:
     return math.exp(k * math.log(rho) - rho - gammaln(k + 1))
 
 
-def _integrate_profile(g: Graphex, h, rel_tol: float, tail_hint=None):
-    """Integrate h over the latent axis, honouring finite support."""
-    if math.isfinite(g.support):
-        return integrate_interval(h, 0.0, g.support, rel_tol)
-    return integrate_semiinf(h, rel_tol, tail_hint=tail_hint)
-
-
 def _rate_tail_hint(g: Graphex, nu: float):
     """A -> certified bound on nu^2 int_A^inf (mu + S) dx, when metadata allows."""
     if g.tail_mu_fn is None and g.w is not None:
@@ -110,6 +99,58 @@ def _rate_tail_hint(g: Graphex, nu: float):
         return nu * nu * (g.tail_mu(a) + g.tail_s(a))
 
     return hint
+
+
+def _rate(g: Graphex, nu: float):
+    """x -> nu (mu(x) + S(x)), the Poisson rate of a latent point's other edges."""
+    def rate(x: float) -> float:
+        return nu * (g.marginal(x) if g.w is not None else 0.0) + nu * float(g.s_at(x))
+
+    return rate
+
+
+def _latent_count(g: Graphex, nu: float, rel_tol: float, plain, loop, what,
+                  leaves: bool) -> ExpectationResult:
+    """Expected count of vertices with some property at level nu.
+
+    Latent points contribute nu * int plain dx, plus nu * int loop dx for the
+    self-loop term when self edges are on; every star leaf and isolated-edge
+    endpoint counts when ``leaves``. ``what`` names the two integrals in
+    error messages.
+    """
+    if not math.isfinite(g.isolated_rate):
+        raise InfiniteExpectationError("the isolated-edge rate is infinite")
+    if nu == 0.0:
+        zero = {"latent": 0.0, "star_leaves": 0.0, "isolated": 0.0}
+        return ExpectationResult(0.0, zero, 0.0)
+
+    err_total = 0.0
+    latent = 0.0
+    if g.w is not None or g.s is not None:
+        res = g.integrate(plain, rel_tol, tail_hint=_rate_tail_hint(g, nu))
+        if not res.converged:
+            raise TheoryError(f"the {what[0]} did not converge; "
+                              "check local finiteness first")
+        latent += nu * res.value
+        err_total += nu * res.error_estimate
+
+        if g.self_edges and g.diag is not None:
+            res2 = g.integrate(loop, rel_tol)
+            if not res2.converged:
+                raise TheoryError(f"the {what[1]} did not converge")
+            latent += nu * res2.value
+            err_total += nu * res2.error_estimate
+
+    star_leaves = 0.0
+    isolated = 0.0
+    if leaves:
+        try:
+            star_leaves = nu * nu * g.s_l1()
+        except (GraphexError, QuadratureError) as err:
+            raise InfiniteExpectationError(f"the star rate is not integrable: {err}") from err
+        isolated = 2.0 * nu * nu * g.isolated_rate
+    components = {"latent": latent, "star_leaves": star_leaves, "isolated": isolated}
+    return ExpectationResult(sum(components.values()), components, err_total)
 
 
 # ---------------------------------------------------------------------------
@@ -140,48 +181,17 @@ def expected_edges(g: Graphex, nu: float) -> ExpectationResult:
 def expected_vertices(g: Graphex, nu: float, rel_tol: float = 1e-9) -> ExpectationResult:
     """Expected number of visible (degree >= 1) vertices at level nu."""
     nu = _check_nu(nu)
-    if not math.isfinite(g.isolated_rate):
-        raise InfiniteExpectationError("the isolated-edge rate is infinite")
-    if nu == 0.0:
-        zero = {"latent": 0.0, "star_leaves": 0.0, "isolated": 0.0}
-        return ExpectationResult(0.0, zero, 0.0)
+    rate = _rate(g, nu)
 
-    err_total = 0.0
-    latent = 0.0
-    if g.w is not None or g.s is not None:
-        def rate(x: float) -> float:
-            return nu * (g.marginal(x) if g.w is not None else 0.0) + nu * float(g.s_at(x))
+    def visible_core(x: float) -> float:
+        return -math.expm1(-rate(x))
 
-        def visible_core(x: float) -> float:
-            return -math.expm1(-rate(x))
+    def diag_correction(x: float) -> float:
+        return float(g.diag_at(x)) * math.exp(-rate(x))
 
-        res = _integrate_profile(g, visible_core, rel_tol, _rate_tail_hint(g, nu))
-        if not res.converged:
-            raise TheoryError("the visible-vertex integral did not converge; "
-                              "check local finiteness first")
-        latent += nu * res.value
-        err_total += nu * res.error_estimate
-
-        if g.self_edges and g.diag is not None:
-            def diag_correction(x: float) -> float:
-                return float(g.diag_at(x)) * math.exp(-rate(x))
-
-            res2 = _integrate_profile(g, diag_correction, rel_tol)
-            if not res2.converged:
-                raise TheoryError("the self-edge visibility correction did not converge")
-            latent += nu * res2.value
-            err_total += nu * res2.error_estimate
-
-    try:
-        star_leaves = nu * nu * g.s_l1()
-    except (GraphexError, QuadratureError) as err:
-        raise InfiniteExpectationError(f"the star rate is not integrable: {err}") from err
-    components = {
-        "latent": latent,
-        "star_leaves": star_leaves,
-        "isolated": 2.0 * nu * nu * g.isolated_rate,
-    }
-    return ExpectationResult(sum(components.values()), components, err_total)
+    return _latent_count(g, nu, rel_tol, visible_core, diag_correction,
+                         ("visible-vertex integral", "self-edge visibility correction"),
+                         leaves=True)
 
 
 def expected_degree_count(g: Graphex, nu: float, k: int,
@@ -195,54 +205,67 @@ def expected_degree_count(g: Graphex, nu: float, k: int,
     if not (isinstance(k, int) and k >= 1):
         raise TheoryError(f"k must be an integer >= 1, got {k!r} "
                           "(degree-0 latent points are invisible)")
-    if not math.isfinite(g.isolated_rate):
-        raise InfiniteExpectationError("the isolated-edge rate is infinite")
-    if nu == 0.0:
-        zero = {"latent": 0.0, "star_leaves": 0.0, "isolated": 0.0}
-        return ExpectationResult(0.0, zero, 0.0)
+    rate = _rate(g, nu)
 
-    err_total = 0.0
-    latent = 0.0
-    if g.w is not None or g.s is not None:
-        def rate(x: float) -> float:
-            return nu * (g.marginal(x) if g.w is not None else 0.0) + nu * float(g.s_at(x))
+    def plain_density(x: float) -> float:
+        d = float(g.diag_at(x))
+        return (1.0 - d) * _pois_pmf(k, rate(x))
 
-        def plain_density(x: float) -> float:
-            d = float(g.diag_at(x))
-            return (1.0 - d) * _pois_pmf(k, rate(x))
+    def loop_density(x: float) -> float:
+        return float(g.diag_at(x)) * _pois_pmf(k - 2, rate(x))
 
-        res = _integrate_profile(g, plain_density, rel_tol, _rate_tail_hint(g, nu))
-        if not res.converged:
-            raise TheoryError(f"the degree-{k} integral did not converge; "
-                              "check local finiteness first")
-        latent += nu * res.value
-        err_total += nu * res.error_estimate
-
-        if g.self_edges and g.diag is not None:
-            def loop_density(x: float) -> float:
-                return float(g.diag_at(x)) * _pois_pmf(k - 2, rate(x))
-
-            res2 = _integrate_profile(g, loop_density, rel_tol)
-            if not res2.converged:
-                raise TheoryError(f"the degree-{k} self-edge term did not converge")
-            latent += nu * res2.value
-            err_total += nu * res2.error_estimate
-
-    star_leaves = 0.0
-    isolated = 0.0
-    if k == 1:
-        try:
-            star_leaves = nu * nu * g.s_l1()
-        except (GraphexError, QuadratureError) as err:
-            raise InfiniteExpectationError(f"the star rate is not integrable: {err}") from err
-        isolated = 2.0 * nu * nu * g.isolated_rate
-    components = {"latent": latent, "star_leaves": star_leaves, "isolated": isolated}
-    return ExpectationResult(sum(components.values()), components, err_total)
+    # star leaves and isolated-edge endpoints all have degree 1
+    return _latent_count(g, nu, rel_tol, plain_density, loop_density,
+                         (f"degree-{k} integral", f"degree-{k} self-edge term"),
+                         leaves=k == 1)
 
 
 # ---------------------------------------------------------------------------
 # Degree distribution of the kernel component
 # ---------------------------------------------------------------------------
+
+def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
+    """[P(D > k) for k in ks], sharing one visibility integral."""
+    nu = _check_nu(nu)
+    for k in ks:
+        if not (isinstance(k, int) and k >= 0):
+            raise TheoryError(f"k must be an integer >= 0, got {k!r}")
+    if g.w is None:
+        raise TheoryError("the graphex has no kernel, so no latent vertex is ever visible")
+    if nu == 0.0:
+        raise TheoryError("nu = 0 produces an empty graph with no degree law")
+    if not any(ks):
+        return [1.0] * len(ks)
+
+    hint = None
+    if g.tail_mu_fn is not None:
+        def hint(a: float) -> float:  # noqa: F811 - deliberate rebind
+            return nu * g.tail_mu(a)
+
+    def denominator(x: float) -> float:
+        return -math.expm1(-nu * g.marginal(x))
+
+    den = g.integrate(denominator, rel_tol, tail_hint=hint)
+    if not den.converged:
+        raise TheoryError("the visibility integral did not converge")
+    if den.value < 1e-300:
+        raise TheoryError("the kernel yields no visible vertices at this nu; "
+                          "the degree law is degenerate")
+    out = []
+    for k in ks:
+        if k == 0:
+            out.append(1.0)
+            continue
+
+        def numerator(x: float) -> float:
+            return float(poisson_tail(nu * g.marginal(x), k))
+
+        num = g.integrate(numerator, rel_tol, tail_hint=hint)
+        if not num.converged:
+            raise TheoryError(f"the degree-tail integral at k = {k} did not converge")
+        out.append(num.value / den.value)
+    return out
+
 
 def degree_ccdf(g: Graphex, nu: float, k: int, rel_tol: float = 1e-9) -> float:
     """P(D > k) for the degree D of a uniformly chosen visible vertex.
@@ -250,44 +273,15 @@ def degree_ccdf(g: Graphex, nu: float, k: int, rel_tol: float = 1e-9) -> float:
     Kernel component only: stars, self edges and isolated edges are ignored.
     The k = 0 value is exactly 1 because visibility means degree >= 1.
     """
-    nu = _check_nu(nu)
-    if not (isinstance(k, int) and k >= 0):
-        raise TheoryError(f"k must be an integer >= 0, got {k!r}")
-    if g.w is None:
-        raise TheoryError("the graphex has no kernel, so no latent vertex is ever visible")
-    if nu == 0.0:
-        raise TheoryError("nu = 0 produces an empty graph with no degree law")
-    if k == 0:
-        return 1.0
-
-    hint = None
-    if g.tail_mu_fn is not None:
-        def hint(a: float) -> float:  # noqa: F811 - deliberate rebind
-            return nu * g.tail_mu(a)
-
-    def numerator(x: float) -> float:
-        return float(poisson_tail(nu * g.marginal(x), k))
-
-    def denominator(x: float) -> float:
-        return -math.expm1(-nu * g.marginal(x))
-
-    den = _integrate_profile(g, denominator, rel_tol, hint)
-    if not den.converged:
-        raise TheoryError("the visibility integral did not converge")
-    if den.value < 1e-300:
-        raise TheoryError("the kernel yields no visible vertices at this nu; "
-                          "the degree law is degenerate")
-    num = _integrate_profile(g, numerator, rel_tol, hint)
-    if not num.converged:
-        raise TheoryError(f"the degree-tail integral at k = {k} did not converge")
-    return num.value / den.value
+    return _ccdfs(g, nu, (k,), rel_tol)[0]
 
 
 def degree_pmf(g: Graphex, nu: float, k: int, rel_tol: float = 1e-9) -> float:
     """P(D = k) for the same law as :func:`degree_ccdf` (k >= 1)."""
     if not (isinstance(k, int) and k >= 1):
         raise TheoryError(f"k must be an integer >= 1, got {k!r}")
-    return degree_ccdf(g, nu, k - 1, rel_tol) - degree_ccdf(g, nu, k, rel_tol)
+    above, at_least = _ccdfs(g, nu, (k - 1, k), rel_tol)
+    return above - at_least
 
 
 # ---------------------------------------------------------------------------

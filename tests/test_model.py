@@ -33,7 +33,6 @@ def test_slow_decay_metadata():
     assert g.tail_mu(1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert g.diag_l1() == pytest.approx(1.0 / 9.0, rel=1e-12)
     assert g.w_at(0.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert g.f_l1_value == pytest.approx(3.0 ** -0.5, rel=1e-12)
 
 
 def test_fast_decay_metadata():
@@ -101,7 +100,7 @@ def test_separable_expression_matches_fast_decay():
     fast = build({"family": "fast-decay"})
     for x, y in [(0.0, 0.0), (0.5, 2.0), (3.0, 1.0)]:
         assert sep.w_at(x, y) == pytest.approx(fast.w_at(x, y), rel=1e-12)
-    assert sep.f_l1_value == pytest.approx(1.0, rel=1e-9)
+    assert sep.w_l1() == pytest.approx(1.0)
     assert sep.marginal(1.0) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
