@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Graphex, GraphexError
-from .quadrature import QuadratureError, integrate_interval, integrate_semiinf
+from .quadrature import QuadratureError, integrate_interval
 
 __all__ = [
     "ConditionVerdict",
@@ -98,9 +98,10 @@ class ProbeConfig:
     """Budget knobs for the numeric fallbacks.
 
     ``panel_limit`` caps adaptive subdivisions per probe shell; the nested
-    restricted-kernel probe drops it to a single panel, since its inner
-    integrals make every evaluation expensive and only the magnitude of each
-    shell matters for classification.
+    restricted-kernel probe drops it to a single panel for the scalar
+    fallback of its shells, since its inner integrals make every evaluation
+    expensive and only the magnitude of each shell matters for
+    classification.
     """
 
     initial_width: float = 1.0
@@ -127,13 +128,19 @@ DIVERGENT = "divergent"
 UNCLEAR = "unclear"
 
 
-def _probe_tail(f, start: float, config: ProbeConfig):
+def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
     """Integrate f over doubling shells and classify the tail.
 
-    Returns (kind, value, note): kind is "convergent" (value is the integral
+    ``integrate(f, a, b)`` integrates one shell; the default is QUADPACK at
+    the configured shell tolerance and panel limit. Returns
+    (kind, value, note): kind is "convergent" (value is the integral
     estimate), "divergent" (value is inf) or "unclear" (value is the partial
     sum accumulated so far).
     """
+    if integrate is None:
+        def integrate(f, a, b):
+            return integrate_interval(f, a, b, rel_tol=config.shell_rel_tol,
+                                      limit=config.panel_limit)
     shells = []
     total = 0.0
     a = start
@@ -141,9 +148,7 @@ def _probe_tail(f, start: float, config: ProbeConfig):
     for _ in range(config.max_shells):
         b = a + h
         try:
-            res = integrate_interval(f, a, b, rel_tol=config.shell_rel_tol,
-                                     limit=config.panel_limit)
-            val = res.value
+            val = integrate(f, a, b).value
         except (QuadratureError, GraphexError):
             return (UNCLEAR, total, f"quadrature failed on shell [{a:.6g}, {b:.6g}]")
         if not math.isfinite(val):
@@ -238,7 +243,9 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
         return ConditionVerdict(key, HOLDS, note, bound=g.support), g.support
 
     xs = _grid(config)
-    mu_vals = np.array([_safe_marginal(g, float(x)) for x in xs])
+    mu_vals, settled = g.marginal_nodes(xs)
+    for i in np.flatnonzero(~settled):
+        mu_vals[i] = _safe_marginal(g, float(xs[i]))
     infinite = ~np.isfinite(mu_vals)
     if infinite.any():
         # tolerate divergence at the origin only (a measure-zero probe);
@@ -273,7 +280,11 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
     hi = float(xs[above_idx[-1] + 1])
     for _ in range(config.bisect_iters):
         mid = 0.5 * (lo + hi)
-        if _safe_marginal(g, mid) > 1.0:
+        # a marginal that reads exactly 1 counts as above: near a jump in W,
+        # quadrature can read 1 on both sides of the true crossing, and the
+        # bound must not fall short of it (skipping a finite stretch where mu
+        # is finite leaves the restricted integral's finiteness unchanged)
+        if _safe_marginal(g, mid) >= 1.0:
             lo = mid
         else:
             hi = mid
@@ -301,8 +312,9 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
             "the restriction", bound=g.w_l1_value)
     # numeric ||W||_1 first: if it is finite the restriction is too. Only
     # worth attempting when the outer integrand is cheap (analytic marginal
-    # or compact support); for black-box kernels the doubly nested quadrature
-    # is too slow to serve as a mere shortcut.
+    # or compact support); a non-integrable black-box kernel fails it only
+    # after the slow scalar retry of the nested integral, too slow for a
+    # mere shortcut.
     w_l1 = None
     if g.mu is not None or math.isfinite(g.support):
         try:
@@ -322,17 +334,22 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
 
     x0 = crossing
 
-    def inner(x: float) -> float:
-        res = integrate_semiinf(lambda u: float(g.w_at(x, x0 + u)), 1e-7,
-                                panel_limit=20)
-        if not res.converged:
+    def inner(x):
+        # integral of W(x, y) over y >= x0, for every shell node at once; an
+        # inner integral the array rule cannot settle ends the probe
+        value, settled = g.marginal_nodes(x, 1e-7, lo=x0)
+        if not settled.all():
             raise GraphexError("inner tail did not converge")
-        return res.value
+        return value.reshape(np.shape(x))
 
     nested = replace(config, panel_limit=1,
                      shell_rel_tol=max(config.shell_rel_tol, 1e-6))
+
+    def shell(f, a, b):
+        return g.integrate(f, nested.shell_rel_tol, lo=a, hi=b, limit=nested.panel_limit)
+
     try:
-        probe = _probe_tail(inner, x0, nested)
+        probe = _probe_tail(inner, x0, nested, shell)
     except (GraphexError, QuadratureError):
         return ConditionVerdict(
             key, UNDECIDABLE,

@@ -123,13 +123,31 @@ def largest_component(edges) -> tuple[int, float]:
     arr = _as_edges(edges)
     if arr.size == 0:
         return 0, 0.0
-    ids, inverse = np.unique(arr.ravel(), return_inverse=True)
+    n_ids, inverse = _ranks(arr.ravel())
     pairs = inverse.reshape(arr.shape)
     adjacency = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
-                          shape=(ids.size, ids.size))
+                          shape=(n_ids, n_ids))
     _, component = connected_components(adjacency, directed=False)
     size = int(np.bincount(component).max())
-    return size, size / ids.size
+    return size, size / n_ids
+
+
+def _ranks(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of distinct values, rank of each element among them) for a
+    non-empty 1-D integer array: the inverse of np.unique without its cost.
+    Ids that span at most four slots per element (a sampled graph's ids are
+    0..V-1) are ranked through a table of seen slots; others are looked up
+    in their sorted unique values."""
+    lo = int(a.min())
+    span = int(a.max()) - lo + 1
+    if span > 4 * a.size:
+        ids = sorted_unique(a)
+        return ids.size, ids.searchsorted(a)
+    slot = a - lo
+    seen = np.zeros(span, dtype=bool)
+    seen[slot] = True
+    rank = np.cumsum(seen) - 1
+    return int(rank[-1]) + 1, rank[slot]
 
 
 def sparsity_ratio(edges) -> float:

@@ -6,7 +6,8 @@ probabilities between latent points of a unit-rate Poisson process, S is an
 integrable star rate, and I >= 0 is the rate of isolated edges. The marginal
 mu_W(x) = integral of W(x, y) dy controls almost everything downstream
 (expected counts, degree laws, truncation policy), so families declare it
-analytically whenever they can; otherwise it is computed by quadrature.
+analytically whenever they can; otherwise it is computed by quadrature, for
+whole arrays of x at once (:meth:`Graphex.marginal`).
 
 Built-in families:
 
@@ -28,6 +29,7 @@ Any family may additionally carry a star-rate expression S and a rate I.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as exprmod
-from .quadrature import IntegralResult, integrate_interval, integrate_semiinf
+from .quadrature import IntegralResult, integrate_array, integrate_interval, integrate_semiinf
 
 __all__ = [
     "Graphex",
@@ -57,6 +59,21 @@ _SYMMETRY_TOL = 1e-12
 
 class GraphexError(ValueError):
     """Base class for graphex construction/usage errors."""
+
+
+class _Unsettled(Exception):
+    """A marginal inside an outer array rule did not converge."""
+
+
+# how Graphex.marginal treats elements the array rule does not settle, set by
+# Graphex.integrate around a black-box integrand: None retries them on the
+# scalar path; RAISE (inside an outer array rule) fails that rule at once,
+# not a retry at every node of every level; SCALAR (inside the scalar retry
+# of an integral whose marginals the array rule could not settle) skips the
+# array rule
+_INNER_RULE = contextvars.ContextVar("graphex_inner_rule", default=None)
+_RAISE = "raise"
+_SCALAR = "scalar"
 
 
 class SpecError(GraphexError):
@@ -120,26 +137,106 @@ class Graphex:
 
     # -- marginal and integrals ---------------------------------------------
 
-    def integrate(self, h, rel_tol: float, lo: float = 0.0, limit: int = 200,
-                  tail_hint=None) -> IntegralResult:
-        """Integrate h over the latent axis from ``lo``: up to the support
-        when it is finite, else over [lo, inf) (``tail_hint(a)`` bounds the
-        mass past lo + a). ``limit`` caps the adaptive subdivisions."""
-        if math.isfinite(self.support):
-            if lo >= self.support:
-                return IntegralResult(0.0, 0.0, True, 0)
-            return integrate_interval(h, lo, self.support, rel_tol, limit=limit)
+    @property
+    def blackbox(self) -> bool:
+        """True when W is declared but its marginal is not. Latent-axis
+        integrands then take arrays and run on the tanh-sinh rule; the
+        closed-form families keep scalar integrands on QUADPACK."""
+        return self.w is not None and self.mu is None
+
+    def integrate(self, h, rel_tol: float, lo: float = 0.0, hi: float = math.inf,
+                  limit: int = 200, tail_hint=None) -> IntegralResult:
+        """Integrate h over the latent axis on [lo, hi], cut at the support.
+
+        For a black-box kernel h takes arrays and the tanh-sinh rule runs
+        first; when it does not converge, the scalar path retries with
+        ``float(h(u))``. The scalar path is interval quadrature on a finite
+        range and the semi-infinite layer otherwise (``tail_hint(a)`` bounds
+        the mass past lo + a); ``limit`` caps its adaptive subdivisions.
+        """
+        hi = min(hi, self.support)
+        if lo >= hi:
+            return IntegralResult(0.0, 0.0, True, 0)
+        if not self.blackbox:
+            return self._integrate_scalar(h, rel_tol, lo, hi, limit, tail_hint)
+        inner = None
+        token = _INNER_RULE.set(_RAISE)
+        try:
+            value, err, ok, nfev = integrate_array(h, lo, hi, rel_tol)
+        except _Unsettled:
+            ok, inner = False, _SCALAR
+        finally:
+            _INNER_RULE.reset(token)
+        if ok:
+            return IntegralResult(float(value), float(err), True, int(nfev))
+        token = _INNER_RULE.set(inner)
+        try:
+            return self._integrate_scalar(lambda u: float(h(u)), rel_tol, lo, hi, limit,
+                                          tail_hint)
+        finally:
+            _INNER_RULE.reset(token)
+
+    def _integrate_scalar(self, h, rel_tol, lo, hi, limit, tail_hint=None,
+                          points=()) -> IntegralResult:
+        if math.isfinite(hi):
+            return integrate_interval(h, lo, hi, rel_tol, points=points, limit=limit)
         if lo:
             h = lambda u, h=h: h(lo + u)  # noqa: E731
-        return integrate_semiinf(h, rel_tol, tail_hint=tail_hint, panel_limit=limit)
+            points = tuple(p - lo for p in points)
+        return integrate_semiinf(h, rel_tol, tail_hint=tail_hint, points=points,
+                                 panel_limit=limit)
 
-    def marginal(self, x: float, rel_tol: float = 1e-8) -> float:
-        """mu(x) = integral of W(x, y) dy. Analytic when declared."""
-        if self.mu is not None:
-            return float(self.mu(x))
+    def marginal_nodes(self, x, rel_tol: float = 1e-8, lo: float = 0.0):
+        """One pass of the tanh-sinh rule over y >= lo for every element of
+        x: returns arrays (integral of W(x, y) dy, settled). The range is
+        split at y = x, where kernels that decay away from the diagonal keep
+        their mass. Elements that are not settled carry no usable value."""
+        x = np.asarray(x, dtype=float).ravel()
+        n = x.size
+        cut = np.clip(x, lo, self.support)
+        value, error, ok, _ = integrate_array(
+            lambda y, x: self.w(x, y),
+            np.concatenate((np.full(n, float(lo)), cut)),
+            np.concatenate((cut, np.full(n, self.support))),
+            rel_tol, args=(np.concatenate((x, x)),))
+        value = value[:n] + value[n:]
+        # the two pieces' errors count against their sum: a short piece that
+        # met only its rounding floor is still fine next to a long one
+        settled = (ok[:n] & ok[n:]) | (
+            np.isfinite(value) & (error[:n] + error[n:] <= rel_tol * np.abs(value)))
+        return value, settled
+
+    def marginal(self, x, rel_tol: float = 1e-8, lo: float = 0.0):
+        """mu(x) = integral of W(x, y) dy; with ``lo``, only over y >= lo.
+
+        Analytic when declared. x may be an array, and a black-box kernel is
+        then integrated for all of it at once (:meth:`marginal_nodes`); an
+        element the rule does not settle is retried on the scalar adaptive
+        path, and a GraphexError is raised when that fails too.
+        """
+        if self.mu is not None and lo == 0.0:
+            # scalar quadrature calls this with a float at every node
+            if isinstance(x, float) or np.ndim(x) == 0:
+                return float(self.mu(x))
+            return self.mu(x)
         if self.w is None:
-            return 0.0
-        res = self.integrate(lambda y: float(self.w_at(x, y)), rel_tol)
+            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
+        flat = np.asarray(x, dtype=float).ravel()
+        mode = _INNER_RULE.get()
+        if mode == _SCALAR:
+            value, ok = np.empty(flat.size), np.zeros(flat.size, dtype=bool)
+        else:
+            value, ok = self.marginal_nodes(flat, rel_tol, lo)
+        if not ok.all():
+            if mode == _RAISE:
+                raise _Unsettled
+            for i in np.flatnonzero(~ok):
+                value[i] = self._scalar_marginal(float(flat[i]), rel_tol, lo)
+        return value.reshape(np.shape(x)) if np.ndim(x) else float(value[0])
+
+    def _scalar_marginal(self, x: float, rel_tol: float, lo: float) -> float:
+        res = self._integrate_scalar(lambda y: float(self.w_at(x, y)), rel_tol, lo,
+                                     self.support, 200, points=(x,) if x > lo else ())
         if not res.converged:
             raise GraphexError(
                 f"marginal at x={x!r} did not converge "
@@ -183,8 +280,9 @@ class Graphex:
             raise GraphexError("||W||_1 did not converge; the kernel may be non-integrable")
         key = ("w_l1", rel_tol)
         if key not in self._cache:
-            # without an analytic marginal every outer evaluation is itself a
-            # semi-infinite integral, so cap the outer refinement budget: a
+            # without an analytic marginal every outer evaluation of the
+            # scalar path (the retry of the array rule) is itself a
+            # semi-infinite integral, so cap its refinement budget: a
             # non-integrable kernel must fail fast, not grind
             limit = 200 if self.mu is not None else 8
             res = self.integrate(lambda x: self.marginal(x, 1e-8), rel_tol, limit=limit)
@@ -216,7 +314,7 @@ class Graphex:
             return self.diag_l1_value
         key = ("diag_l1", rel_tol)
         if key not in self._cache:
-            res = self.integrate(lambda x: float(self.diag_at(x)), rel_tol)
+            res = self.integrate(self.diag_at, rel_tol)
             if not res.converged:
                 raise GraphexError("the diagonal W(x, x) is not integrable within probe budget")
             self._cache[key] = res.value

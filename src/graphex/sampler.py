@@ -543,11 +543,16 @@ def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:
     edges = graph.edges
     keep = (lab[edges[:, 0]] <= nu_new) & (lab[edges[:, 1]] <= nu_new)
     kept = edges[keep]
-    old_ids = sorted_unique(kept.ravel())
+    # vertex ids are 0..V-1, so a table of the kept ones gives each its new
+    # id, its rank among them
+    seen = np.zeros(graph.n_vertices, dtype=bool)
+    seen[kept.ravel()] = True
+    old_ids = np.flatnonzero(seen)
+    new_id = np.cumsum(seen) - 1
     return SampledGraph(
         nu=float(nu_new), seed=graph.seed, theta_max=graph.theta_max,
         epsilon=graph.epsilon, labels=lab[old_ids],
-        edges=old_ids.searchsorted(kept).astype(np.int64),
+        edges=new_id[kept].astype(np.int64, copy=False),
         provenance=graph.provenance[keep],
         latent=graph.latent[old_ids] if graph.latent is not None else None,
         planted_indices=(),

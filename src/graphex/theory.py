@@ -19,11 +19,13 @@ P(D > k) = int P(Poi(nu mu) > k) dx / int (1 - e^{-nu mu}) dx, which is the
 degree distribution of a visible vertex chosen uniformly at random, in the
 large-nu limit ignoring stars, self edges and isolated edges.
 
-All integrals run through :meth:`Graphex.integrate`, which picks interval
-quadrature on a finite support and the semi-infinite layer otherwise, with
-certified tail bounds where the family metadata supports them:
-1 - e^{-t} <= t and pois(k; t) <= t for k >= 1 give integrand tails dominated
-by nu^2 (tail_mu + tail_S).
+All integrals run through :meth:`Graphex.integrate`. For a black-box kernel
+(no closed-form marginal) the integrands take arrays and run on the tanh-sinh
+rule, each node's marginal coming from one array call. Otherwise they are
+scalar ``math`` integrands on interval quadrature over a finite support and
+the semi-infinite layer elsewhere, with certified tail bounds where the
+family metadata supports them: 1 - e^{-t} <= t and pois(k; t) <= t for
+k >= 1 give integrand tails dominated by nu^2 (tail_mu + tail_S).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
+import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .model import Graphex, GraphexError
 from .quadrature import QuadratureError, poisson_tail
@@ -88,6 +91,13 @@ def _pois_pmf(k: int, rho: float) -> float:
     return math.exp(k * math.log(rho) - rho - gammaln(k + 1))
 
 
+def _pois_pmf_array(k: int, rho):
+    """:func:`_pois_pmf` for an array rho."""
+    if k < 0:
+        return np.zeros(np.shape(rho))
+    return np.exp(xlogy(k, rho) - rho - gammaln(k + 1))
+
+
 def _rate_tail_hint(g: Graphex, nu: float):
     """A -> certified bound on nu^2 int_A^inf (mu + S) dx, when metadata allows."""
     if g.tail_mu_fn is None and g.w is not None:
@@ -103,6 +113,9 @@ def _rate_tail_hint(g: Graphex, nu: float):
 
 def _rate(g: Graphex, nu: float):
     """x -> nu (mu(x) + S(x)), the Poisson rate of a latent point's other edges."""
+    if g.blackbox:
+        return lambda x: nu * g.marginal(x) + nu * g.s_at(x)
+
     def rate(x: float) -> float:
         return nu * (g.marginal(x) if g.w is not None else 0.0) + nu * float(g.s_at(x))
 
@@ -182,12 +195,15 @@ def expected_vertices(g: Graphex, nu: float, rel_tol: float = 1e-9) -> Expectati
     """Expected number of visible (degree >= 1) vertices at level nu."""
     nu = _check_nu(nu)
     rate = _rate(g, nu)
+    # NumPy for the array integrands of a black-box kernel; ``math`` keeps
+    # the digits of every closed-form expectation
+    m = np if g.blackbox else math
 
-    def visible_core(x: float) -> float:
-        return -math.expm1(-rate(x))
+    def visible_core(x):
+        return -m.expm1(-rate(x))
 
-    def diag_correction(x: float) -> float:
-        return float(g.diag_at(x)) * math.exp(-rate(x))
+    def diag_correction(x):
+        return g.diag_at(x) * m.exp(-rate(x))
 
     return _latent_count(g, nu, rel_tol, visible_core, diag_correction,
                          ("visible-vertex integral", "self-edge visibility correction"),
@@ -206,13 +222,13 @@ def expected_degree_count(g: Graphex, nu: float, k: int,
         raise TheoryError(f"k must be an integer >= 1, got {k!r} "
                           "(degree-0 latent points are invisible)")
     rate = _rate(g, nu)
+    pmf = _pois_pmf_array if g.blackbox else _pois_pmf
 
-    def plain_density(x: float) -> float:
-        d = float(g.diag_at(x))
-        return (1.0 - d) * _pois_pmf(k, rate(x))
+    def plain_density(x):
+        return (1.0 - g.diag_at(x)) * pmf(k, rate(x))
 
-    def loop_density(x: float) -> float:
-        return float(g.diag_at(x)) * _pois_pmf(k - 2, rate(x))
+    def loop_density(x):
+        return g.diag_at(x) * pmf(k - 2, rate(x))
 
     # star leaves and isolated-edge endpoints all have degree 1
     return _latent_count(g, nu, rel_tol, plain_density, loop_density,
@@ -242,8 +258,10 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
         def hint(a: float) -> float:  # noqa: F811 - deliberate rebind
             return nu * g.tail_mu(a)
 
-    def denominator(x: float) -> float:
-        return -math.expm1(-nu * g.marginal(x))
+    m = np if g.blackbox else math
+
+    def denominator(x):
+        return -m.expm1(-nu * g.marginal(x))
 
     den = g.integrate(denominator, rel_tol, tail_hint=hint)
     if not den.converged:
@@ -257,8 +275,8 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
             out.append(1.0)
             continue
 
-        def numerator(x: float) -> float:
-            return float(poisson_tail(nu * g.marginal(x), k))
+        def numerator(x):
+            return poisson_tail(nu * g.marginal(x), k)
 
         num = g.integrate(numerator, rel_tol, tail_hint=hint)
         if not num.converged:

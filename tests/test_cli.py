@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -48,6 +49,19 @@ def test_sample_deterministic_files(tmp_path):
     assert run("sample", "--graphex", FAST, "--nu", "10", "--seed", "43",
                "--out", str(out3)) == EXIT_OK
     assert out3.read_bytes() != data
+
+
+def test_sample_caron_fox_is_frozen(tmp_path):
+    # no closed-form marginal: the cutoff comes from numeric tails of the
+    # marginal, and this digest pins it (theta_max 13.5927734375) with the
+    # whole draw
+    out, meta = tmp_path / "e.csv", tmp_path / "meta.json"
+    assert run("sample", "--graphex", '{"family": "caron-fox"}', "--nu", "20",
+               "--seed", "1", "--out", str(out), "--meta-out", str(meta)) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "24a9967cac6f854879bb660f9e247b9fc43c41d956b8777f9bd0eb26abe52185"
+    assert hashlib.sha256(meta.read_bytes()).hexdigest() == \
+        "2a26c45018773e477184832d77e730c6c470f9ce7ef839f01cb603acb8469c4a"
 
 
 def test_sample_nu_zero_writes_header_only(tmp_path, capsys):

@@ -157,6 +157,70 @@ def test_marginal_raises_on_divergence():
 
 
 # ---------------------------------------------------------------------------
+# the array marginal of black-box kernels
+# ---------------------------------------------------------------------------
+
+def ein_series(t, terms):
+    """sum over n >= 1 of (-1)^(n+1) t^n / (n^p n!) with p = ``terms``:
+    p = 1 is Ein(t) = int_0^t (1 - e^-s)/s ds, p = 2 its integral against
+    ds/s. Exact to rounding for t in [0, 2]."""
+    n = np.arange(1, 40)
+    coef = (-1.0) ** (n + 1) / (n ** terms * np.array([math.factorial(k) for k in n],
+                                                     dtype=float))
+    return np.power.outer(np.asarray(t, dtype=float), n) @ coef
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "caron-fox"},
+    {"family": "caron-fox", "exprs": {"g": "(1+x)^(-2)"}},
+    {"family": "custom", "exprs": {"W": "exp(-x-y)"}},
+    {"family": "custom", "exprs": {"W": "0.4 * le(abs(x - y), 1)"}},
+])
+def test_array_marginal_equals_scalar_marginal(spec):
+    g = build(spec)
+    xs = np.concatenate(([0.0], np.geomspace(1e-3, 100.0, 11)))
+    values = g.marginal(xs)
+    assert values.shape == xs.shape
+    assert np.array_equal(values, [g.marginal(float(x)) for x in xs])
+    assert np.array_equal(g.marginal(xs[:4].reshape(2, 2)), values[:4].reshape(2, 2))
+
+
+def test_caron_fox_marginal_and_tail_match_series():
+    # g = e^-x: mu(x) = Ein(2 e^-x) and tail_mu(x) = sum (-1)^(n+1) u^n/(n^2 n!)
+    # with u = 2 e^-x
+    g = build({"family": "caron-fox"})
+    xs = np.linspace(0.0, 30.0, 301)
+    u = 2.0 * np.exp(-xs)
+    np.testing.assert_allclose(g.marginal(xs), ein_series(u, 1), rtol=1e-10, atol=0)
+    tails = [g.tail_mu(float(x)) for x in xs[::10]]
+    np.testing.assert_allclose(tails, ein_series(u[::10], 2), rtol=1e-10, atol=0)
+    assert g.w_l1() == pytest.approx(ein_series(2.0, 2), rel=1e-10)
+
+
+def test_marginal_finds_band_mass_away_from_the_origin():
+    # 0.4 on |x - y| <= 1: mu = 0.8 once x >= 1; the band sits far from the
+    # first quadrature window, so the range is split at y = x
+    g = build({"family": "custom", "exprs": {"W": "0.4 * le(abs(x - y), 1)"}})
+    xs = np.array([3.0, 10.0, 100.0])
+    for x in xs:
+        assert g.marginal(float(x)) == pytest.approx(0.8, rel=1e-8)
+    np.testing.assert_allclose(g.marginal(xs), 0.8, rtol=1e-8)
+    assert g.marginal(0.5) == pytest.approx(0.6, rel=1e-8)
+
+
+def test_unsettled_elements_are_retried_on_the_scalar_path():
+    # jumps at y = 2 and y = x +- 1 defeat the tanh-sinh rule: those
+    # elements come back unsettled, and marginal serves them by QUADPACK
+    box = build({"family": "custom", "exprs": {"W": "0.5 * le(x, 2) * le(y, 2)"}})
+    xs = np.array([0.0, 1.0, 3.0])
+    _, settled = box.marginal_nodes(xs)
+    assert not settled[:2].any() and settled[2]
+    np.testing.assert_allclose(box.marginal(xs), [1.0, 1.0, 0.0], rtol=1e-9, atol=0)
+    smooth = build({"family": "caron-fox"})
+    assert smooth.marginal_nodes(np.linspace(0.0, 30.0, 50))[1].all()
+
+
+# ---------------------------------------------------------------------------
 # star rates and the isolated-edge rate
 # ---------------------------------------------------------------------------
 

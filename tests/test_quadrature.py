@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from graphex.quadrature import (
     IntegralResult,
     QuadratureError,
+    integrate_array,
     integrate_interval,
     integrate_semiinf,
     poisson_tail,
@@ -114,6 +115,38 @@ def test_semiinf_zero_function():
     res = integrate_semiinf(lambda x: 0.0, 1e-9)
     assert res.converged
     assert res.value == 0.0
+
+
+def test_array_rule_integrates_many_limits_at_once():
+    # int_a^b e^(-c t) dt for a grid of rates and limits, one call
+    c = np.array([0.5, 1.0, 3.0, 10.0])
+    a = np.array([0.0, 1.0, 0.0, 2.0])
+    b = np.array([np.inf, np.inf, 1.0, 2.5])
+    value, error, converged, evaluations = integrate_array(
+        lambda t, c: np.exp(-c * t), a, b, 1e-10, args=(c,))
+    want = (np.exp(-c * a) - np.exp(-c * b)) / c
+    assert converged.all() and evaluations.min() > 0
+    np.testing.assert_allclose(value, want, rtol=1e-13, atol=0)
+    assert np.all(error <= 1e-10 * want)
+    # a Gaussian off the origin: the frozen mpmath reference
+    value, _, converged, _ = integrate_array(lambda t: np.exp(-(t - 3.0) ** 2),
+                                             0.0, np.inf, 1e-10)
+    assert converged and value == pytest.approx(SHIFTED_GAUSSIAN, rel=1e-13)
+
+
+def test_array_rule_edge_cases():
+    # exact zeros converge at once; a zero-width or one-ulp-wide interval
+    # gives zero, not NaN; a jump and a divergent integral are not converged
+    a = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
+    b = np.array([np.inf, 1.0, np.nextafter(1.0, 2.0), 4.0, np.inf])
+    kind = np.array([0, 1, 1, 2, 1])
+
+    def f(t, kind):
+        return np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, (t <= math.pi) * 1.0))
+
+    value, _, converged, _ = integrate_array(f, a, b, 1e-8, args=(kind,))
+    np.testing.assert_array_equal(value[:3], 0.0)
+    np.testing.assert_array_equal(converged, [True, True, True, False, False])
 
 
 def test_result_rejects_nan():

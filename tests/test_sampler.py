@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphex.model import build, dilate
 from graphex.sampler import (
@@ -302,6 +304,39 @@ def test_restrict_full_window_is_identity():
     np.testing.assert_array_equal(r.edges, g.edges)
     np.testing.assert_array_equal(r.labels, g.labels)
     np.testing.assert_array_equal(r.provenance, g.provenance)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph over vertices 0..n-1 with labels in [0, 10], some of them
+    without edges, and a restriction level."""
+    n = draw(st.integers(1, 30))
+    labels = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    ids = st.integers(0, n - 1)
+    edges = np.asarray(draw(st.lists(st.tuples(ids, ids), max_size=60)),
+                       dtype=np.int64).reshape(-1, 2)
+    graph = SampledGraph(
+        nu=10.0, seed=0, theta_max=1.0, epsilon=1e-3, labels=np.asarray(labels),
+        edges=np.sort(edges, axis=1), provenance=np.zeros(len(edges), dtype=np.uint8),
+        latent=np.arange(n, dtype=float))
+    return graph, draw(st.floats(0.0, 10.0))
+
+
+@given(labelled_graphs())
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_searchsorted_mapping(case):
+    # the new ids are the ranks of the kept old ids, as a binary search over
+    # their sorted unique values gives them
+    graph, nu_new = case
+    lab, edges = graph.labels, graph.edges
+    keep = (lab[edges[:, 0]] <= nu_new) & (lab[edges[:, 1]] <= nu_new)
+    old_ids = np.unique(edges[keep])
+    r = restrict(graph, nu_new)
+    np.testing.assert_array_equal(r.edges, old_ids.searchsorted(edges[keep]))
+    assert r.edges.dtype == np.int64 and r.edges.shape == (int(keep.sum()), 2)
+    np.testing.assert_array_equal(r.labels, lab[old_ids])
+    np.testing.assert_array_equal(r.latent, graph.latent[old_ids])
+    np.testing.assert_array_equal(r.provenance, graph.provenance[keep])
 
 
 def test_restrict_keeps_invariants():
