@@ -65,15 +65,11 @@ class _Unsettled(Exception):
     """A marginal inside an outer array rule did not converge."""
 
 
-# how Graphex.marginal treats elements the array rule does not settle, set by
-# Graphex.integrate around a black-box integrand: None retries them on the
-# scalar path; RAISE (inside an outer array rule) fails that rule at once,
-# not a retry at every node of every level; SCALAR (inside the scalar retry
-# of an integral whose marginals the array rule could not settle) skips the
-# array rule
-_INNER_RULE = contextvars.ContextVar("graphex_inner_rule", default=None)
-_RAISE = "raise"
-_SCALAR = "scalar"
+# set by Graphex.integrate while its array rule runs: a marginal inside it
+# that the rule does not settle then fails that rule at once (the scalar
+# retry of the whole integral follows), not a retry at every node of every
+# level
+_INSIDE_ARRAY_RULE = contextvars.ContextVar("graphex_inside_array_rule", default=False)
 
 
 class SpecError(GraphexError):
@@ -159,22 +155,17 @@ class Graphex:
             return IntegralResult(0.0, 0.0, True, 0)
         if not self.blackbox:
             return self._integrate_scalar(h, rel_tol, lo, hi, limit, tail_hint)
-        inner = None
-        token = _INNER_RULE.set(_RAISE)
+        token = _INSIDE_ARRAY_RULE.set(True)
         try:
             value, err, ok, nfev = integrate_array(h, lo, hi, rel_tol)
         except _Unsettled:
-            ok, inner = False, _SCALAR
+            ok = False
         finally:
-            _INNER_RULE.reset(token)
+            _INSIDE_ARRAY_RULE.reset(token)
         if ok:
             return IntegralResult(float(value), float(err), True, int(nfev))
-        token = _INNER_RULE.set(inner)
-        try:
-            return self._integrate_scalar(lambda u: float(h(u)), rel_tol, lo, hi, limit,
-                                          tail_hint)
-        finally:
-            _INNER_RULE.reset(token)
+        return self._integrate_scalar(lambda u: float(h(u)), rel_tol, lo, hi, limit,
+                                      tail_hint)
 
     def _integrate_scalar(self, h, rel_tol, lo, hi, limit, tail_hint=None,
                           points=()) -> IntegralResult:
@@ -206,15 +197,15 @@ class Graphex:
             np.isfinite(value) & (error[:n] + error[n:] <= rel_tol * np.abs(value)))
         return value, settled
 
-    def marginal(self, x, rel_tol: float = 1e-8, lo: float = 0.0):
-        """mu(x) = integral of W(x, y) dy; with ``lo``, only over y >= lo.
+    def marginal(self, x, rel_tol: float = 1e-8):
+        """mu(x) = integral of W(x, y) dy.
 
         Analytic when declared. x may be an array, and a black-box kernel is
         then integrated for all of it at once (:meth:`marginal_nodes`); an
         element the rule does not settle is retried on the scalar adaptive
         path, and a GraphexError is raised when that fails too.
         """
-        if self.mu is not None and lo == 0.0:
+        if self.mu is not None:
             # scalar quadrature calls this with a float at every node
             if isinstance(x, float) or np.ndim(x) == 0:
                 return float(self.mu(x))
@@ -222,21 +213,17 @@ class Graphex:
         if self.w is None:
             return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         flat = np.asarray(x, dtype=float).ravel()
-        mode = _INNER_RULE.get()
-        if mode == _SCALAR:
-            value, ok = np.empty(flat.size), np.zeros(flat.size, dtype=bool)
-        else:
-            value, ok = self.marginal_nodes(flat, rel_tol, lo)
+        value, ok = self.marginal_nodes(flat, rel_tol)
         if not ok.all():
-            if mode == _RAISE:
+            if _INSIDE_ARRAY_RULE.get():
                 raise _Unsettled
             for i in np.flatnonzero(~ok):
-                value[i] = self._scalar_marginal(float(flat[i]), rel_tol, lo)
+                value[i] = self._scalar_marginal(float(flat[i]), rel_tol)
         return value.reshape(np.shape(x)) if np.ndim(x) else float(value[0])
 
-    def _scalar_marginal(self, x: float, rel_tol: float, lo: float) -> float:
-        res = self._integrate_scalar(lambda y: float(self.w_at(x, y)), rel_tol, lo,
-                                     self.support, 200, points=(x,) if x > lo else ())
+    def _scalar_marginal(self, x: float, rel_tol: float) -> float:
+        res = self._integrate_scalar(lambda y: float(self.w_at(x, y)), rel_tol, 0.0,
+                                     self.support, 200, points=(x,) if x > 0 else ())
         if not res.converged:
             raise GraphexError(
                 f"marginal at x={x!r} did not converge "

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .graphstats import sorted_unique
+from .graphstats import ranked_unique, sorted_unique
 from .model import Graphex, GraphexError
 
 __all__ = [
@@ -76,12 +76,6 @@ PROV_ISOLATED = 2
 PROV_NAMES = ("kernel", "star", "isolated")
 
 _CSV_BLOCK = 1 << 16  # edges formatted per write in SampledGraph.write_csv
-# sample_keg indexes visible points through a table over all latent slots
-# when there is at least one edge endpoint per this many slots, and by binary
-# search otherwise; measured on 2 cores, the search costs less below about
-# one endpoint per 64 slots and the table above one per 16
-_SLOT_TABLE_RATIO = 32
-
 _TAU = 0.5
 _C0 = -math.log(1.0 - _TAU) / _TAU  # 1.3862943611...
 
@@ -460,22 +454,9 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         n_iso = int(rngmod.stream(cfg.seed, _STREAM_ISOLATED).poisson(g.isolated_rate * nu * nu))
 
     # visibility and final indexing: the kept latent slots in slot order, and
-    # each endpoint's index among them. A big visible graph has many
-    # endpoints per latent slot, and a mask and a slot -> index table over
-    # all n slots cost least. A huge cloud with a small visible graph would
-    # spend more on those O(n) arrays than on the graph, so its few endpoints
-    # are sorted and binary-searched instead. Both give the same indices.
-    ends = np.concatenate((kernel_uv.ravel(), hubs, planted_slots))
-    if ends.size * _SLOT_TABLE_RATIO >= n:
-        seen = np.zeros(n, dtype=bool)
-        seen[ends] = True
-        visible = np.flatnonzero(seen)
-        table = np.empty(n, dtype=np.int64)
-        table[visible] = np.arange(visible.size, dtype=np.int64)
-        index_of = table.__getitem__
-    else:
-        visible = sorted_unique(ends)
-        index_of = visible.searchsorted
+    # each endpoint's index among them
+    n_pair_ends = kernel_uv.size
+    visible, index = ranked_unique(np.concatenate((kernel_uv.ravel(), hubs, planted_slots)))
     v0 = visible.size
     n_leaves = hubs.size
     n_vertices = v0 + n_leaves + 2 * n_iso
@@ -483,11 +464,11 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
     rows = []
     provs = []
     if kernel_uv.shape[0]:
-        rows.append(index_of(kernel_uv))
+        rows.append(index[:n_pair_ends].reshape(kernel_uv.shape))
         provs.append(np.zeros(kernel_uv.shape[0], dtype=np.uint8))
     if n_leaves:
         leaf_ids = v0 + np.arange(n_leaves, dtype=np.int64)
-        rows.append(np.column_stack((index_of(hubs), leaf_ids)))
+        rows.append(np.column_stack((index[n_pair_ends:n_pair_ends + n_leaves], leaf_ids)))
         provs.append(np.full(n_leaves, PROV_STAR, dtype=np.uint8))
     if n_iso:
         base = v0 + n_leaves
@@ -517,7 +498,7 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         latent = np.full(n_vertices, np.nan)
         latent[:v0] = pts[visible]
 
-    planted_final = tuple(index_of(planted_slots).tolist())
+    planted_final = tuple(index[n_pair_ends + n_leaves:].tolist())
 
     return SampledGraph(
         nu=nu, seed=cfg.seed, theta_max=float(theta), epsilon=float(cfg.eps),
@@ -543,16 +524,12 @@ def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:
     edges = graph.edges
     keep = (lab[edges[:, 0]] <= nu_new) & (lab[edges[:, 1]] <= nu_new)
     kept = edges[keep]
-    # vertex ids are 0..V-1, so a table of the kept ones gives each its new
-    # id, its rank among them
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[kept.ravel()] = True
-    old_ids = np.flatnonzero(seen)
-    new_id = np.cumsum(seen) - 1
+    # a kept vertex's new id is its rank among the kept ids
+    old_ids, new_ids = ranked_unique(kept.ravel())
     return SampledGraph(
         nu=float(nu_new), seed=graph.seed, theta_max=graph.theta_max,
         epsilon=graph.epsilon, labels=lab[old_ids],
-        edges=new_id[kept].astype(np.int64, copy=False),
+        edges=new_ids.reshape(kept.shape),
         provenance=graph.provenance[keep],
         latent=graph.latent[old_ids] if graph.latent is not None else None,
         planted_indices=(),

@@ -15,6 +15,7 @@ from graphex.graphstats import (
     degrees,
     largest_component,
     largest_component_size,
+    ranked_unique,
     sparsity_ratio,
     summarize,
 )
@@ -172,6 +173,33 @@ def test_largest_component_matches_bfs(edges):
     assert largest_component_size(arr) == (sizes[0] if sizes else 0)
     assert largest_component(arr) == ((sizes[0], sizes[0] / sum(sizes)) if sizes
                                       else (0, 0.0))
+
+
+@given(st.lists(st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+                min_size=4, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_largest_component_of_narrow_ids_over_a_wide_range(edges):
+    # int8 ids whose range is wider than int8 can count: offsets from the
+    # smallest id must not wrap
+    arr = np.asarray(edges, dtype=np.int8).reshape(-1, 2)
+    sizes = bfs_component_sizes(edges)
+    assert largest_component(arr) == (sizes[0], sizes[0] / sum(sizes))
+
+
+@given(st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.uint64]),
+       st.lists(st.integers(-128, 127), max_size=60), st.sampled_from([1, 1000]))
+@settings(max_examples=200, deadline=None)
+def test_ranked_unique_matches_numpy(dtype, values, spread):
+    # spread 1 keeps the values dense (the slot table), 1000 makes them
+    # sparse (the binary search)
+    info = np.iinfo(dtype)
+    a = np.asarray([v * spread for v in values if info.min <= v * spread <= info.max],
+                   dtype=dtype)
+    ids, ranks = ranked_unique(a)
+    want_ids, want_ranks = np.unique(a, return_inverse=True)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(ranks, want_ranks)
+    assert ids.dtype == np.int64 and ranks.dtype == np.int64
 
 
 @given(edge_lists)
