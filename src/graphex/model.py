@@ -500,8 +500,13 @@ def _family_slow_decay(params: dict, exprs: dict):
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        return inv_sqrt3 / ((x + 1.0) * (x + 1.0))
+        # one temporary, updated in place (planted draws pass 20M-point
+        # chunks); a scalar x makes t a NumPy scalar, with nothing to write to
+        t = np.asarray(x, dtype=float) + 1.0
+        t *= t
+        if isinstance(t, np.ndarray):
+            return np.divide(inv_sqrt3, t, out=t)
+        return inv_sqrt3 / t
 
     def tail_f(x):
         return inv_sqrt3 / (np.asarray(x, dtype=float) + 1.0)

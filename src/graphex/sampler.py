@@ -41,6 +41,13 @@ the kernel factorises as W(x, y) = f(x) f(y), the fast path is used instead:
   when f_i f_j = 1/2, which is the largest product a non-heavy pair can
   reach, so the acceptance probability never exceeds 1.
 
+A proposal endpoint is the index where a uniform key scaled by sum f falls in
+cumsum(f). When a draw has at least as many keys as latent points, a guide
+table (Chen & Asau 1974) of 4n equal buckets maps each key to the few
+indices its bucket spans: most keys settle with no comparison or one, and
+the rest, in crowded buckets, get a binary search. The indices are those of
+a binary search over all of cumsum(f), so every drawn number is too.
+
 Both paths produce the same distribution; a statistical equivalence test
 lives in the test suite.
 """
@@ -308,6 +315,49 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
 # Kernel edges
 # ---------------------------------------------------------------------------
 
+_GUIDE_PER_POINT = 4  # guide-table buckets per entry of cum
+
+
+def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, keys, side="right")`` for a non-empty,
+    nondecreasing ``cum``, found through a guide table (Chen & Asau 1974) when there are
+    at least as many keys as entries.
+
+    The table cuts [0, total] into K = 4n buckets with edges
+    e_j = j * (total / K), the outer two widened to -inf and +inf, and holds
+    guide[j] = searchsorted(cum, e_j, side="right"). A key y with
+    e_b <= y < e_{b+1} has its answer in [guide[b], guide[b+1]]: a span of 0
+    gives it outright, a span of 1 takes one comparison, and the few keys in
+    wider spans go to a binary search of their own. The answer is the same
+    index in every case, so draws through it stay bit-identical.
+    """
+    n = cum.size
+    total = float(cum[-1])
+    k = _GUIDE_PER_POINT * n
+    # a table cannot pay for itself over fewer keys, and a total that is
+    # denormal or infinite leaves the bucket width or its inverse unusable
+    if keys.size < n or not (math.isfinite(total) and total / k >= np.finfo(float).tiny):
+        return np.searchsorted(cum, keys, side="right")
+    edges = np.arange(k + 1) * (total / k)
+    edges[0] = -np.inf
+    edges[-1] = np.inf
+    guide = np.searchsorted(cum, edges, side="right")
+
+    b = (keys * (k / total)).astype(np.intp)
+    np.clip(b, 0, k - 1, out=b)
+    # the estimate can sit one bucket off next to an edge; settle it against
+    # the stored edges so that e_b <= y < e_{b+1} holds exactly
+    b -= keys < edges[b]
+    b += keys >= edges[b + 1]
+    out = guide[b]
+    span = guide[b + 1] - out
+    one = span == 1
+    out[one] += cum[out[one]] <= keys[one]
+    wide = np.flatnonzero(span > 1)
+    out[wide] = np.searchsorted(cum, keys[wide], side="right")
+    return out
+
+
 def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndarray:
     """Separable fast path; see the module docstring for the scheme."""
     n = pts.size
@@ -338,24 +388,29 @@ def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndar
         m = int(gen.poisson(lam))
         if m:
             cum = np.cumsum(f)
-            total = cum[-1]
-            u = np.searchsorted(cum, gen.random(m) * total, side="right")
-            v = np.searchsorted(cum, gen.random(m) * total, side="right")
-            np.clip(u, 0, n - 1, out=u)
-            np.clip(v, 0, n - 1, out=v)
+            # the u keys, then the v keys, drawn in that order
+            keys = np.empty(2 * m)
+            gen.random(out=keys[:m])
+            gen.random(out=keys[m:])
+            keys *= cum[-1]
+            ends = _endpoints(cum, keys)
+            np.minimum(ends, n - 1, out=ends)
+            u = ends[:m]
+            v = ends[m:]
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
             ok = (lo != hi) & ~((f[lo] > _TAU) & (f[hi] > _TAU))
             # the keys come out ascending, as from np.unique, so the
             # acceptance coins below fall on the same pairs
-            lo, hi = np.divmod(sorted_unique(lo[ok].astype(np.int64) * n + hi[ok]), n)
+            lo, hi = np.divmod(
+                sorted_unique(lo[ok].astype(np.int64, copy=False) * n + hi[ok]), n)
             p = f[lo] * f[hi]
             accept = gen.random(p.size) < p / (-np.expm1(-_C0 * p))
             chunks.append(np.column_stack((lo[accept], hi[accept])))
 
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    return np.vstack(chunks).astype(np.int64)
+    return np.vstack(chunks).astype(np.int64, copy=False)
 
 
 _NAIVE_BLOCK = 2048
@@ -477,7 +532,7 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         provs.append(np.full(n_iso, PROV_ISOLATED, dtype=np.uint8))
 
     if rows:
-        edges = np.vstack(rows).astype(np.int64)
+        edges = np.vstack(rows).astype(np.int64, copy=False)
         provenance = np.concatenate(provs)
         # one stable sort on a combined key is the lexicographic order of
         # (u, v, provenance) at half the cost of np.lexsort; u, v < n_vertices
@@ -570,8 +625,13 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
             total += int(counts[r1])
             r1 += 1
         pos = gen.uniform(0.0, theta, total)
-        w = np.clip(np.asarray(g.w_at(lam, pos), dtype=float), 0.0, 1.0)
+        # W(lam, x) is a fresh array (or aliases pos, which is not needed
+        # again), so clip it in place; drop both before the next chunk's draw
+        w = np.require(g.w_at(lam, pos), dtype=float, requirements="W")
+        del pos
+        np.clip(w, 0.0, 1.0, out=w)
         hit = gen.random(total) < w
+        del w
         # hits of replicate i are those at positions bounds[i] .. bounds[i+1]
         bounds = np.concatenate(([0], np.cumsum(counts[r0:r1])))
         degrees[r0:r1] = np.diff(np.flatnonzero(hit).searchsorted(bounds))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from graphex.model import build, dilate
 from graphex.sampler import (
     _CSV_BLOCK,
+    _GUIDE_PER_POINT,
     PROV_ISOLATED,
     PROV_KERNEL,
     PROV_NAMES,
@@ -17,6 +18,7 @@ from graphex.sampler import (
     SampledGraph,
     SamplerConfig,
     SamplerError,
+    _endpoints,
     choose_theta_max,
     restrict,
     sample_keg,
@@ -258,13 +260,77 @@ def draw_digest(g: SampledGraph) -> str:
      "d4aadb41315e379f4b87931eee70bb780f90d2e77ec734d96ab601a6b5254aa8"),
     (SLOW, 10.0, 7, (),
      "61b53df02445fda50f210906c8ea9987b5ee39b2bdfafaf3a7a4727fe7be28f7"),
-], ids=["fast-planted", "star-isolated", "slow"])
+    # about 5.4k latent points and 134k endpoint keys: it has heavy pairs,
+    # and its keys take the guide table's span-1 and binary-search branches
+    (FAST, 300.0, 1, (),
+     "540815177c305cbcaaa9099d7c9fd1fa2729fbd917b0cae1bfafdf96c6bba958"),
+], ids=["fast-planted", "star-isolated", "slow", "fast-large"])
 def test_frozen_draws(graphex, nu, seed, planted, digest):
     # frozen sha256 of whole draws: any change to how randomness is consumed,
     # or to vertex indexing and edge order, shows here
     g = sample_keg(graphex, SamplerConfig(nu=nu, seed=seed, retain_latent=True),
                    planted=planted)
     assert draw_digest(g) == digest
+
+
+@st.composite
+def endpoint_cases(draw):
+    """A nondecreasing cumsum of weights and keys to place in it. Weights may
+    be zero (ties in cum), equal (cum values on bucket edges), one may
+    dominate, all but one may be tiny (sharing a bucket), or all may be
+    denormal; keys fall on bucket edges, on cum values, on 0 and on the
+    total, one float either side of those, or anywhere in and around
+    [0, total], and there are fewer of them than weights or at least as
+    many."""
+    n = draw(st.integers(1, 40))
+    w = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["plain", "equal", "dominant", "tiny", "denormal"]))
+    if shape == "equal":
+        w[:] = w[0]
+    w[np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    if shape == "dominant":
+        w[draw(st.integers(0, n - 1))] = 1e9
+    elif shape == "tiny":
+        w *= 1e-12
+        w[draw(st.integers(0, n - 1))] = 1.0
+    elif shape == "denormal":
+        w *= 1e-310
+    cum = np.cumsum(w)
+    total = float(cum[-1])
+    k = _GUIDE_PER_POINT * n
+    special = np.concatenate((np.arange(k + 1) * (total / k), cum, [0.0, total]))
+    special = np.concatenate((special, np.nextafter(special, -np.inf),
+                              np.nextafter(special, np.inf)))
+    special = special[(special >= 0.0) & (special <= total)]
+    size = draw(st.integers(n, 3 * n) if draw(st.booleans()) else st.integers(0, n - 1))
+    key = st.one_of(st.sampled_from(special.tolist()),
+                    st.floats(-0.25, 1.25).map(lambda u: u * total))
+    keys = np.asarray(draw(st.lists(key, min_size=size, max_size=size)), dtype=float)
+    return cum, keys
+
+
+@given(endpoint_cases())
+@settings(max_examples=500, deadline=None)
+def test_endpoints_match_searchsorted(case):
+    cum, keys = case
+    want = np.searchsorted(cum, keys, side="right")
+    got = _endpoints(cum, keys)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_endpoints_settle_a_low_bucket_estimate():
+    # at this total, the key one float above bucket edge 7 multiplies out to
+    # just under 7, so its first bucket estimate is one too low, and the cum
+    # values equal to the key lie past that bucket's upper edge
+    n, total = 5, 42.05082477773834
+    k = _GUIDE_PER_POINT * n
+    y = np.nextafter(7 * (total / k), np.inf)
+    assert math.floor(y * (k / total)) == 6
+    cum = np.cumsum([y, 0.0, 0.0, 0.0, total - y])
+    keys = np.full(n, y)
+    np.testing.assert_array_equal(_endpoints(cum, keys),
+                                  np.searchsorted(cum, keys, side="right"))
 
 
 # --------------------------------------------------------------------------
