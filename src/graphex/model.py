@@ -110,7 +110,9 @@ class Graphex:
     support: float = math.inf
     separable_f: Callable | None = None
 
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # per-instance results (cutoffs, norms, degree-law integrals); not an init
+    # field, so dataclasses.replace gives the copy an empty cache of its own
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- kernel access ------------------------------------------------------
 
@@ -123,12 +125,17 @@ class Graphex:
 
     def s_at(self, x):
         if self.s is None:
-            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
+            # scalar quadrature calls this with a float at every node
+            if isinstance(x, float) or not np.ndim(x):
+                return 0.0
+            return np.zeros(np.shape(x))
         return self.s(x)
 
     def diag_at(self, x):
         if self.diag is None or not self.self_edges:
-            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
+            if isinstance(x, float) or not np.ndim(x):
+                return 0.0
+            return np.zeros(np.shape(x))
         return self.diag(x)
 
     # -- marginal and integrals ---------------------------------------------
@@ -380,13 +387,18 @@ def _family_constant(params: dict, exprs: dict):
         y = np.asarray(y, dtype=float)
         return p * ((x <= c) & (y <= c))
 
+    # a float x (scalar quadrature, at every node) skips the array round trip
     def mu(x):
+        if isinstance(x, float):
+            return p * c if x <= c else 0.0
         return p * c * (np.asarray(x, dtype=float) <= c)
 
     def tail_mu(x):
         return p * c * np.clip(c - np.asarray(x, dtype=float), 0.0, None)
 
     def diag(x):
+        if isinstance(x, float):
+            return p if x <= c else 0.0
         return p * (np.asarray(x, dtype=float) <= c)
 
     sqrt_p = math.sqrt(p)
@@ -500,8 +512,12 @@ def _family_slow_decay(params: dict, exprs: dict):
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
 
     def f(x):
+        if isinstance(x, float):
+            # scalar quadrature calls this at every node
+            t = np.float64(x) + 1.0
+            return inv_sqrt3 / (t * t)
         # one temporary, updated in place (planted draws pass 20M-point
-        # chunks); a scalar x makes t a NumPy scalar, with nothing to write to
+        # chunks); a 0-d x makes t a NumPy scalar, with nothing to write to
         t = np.asarray(x, dtype=float) + 1.0
         t *= t
         if isinstance(t, np.ndarray):
@@ -519,6 +535,9 @@ def _family_slow_decay(params: dict, exprs: dict):
 
 def _family_fast_decay(params: dict, exprs: dict):
     def f(x):
+        # a float x (scalar quadrature, at every node) skips the array round trip
+        if isinstance(x, float):
+            return np.exp(-x)
         return np.exp(-np.asarray(x, dtype=float))
 
     out = _separable_meta(f, 1.0, f)  # the tail integral of e^-x is e^-x

@@ -257,7 +257,19 @@ def poisson_tail(lam, k):
     series/continued-fraction split around lam ~ k+1 in log space. Absolute
     error is well below 1e-12 across the supported range. Vectorised in both
     arguments.
+
+    A Python ``float`` lam with a Python ``int`` k (what the closed-form
+    theory integrands pass at every quadrature node) is checked with plain
+    comparisons and returns the same float as the array path, without its
+    array round trips. Every other input, NumPy scalars and bool included,
+    takes the array path.
     """
+    if type(lam) is float and type(k) is int:
+        if not 0.0 <= lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if k < 0:
+            raise ValueError("k must be a non-negative integer")
+        return float(_special.gammainc(k + 1.0, lam))
     lam_arr = np.asarray(lam, dtype=float)
     k_arr = np.asarray(k)
     if np.any(lam_arr < 0) or np.any(~np.isfinite(lam_arr)):

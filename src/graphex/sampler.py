@@ -361,7 +361,12 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndarray:
     """Separable fast path; see the module docstring for the scheme."""
     n = pts.size
-    f = np.clip(np.asarray(g.separable_f(pts), dtype=float), 0.0, 1.0)
+    # clipped in place; pts itself is still needed for self loops, stars and
+    # retain_latent, so an f that is pts (or a view of it) is copied first
+    f = np.require(np.asarray(g.separable_f(pts), dtype=float), requirements="W")
+    if np.shares_memory(f, pts):
+        f = f.copy()
+    np.clip(f, 0.0, 1.0, out=f)
     chunks = []
 
     heavy = np.nonzero(f > _TAU)[0]

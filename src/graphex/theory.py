@@ -30,6 +30,7 @@ k >= 1 give integrand tails dominated by nu^2 (tail_mu + tail_S).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +89,13 @@ def _pois_pmf(k: int, rho: float) -> float:
         return 1.0 if k == 0 else 0.0
     if k == 0:
         return math.exp(-rho)
-    return math.exp(k * math.log(rho) - rho - gammaln(k + 1))
+    return math.exp(k * math.log(rho) - rho - _log_factorial(k))
+
+
+@functools.lru_cache(maxsize=256)
+def _log_factorial(k: int):
+    """gammaln(k + 1), evaluated once per k instead of at every node."""
+    return gammaln(k + 1)
 
 
 def _pois_pmf_array(k: int, rho):
@@ -241,7 +248,14 @@ def expected_degree_count(g: Graphex, nu: float, k: int,
 # ---------------------------------------------------------------------------
 
 def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
-    """[P(D > k) for k in ks], sharing one visibility integral."""
+    """[P(D > k) for k in ks], sharing one visibility integral.
+
+    The visibility integral and each degree-tail numerator are cached on the
+    graphex instance, like its cutoff, under ("visibility", nu, rel_tol) and
+    ("degree_tail", nu, k, rel_tol): P(D > k), P(D = k) and P(D = k + 1) at
+    one nu integrate each piece once. The cache holds the quadrature results,
+    so a failed integral raises the same error on every call.
+    """
     nu = _check_nu(nu)
     for k in ks:
         if not (isinstance(k, int) and k >= 0):
@@ -260,10 +274,15 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
 
     m = np if g.blackbox else math
 
+    def integral(key, h):
+        if key not in g._cache:
+            g._cache[key] = g.integrate(h, rel_tol, tail_hint=hint)
+        return g._cache[key]
+
     def denominator(x):
         return -m.expm1(-nu * g.marginal(x))
 
-    den = g.integrate(denominator, rel_tol, tail_hint=hint)
+    den = integral(("visibility", nu, rel_tol), denominator)
     if not den.converged:
         raise TheoryError("the visibility integral did not converge")
     if den.value < 1e-300:
@@ -278,7 +297,7 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
         def numerator(x):
             return poisson_tail(nu * g.marginal(x), k)
 
-        num = g.integrate(numerator, rel_tol, tail_hint=hint)
+        num = integral(("degree_tail", nu, k, rel_tol), numerator)
         if not num.converged:
             raise TheoryError(f"the degree-tail integral at k = {k} did not converge")
         out.append(num.value / den.value)

@@ -188,6 +188,40 @@ def test_poisson_tail_input_validation():
         poisson_tail(1.0, 2.5)
 
 
+@given(st.floats(min_value=0.0, max_value=1e6),
+       st.integers(min_value=0, max_value=500))
+def test_poisson_tail_scalar_path_matches_array_path(lam, k):
+    # a Python float and int skip the array checks; the value must not move
+    got = poisson_tail(lam, k)
+    assert type(got) is float
+    assert got == float(poisson_tail(np.array([lam]), np.array([k]))[0])
+    assert got == poisson_tail(np.float64(lam), np.int64(k))
+
+
+@pytest.mark.parametrize("lam, k", [
+    (math.nan, 0), (math.inf, 0), (-math.inf, 0), (-1.0, 0), (-1e-300, 3),
+    (1.0, -1), (1.0, 2.5), (np.float64(math.nan), 1), (np.float64(-2.0), 1),
+    (1.0, np.int64(-1)), (np.float64(1.0), -1),
+])
+def test_poisson_tail_rejects_bad_scalars(lam, k):
+    bad_lam = not (lam >= 0 and math.isfinite(lam))
+    message = "lam must be finite" if bad_lam else "k must be a non-negative integer"
+    with pytest.raises(ValueError, match=message):
+        poisson_tail(lam, k)
+
+
+def test_poisson_tail_numpy_and_bool_scalars_take_array_path():
+    want = poisson_tail(3.0, 2)
+    for lam, k in [(np.float64(3.0), 2), (3.0, np.int64(2)), (np.float64(3.0), np.int64(2)),
+                   (3, 2), (3.0, 2.0)]:
+        got = poisson_tail(lam, k)
+        assert type(got) is float
+        assert got == want
+    assert poisson_tail(np.array(3.0), np.array(2)) == want
+    assert poisson_tail(3.0, True) == poisson_tail(3.0, 1)
+    assert poisson_tail(3.0, False) == poisson_tail(3.0, 0)
+
+
 @given(st.floats(min_value=0.0, max_value=1e5),
        st.integers(min_value=0, max_value=200))
 def test_poisson_tail_in_unit_interval_and_monotone_in_k(lam, k):

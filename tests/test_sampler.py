@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -158,6 +159,18 @@ def test_latent_retention():
     assert g3.latent is None
     with pytest.raises(SamplerError):
         g3.write_latent_csv(io.StringIO())
+
+
+def test_fast_path_leaves_the_latent_cloud_alone():
+    # the fast path clips f in place; an f that hands back the latent array
+    # itself, or a view of it, must leave the coordinates unclipped
+    cfg = SamplerConfig(nu=4.0, seed=5, theta_max=3.0, retain_latent=True)
+    draws = [sample_keg(dataclasses.replace(FAST, separable_f=f), cfg)
+             for f in (lambda x: x.copy(), lambda x: x, lambda x: x[:])]
+    assert draws[0].latent.max() > 1.0 and draws[0].n_edges > 0
+    for g in draws[1:]:
+        assert np.array_equal(g.edges, draws[0].edges)
+        assert np.array_equal(g.latent, draws[0].latent)
 
 
 def test_config_validation():

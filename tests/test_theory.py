@@ -18,6 +18,8 @@ All reference numbers below were evaluated from those closed forms with
 mpmath at 30 significant digits and frozen as literals.
 """
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -76,6 +78,10 @@ SLOW_PMF1_NU300 = 0.52989619114128696   # -> 1/2 as nu grows
 SLOW_PMF2_NU1E4 = 0.12623356069739336   # -> 1/8 as nu grows; still 1.23e-3 away
 FAST_CDF_SQRT_NU1E3 = 0.53804419891935266  # P(D <= floor(nu^0.5)) -> 1/2
 FAST_CDF_SQRT_NU1E4 = 0.52999722280971199
+# sha256 of the repr of the closed-form value table in
+# test_closed_form_values_are_frozen, as the array-path integrands computed it
+# with no degree-law cache; fast paths must keep every value bit-identical
+CLOSED_FORM_TABLE_SHA256 = "48dde988ff3a3e9382a91ac82e5b36a63df2b834a5a6fd50df56577867e7abe8"
 
 
 @pytest.mark.parametrize("nu, want", sorted(SLOW_VERTICES.items()))
@@ -260,3 +266,61 @@ def test_classify_density():
     assert classify_density(build(SLOW)) == "sparse"
     assert classify_density(build({"family": "custom",
                                    "exprs": {"W": "le(x*y, 1)"}})) == "unknown"
+
+
+def test_closed_form_values_are_frozen():
+    # the benchmark's analytic table (one graphex per family, called in this
+    # order), then fast-decay's ccdf and pmf at k = sqrt(nu)
+    values = []
+    for spec in (SLOW, FAST, {"family": "constant", "params": {"p": 0.5, "c": 2.0},
+                              "self_edges": True}):
+        g = build(spec)
+        for nu in (10.0, 1e2, 1e3, 1e4):
+            values.append(expected_edges(g, nu).value)
+            values.append(expected_vertices(g, nu).value)
+            values += [expected_degree_count(g, nu, k).value for k in (1, 2, 3, 5, 10)]
+            values += [degree_pmf(g, nu, k) for k in (1, 2, 3, 5, 10)]
+    fast = build(FAST)
+    for nu, k in ((100.0, 10), (1000.0, 31)):
+        values += [degree_ccdf(fast, nu, k), degree_pmf(fast, nu, k)]
+    assert len(values) == 148
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == CLOSED_FORM_TABLE_SHA256
+
+
+@pytest.mark.parametrize("spec", [
+    SLOW, FAST,
+    # no tail bound: its degree-tail integrals move with rel_tol
+    {"family": "separable", "exprs": {"f": "exp(-x)/(1+x)"}},
+])
+def test_degree_law_cache_keys(spec):
+    # a graphex warmed at other nu, k and rel_tol gives a fresh one's values
+    warm = build(spec)
+    for nu, k, rel_tol in ((10.0, 3, 1e-3), (100.0, 4, 1e-9), (100.0, 3, 1e-3),
+                           (1000.0, 2, 1e-9)):
+        degree_pmf(warm, nu, k, rel_tol)
+        degree_ccdf(warm, nu, k + 1, rel_tol)
+    for nu, k, rel_tol in ((10.0, 3, 1e-9), (100.0, 3, 1e-9), (10.0, 5, 1e-3),
+                           (1000.0, 3, 1e-3)):
+        pmf = degree_pmf(build(spec), nu, k, rel_tol)
+        assert degree_pmf(warm, nu, k, rel_tol) == pmf
+        for j in (k - 1, k, k + 1):
+            assert degree_ccdf(warm, nu, j, rel_tol) == degree_ccdf(build(spec), nu, j, rel_tol)
+        assert pmf == degree_ccdf(warm, nu, k - 1, rel_tol) - degree_ccdf(warm, nu, k, rel_tol)
+    # an int nu is the same level as its float
+    assert degree_ccdf(warm, 100, 3) == degree_ccdf(build(spec), 100.0, 3)
+
+
+def test_degree_law_errors_survive_the_cache():
+    fast = build(FAST)
+    degree_pmf(fast, 10.0, 2)
+    kernel_free = dataclasses.replace(fast, w=None)
+    assert kernel_free._cache == {}  # a copy never reads the original's results
+    zero_kernel = build({"family": "custom", "exprs": {"W": "0"}, "I": 0.5})
+    for _ in range(2):
+        with pytest.raises(TheoryError, match="has no kernel"):
+            degree_pmf(kernel_free, 10.0, 2)
+        with pytest.raises(TheoryError, match="nu = 0"):
+            degree_ccdf(fast, 0.0, 1)
+        with pytest.raises(TheoryError, match="no visible vertices"):
+            degree_pmf(zero_kernel, 10.0, 1)
