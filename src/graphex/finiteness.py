@@ -95,14 +95,7 @@ class FinitenessReport:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Budget knobs for the numeric fallbacks.
-
-    ``panel_limit`` caps adaptive subdivisions per probe shell; the nested
-    restricted-kernel probe drops it to a single panel for the scalar
-    fallback of its shells, since its inner integrals make every evaluation
-    expensive and only the magnitude of each shell matters for
-    classification.
-    """
+    """Budget knobs for the numeric fallbacks."""
 
     initial_width: float = 1.0
     max_shells: int = 40
@@ -111,7 +104,6 @@ class ProbeConfig:
     bisect_iters: int = 60
     probe_max: float = 1e6
     probe_points: int = 64
-    panel_limit: int = 200
 
 
 def _grid(config: ProbeConfig) -> np.ndarray:
@@ -132,15 +124,14 @@ def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
     """Integrate f over doubling shells and classify the tail.
 
     ``integrate(f, a, b)`` integrates one shell; the default is QUADPACK at
-    the configured shell tolerance and panel limit. Returns
+    the configured shell tolerance. Returns
     (kind, value, note): kind is "convergent" (value is the integral
     estimate), "divergent" (value is inf) or "unclear" (value is the partial
     sum accumulated so far).
     """
     if integrate is None:
         def integrate(f, a, b):
-            return integrate_interval(f, a, b, rel_tol=config.shell_rel_tol,
-                                      limit=config.panel_limit)
+            return integrate_interval(f, a, b, rel_tol=config.shell_rel_tol)
     shells = []
     total = 0.0
     a = start
@@ -342,11 +333,13 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
             raise GraphexError("inner tail did not converge")
         return value.reshape(np.shape(x))
 
-    nested = replace(config, panel_limit=1,
-                     shell_rel_tol=max(config.shell_rel_tol, 1e-6))
+    nested = replace(config, shell_rel_tol=max(config.shell_rel_tol, 1e-6))
 
     def shell(f, a, b):
-        return g.integrate(f, nested.shell_rel_tol, lo=a, hi=b, limit=nested.panel_limit)
+        # its inner integrals make every evaluation dear, and only the
+        # magnitude of each shell matters for classification: the scalar
+        # retry of a shell gets a single panel
+        return g.integrate(f, nested.shell_rel_tol, lo=a, hi=b, limit=1)
 
     try:
         probe = _probe_tail(inner, x0, nested, shell)

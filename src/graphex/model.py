@@ -90,7 +90,9 @@ class Graphex:
     be None, meaning identically zero). Analytic metadata is optional; every
     consumer falls back to quadrature through the accessor methods, which is
     exact but slower. ``separable_f`` is set when W(x, y) = f(x) f(y) off the
-    diagonal, which unlocks the sampler's fast path.
+    diagonal, which unlocks the sampler's fast path. ``kinks`` lists the
+    interior points where the marginal may jump; :meth:`integrate` splits
+    every latent-axis integral there.
     """
 
     family: str
@@ -109,6 +111,7 @@ class Graphex:
     tail_s_fn: Callable | None = None
     support: float = math.inf
     separable_f: Callable | None = None
+    kinks: tuple = ()
 
     # per-instance results (cutoffs, norms, degree-law integrals); not an init
     # field, so dataclasses.replace gives the copy an empty cache of its own
@@ -125,54 +128,44 @@ class Graphex:
 
     def s_at(self, x):
         if self.s is None:
-            # scalar quadrature calls this with a float at every node
-            if isinstance(x, float) or not np.ndim(x):
-                return 0.0
-            return np.zeros(np.shape(x))
+            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         return self.s(x)
 
     def diag_at(self, x):
         if self.diag is None or not self.self_edges:
-            if isinstance(x, float) or not np.ndim(x):
-                return 0.0
-            return np.zeros(np.shape(x))
+            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         return self.diag(x)
 
     # -- marginal and integrals ---------------------------------------------
-
-    @property
-    def blackbox(self) -> bool:
-        """True when W is declared but its marginal is not. Latent-axis
-        integrands then take arrays and run on the tanh-sinh rule; the
-        closed-form families keep scalar integrands on QUADPACK."""
-        return self.w is not None and self.mu is None
 
     def integrate(self, h, rel_tol: float, lo: float = 0.0, hi: float = math.inf,
                   limit: int = 200, tail_hint=None) -> IntegralResult:
         """Integrate h over the latent axis on [lo, hi], cut at the support.
 
-        For a black-box kernel h takes arrays and the tanh-sinh rule runs
-        first; when it does not converge, the scalar path retries with
-        ``float(h(u))``. The scalar path is interval quadrature on a finite
-        range and the semi-infinite layer otherwise (``tail_hint(a)`` bounds
-        the mass past lo + a); ``limit`` caps its adaptive subdivisions.
+        h takes arrays. The tanh-sinh rule runs first, on the pieces between
+        the kinks, all in one call; when it does not converge, QUADPACK
+        retries with ``float(h(u))`` and the kinks as break points: interval
+        quadrature on a finite range and the semi-infinite layer otherwise
+        (``tail_hint(a)`` bounds the mass past lo + a). ``limit`` caps the
+        retry's adaptive subdivisions.
         """
         hi = min(hi, self.support)
         if lo >= hi:
             return IntegralResult(0.0, 0.0, True, 0)
-        if not self.blackbox:
-            return self._integrate_scalar(h, rel_tol, lo, hi, limit, tail_hint)
+        points = tuple(p for p in self.kinks if lo < p < hi)
+        edges = np.array((lo, *points, hi))
         token = _INSIDE_ARRAY_RULE.set(True)
         try:
-            value, err, ok, nfev = integrate_array(h, lo, hi, rel_tol)
+            value, err, ok, nfev = integrate_array(h, edges[:-1], edges[1:], rel_tol)
         except _Unsettled:
-            ok = False
+            ok = np.array(False)
         finally:
             _INSIDE_ARRAY_RULE.reset(token)
-        if ok:
-            return IntegralResult(float(value), float(err), True, int(nfev))
+        if ok.all():
+            return IntegralResult(float(value.sum()), float(err.sum()), True,
+                                  int(nfev.sum()))
         return self._integrate_scalar(lambda u: float(h(u)), rel_tol, lo, hi, limit,
-                                      tail_hint)
+                                      tail_hint, points)
 
     def _integrate_scalar(self, h, rel_tol, lo, hi, limit, tail_hint=None,
                           points=()) -> IntegralResult:
@@ -213,10 +206,7 @@ class Graphex:
         path, and a GraphexError is raised when that fails too.
         """
         if self.mu is not None:
-            # scalar quadrature calls this with a float at every node
-            if isinstance(x, float) or np.ndim(x) == 0:
-                return float(self.mu(x))
-            return self.mu(x)
+            return self.mu(x) if np.ndim(x) else float(self.mu(x))
         if self.w is None:
             return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         flat = np.asarray(x, dtype=float).ravel()
@@ -387,18 +377,13 @@ def _family_constant(params: dict, exprs: dict):
         y = np.asarray(y, dtype=float)
         return p * ((x <= c) & (y <= c))
 
-    # a float x (scalar quadrature, at every node) skips the array round trip
     def mu(x):
-        if isinstance(x, float):
-            return p * c if x <= c else 0.0
         return p * c * (np.asarray(x, dtype=float) <= c)
 
     def tail_mu(x):
         return p * c * np.clip(c - np.asarray(x, dtype=float), 0.0, None)
 
     def diag(x):
-        if isinstance(x, float):
-            return p if x <= c else 0.0
         return p * (np.asarray(x, dtype=float) <= c)
 
     sqrt_p = math.sqrt(p)
@@ -465,7 +450,7 @@ def _family_graphon_dilation(params: dict, exprs: dict):
         w=w, diag=diag, mu=mu, tail_mu_fn=tail_mu,
         w_l1_value=float(arr.sum()) * cell_width * cell_width,
         diag_l1_value=float(np.trace(arr)) * cell_width,
-        support=c,
+        support=c, kinks=tuple((cell_width * np.arange(1, n)).tolist()),
     )
 
 
@@ -512,10 +497,6 @@ def _family_slow_decay(params: dict, exprs: dict):
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
 
     def f(x):
-        if isinstance(x, float):
-            # scalar quadrature calls this at every node
-            t = np.float64(x) + 1.0
-            return inv_sqrt3 / (t * t)
         # one temporary, updated in place (planted draws pass 20M-point
         # chunks); a 0-d x makes t a NumPy scalar, with nothing to write to
         t = np.asarray(x, dtype=float) + 1.0
@@ -535,9 +516,6 @@ def _family_slow_decay(params: dict, exprs: dict):
 
 def _family_fast_decay(params: dict, exprs: dict):
     def f(x):
-        # a float x (scalar quadrature, at every node) skips the array round trip
-        if isinstance(x, float):
-            return np.exp(-x)
         return np.exp(-np.asarray(x, dtype=float))
 
     out = _separable_meta(f, 1.0, f)  # the tail integral of e^-x is e^-x

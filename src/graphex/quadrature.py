@@ -3,13 +3,14 @@
 The theory engine needs integrals of smooth, eventually-decaying integrands
 over [0, inf). :func:`integrate_array` integrates an array integrand for a
 whole array of limits in one call with the double-exponential (tanh-sinh)
-rule of Takahasi & Mori (1974); it serves kernels whose marginal has no
-closed form. :func:`integrate_semiinf` integrates a scalar integrand over a
-growing window [0, A], doubling A until the tail is provably (via
-``tail_hint``) or empirically (geometric extrapolation of shell integrals)
-below tolerance, falling back to the compactifying substitution u = x/(1+x)
-when the window strategy cannot certify convergence. The adaptive core on
-each finite panel is QUADPACK via scipy.
+rule of Takahasi & Mori (1974); every latent-axis integral runs on it first.
+The scalar layer retries what it does not settle: :func:`integrate_semiinf`
+integrates a scalar integrand over a growing window [0, A], doubling A until
+the tail is provably (via ``tail_hint``) or empirically (geometric
+extrapolation of shell integrals) below tolerance, falling back to the
+compactifying substitution u = x/(1+x) when the window strategy cannot
+certify convergence. The adaptive core on each finite panel is QUADPACK via
+scipy.
 
 :func:`poisson_tail` evaluates P(Poisson(lam) > k) through the regularized
 lower incomplete gamma function, accurate to ~1e-14 absolute across the
@@ -87,7 +88,9 @@ def integrate_array(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
     error estimate is within ``rel_tol``: the latter admits a rule stopped
     at its last level by the rounding floor of a very short interval away
     from the origin. Callers retry the other elements on the scalar adaptive
-    path.
+    path. The rule assumes a smooth integrand on each interval: it can stop
+    early, with a small error estimate, on a step inside one, so split the
+    limits at known jumps.
     """
     _check_rel_tol(rel_tol)
     # the rule returns NaN on an interval one ulp wide; at double precision
@@ -125,8 +128,10 @@ def integrate_interval(
     if b == a:
         return IntegralResult(0.0, 0.0, True, 0)
     inner = sorted(p for p in points if a < p < b)
+    # QUADPACK refuses a limit below the number of pieces the points make,
+    # and needs room to bisect them
     out = _sciint.quad(
-        f, a, b, epsabs=0.0, epsrel=rel_tol, limit=limit,
+        f, a, b, epsabs=0.0, epsrel=rel_tol, limit=max(limit, 2 * len(inner) + 2),
         points=inner or None, full_output=True,
     )
     value, err, info = out[:3]
@@ -256,20 +261,8 @@ def poisson_tail(lam, k):
     incomplete gamma function, which scipy evaluates with the usual
     series/continued-fraction split around lam ~ k+1 in log space. Absolute
     error is well below 1e-12 across the supported range. Vectorised in both
-    arguments.
-
-    A Python ``float`` lam with a Python ``int`` k (what the closed-form
-    theory integrands pass at every quadrature node) is checked with plain
-    comparisons and returns the same float as the array path, without its
-    array round trips. Every other input, NumPy scalars and bool included,
-    takes the array path.
+    arguments: scalar lam and k give a float, anything else an array.
     """
-    if type(lam) is float and type(k) is int:
-        if not 0.0 <= lam < math.inf:
-            raise ValueError("lam must be finite and >= 0")
-        if k < 0:
-            raise ValueError("k must be a non-negative integer")
-        return float(_special.gammainc(k + 1.0, lam))
     lam_arr = np.asarray(lam, dtype=float)
     k_arr = np.asarray(k)
     if np.any(lam_arr < 0) or np.any(~np.isfinite(lam_arr)):

@@ -141,19 +141,27 @@ class SamplerConfig:
     max_proposals: float = 3e8
 
     def __post_init__(self):
-        # bool is a subclass of int, but True is no truncation level or seed
-        if not (isinstance(self.nu, (int, float)) and not isinstance(self.nu, bool)
-                and math.isfinite(self.nu) and self.nu >= 0):
-            raise SamplerError(f"nu must be a finite number >= 0, got {self.nu!r}")
+        _check_level(self.nu, "nu")
+        # bool is a subclass of int, but True is no seed
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise SamplerError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (isinstance(self.eps, (int, float)) and self.eps > 0):
             raise SamplerError(f"eps must be > 0, got {self.eps!r}")
-        if self.theta_max is not None and not (math.isfinite(self.theta_max)
-                                               and self.theta_max >= 0):
-            raise SamplerError(f"theta_max override must be finite and >= 0, "
-                               f"got {self.theta_max!r}")
+        if self.theta_max is not None:
+            _check_theta_max(self.theta_max)
+
+
+def _check_level(nu, name: str) -> None:
+    # bool is a subclass of int, but True is no truncation level
+    if not (isinstance(nu, (int, float)) and not isinstance(nu, bool)
+            and math.isfinite(nu) and nu >= 0):
+        raise SamplerError(f"{name} must be a finite number >= 0, got {nu!r}")
+
+
+def _check_theta_max(theta_max) -> None:
+    if not (math.isfinite(theta_max) and theta_max >= 0):
+        raise SamplerError(f"theta_max override must be finite and >= 0, got {theta_max!r}")
 
 
 @dataclass
@@ -575,8 +583,7 @@ def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:
     sampling at nu_new directly (up to the truncation budget, which is
     slightly more generous here since theta_max was chosen for the larger nu).
     """
-    if not (isinstance(nu_new, (int, float)) and math.isfinite(nu_new) and nu_new >= 0):
-        raise SamplerError(f"nu_new must be finite and >= 0, got {nu_new!r}")
+    _check_level(nu_new, "nu_new")
     if nu_new > graph.nu:
         raise SamplerError(f"cannot restrict to nu = {nu_new}, the graph was sampled "
                            f"at nu = {graph.nu}")
@@ -617,6 +624,9 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise SamplerError(f"lam must be finite and >= 0, got {lam!r}")
+    _check_level(nu, "nu")
+    if theta_max is not None:
+        _check_theta_max(theta_max)
     theta = theta_max if theta_max is not None else choose_theta_max(g, nu, eps)
     gen = rngmod.stream(seed, _STREAM_PLANTED)
     counts = gen.poisson(nu * theta, size=reps).astype(np.int64)

@@ -19,18 +19,16 @@ P(D > k) = int P(Poi(nu mu) > k) dx / int (1 - e^{-nu mu}) dx, which is the
 degree distribution of a visible vertex chosen uniformly at random, in the
 large-nu limit ignoring stars, self edges and isolated edges.
 
-All integrals run through :meth:`Graphex.integrate`. For a black-box kernel
-(no closed-form marginal) the integrands take arrays and run on the tanh-sinh
-rule, each node's marginal coming from one array call. Otherwise they are
-scalar ``math`` integrands on interval quadrature over a finite support and
-the semi-infinite layer elsewhere, with certified tail bounds where the
-family metadata supports them: 1 - e^{-t} <= t and pois(k; t) <= t for
-k >= 1 give integrand tails dominated by nu^2 (tail_mu + tail_S).
+All integrals run through :meth:`Graphex.integrate`. The integrands take
+arrays and run on the tanh-sinh rule, every node's marginal coming from one
+array call (a closed-form ``mu`` where the family declares one). An integral
+the rule does not settle is retried on QUADPACK, with certified tail bounds
+where the family metadata supports them: 1 - e^{-t} <= t and pois(k; t) <= t
+for k >= 1 give integrand tails dominated by nu^2 (tail_mu + tail_S).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,37 +74,29 @@ class ExpectationResult:
 
 
 def _check_nu(nu: float) -> float:
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu) and nu >= 0):
+    # bool is a subclass of int, but True is no truncation level
+    if not (isinstance(nu, (int, float)) and not isinstance(nu, bool)
+            and math.isfinite(nu) and nu >= 0):
         raise TheoryError(f"truncation level nu must be a finite number >= 0, got {nu!r}")
     return float(nu)
 
 
-def _pois_pmf(k: int, rho: float) -> float:
-    """Poisson pmf at k, safe in log space; pois(k; 0) = 1[k == 0]."""
-    if k < 0:
-        return 0.0
-    if rho <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    if k == 0:
-        return math.exp(-rho)
-    return math.exp(k * math.log(rho) - rho - _log_factorial(k))
-
-
-@functools.lru_cache(maxsize=256)
-def _log_factorial(k: int):
-    """gammaln(k + 1), evaluated once per k instead of at every node."""
-    return gammaln(k + 1)
-
-
-def _pois_pmf_array(k: int, rho):
-    """:func:`_pois_pmf` for an array rho."""
+def _pois_pmf(k: int, rho):
+    """Poisson pmf at k for an array of rates rho, in log space;
+    pois(k; 0) = 1[k == 0]."""
     if k < 0:
         return np.zeros(np.shape(rho))
     return np.exp(xlogy(k, rho) - rho - gammaln(k + 1))
 
 
 def _rate_tail_hint(g: Graphex, nu: float):
-    """A -> certified bound on nu^2 int_A^inf (mu + S) dx, when metadata allows."""
+    """A -> certified bound on nu^2 int_A^inf (mu + S) dx, when metadata allows.
+
+    It bounds the tail of a latent density only while self loops are off: a
+    self loop adds W(x, x) times a factor up to 1, which no rate tail bounds.
+    """
+    if g.self_edges and g.diag is not None:
+        return None
     if g.tail_mu_fn is None and g.w is not None:
         return None
     if g.s is not None and g.tail_s_fn is None:
@@ -120,23 +110,16 @@ def _rate_tail_hint(g: Graphex, nu: float):
 
 def _rate(g: Graphex, nu: float):
     """x -> nu (mu(x) + S(x)), the Poisson rate of a latent point's other edges."""
-    if g.blackbox:
-        return lambda x: nu * g.marginal(x) + nu * g.s_at(x)
-
-    def rate(x: float) -> float:
-        return nu * (g.marginal(x) if g.w is not None else 0.0) + nu * float(g.s_at(x))
-
-    return rate
+    return lambda x: nu * g.marginal(x) + nu * g.s_at(x)
 
 
-def _latent_count(g: Graphex, nu: float, rel_tol: float, plain, loop, what,
+def _latent_count(g: Graphex, nu: float, rel_tol: float, density, what,
                   leaves: bool) -> ExpectationResult:
     """Expected count of vertices with some property at level nu.
 
-    Latent points contribute nu * int plain dx, plus nu * int loop dx for the
-    self-loop term when self edges are on; every star leaf and isolated-edge
-    endpoint counts when ``leaves``. ``what`` names the two integrals in
-    error messages.
+    Latent points contribute nu * int density dx; every star leaf and
+    isolated-edge endpoint counts when ``leaves``. ``what`` names the
+    integral in error messages.
     """
     if not math.isfinite(g.isolated_rate):
         raise InfiniteExpectationError("the isolated-edge rate is infinite")
@@ -147,19 +130,12 @@ def _latent_count(g: Graphex, nu: float, rel_tol: float, plain, loop, what,
     err_total = 0.0
     latent = 0.0
     if g.w is not None or g.s is not None:
-        res = g.integrate(plain, rel_tol, tail_hint=_rate_tail_hint(g, nu))
+        res = g.integrate(density, rel_tol, tail_hint=_rate_tail_hint(g, nu))
         if not res.converged:
-            raise TheoryError(f"the {what[0]} did not converge; "
+            raise TheoryError(f"the {what} did not converge; "
                               "check local finiteness first")
         latent += nu * res.value
         err_total += nu * res.error_estimate
-
-        if g.self_edges and g.diag is not None:
-            res2 = g.integrate(loop, rel_tol)
-            if not res2.converged:
-                raise TheoryError(f"the {what[1]} did not converge")
-            latent += nu * res2.value
-            err_total += nu * res2.error_estimate
 
     star_leaves = 0.0
     isolated = 0.0
@@ -202,19 +178,13 @@ def expected_vertices(g: Graphex, nu: float, rel_tol: float = 1e-9) -> Expectati
     """Expected number of visible (degree >= 1) vertices at level nu."""
     nu = _check_nu(nu)
     rate = _rate(g, nu)
-    # NumPy for the array integrands of a black-box kernel; ``math`` keeps
-    # the digits of every closed-form expectation
-    m = np if g.blackbox else math
 
-    def visible_core(x):
-        return -m.expm1(-rate(x))
+    def visible(x):
+        # 1 - (1 - d) e^{-rho}
+        r = rate(x)
+        return -np.expm1(-r) + g.diag_at(x) * np.exp(-r)
 
-    def diag_correction(x):
-        return g.diag_at(x) * m.exp(-rate(x))
-
-    return _latent_count(g, nu, rel_tol, visible_core, diag_correction,
-                         ("visible-vertex integral", "self-edge visibility correction"),
-                         leaves=True)
+    return _latent_count(g, nu, rel_tol, visible, "visible-vertex integral", leaves=True)
 
 
 def expected_degree_count(g: Graphex, nu: float, k: int,
@@ -229,18 +199,14 @@ def expected_degree_count(g: Graphex, nu: float, k: int,
         raise TheoryError(f"k must be an integer >= 1, got {k!r} "
                           "(degree-0 latent points are invisible)")
     rate = _rate(g, nu)
-    pmf = _pois_pmf_array if g.blackbox else _pois_pmf
 
-    def plain_density(x):
-        return (1.0 - g.diag_at(x)) * pmf(k, rate(x))
-
-    def loop_density(x):
-        return g.diag_at(x) * pmf(k - 2, rate(x))
+    def density(x):
+        r = rate(x)
+        d = g.diag_at(x)
+        return (1.0 - d) * _pois_pmf(k, r) + d * _pois_pmf(k - 2, r)
 
     # star leaves and isolated-edge endpoints all have degree 1
-    return _latent_count(g, nu, rel_tol, plain_density, loop_density,
-                         (f"degree-{k} integral", f"degree-{k} self-edge term"),
-                         leaves=k == 1)
+    return _latent_count(g, nu, rel_tol, density, f"degree-{k} integral", leaves=k == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +238,13 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
         def hint(a: float) -> float:  # noqa: F811 - deliberate rebind
             return nu * g.tail_mu(a)
 
-    m = np if g.blackbox else math
-
     def integral(key, h):
         if key not in g._cache:
             g._cache[key] = g.integrate(h, rel_tol, tail_hint=hint)
         return g._cache[key]
 
     def denominator(x):
-        return -m.expm1(-nu * g.marginal(x))
+        return -np.expm1(-nu * g.marginal(x))
 
     den = integral(("visibility", nu, rel_tol), denominator)
     if not den.converged:

@@ -47,6 +47,12 @@ def slow_vertices_closed_form(nu: float) -> float:
     return nu * (math.sqrt(math.pi) * r * math.erf(r) + math.exp(-nu / 3.0) - 1.0)
 
 
+def slow_degree_count_closed_form(nu: float, k: int) -> float:
+    # nu^(3/2) (Gamma(k - 1/2) - Gamma(k - 1/2, nu/3)) / (2 sqrt(3) k!)
+    return (nu ** 1.5 * special.gamma(k - 0.5) * special.gammainc(k - 0.5, nu / 3.0)
+            / (2.0 * math.sqrt(3.0) * math.factorial(k)))
+
+
 def fast_vertices_closed_form(nu: float) -> float:
     return nu * (np.euler_gamma + special.exp1(nu) + math.log(nu))
 

@@ -53,11 +53,11 @@ GOLDEN = {
         "822485f4149a464d6bd8cb00fbdb90ad02f766306b1ac78ac428b3e91d0ee653",
         "f8769a2b5f8141ca789ec3b9c150ed09f96db687747aea96df697162b948c591"),
     "degdist-rejected": (
-        "9e82951f5110bd34cde81a45eadfd4c8da60e25143093a427b44b4cabbc4ed9a",
-        "97a0393f2c2b1841d54518135bbd7df9ea815b9e7be74dbe0a6ed080223df240"),
+        "d547fc3328c10ba4ecc9cfb828b4794445b63e47563db314354cf35fe947d642",
+        "f7d3f70b25154bbcf0c1858802842418e2a9c21e842c08185fb2ad10d012c03a"),
     "degdist-threads": (
-        "fc42a036261e1f273cce2954cf475ff91d9f939a1b3811d5a423eb5459a7b754",
-        "66c157aef2294f1b0b0a90d2a8a67273ebf91bf596743c5fa5b1d7613b820da8"),
+        "7509f4ba0426a86be7d0de6797ef32dd6ee297645536fe040b3aff5a3bc7f976",
+        "806c0fad3b5abf3754920e153c414b7db79af88519790b5334f5da160d7afb5d"),
     "projectivity-slow": (
         "35f02083dd49a4331cc897272360def556c8baba53189c6a7df3aa114b5ad868",
         "b69f868f3e090d15d5defd57352d4ba78a4cd5f6750731ad128b6f539430f156"),
@@ -71,8 +71,8 @@ GOLDEN = {
         "a593d357e84c74b0cfe7101b1c2fa415625735e2e080cc0c126b5fe5bc4cf0ba",
         "25af19e6d53bc1fb43ff5a01f3ffc35be3eeb36387df70b775d613ea129067b9"),
     "validate-threads": (
-        "d7a70705969f781bc02f52cf70406dca03e850db40c668715c0015bdf2fda996",
-        "fbe17cb09bfee169135c99e66535ddca6035fc44292bf9f8323a6a7efbd152b3"),
+        "e29dbb291505e695d553eb129f881977fd507b3c037c11c6afdad7c3f712541d",
+        "50b00c9bb1ccf4292d0c71a8229b85bb641a103487e2ee8d08c0d1647fdebdf3"),
 }
 
 

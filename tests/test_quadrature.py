@@ -39,6 +39,16 @@ def test_interval_with_kink_points():
     assert res.value == pytest.approx(0.5 * (0.3 ** 2 + 0.7 ** 2), rel=1e-12)
 
 
+def test_interval_with_more_points_than_panels():
+    # a graphon dilation's retry passes one break point per cell edge, more
+    # than the default limit of 200 subintervals
+    n = 300
+    res = integrate_interval(lambda x: math.ceil(n * x) / n, 0.0, 1.0, 1e-10,
+                             points=tuple(np.arange(1, n) / n))
+    assert res.converged
+    assert res.value == pytest.approx((n + 1) / (2 * n), rel=1e-12)
+
+
 def test_interval_degenerate_and_bad_endpoints():
     assert integrate_interval(lambda x: 1.0, 2.0, 2.0).value == 0.0
     with pytest.raises(QuadratureError):
@@ -191,7 +201,7 @@ def test_poisson_tail_input_validation():
 @given(st.floats(min_value=0.0, max_value=1e6),
        st.integers(min_value=0, max_value=500))
 def test_poisson_tail_scalar_path_matches_array_path(lam, k):
-    # a Python float and int skip the array checks; the value must not move
+    # a Python float and int give a float, the same as the array's element
     got = poisson_tail(lam, k)
     assert type(got) is float
     assert got == float(poisson_tail(np.array([lam]), np.array([k]))[0])

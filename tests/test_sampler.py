@@ -375,6 +375,10 @@ def test_restrict_edge_cases():
         restrict(g, 6.0)
     with pytest.raises(SamplerError):
         restrict(g, -1.0)
+    # bool is an int subclass, but not a truncation level
+    for level in (True, False):
+        with pytest.raises(SamplerError, match="nu_new"):
+            restrict(g, level)
 
 
 def test_restrict_full_window_is_identity():
@@ -528,3 +532,17 @@ def test_planted_degree_determinism_and_validation():
         sample_planted_degrees(FAST, 10.0, 0.0, 0, 0)
     with pytest.raises(SamplerError):
         sample_planted_degrees(FAST, 10.0, -1.0, 10, 0)
+
+
+@pytest.mark.parametrize("nu, theta_max", [
+    (10.0, -1.0), (10.0, math.inf), (10.0, math.nan),
+    (-1.0, 5.0), (math.inf, 5.0), (math.nan, 5.0), (True, 5.0), (True, None),
+])
+def test_planted_degree_levels_are_checked_as_in_sampler_config(nu, theta_max):
+    # the same rules and messages as a draw's config, whether or not the
+    # cutoff is given
+    with pytest.raises(SamplerError) as config_error:
+        SamplerConfig(nu=nu, seed=0, theta_max=theta_max)
+    with pytest.raises(SamplerError) as planted_error:
+        sample_planted_degrees(FAST, nu, 0.0, 10, 0, theta_max=theta_max)
+    assert str(planted_error.value) == str(config_error.value)

@@ -22,7 +22,15 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
+from scipy import special
+from test_acceptance import (
+    fast_degree_count_closed_form,
+    fast_vertices_closed_form,
+    slow_degree_count_closed_form,
+    slow_vertices_closed_form,
+)
 
 from graphex.model import build, dilate
 from graphex.theory import (
@@ -79,9 +87,9 @@ SLOW_PMF2_NU1E4 = 0.12623356069739336   # -> 1/8 as nu grows; still 1.23e-3 away
 FAST_CDF_SQRT_NU1E3 = 0.53804419891935266  # P(D <= floor(nu^0.5)) -> 1/2
 FAST_CDF_SQRT_NU1E4 = 0.52999722280971199
 # sha256 of the repr of the closed-form value table in
-# test_closed_form_values_are_frozen, as the array-path integrands computed it
-# with no degree-law cache; fast paths must keep every value bit-identical
-CLOSED_FORM_TABLE_SHA256 = "48dde988ff3a3e9382a91ac82e5b36a63df2b834a5a6fd50df56577867e7abe8"
+# test_closed_form_values_are_frozen, as the tanh-sinh rule computes it; a
+# change of rule, tolerance or integrand moves it
+CLOSED_FORM_TABLE_SHA256 = "8686f01bb95fb0acb3f3a21cde2bb4b7953560c151b83235da87b3b392d15eb1"
 
 
 @pytest.mark.parametrize("nu, want", sorted(SLOW_VERTICES.items()))
@@ -109,6 +117,46 @@ def test_slow_decay_degree_counts_match_closed_form(key, want):
     nu, k = key
     got = expected_degree_count(build(SLOW), nu, k)
     assert got.value == pytest.approx(want, rel=1e-8)
+
+
+CLOSED_FORMS = {
+    "slow-decay": (slow_vertices_closed_form, slow_degree_count_closed_form),
+    "fast-decay": (fast_vertices_closed_form, fast_degree_count_closed_form),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+def test_counts_match_closed_forms_to_twelve_digits(family):
+    vertices, degree_count = CLOSED_FORMS[family]
+    g = build({"family": family})
+    for nu in (10.0, 1e2, 1e3, 1e4):
+        assert expected_vertices(g, nu).value == pytest.approx(vertices(nu), rel=1e-12)
+        for k in (1, 2, 3, 5, 10):
+            assert expected_degree_count(g, nu, k).value == pytest.approx(
+                degree_count(nu, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dilation_theory_matches_cell_sums(seed):
+    # the marginal is a step function, constant mu_i on each of n cells, so
+    # every latent integral is an exact sum c/n sum_i h(mu_i); a rule run
+    # across the jumps can claim convergence and be off in the eighth digit,
+    # or not converge at all
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 20))
+    upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) > 0.3))
+    grid = upper + np.triu(upper, 1).T
+    c = float(rng.uniform(0.5, 5.0))
+    g = dilate(grid, c)
+    mu = grid.sum(axis=1) * c / n
+    for nu in (2.0, 50.0):
+        visible = -np.expm1(-nu * mu)
+        assert expected_vertices(g, nu).value == pytest.approx(
+            nu * c * visible.sum() / n, rel=1e-12)
+        for k in (1, 3):
+            tail = special.gammainc(k + 1, nu * mu)
+            assert degree_ccdf(g, nu, k) == pytest.approx(tail.sum() / visible.sum(),
+                                                          rel=1e-12)
 
 
 def test_degree_law_anchors():
@@ -235,6 +283,13 @@ def test_argument_validation():
         degree_ccdf(g, 1.0, -1)
     with pytest.raises(TheoryError):
         degree_ccdf(g, 0.0, 1)
+    # bool is an int subclass, but not a truncation level
+    for call in (expected_edges, expected_vertices,
+                 lambda g, nu: expected_degree_count(g, nu, 1),
+                 lambda g, nu: degree_ccdf(g, nu, 1)):
+        for level in (True, False):
+            with pytest.raises(TheoryError, match="truncation level"):
+                call(g, level)
 
 
 def test_degenerate_degree_law():
@@ -290,7 +345,7 @@ def test_closed_form_values_are_frozen():
 
 @pytest.mark.parametrize("spec", [
     SLOW, FAST,
-    # no tail bound: its degree-tail integrals move with rel_tol
+    # a separable f with no tail bound
     {"family": "separable", "exprs": {"f": "exp(-x)/(1+x)"}},
 ])
 def test_degree_law_cache_keys(spec):
