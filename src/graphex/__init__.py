@@ -29,7 +29,7 @@ from .harness import (
     validate_expectations,
 )
 from .model import FAMILIES, Graphex, GraphexError, SpecError, build, build_from_json, dilate
-from .quadrature import IntegralResult, QuadratureError, integrate_interval, integrate_semiinf, poisson_tail
+from .quadrature import IntegralResult, QuadratureError, poisson_tail
 from .rng import derive_key, stream
 from .sampler import (
     SampledGraph,
@@ -97,8 +97,6 @@ __all__ = [
     "expected_degree_count",
     "expected_edges",
     "expected_vertices",
-    "integrate_interval",
-    "integrate_semiinf",
     "largest_component",
     "largest_component_size",
     "parse",

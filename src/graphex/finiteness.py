@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Graphex, GraphexError
-from .quadrature import QuadratureError, integrate_interval
+from .quadrature import QuadratureError, integrate_array
 
 __all__ = [
     "ConditionVerdict",
@@ -123,15 +123,15 @@ UNCLEAR = "unclear"
 def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
     """Integrate f over doubling shells and classify the tail.
 
-    ``integrate(f, a, b)`` integrates one shell; the default is QUADPACK at
-    the configured shell tolerance. Returns
+    ``integrate(f, a, b)`` integrates one shell into (value, converged); the
+    default is :func:`integrate_array` at the configured shell tolerance. Returns
     (kind, value, note): kind is "convergent" (value is the integral
     estimate), "divergent" (value is inf) or "unclear" (value is the partial
     sum accumulated so far).
     """
     if integrate is None:
         def integrate(f, a, b):
-            return integrate_interval(f, a, b, rel_tol=config.shell_rel_tol)
+            return integrate_array(f, a, b, config.shell_rel_tol)[::2]
     shells = []
     total = 0.0
     a = start
@@ -139,11 +139,12 @@ def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
     for _ in range(config.max_shells):
         b = a + h
         try:
-            val = integrate(f, a, b).value
+            val, converged = integrate(f, a, b)
         except (QuadratureError, GraphexError):
+            converged = False
+        if not converged:
             return (UNCLEAR, total, f"quadrature failed on shell [{a:.6g}, {b:.6g}]")
-        if not math.isfinite(val):
-            return (DIVERGENT, math.inf, f"shell [{a:.6g}, {b:.6g}] is already infinite")
+        val = float(val)
         shells.append(val)
         total += val
         if len(shells) >= 3:
@@ -198,19 +199,14 @@ def _check_star(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
     key = "star_rate_integrable"
     if g.s is None:
         return ConditionVerdict(key, HOLDS, "no star rate declared", bound=0.0)
-    return _probe_verdict(key, _probe_tail(lambda x: float(g.s_at(x)), 0.0, config),
+    return _probe_verdict(key, _probe_tail(g.s_at, 0.0, config),
                           "integral of S: ")
 
 
-def _safe_marginal(g: Graphex, x: float) -> float:
-    """mu(x), with divergence reported as inf instead of an exception."""
-    try:
-        v = g.marginal(x)
-    except (GraphexError, QuadratureError):
-        return math.inf
-    if not math.isfinite(v):
-        return math.inf
-    return v
+def _safe_marginal(g: Graphex, xs: np.ndarray) -> np.ndarray:
+    """mu at every element of xs in one call, inf where it does not settle."""
+    value, settled = g.refined_marginal(xs)
+    return np.where(settled & np.isfinite(value), value, math.inf)
 
 
 def _check_level_sets(g: Graphex, config: ProbeConfig):
@@ -234,9 +230,7 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
         return ConditionVerdict(key, HOLDS, note, bound=g.support), g.support
 
     xs = _grid(config)
-    mu_vals, settled = g.marginal_nodes(xs)
-    for i in np.flatnonzero(~settled):
-        mu_vals[i] = _safe_marginal(g, float(xs[i]))
+    mu_vals = _safe_marginal(g, xs)
     infinite = ~np.isfinite(mu_vals)
     if infinite.any():
         # tolerate divergence at the origin only (a measure-zero probe);
@@ -269,18 +263,18 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
 
     lo = float(xs[above_idx[-1]])
     hi = float(xs[above_idx[-1] + 1])
-    for _ in range(config.bisect_iters):
-        mid = 0.5 * (lo + hi)
-        # a marginal that reads exactly 1 counts as above: near a jump in W,
-        # quadrature can read 1 on both sides of the true crossing, and the
-        # bound must not fall short of it (skipping a finite stretch where mu
-        # is finite leaves the restricted integral's finiteness unchanged)
-        if _safe_marginal(g, mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
+    # each round probes 15 interior points in one call and narrows the
+    # bracket 16-fold, four of the configured bisection steps
+    for _ in range(0, config.bisect_iters, 4):
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
+        grid = np.linspace(lo, hi, 17)
+        # a marginal that reads exactly 1 counts as above: the bound must
+        # not fall short of the crossing (skipping a finite stretch where mu
+        # is finite leaves the restricted integral's finiteness unchanged)
+        above = np.concatenate(([True], _safe_marginal(g, grid[1:-1]) >= 1.0, [False]))
+        last = np.flatnonzero(above)[-1]
+        lo, hi = float(grid[last]), float(grid[last + 1])
     note = (f"{origin_note}mu crosses 1 near x = {hi:.6g}; under the "
             "eventually-nonincreasing marginal assumption the level set {mu > 1} "
             f"has measure about {hi:.6g} (numeric crossing, probe resolution)")
@@ -301,22 +295,6 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
             key, HOLDS,
             f"the full kernel integrates to {g.w_l1_value:.6g}, which dominates "
             "the restriction", bound=g.w_l1_value)
-    # numeric ||W||_1 first: if it is finite the restriction is too. Only
-    # worth attempting when the outer integrand is cheap (analytic marginal
-    # or compact support); a non-integrable black-box kernel fails it only
-    # after the slow scalar retry of the nested integral, too slow for a
-    # mere shortcut.
-    w_l1 = None
-    if g.mu is not None or math.isfinite(g.support):
-        try:
-            w_l1 = g.w_l1(rel_tol=1e-6)
-        except (GraphexError, QuadratureError):
-            w_l1 = None
-    if w_l1 is not None and math.isfinite(w_l1):
-        return ConditionVerdict(
-            key, HOLDS_NUMERIC,
-            f"the full kernel integrates to ~ {w_l1:.6g} numerically", bound=w_l1)
-
     if crossing is None:
         return ConditionVerdict(
             key, UNDECIDABLE,
@@ -336,17 +314,10 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
     nested = replace(config, shell_rel_tol=max(config.shell_rel_tol, 1e-6))
 
     def shell(f, a, b):
-        # its inner integrals make every evaluation dear, and only the
-        # magnitude of each shell matters for classification: the scalar
-        # retry of a shell gets a single panel
-        return g.integrate(f, nested.shell_rel_tol, lo=a, hi=b, limit=1)
+        res = g.integrate(f, nested.shell_rel_tol, lo=a, hi=b)
+        return res.value, res.converged
 
-    try:
-        probe = _probe_tail(inner, x0, nested, shell)
-    except (GraphexError, QuadratureError):
-        return ConditionVerdict(
-            key, UNDECIDABLE,
-            "inner integrals of the restricted kernel did not converge")
+    probe = _probe_tail(inner, x0, nested, shell)
     region = f"kernel restricted to [{x0:.6g}, inf)^2"
     if probe[0] == CONVERGENT:
         region += " (where mu <= 1)"
@@ -367,7 +338,7 @@ def _check_diagonal(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
             key, HOLDS,
             f"the diagonal is bounded by 1 on [0, {g.support:.6g}] and zero beyond",
             bound=g.support)
-    return _probe_verdict(key, _probe_tail(lambda x: float(g.diag_at(x)), 0.0, config),
+    return _probe_verdict(key, _probe_tail(g.diag_at, 0.0, config),
                           "integral of W(x, x): ")
 
 

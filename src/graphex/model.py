@@ -7,7 +7,8 @@ integrable star rate, and I >= 0 is the rate of isolated edges. The marginal
 mu_W(x) = integral of W(x, y) dy controls almost everything downstream
 (expected counts, degree laws, truncation policy), so families declare it
 analytically whenever they can; otherwise it is computed by quadrature, for
-whole arrays of x at once (:meth:`Graphex.marginal`).
+whole arrays of x at once (:meth:`Graphex.marginal`), and refined only
+outside other integrals (:meth:`Graphex.nested_marginal`).
 
 Built-in families:
 
@@ -29,7 +30,6 @@ Any family may additionally carry a star-rate expression S and a rate I.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as exprmod
-from .quadrature import IntegralResult, integrate_array, integrate_interval, integrate_semiinf
+from .quadrature import IntegralResult, first_pass, integrate_array, refine
 
 __all__ = [
     "Graphex",
@@ -62,14 +62,7 @@ class GraphexError(ValueError):
 
 
 class _Unsettled(Exception):
-    """A marginal inside an outer array rule did not converge."""
-
-
-# set by Graphex.integrate while its array rule runs: a marginal inside it
-# that the rule does not settle then fails that rule at once (the scalar
-# retry of the whole integral follows), not a retry at every node of every
-# level
-_INSIDE_ARRAY_RULE = contextvars.ContextVar("graphex_inside_array_rule", default=False)
+    """A marginal inside an outer integral did not settle in one pass."""
 
 
 class SpecError(GraphexError):
@@ -138,44 +131,24 @@ class Graphex:
 
     # -- marginal and integrals ---------------------------------------------
 
-    def integrate(self, h, rel_tol: float, lo: float = 0.0, hi: float = math.inf,
-                  limit: int = 200, tail_hint=None) -> IntegralResult:
+    def integrate(self, h, rel_tol: float, lo: float = 0.0,
+                  hi: float = math.inf) -> IntegralResult:
         """Integrate h over the latent axis on [lo, hi], cut at the support.
 
-        h takes arrays. The tanh-sinh rule runs first, on the pieces between
-        the kinks, all in one call; when it does not converge, QUADPACK
-        retries with ``float(h(u))`` and the kinks as break points: interval
-        quadrature on a finite range and the semi-infinite layer otherwise
-        (``tail_hint(a)`` bounds the mass past lo + a). ``limit`` caps the
-        retry's adaptive subdivisions.
+        h takes arrays; the pieces between the kinks go to
+        :func:`integrate_array` in one call. A nested marginal that does not
+        settle (:meth:`nested_marginal`) leaves the result unconverged.
         """
         hi = min(hi, self.support)
         if lo >= hi:
             return IntegralResult(0.0, 0.0, True, 0)
-        points = tuple(p for p in self.kinks if lo < p < hi)
-        edges = np.array((lo, *points, hi))
-        token = _INSIDE_ARRAY_RULE.set(True)
+        edges = np.array((lo, *(p for p in self.kinks if lo < p < hi), hi))
         try:
             value, err, ok, nfev = integrate_array(h, edges[:-1], edges[1:], rel_tol)
         except _Unsettled:
-            ok = np.array(False)
-        finally:
-            _INSIDE_ARRAY_RULE.reset(token)
-        if ok.all():
-            return IntegralResult(float(value.sum()), float(err.sum()), True,
-                                  int(nfev.sum()))
-        return self._integrate_scalar(lambda u: float(h(u)), rel_tol, lo, hi, limit,
-                                      tail_hint, points)
-
-    def _integrate_scalar(self, h, rel_tol, lo, hi, limit, tail_hint=None,
-                          points=()) -> IntegralResult:
-        if math.isfinite(hi):
-            return integrate_interval(h, lo, hi, rel_tol, points=points, limit=limit)
-        if lo:
-            h = lambda u, h=h: h(lo + u)  # noqa: E731
-            points = tuple(p - lo for p in points)
-        return integrate_semiinf(h, rel_tol, tail_hint=tail_hint, points=points,
-                                 panel_limit=limit)
+            return IntegralResult(0.0, math.inf, False, 0)
+        return IntegralResult(float(value.sum()), float(err.sum()), bool(ok.all()),
+                              int(nfev.sum()))
 
     def marginal_nodes(self, x, rel_tol: float = 1e-8, lo: float = 0.0):
         """One pass of the tanh-sinh rule over y >= lo for every element of
@@ -183,51 +156,67 @@ class Graphex:
         split at y = x, where kernels that decay away from the diagonal keep
         their mass. Elements that are not settled carry no usable value."""
         x = np.asarray(x, dtype=float).ravel()
-        n = x.size
-        cut = np.clip(x, lo, self.support)
-        value, error, ok, _ = integrate_array(
-            lambda y, x: self.w(x, y),
-            np.concatenate((np.full(n, float(lo)), cut)),
-            np.concatenate((cut, np.full(n, self.support))),
-            rel_tol, args=(np.concatenate((x, x)),))
-        value = value[:n] + value[n:]
+        value, error, ok, _ = first_pass(self._w_of_y, *self._halves(x, lo), rel_tol,
+                                         args=(x[:, None],))
+        value = value.sum(axis=1)
         # the two pieces' errors count against their sum: a short piece that
         # met only its rounding floor is still fine next to a long one
-        settled = (ok[:n] & ok[n:]) | (
-            np.isfinite(value) & (error[:n] + error[n:] <= rel_tol * np.abs(value)))
+        settled = ok.all(axis=1) | (
+            np.isfinite(value) & (error.sum(axis=1) <= rel_tol * np.abs(value)))
         return value, settled
+
+    def _w_of_y(self, y, x):
+        return self.w(x, y)
+
+    def _halves(self, x, lo):
+        """Limits (a, b) of shape (x.size, 2): [lo, x] and [x, support]."""
+        cut = np.clip(x, lo, self.support)[:, None]
+        return (np.hstack((np.full_like(cut, lo), cut)),
+                np.hstack((cut, np.full_like(cut, self.support))))
+
+    def refined_marginal(self, x, rel_tol: float = 1e-8):
+        """Arrays (mu(x), settled): :meth:`marginal_nodes`, then one call of
+        :func:`refine` for the elements it does not settle (jumps in W, or a
+        divergent marginal)."""
+        flat = np.asarray(x, dtype=float).ravel()
+        value, settled = self.marginal_nodes(flat, rel_tol)
+        redo = np.flatnonzero(~settled)
+        if redo.size:
+            value[redo], _, settled[redo], _ = refine(
+                self._w_of_y, *self._halves(flat[redo], 0.0), rel_tol, args=(flat[redo],))
+        return value.reshape(np.shape(x)), settled.reshape(np.shape(x))
 
     def marginal(self, x, rel_tol: float = 1e-8):
         """mu(x) = integral of W(x, y) dy.
 
-        Analytic when declared. x may be an array, and a black-box kernel is
-        then integrated for all of it at once (:meth:`marginal_nodes`); an
-        element the rule does not settle is retried on the scalar adaptive
-        path, and a GraphexError is raised when that fails too.
+        Analytic when declared; otherwise :meth:`refined_marginal` computes
+        it for a whole array x at once, and a GraphexError is raised where
+        that does not converge.
         """
         if self.mu is not None:
             return self.mu(x) if np.ndim(x) else float(self.mu(x))
         if self.w is None:
             return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-        flat = np.asarray(x, dtype=float).ravel()
-        value, ok = self.marginal_nodes(flat, rel_tol)
-        if not ok.all():
-            if _INSIDE_ARRAY_RULE.get():
-                raise _Unsettled
-            for i in np.flatnonzero(~ok):
-                value[i] = self._scalar_marginal(float(flat[i]), rel_tol)
-        return value.reshape(np.shape(x)) if np.ndim(x) else float(value[0])
-
-    def _scalar_marginal(self, x: float, rel_tol: float) -> float:
-        res = self._integrate_scalar(lambda y: float(self.w_at(x, y)), rel_tol, 0.0,
-                                     self.support, 200, points=(x,) if x > 0 else ())
-        if not res.converged:
+        value, settled = self.refined_marginal(x, rel_tol)
+        if not settled.all():
+            bad = np.asarray(x, dtype=float)[~settled]
             raise GraphexError(
-                f"marginal at x={x!r} did not converge "
-                f"(value ~ {res.value:.6g}, error ~ {res.error_estimate:.3g}); "
-                "the kernel may be non-integrable in y"
-            )
-        return res.value
+                f"marginal at x={float(bad[0])!r} did not converge; "
+                "the kernel may be non-integrable in y")
+        return value if np.ndim(x) else float(value)
+
+    def nested_marginal(self, x, rel_tol: float = 1e-8):
+        """mu at the nodes of an outer integral: closed form, or one pass of
+        the rule (:meth:`marginal_nodes`) that, where it does not settle,
+        fails the outer integral at once instead of refining every node."""
+        if self.mu is not None:
+            return self.mu(x)
+        if self.w is None:
+            return np.zeros(np.shape(x))
+        value, settled = self.marginal_nodes(x, rel_tol)
+        if not settled.all():
+            raise _Unsettled
+        return value.reshape(np.shape(x))
 
     def tail_mu(self, x: float, rel_tol: float = 1e-9) -> float:
         """integral of mu over [x, inf). Used for truncation budgets."""
@@ -238,7 +227,7 @@ class Graphex:
         # when the marginal is itself numeric, every outer node costs a full
         # inner integral, so let a loose caller buy loose inner evaluations
         inner_tol = max(1e-8, 0.1 * rel_tol)
-        res = self.integrate(lambda t: self.marginal(t, inner_tol), rel_tol, lo=x)
+        res = self.integrate(lambda t: self.nested_marginal(t, inner_tol), rel_tol, lo=x)
         if not res.converged:
             raise GraphexError(f"tail of the marginal past x={x!r} did not converge")
         return res.value
@@ -248,11 +237,11 @@ class Graphex:
             return 0.0
         if self.tail_s_fn is not None:
             return float(self.tail_s_fn(x))
-        res = integrate_semiinf(lambda u: float(self.s_at(x + u)), rel_tol)
-        if not res.converged:
+        value, _, converged, _ = integrate_array(self.s_at, x, math.inf, rel_tol)
+        if not converged:
             raise GraphexError(f"tail of the star rate past x={x!r} did not converge; "
                                "the star rate may be non-integrable")
-        return res.value
+        return float(value)
 
     def w_l1(self, rel_tol: float = 1e-9) -> float:
         """||W||_1, the double integral of W."""
@@ -260,35 +249,11 @@ class Graphex:
             return self.w_l1_value
         if self.w is None:
             return 0.0
-        if self._cache.get("w_l1_diverged"):
-            raise GraphexError("||W||_1 did not converge; the kernel may be non-integrable")
-        key = ("w_l1", rel_tol)
-        if key not in self._cache:
-            # without an analytic marginal every outer evaluation of the
-            # scalar path (the retry of the array rule) is itself a
-            # semi-infinite integral, so cap its refinement budget: a
-            # non-integrable kernel must fail fast, not grind
-            limit = 200 if self.mu is not None else 8
-            res = self.integrate(lambda x: self.marginal(x, 1e-8), rel_tol, limit=limit)
-            if not res.converged:
-                if res.error_estimate > 0.01 * max(abs(res.value), 1e-300):
-                    # catastrophic, not a budget shortfall: remember it so the
-                    # next caller is not billed for the same divergence
-                    self._cache["w_l1_diverged"] = True
-                raise GraphexError("||W||_1 did not converge; the kernel may be non-integrable")
-            self._cache[key] = res.value
-        return self._cache[key]
+        return self._norm("w_l1", self.nested_marginal, rel_tol,
+                          "||W||_1 did not converge; the kernel may be non-integrable")
 
     def s_l1(self, rel_tol: float = 1e-9) -> float:
-        if self.s is None:
-            return 0.0
-        key = ("s_l1", rel_tol)
-        if key not in self._cache:
-            res = integrate_semiinf(lambda x: float(self.s_at(x)), rel_tol)
-            if not res.converged:
-                raise GraphexError("the star rate is not integrable within probe budget")
-            self._cache[key] = res.value
-        return self._cache[key]
+        return self.tail_s(0.0, rel_tol)
 
     def diag_l1(self, rel_tol: float = 1e-9) -> float:
         """integral of W(x, x) dx (zero when self edges are disabled)."""
@@ -296,13 +261,18 @@ class Graphex:
             return 0.0
         if self.diag_l1_value is not None:
             return self.diag_l1_value
-        key = ("diag_l1", rel_tol)
+        return self._norm("diag_l1", self.diag_at, rel_tol,
+                          "the diagonal W(x, x) is not integrable within probe budget")
+
+    def _norm(self, name: str, h, rel_tol: float, message: str) -> float:
+        """The integral of h over the latent axis, cached by (name, rel_tol)
+        with its outcome: one that did not converge raises every time."""
+        key = (name, rel_tol)
         if key not in self._cache:
-            res = self.integrate(self.diag_at, rel_tol)
-            if not res.converged:
-                raise GraphexError("the diagonal W(x, x) is not integrable within probe budget")
-            self._cache[key] = res.value
-        return self._cache[key]
+            self._cache[key] = self.integrate(h, rel_tol)
+        if not self._cache[key].converged:
+            raise GraphexError(message)
+        return self._cache[key].value
 
     def to_json(self) -> str:
         return json.dumps(self.spec, sort_keys=True)
@@ -487,10 +457,10 @@ def _family_separable(params: dict, exprs: dict):
 
     _vet_nonnegative(f, "separable f", factor=True)
     # numeric f_l1 up front; it doubles as an integrability check
-    res = integrate_semiinf(lambda x: float(e(x=x)), 1e-10)
-    if not res.converged:
+    f_l1, _, converged, _ = integrate_array(f, 0.0, math.inf, 1e-10)
+    if not converged:
         raise SpecError("separable: f is not integrable within probe budget")
-    return _separable_meta(f, res.value)
+    return _separable_meta(f, float(f_l1))
 
 
 def _family_slow_decay(params: dict, exprs: dict):

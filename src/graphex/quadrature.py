@@ -1,16 +1,13 @@
 """Quadrature over the latent axis, and Poisson tail probabilities.
 
-The theory engine needs integrals of smooth, eventually-decaying integrands
-over [0, inf). :func:`integrate_array` integrates an array integrand for a
-whole array of limits in one call with the double-exponential (tanh-sinh)
-rule of Takahasi & Mori (1974); every latent-axis integral runs on it first.
-The scalar layer retries what it does not settle: :func:`integrate_semiinf`
-integrates a scalar integrand over a growing window [0, A], doubling A until
-the tail is provably (via ``tail_hint``) or empirically (geometric
-extrapolation of shell integrals) below tolerance, falling back to the
-compactifying substitution u = x/(1+x) when the window strategy cannot
-certify convergence. The adaptive core on each finite panel is QUADPACK via
-scipy.
+The theory engine needs integrals over [0, inf) of integrands that are
+smooth except at a few jumps. :func:`integrate_array` is the one integrator:
+it integrates an array integrand for a whole array of limits with the
+double-exponential (tanh-sinh) rule of Takahasi & Mori (1974), first in one
+pass (:func:`first_pass`), then, for the elements that pass does not
+settle, by splitting their intervals in rounds of array calls: finite
+pieces in half, tails at powers of two. A jump ends up in a short piece,
+and a tail that never settles is reported as not converged.
 
 :func:`poisson_tail` evaluates P(Poisson(lam) > k) through the regularized
 lower incomplete gamma function, accurate to ~1e-14 absolute across the
@@ -21,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -30,9 +26,9 @@ from scipy import special as _special
 __all__ = [
     "IntegralResult",
     "QuadratureError",
+    "first_pass",
     "integrate_array",
-    "integrate_semiinf",
-    "integrate_interval",
+    "refine",
     "poisson_tail",
 ]
 
@@ -45,10 +41,9 @@ class QuadratureError(ValueError):
 class IntegralResult:
     """Outcome of a quadrature call.
 
-    ``error_estimate`` is an absolute error bound estimate (quadrature error
-    plus any certified or extrapolated tail mass). ``converged`` is True when
-    the estimate meets the requested relative tolerance; callers must check it
-    before trusting ``value``.
+    ``error_estimate`` is the absolute error estimate, summed over pieces.
+    ``converged`` is True when it meets the requested relative tolerance;
+    callers must check it before trusting ``value``.
     """
 
     value: float
@@ -61,11 +56,6 @@ class IntegralResult:
             raise QuadratureError("integral evaluated to NaN")
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    if not (0.0 < rel_tol <= 1e-2):
-        raise QuadratureError(f"rel_tol must be in (0, 1e-2], got {rel_tol!r}")
-
-
 # tanh-sinh converges quadratically, so running it to near full precision
 # costs at most a level more than a loose tolerance would. Its error estimate
 # compares successive levels, and coarse levels can agree by chance, so the
@@ -75,179 +65,145 @@ def _check_rel_tol(rel_tol: float) -> None:
 _TS_RTOL = 1e-12
 _TS_ATOL = 1e-300
 _TS_MINLEVEL = 4
+_TS_MAXLEVEL = 10
 
 
-def integrate_array(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
-    """Integrate f over [a, b] for whole arrays of limits in one call.
+def first_pass(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
+    """One pass of the tanh-sinh rule over whole arrays of limits.
 
     ``f(t, *args)`` is elementwise: it takes an array of nodes (and the
     matching slices of ``args``) and returns the integrand there. The limits
     and ``args`` broadcast together; ``b`` may be infinite. Returns arrays
     ``(value, error, converged, evaluations)`` of that broadcast shape.
     ``converged`` means that the rule met its own tolerance, or that its
-    error estimate is within ``rel_tol``: the latter admits a rule stopped
-    at its last level by the rounding floor of a very short interval away
-    from the origin. Callers retry the other elements on the scalar adaptive
-    path. The rule assumes a smooth integrand on each interval: it can stop
-    early, with a small error estimate, on a step inside one, so split the
-    limits at known jumps.
+    error estimate is within ``rel_tol`` (a rule stopped by the rounding
+    floor of a very short interval). The rule assumes a smooth integrand: on
+    a step it can stop early with a small, wrong error estimate, so split
+    the limits at known jumps. A non-finite integrand value raises
+    QuadratureError; the rule would put the nearest finite one in its place.
+    Nested integrands use this pass alone, not a refinement at every node.
     """
-    _check_rel_tol(rel_tol)
-    # the rule returns NaN on an interval one ulp wide; at double precision
-    # a few ulps hold no mass, so such an interval is closed up
+    return _tanhsinh(f, a, b, rel_tol, args, _TS_MAXLEVEL)
+
+
+def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
+    if not (0.0 < rel_tol <= 1e-2):
+        raise QuadratureError(f"rel_tol must be in (0, 1e-2], got {rel_tol!r}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if np.any(b < a):
+        raise QuadratureError("upper limit below lower limit")
+    # the rule returns NaN on an interval one ulp wide; at double precision
+    # a few ulps hold no mass, so such an interval is closed up
     b = np.where(b - a <= 4.0 * np.spacing(np.abs(a)), a, b)
-    res = _sciint.tanhsinh(f, a, b, args=args, rtol=min(rel_tol, _TS_RTOL),
-                           atol=_TS_ATOL, minlevel=_TS_MINLEVEL)
-    value, error = res.integral, res.error
-    converged = res.success | (np.isfinite(value) & (error <= rel_tol * np.abs(value)))
-    return value, error, converged, res.nfev
+
+    def checked(t, lo, hi, *rest):
+        y = f(t, *rest)
+        if not np.isfinite(y).all():
+            # a node that rounds onto an endpoint carries no weight
+            bad = ~np.isfinite(y) & (t > lo) & (t < hi)
+            if bad.any():
+                raise QuadratureError(f"the integrand is not finite at t = {t[bad][0]!r}")
+        return y
+
+    res = _sciint.tanhsinh(checked, a, b, args=(a, b, *args), rtol=min(rel_tol, _TS_RTOL),
+                           atol=_TS_ATOL, minlevel=_TS_MINLEVEL, maxlevel=maxlevel)
+    value = res.integral
+    converged = res.success | (np.isfinite(value) & (res.error <= rel_tol * np.abs(value)))
+    return value, res.error, converged, res.nfev
 
 
-def integrate_interval(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    points: tuple[float, ...] = (),
-    limit: int = 200,
-) -> IntegralResult:
-    """Adaptive integration of f over the finite interval [a, b].
+# Refinement: on a jump, two levels of the rule can agree by chance and
+# report a tiny, wrong error. So the error of a pair of halves is how far
+# their sum lies from the piece they were cut from, plus their own estimates
+# (times _OPEN_TRUST where the rule did not settle them). An integral is
+# given up once a piece has been split _MAX_DEPTH times (a tail that has not
+# settled by then diverges) or it has more than _MAX_PIECES open pieces. The
+# refining rule stops at level _REFINE_MAXLEVEL, 1/32 of the first pass's
+# cost: a piece that holds a jump is split, not refined.
+_REFINE_MAXLEVEL = 5
+_MAX_DEPTH = 64
+_MAX_PIECES = 64
+_OPEN_TRUST = 10.0
 
-    ``points`` marks known kinks/discontinuities inside the interval.
-    ``limit`` caps adaptive subdivisions; lower it when each evaluation of
-    ``f`` is itself expensive (nested quadrature) so that a non-integrable
-    singularity fails fast instead of burning the whole refinement budget.
+
+def integrate_array(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
+    """Integrate f over [a, b] for whole arrays of limits: the arguments
+    and results of :func:`first_pass`, which runs first. Every value it
+    settles is returned as it is; :func:`refine` finishes the others."""
+    value, error, converged, nfev = first_pass(f, a, b, rel_tol, args)
+    if converged.all():
+        return value, error, converged, nfev
+    shape = value.shape
+    value, error, converged, nfev = (np.array(r).ravel()
+                                     for r in (value, error, converged, nfev))
+    todo = np.flatnonzero(~converged)
+    a, b, *args = (np.broadcast_to(v, shape).ravel()[todo] for v in (a, b, *args))
+    value[todo], error[todo], converged[todo], extra = refine(
+        f, a[:, None], b[:, None], rel_tol, tuple(args))
+    nfev[todo] += extra
+    return tuple(r.reshape(shape) for r in (value, error, converged, nfev))
+
+
+def refine(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
+    """Refine integrals that a first pass of the rule has not settled.
+
+    Row i of the 2-d limits ``a`` and ``b`` holds the pieces of integral i;
+    ``args`` are 1-d, one element per integral; ``f`` is as for
+    :func:`first_pass`. Each round halves every open piece (a piece
+    [a, inf) is cut at the next power of two above a) and integrates all
+    the halves in one call. A pair of halves is kept when both settle and
+    agree with their whole, and an integral is settled once all its pieces
+    are kept or its errors sum to within ``rel_tol``. Returns 1-d arrays
+    ``(value, error, converged, evaluations)``; ``converged`` is False for
+    a divergent integral, or one whose jumps the budget cannot isolate.
     """
-    _check_rel_tol(rel_tol)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise QuadratureError("integrate_interval needs finite endpoints")
-    if b < a:
-        raise QuadratureError("upper endpoint below lower endpoint")
-    if b == a:
-        return IntegralResult(0.0, 0.0, True, 0)
-    inner = sorted(p for p in points if a < p < b)
-    # QUADPACK refuses a limit below the number of pieces the points make,
-    # and needs room to bisect them
-    out = _sciint.quad(
-        f, a, b, epsabs=0.0, epsrel=rel_tol, limit=max(limit, 2 * len(inner) + 2),
-        points=inner or None, full_output=True,
-    )
-    value, err, info = out[:3]
-    # a 4th element is a QUADPACK warning (divergence, roundoff trouble);
-    # its error estimate is not trustworthy then, so never report converged
-    warned = len(out) > 3
-    neval = int(info["neval"])
-    converged = (not warned) and err <= rel_tol * max(abs(value), 1e-300)
-    if warned and err <= rel_tol * max(abs(value), 1e-300):
-        err = abs(value) * 0.1 + err
-    return IntegralResult(float(value), float(err), bool(converged), neval)
-
-
-def integrate_semiinf(
-    f: Callable[[float], float],
-    rel_tol: float = 1e-8,
-    tail_hint: Callable[[float], float] | None = None,
-    initial_width: float = 1.0,
-    points: tuple[float, ...] = (),
-    max_doublings: int = 64,
-    panel_limit: int = 200,
-) -> IntegralResult:
-    """Integrate f over [0, inf).
-
-    ``tail_hint(A)``, when given, must be an upper bound on
-    |integral of f over [A, inf)|; it turns the stopping rule into a
-    certificate. Without it the tail is estimated by geometric extrapolation
-    of successive dyadic shell integrals, with the u = x/(1+x) substitution on
-    [0, 1) as a fallback when the shells refuse to decay.
-
-    ``points`` marks known kinks or features: each splits the shell it falls
-    in, and the stopping rules wait until the window has passed all of them,
-    so that mass far from the origin is not missed. The shells stay dyadic.
-
-    A panel whose own error estimate is large against the running total marks
-    a non-integrable singularity; the call then returns non-converged at once
-    rather than doubling and compactifying a hopeless integrand.
-    """
-    _check_rel_tol(rel_tol)
-    if initial_width <= 0:
-        raise QuadratureError("initial_width must be positive")
-
-    inner_tol = min(rel_tol / 10.0, 1e-9)
-    total = 0.0
-    err_total = 0.0
-    neval = 0
-    prev_shell = None
-    lo = 0.0
-    hi = initial_width
-    last_point = max(points, default=0.0)
-
-    for _ in range(max_doublings):
-        shell_points = tuple(p for p in points if lo < p < hi)
-        res = integrate_interval(f, lo, hi, max(inner_tol, 1e-12), shell_points,
-                                 limit=panel_limit)
-        neval += res.evaluations
-        total += res.value
-        err_total += res.error_estimate
-        if res.error_estimate > 1e-6 and \
-                res.error_estimate > 0.01 * max(abs(total), 1e-300):
-            return IntegralResult(total, err_total, False, neval)
-
-        scale = max(abs(total), 1e-300)
-        if hi <= last_point:
-            prev_shell = abs(res.value)
-        elif tail_hint is not None:
-            tail = abs(tail_hint(hi))
-            if tail <= 0.5 * rel_tol * scale:
-                err = err_total + tail
-                return IntegralResult(total, err, err <= rel_tol * scale, neval)
-        else:
-            shell = abs(res.value)
-            if prev_shell is not None and shell <= 0.5 * rel_tol * scale:
-                if shell == 0.0 and prev_shell == 0.0:
-                    if total != 0.0:
-                        # mass was seen and two whole shells are dead since:
-                        # numerically compactly supported inside the window
-                        return IntegralResult(total, err_total, True, neval)
-                    # nothing seen at all: confirm over the whole line before
-                    # certifying zero (a bump past the window is invisible to
-                    # the dyadic shells alone)
-                    compact = _integrate_compactified(f, rel_tol, neval, panel_limit)
-                    if compact.converged:
-                        return compact
-                    return IntegralResult(total, err_total + compact.error_estimate,
-                                          False, compact.evaluations)
-                if 0 < shell < prev_shell:
-                    r = shell / prev_shell
-                    tail = shell * r / (1.0 - r)
-                    if tail <= 0.5 * rel_tol * scale:
-                        err = err_total + tail
-                        return IntegralResult(total, err, err <= rel_tol * scale, neval)
-            prev_shell = shell
-        lo, hi = hi, hi * 2.0
-
-    # window strategy failed to certify the tail: compactify instead
-    return _integrate_compactified(f, rel_tol, neval, panel_limit)
-
-
-def _integrate_compactified(f, rel_tol: float, neval0: int,
-                            panel_limit: int = 200) -> IntegralResult:
-    def g(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        w = 1.0 - u
-        return f(u / w) / (w * w)
-
-    out = _sciint.quad(
-        g, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol, limit=2 * panel_limit,
-        full_output=True,
-    )
-    value, err, info = out[:3]
-    warned = len(out) > 3
-    neval = neval0 + int(info["neval"])
-    converged = (not warned) and err <= rel_tol * max(abs(value), 1e-300)
-    return IntegralResult(float(value), float(err), bool(converged), neval)
+    n, k = a.shape
+    value = np.zeros(n)  # sums over the kept pieces
+    error = np.zeros(n)
+    nfev = np.zeros(n, dtype=int)
+    status = np.zeros(n, dtype=int)  # 0 open, 1 settled, 2 given up
+    owner = np.repeat(np.arange(n), k)  # the open pieces
+    a, b = a.ravel(), b.ravel()
+    whole = np.full(owner.size, np.nan)  # each open piece's own value
+    for depth in range(1, _MAX_DEPTH + 1):  # every open piece has been split depth times
+        if not owner.size:
+            break
+        cut = np.where(np.isinf(b), np.exp2(np.floor(np.log2(np.maximum(a, 0.5))) + 1.0),
+                       0.5 * (a + b))
+        a, b = np.concatenate((a, cut)), np.concatenate((cut, b))
+        v, e, ok, evaluations = _tanhsinh(
+            f, a, b, rel_tol, tuple(np.tile(x[owner], 2) for x in args),
+            _REFINE_MAXLEVEL)
+        m = owner.size
+        nfev += np.bincount(owner, evaluations[:m] + evaluations[m:], n).astype(int)
+        e = np.where(ok, e, _OPEN_TRUST * e)
+        pair = v[:m] + v[m:]
+        with np.errstate(invalid="ignore"):  # inf - inf on an overflowing pair
+            pair_err = np.abs(pair - whole) + e[:m] + e[m:]
+        pair_err[~np.isfinite(pair_err)] = np.inf
+        estimate = value + np.bincount(owner, pair, n)
+        estimate_err = error + np.bincount(owner, pair_err, n)
+        tol = rel_tol * np.where(np.isfinite(estimate), np.abs(estimate), 0.0)
+        # a pair is kept when both halves settle and agree with their whole,
+        # or when its error could not matter even summed over the whole
+        # piece budget (short pieces at their rounding floor)
+        kept = np.isfinite(pair_err) & (
+            (ok[:m] & ok[m:] & (pair_err <= min(rel_tol, _TS_RTOL) * np.abs(pair)))
+            | (pair_err <= tol[owner] / _MAX_PIECES))
+        value += np.bincount(owner[kept], pair[kept], n)
+        error += np.bincount(owner[kept], pair_err[kept], n)
+        pieces = 2 * np.bincount(owner[~kept], minlength=n)
+        live = status == 0
+        settled = live & ((pieces == 0) | (estimate_err <= tol))
+        status[settled] = 1
+        status[live & ~settled & ((depth == _MAX_DEPTH) | (pieces > _MAX_PIECES))] = 2
+        closed = live & (status != 0)
+        value[closed], error[closed] = estimate[closed], estimate_err[closed]
+        split = np.tile(~kept & (status[owner] == 0), 2)
+        owner = np.tile(owner, 2)[split]
+        a, b, whole = a[split], b[split], v[split]
+    return value, error, status == 1, nfev
 
 
 # ---------------------------------------------------------------------------

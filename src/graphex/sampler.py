@@ -314,7 +314,7 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     except GraphexError as err:
         raise SamplerError(
             f"cannot certify a truncation level: {err}. A non-integrable kernel "
-            "has infinitely many edges at any nu > 0 and cannot be sampled") from err
+            "cannot be sampled; one with jumps can, given theta_max (--theta-max)") from err
     g._cache[cache_key] = hi
     return hi
 

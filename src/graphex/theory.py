@@ -19,12 +19,11 @@ P(D > k) = int P(Poi(nu mu) > k) dx / int (1 - e^{-nu mu}) dx, which is the
 degree distribution of a visible vertex chosen uniformly at random, in the
 large-nu limit ignoring stars, self edges and isolated edges.
 
-All integrals run through :meth:`Graphex.integrate`. The integrands take
-arrays and run on the tanh-sinh rule, every node's marginal coming from one
-array call (a closed-form ``mu`` where the family declares one). An integral
-the rule does not settle is retried on QUADPACK, with certified tail bounds
-where the family metadata supports them: 1 - e^{-t} <= t and pois(k; t) <= t
-for k >= 1 give integrand tails dominated by nu^2 (tail_mu + tail_S).
+All integrals run through :meth:`Graphex.integrate` on the array layer of
+:mod:`graphex.quadrature`. Every node's marginal comes from one array call
+(:meth:`Graphex.nested_marginal`), which is never refined: where it does not
+settle (a black-box kernel with jumps, such as ``le(x, 2) * le(y, 2)``), the
+expectation raises a TheoryError at once.
 """
 
 from __future__ import annotations
@@ -89,28 +88,9 @@ def _pois_pmf(k: int, rho):
     return np.exp(xlogy(k, rho) - rho - gammaln(k + 1))
 
 
-def _rate_tail_hint(g: Graphex, nu: float):
-    """A -> certified bound on nu^2 int_A^inf (mu + S) dx, when metadata allows.
-
-    It bounds the tail of a latent density only while self loops are off: a
-    self loop adds W(x, x) times a factor up to 1, which no rate tail bounds.
-    """
-    if g.self_edges and g.diag is not None:
-        return None
-    if g.tail_mu_fn is None and g.w is not None:
-        return None
-    if g.s is not None and g.tail_s_fn is None:
-        return None
-
-    def hint(a: float) -> float:
-        return nu * nu * (g.tail_mu(a) + g.tail_s(a))
-
-    return hint
-
-
 def _rate(g: Graphex, nu: float):
     """x -> nu (mu(x) + S(x)), the Poisson rate of a latent point's other edges."""
-    return lambda x: nu * g.marginal(x) + nu * g.s_at(x)
+    return lambda x: nu * g.nested_marginal(x) + nu * g.s_at(x)
 
 
 def _latent_count(g: Graphex, nu: float, rel_tol: float, density, what,
@@ -130,7 +110,7 @@ def _latent_count(g: Graphex, nu: float, rel_tol: float, density, what,
     err_total = 0.0
     latent = 0.0
     if g.w is not None or g.s is not None:
-        res = g.integrate(density, rel_tol, tail_hint=_rate_tail_hint(g, nu))
+        res = g.integrate(density, rel_tol)
         if not res.converged:
             raise TheoryError(f"the {what} did not converge; "
                               "check local finiteness first")
@@ -233,18 +213,13 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
     if not any(ks):
         return [1.0] * len(ks)
 
-    hint = None
-    if g.tail_mu_fn is not None:
-        def hint(a: float) -> float:  # noqa: F811 - deliberate rebind
-            return nu * g.tail_mu(a)
-
     def integral(key, h):
         if key not in g._cache:
-            g._cache[key] = g.integrate(h, rel_tol, tail_hint=hint)
+            g._cache[key] = g.integrate(h, rel_tol)
         return g._cache[key]
 
     def denominator(x):
-        return -np.expm1(-nu * g.marginal(x))
+        return -np.expm1(-nu * g.nested_marginal(x))
 
     den = integral(("visibility", nu, rel_tol), denominator)
     if not den.converged:
@@ -259,7 +234,7 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
             continue
 
         def numerator(x):
-            return poisson_tail(nu * g.marginal(x), k)
+            return poisson_tail(nu * g.nested_marginal(x), k)
 
         num = integral(("degree_tail", nu, k, rel_tol), numerator)
         if not num.converged:

@@ -6,18 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from scipy import integrate
+
 from graphex.model import Graphex, GraphexError, SpecError, build, build_from_json, dilate
-from graphex.quadrature import integrate_interval, integrate_semiinf
 
 
 def num_marginal(g, x, rel_tol=1e-10):
-    """Marginal by direct quadrature of the kernel, ignoring analytic meta."""
-    if math.isfinite(g.support):
-        res = integrate_interval(lambda y: float(g.w_at(x, y)), 0.0, g.support, rel_tol)
-    else:
-        res = integrate_semiinf(lambda y: float(g.w_at(x, y)), rel_tol)
-    assert res.converged
-    return res.value
+    """Marginal by QUADPACK on the kernel, ignoring analytic meta: a
+    reference independent of the package's own quadrature."""
+    value, _ = integrate.quad(lambda y: float(g.w_at(x, y)), 0.0, g.support,
+                              epsabs=0.0, epsrel=rel_tol, limit=200)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +89,9 @@ def test_dilation_tail_mu_piecewise():
     g = dilate([[0.7, 0.2], [0.2, 0.1]], 2.0)
     # tail from 0 equals the full mass; halfway into a cell integrates linearly
     assert g.tail_mu(0.0) == pytest.approx(g.w_l1(), rel=1e-12)
-    direct = integrate_interval(lambda t: float(g.marginal(t)), 0.5, 2.0, 1e-10,
-                                points=(1.0,))
-    assert g.tail_mu(0.5) == pytest.approx(direct.value, rel=1e-9)
+    direct, _ = integrate.quad(lambda t: float(g.marginal(t)), 0.5, 2.0, epsabs=0.0,
+                               epsrel=1e-10, points=(1.0,))
+    assert g.tail_mu(0.5) == pytest.approx(direct, rel=1e-9)
 
 
 def test_separable_expression_matches_fast_decay():
@@ -208,9 +207,9 @@ def test_marginal_finds_band_mass_away_from_the_origin():
     assert g.marginal(0.5) == pytest.approx(0.6, rel=1e-8)
 
 
-def test_unsettled_elements_are_retried_on_the_scalar_path():
-    # jumps at y = 2 and y = x +- 1 defeat the tanh-sinh rule: those
-    # elements come back unsettled, and marginal serves them by QUADPACK
+def test_unsettled_elements_are_refined():
+    # jumps at y = 2 and y = x +- 1 defeat one pass of the tanh-sinh rule:
+    # those elements come back unsettled, and marginal refines them
     box = build({"family": "custom", "exprs": {"W": "0.5 * le(x, 2) * le(y, 2)"}})
     xs = np.array([0.0, 1.0, 3.0])
     _, settled = box.marginal_nodes(xs)
@@ -218,6 +217,46 @@ def test_unsettled_elements_are_retried_on_the_scalar_path():
     np.testing.assert_allclose(box.marginal(xs), [1.0, 1.0, 0.0], rtol=1e-9, atol=0)
     smooth = build({"family": "caron-fox"})
     assert smooth.marginal_nodes(np.linspace(0.0, 30.0, 50))[1].all()
+
+
+def test_marginal_resolves_jumps_near_the_diagonal_and_far_out():
+    # a jump just past the split at y = x, and jumps far from the origin
+    ind = build({"family": "custom", "exprs": {"W": "le(x*y, 1)"}})
+    assert ind.marginal(0.999) == pytest.approx(1.0 / 0.999, rel=1e-8)
+    band = build({"family": "custom", "exprs": {"W": "0.4 * le(abs(x - y), 1)"}})
+    np.testing.assert_allclose(band.marginal(np.array([1e3, 1e4])), 0.8, rtol=1e-8)
+
+
+def test_separable_step_factor_norms_are_exact():
+    # 12 seeded step functions f = sum c_i le(x, e_i), 2 to 5 steps on
+    # (0.1, 5): f_l1 is sum c_i e_i
+    rng = np.random.default_rng(2026)
+    for _ in range(12):
+        m = int(rng.integers(2, 6))
+        steps = np.sort(rng.uniform(0.1, 5.0, m))
+        heights = rng.dirichlet(np.ones(m)) * rng.uniform(0.3, 1.0)
+        f = " + ".join(f"{float(c)!r} * le(x, {float(e)!r})" for c, e in zip(heights, steps))
+        g = build({"family": "separable", "exprs": {"f": f}})
+        assert math.sqrt(g.w_l1()) == pytest.approx(float(heights @ steps), abs=1e-9)
+
+
+def test_star_rate_with_a_jump_integrates_exactly():
+    g = build({"family": "custom", "exprs": {"W": "0", "S": "0.5*le(x,2.3) + exp(-x)"}})
+    assert g.s_l1() == pytest.approx(2.15, rel=1e-9)
+
+
+@pytest.mark.parametrize("w", [
+    "0.5*le(x,2)*le(y,2)", "le(x+y,3)*exp(-x-y)", "le(x*y, 1)",
+])
+def test_nested_integrals_of_jumpy_kernels_are_refused_at_once(w):
+    # the inner marginals of these kernels do not settle in one pass, and
+    # a nested integral does not refine them: it raises instead of grinding
+    # for minutes or returning a wrong value as converged
+    g = build({"family": "custom", "exprs": {"W": w}})
+    with pytest.raises(GraphexError, match="did not converge"):
+        g.w_l1()
+    with pytest.raises(GraphexError, match="did not converge"):
+        g.tail_mu(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,16 @@ def test_theta_max_examples():
     assert choose_theta_max(FAST, 0.0, 1e-3) == 0.0
 
 
+def test_jumpy_black_box_kernel_needs_an_explicit_cutoff():
+    # the box kernel's marginal jumps, so its tail cannot be certified; the
+    # error names the override, which samples it
+    box = build({"family": "custom", "exprs": {"W": "0.5*le(x,2)*le(y,2)"}})
+    with pytest.raises(SamplerError, match="theta_max"):
+        sample_keg(box, SamplerConfig(nu=5.0, seed=1))
+    graph = sample_keg(box, SamplerConfig(nu=5.0, seed=1, theta_max=2.0))
+    assert graph.n_edges > 0
+
+
 def test_theta_max_validation():
     with pytest.raises(SamplerError):
         choose_theta_max(FAST, -1.0, 1e-3)
