@@ -83,7 +83,10 @@ class Graphex:
     be None, meaning identically zero). Analytic metadata is optional; every
     consumer falls back to quadrature through the accessor methods, which is
     exact but slower. ``separable_f`` is set when W(x, y) = f(x) f(y) off the
-    diagonal, which unlocks the sampler's fast path. ``kinks`` lists the
+    diagonal, which unlocks the sampler's fast path; an f that carries
+    ``nonincreasing = True`` (set by the builders of slow-decay, fast-decay
+    and constant) also unlocks its lazy clouds, and a copy with another f
+    does not inherit the mark. ``kinks`` lists the
     interior points where the marginal may jump; :meth:`integrate` splits
     every latent-axis integral there.
     """
@@ -133,16 +136,20 @@ class Graphex:
 
     def integrate(self, h, rel_tol: float, lo: float = 0.0,
                   hi: float = math.inf) -> IntegralResult:
-        """Integrate h over the latent axis on [lo, hi], cut at the support.
+        """Integrate h over the latent axis on [lo, hi], cut at the support
+        when there is no star rate (and split there when there is one).
 
         h takes arrays; the pieces between the kinks go to
         :func:`integrate_array` in one call. A nested marginal that does not
         settle (:meth:`nested_marginal`) leaves the result unconverged.
         """
-        hi = min(hi, self.support)
+        if self.s is None:
+            hi = min(hi, self.support)
         if lo >= hi:
             return IntegralResult(0.0, 0.0, True, 0)
-        edges = np.array((lo, *(p for p in self.kinks if lo < p < hi), hi))
+        # past the support only S is left, and integrands that hold it jump
+        kinks = (*self.kinks, self.support)
+        edges = np.array((lo, *(p for p in kinks if lo < p < hi), hi))
         try:
             value, err, ok, nfev = integrate_array(h, edges[:-1], edges[1:], rel_tol)
         except _Unsettled:
@@ -361,6 +368,8 @@ def _family_constant(params: dict, exprs: dict):
     def f(x):
         return sqrt_p * (np.asarray(x, dtype=float) <= c)
 
+    f.nonincreasing = True
+
     return dict(
         w=w, diag=diag, mu=mu, tail_mu_fn=tail_mu,
         w_l1_value=p * c * c, diag_l1_value=p * c, support=c, separable_f=f,
@@ -467,13 +476,9 @@ def _family_slow_decay(params: dict, exprs: dict):
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
 
     def f(x):
-        # one temporary, updated in place (planted draws pass 20M-point
-        # chunks); a 0-d x makes t a NumPy scalar, with nothing to write to
-        t = np.asarray(x, dtype=float) + 1.0
-        t *= t
-        if isinstance(t, np.ndarray):
-            return np.divide(inv_sqrt3, t, out=t)
-        return inv_sqrt3 / t
+        return inv_sqrt3 / (np.asarray(x, dtype=float) + 1.0) ** 2
+
+    f.nonincreasing = True
 
     def tail_f(x):
         return inv_sqrt3 / (np.asarray(x, dtype=float) + 1.0)
@@ -487,6 +492,8 @@ def _family_slow_decay(params: dict, exprs: dict):
 def _family_fast_decay(params: dict, exprs: dict):
     def f(x):
         return np.exp(-np.asarray(x, dtype=float))
+
+    f.nonincreasing = True
 
     out = _separable_meta(f, 1.0, f)  # the tail integral of e^-x is e^-x
     out["diag_l1_value"] = 0.5  # int e^-2x = 1/2

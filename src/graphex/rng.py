@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "derive_key"]
+__all__ = ["stream", "derive_key", "uniform_at"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -59,3 +59,19 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """
     key = derive_key(seed, *path)
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+_U64 = tuple(np.uint64(c) for c in (_GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+                                    1, 11, 27, 30, 31))
+
+
+def uniform_at(key: int, counters: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1): outputs ``counters`` of the SplitMix64 sequence
+    seeded with ``key`` (output i mixes key + (i + 1) * golden), each had
+    without the ones before it."""
+    golden, m1, m2, one, s11, s27, s30, s31 = _U64
+    z = np.uint64(key) + (np.asarray(counters).astype(np.uint64) + one) * golden
+    z = (z ^ (z >> s30)) * m1
+    z = (z ^ (z >> s27)) * m2
+    z ^= z >> s31
+    return (z >> s11) * 2.0 ** -53

@@ -48,6 +48,25 @@ indices its bucket spans: most keys settle with no comparison or one, and
 the rest, in crowded buckets, get a binary search. The indices are those of
 a binary search over all of cumsum(f), so every drawn number is too.
 
+Lazy clouds. In a sparse draw almost every latent point stays invisible.
+When the family declares f nonincreasing (slow-decay, fast-decay, constant)
+and there is no star rate, [0, theta_max] is cut into strata [a_l, a_{l+1})
+inside which f falls by at most a small ratio, and F_l = min(f(a_l), 1)
+bounds f there. Only the counts n_l ~ Poi(nu (a_{l+1} - a_l)) are drawn up
+front (Poisson thinning, Lewis & Shedler 1979), and the scheme above runs
+with f replaced by F, as Miller & Hagberg (2011) do for Chung-Lu graphs: an
+endpoint is a stratum chosen in proportion to n_l F_l and a uniform index in
+it; a point gets its position, uniform in its stratum, only where touched;
+a pair is accepted with probability f_i f_j / (1 - exp(-c0 F_i F_j)).
+Strata with F > 1/2 are heavy, the other points' self loops are thinned
+against F^2 alike, and a planted point is a stratum of its own. A drawn f(x)
+over its bound raises SamplerError. theta_max and the law of the draw stay
+those of the full cloud; the streams differ, and kept points are indexed
+stratum by stratum. The full cloud stays where the expected proposal
+endpoints and heavy points number at least the latent points (the guide
+table's rule), for a user ``separable`` f or a star rate, which declare no
+bound, and on the naive path, the reference.
+
 Both paths produce the same distribution; a statistical equivalence test
 lives in the test suite.
 """
@@ -128,6 +147,8 @@ class SamplerConfig:
     the latent-space cutoff is at most eps (kernel and star edges; missed
     self loops are additionally possible but are of strictly lower order
     for any kernel whose diagonal decays at least as fast as its marginal).
+    ``max_latent_points`` caps nu * theta_max, the expected size of the full
+    cloud, also for a lazy draw that makes only the points it touches.
     """
 
     nu: float
@@ -366,18 +387,154 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndarray:
-    """Separable fast path; see the module docstring for the scheme."""
-    n = pts.size
-    # clipped in place; pts itself is still needed for self loops, stars and
-    # retain_latent, so an f that is pts (or a view of it) is copied first
-    f = np.require(np.asarray(g.separable_f(pts), dtype=float), requirements="W")
-    if np.shares_memory(f, pts):
-        f = f.copy()
-    np.clip(f, 0.0, 1.0, out=f)
-    chunks = []
+class _Cloud:
+    """Every latent point of a draw, drawn up front; f bounds itself."""
 
-    heavy = np.nonzero(f > _TAU)[0]
+    def __init__(self, g: Graphex, pts: np.ndarray):
+        # clipped in place; pts itself is still needed for self loops, stars
+        # and retain_latent, so an f that is pts (or a view of it) is copied
+        f = np.require(np.asarray(g.separable_f(pts), dtype=float), requirements="W")
+        if np.shares_memory(f, pts):
+            f = f.copy()
+        self.f = np.clip(f, 0.0, 1.0, out=f)
+        self.n, self.heavy, self.total = pts.size, np.nonzero(f > _TAU)[0], float(f.sum())
+
+    def value(self, slots):
+        """f at the slots, and its bound there."""
+        f = self.f[slots]
+        return f, f
+
+    def ends(self, keys):
+        """Endpoint slots for unit keys (scaled in place), and which are
+        heavy."""
+        cum = np.cumsum(self.f)
+        keys *= cum[-1]
+        ends = _endpoints(cum, keys)
+        np.minimum(ends, self.n - 1, out=ends)
+        return ends, self.f[ends] > _TAU
+
+
+_STRATUM_RATIO = 1.25  # f falls by at most this factor inside a stratum
+
+
+def _strata(g: Graphex, theta: float):
+    """Edges 0 = a_0 < ... < a_L = theta and bounds F_l = min(f(a_l), 1) of a
+    nonincreasing f, and the integrals of F and of 1[F > 1/2]: a stratum
+    starts wherever f, on 1024 points even in log(1 + x), crosses a level
+    f(0) / _STRATUM_RATIO^k."""
+    key = ("strata", float(theta))
+    if key not in g._cache:
+        grid = np.expm1(np.linspace(0.0, math.log1p(theta), 1024))
+        fv = np.clip(np.asarray(g.separable_f(grid), dtype=float), 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            level = np.floor(np.log(fv[0] / fv) / math.log(_STRATUM_RATIO))
+        level[np.isnan(level)] = np.inf  # f(0) = 0: one stratum of bound 0
+        first = np.flatnonzero(np.append(True, level[1:-1] != level[:-2]))
+        edges, bound = np.append(grid[first], theta), fv[first]
+        width = np.diff(edges)
+        g._cache[key] = edges, bound, width @ bound, width[bound > _TAU].sum()
+    return g._cache[key]
+
+
+def _lazy_strata(g: Graphex, cfg: SamplerConfig, theta: float):
+    """The strata of a lazy draw, or None where the full cloud is drawn."""
+    nu = float(cfg.nu)
+    if not (cfg.use_fast_path and g.s is None
+            and getattr(g.separable_f, "nonincreasing", False)):
+        return None
+    edges, bound, mass, heavy = _strata(g, theta)
+    covered = _C0 * (nu * mass) ** 2 + nu * heavy
+    return None if covered >= nu * theta else (edges, bound)
+
+
+class _LazyCloud:
+    """A latent cloud in strata: stratum l holds count[l] ~ Poi(nu width[l])
+    points on [lo[l], lo[l] + width[l]), where f <= bnd[l], and a planted
+    point is a stratum of its own, of zero width. Slots run stratum by
+    stratum. Slot i sits at lo + width * u_i, with u_i read from a
+    counter-based stream, so only the slots a draw touches are placed, and
+    each the same whenever it is touched."""
+
+    def __init__(self, g: Graphex, edges, bound, planted, nu: float, gen):
+        self.f = g.separable_f
+        self.lo = np.concatenate((edges[:-1], planted))
+        self.width = np.concatenate((np.diff(edges), 0.0 * planted))
+        self.bnd = np.concatenate((bound, np.clip(self.f(planted), 0.0, 1.0)))
+        self.count = np.concatenate((gen.poisson(nu * np.diff(edges)),
+                                     np.ones(planted.size, dtype=np.int64)))
+        self.start = np.concatenate(([0], np.cumsum(self.count)))
+        self.n_cloud, self.n = int(self.start[bound.size]), int(self.start[-1])
+        self.key = int(gen.integers(2 ** 64, dtype=np.uint64))
+        heavy = np.flatnonzero(self.bnd > _TAU)
+        c = self.count[heavy]
+        self.heavy = np.repeat(self.start[heavy] - np.cumsum(c) + c, c) + np.arange(c.sum())
+        self.cum = np.cumsum(self.count * self.bnd)
+        self.total = float(self.cum[-1])
+
+    def locate(self, keys, cum, rate):
+        """Slots for unit keys (scaled in place), and their strata: the
+        stratum whose share of ``cum`` holds the key, a point of stratum l
+        weighing rate[l], then the index inside it."""
+        keys *= cum[-1]
+        s = _stratum_of(cum, keys)
+        off = (keys - np.append(0.0, cum)[s]) / rate[s]
+        return self.start[s] + np.minimum(off, self.count[s] - 1).astype(np.int64), s
+
+    def ends(self, keys):
+        slots, s = self.locate(keys, self.cum, self.bnd)
+        return slots, self.bnd[s] > _TAU
+
+    def positions(self, slots):
+        """Latent coordinates of the slots, and their strata."""
+        s = np.searchsorted(self.start, slots, side="right") - 1
+        return self.lo[s] + self.width[s] * rngmod.uniform_at(self.key, slots), s
+
+    def value(self, slots, h=None):
+        """f at the slots and its bound there, or h and the bound's square for
+        an h bounded by f^2."""
+        x, s = self.positions(slots)
+        bound = self.bnd[s] if h is None else self.bnd[s] ** 2
+        return _checked(x, (h or self.f)(x), bound), bound
+
+    def loops(self, g: Graphex, gen) -> np.ndarray:
+        """Slots with a self loop: heavy ones by a coin each, the others by
+        thinning Poi(c0 F^2) proposals per point against W(x, x)."""
+        heavy = self.heavy
+        hits = [heavy[gen.random(heavy.size) < self.value(heavy, g.diag_at)[0]]]
+        rate = np.where(self.bnd > _TAU, 0.0, self.bnd ** 2)
+        cum = np.cumsum(self.count * rate)
+        m = int(gen.poisson(_C0 * cum[-1]))
+        if m:
+            cand = sorted_unique(self.locate(gen.random(m), cum, rate)[0])
+            d, q = self.value(cand, g.diag_at)
+            hits.append(cand[gen.random(cand.size) < d / -np.expm1(-_C0 * q)])
+        return np.concatenate(hits)
+
+
+def _stratum_of(cum, keys):
+    """The stratum whose share of ``cum`` holds each key; a key at the total
+    goes to the last stratum of any weight."""
+    return np.minimum(np.searchsorted(cum, keys, side="right"), np.searchsorted(cum, cum[-1]))
+
+
+def _checked(x, value, bound):
+    """value at latent coordinates x, clipped to [0, 1], once no element is
+    over its declared bound."""
+    value = np.clip(np.asarray(value, dtype=float), 0.0, 1.0)
+    bad = np.flatnonzero(value > bound * (1.0 + 1e-12))
+    if bad.size:
+        i = bad[0]
+        raise SamplerError(
+            f"the kernel factor at x = {x[i]!r} is {value[i]!r}, over its stratum's "
+            f"bound {bound[i]!r}: f is not nonincreasing, as its family declares")
+    return value
+
+
+def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
+    """Separable pairs of a full or a lazy cloud; see the module docstring."""
+    n = cloud.n
+    chunks = []
+    heavy = cloud.heavy
     h = heavy.size
     if h >= 2:
         if h * (h - 1) / 2 > cfg.max_pair_coins:
@@ -385,40 +542,37 @@ def _pairs_fast(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndar
                 f"{h} latent points have f > {_TAU}; too many heavy pairs to coin "
                 "(raise max_pair_coins or lower nu)")
         iu, ju = np.triu_indices(h, k=1)
-        a = heavy[iu]
-        b = heavy[ju]
-        p = f[a] * f[b]
+        fh = cloud.value(heavy)[0]
+        p = fh[iu] * fh[ju]
         keep = gen.random(p.size) < p
-        chunks.append(np.column_stack((a[keep], b[keep])))
+        chunks.append(np.column_stack((heavy[iu][keep], heavy[ju][keep])))
 
-    s_all = float(f.sum())
-    if s_all > 0.0:
-        lam = _C0 * s_all * s_all / 2.0
+    if cloud.total > 0.0:
+        lam = _C0 * cloud.total * cloud.total / 2.0
         if lam > cfg.max_proposals:
             raise SamplerError(
                 f"the proposal rate {lam:.3g} exceeds max_proposals; "
                 "lower nu or raise the cap")
         m = int(gen.poisson(lam))
         if m:
-            cum = np.cumsum(f)
             # the u keys, then the v keys, drawn in that order
             keys = np.empty(2 * m)
             gen.random(out=keys[:m])
             gen.random(out=keys[m:])
-            keys *= cum[-1]
-            ends = _endpoints(cum, keys)
-            np.minimum(ends, n - 1, out=ends)
+            ends, big = cloud.ends(keys)
             u = ends[:m]
             v = ends[m:]
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
-            ok = (lo != hi) & ~((f[lo] > _TAU) & (f[hi] > _TAU))
+            ok = (lo != hi) & ~(big[:m] & big[m:])
             # the keys come out ascending, as from np.unique, so the
             # acceptance coins below fall on the same pairs
             lo, hi = np.divmod(
                 sorted_unique(lo[ok].astype(np.int64, copy=False) * n + hi[ok]), n)
-            p = f[lo] * f[hi]
-            accept = gen.random(p.size) < p / (-np.expm1(-_C0 * p))
+            (f_lo, bound_lo), (f_hi, bound_hi) = cloud.value(lo), cloud.value(hi)
+            p = f_lo * f_hi
+            q = np.multiply(bound_lo, bound_hi, out=bound_lo)  # f_lo is not read again
+            accept = gen.random(p.size) < p / (-np.expm1(-_C0 * q))
             chunks.append(np.column_stack((lo[accept], hi[accept])))
 
     if not chunks:
@@ -476,25 +630,30 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
             f"the truncation level {theta:.6g} implies ~{expected_points:.3g} latent "
             "points, over max_latent_points; raise eps or the cap")
 
-    gen_lat = rngmod.stream(cfg.seed, _STREAM_LATENT)
-    n_cloud = int(gen_lat.poisson(expected_points)) if expected_points > 0 else 0
-    pts = gen_lat.uniform(0.0, theta, n_cloud) if n_cloud else np.empty(0)
-
-    planted = tuple(float(x) for x in planted)
-    for x in planted:
+    planted = np.asarray([float(x) for x in planted], dtype=float)
+    for x in planted.tolist():
         if not (math.isfinite(x) and x >= 0):
             raise SamplerError(f"planted latent coordinates must be finite and >= 0, "
                                f"got {x!r}")
-    if planted:
-        pts = np.concatenate((pts, np.asarray(planted)))
-    n = pts.size
+    gen_lat = rngmod.stream(cfg.seed, _STREAM_LATENT)
+    strata = _lazy_strata(g, cfg, theta)
+    if strata is not None:
+        cloud = _LazyCloud(g, *strata, planted, nu, gen_lat)
+        n_cloud, n = cloud.n_cloud, cloud.n
+    else:
+        n_cloud = int(gen_lat.poisson(expected_points)) if expected_points > 0 else 0
+        pts = gen_lat.uniform(0.0, theta, n_cloud) if n_cloud else np.empty(0)
+        if planted.size:
+            pts = np.concatenate((pts, planted))
+        n = pts.size
+        cloud = _Cloud(g, pts) if cfg.use_fast_path and g.separable_f is not None else None
     planted_slots = np.arange(n_cloud, n, dtype=np.int64)
 
     # kernel pairs
     if g.w is not None and n >= 2:
         gen_pairs = rngmod.stream(cfg.seed, _STREAM_PAIRS)
-        if cfg.use_fast_path and g.separable_f is not None:
-            kernel_uv = _pairs_fast(g, pts, gen_pairs, cfg)
+        if cloud is not None:
+            kernel_uv = _kernel_pairs(cloud, gen_pairs, cfg)
         else:
             kernel_uv = _pairs_naive(g, pts, gen_pairs, cfg)
     else:
@@ -502,13 +661,17 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
 
     # self loops
     if g.self_edges and g.diag is not None and n:
-        d = np.clip(np.asarray(g.diag_at(pts), dtype=float), 0.0, 1.0)
-        hit = np.nonzero(rngmod.stream(cfg.seed, _STREAM_SELF).random(n) < d)[0]
+        gen_self = rngmod.stream(cfg.seed, _STREAM_SELF)
+        if strata is not None:
+            hit = cloud.loops(g, gen_self)
+        else:
+            d = np.clip(np.asarray(g.diag_at(pts), dtype=float), 0.0, 1.0)
+            hit = np.nonzero(gen_self.random(n) < d)[0]
         if hit.size:
             loops = np.column_stack((hit, hit)).astype(np.int64)
             kernel_uv = np.vstack((kernel_uv, loops)) if kernel_uv.size else loops
 
-    # star leaves
+    # star leaves (a lazy draw has no star rate)
     if g.s is not None and n:
         rates = nu * np.clip(np.asarray(g.s_at(pts), dtype=float), 0.0, None)
         leaves = rngmod.stream(cfg.seed, _STREAM_STARS).poisson(rates)
@@ -564,7 +727,7 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
     latent = None
     if cfg.retain_latent:
         latent = np.full(n_vertices, np.nan)
-        latent[:v0] = pts[visible]
+        latent[:v0] = pts[visible] if strata is None else cloud.positions(visible)[0]
 
     planted_final = tuple(index[n_pair_ends + n_leaves:].tolist())
 
@@ -612,11 +775,11 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     """Kernel degree of a point planted at latent coordinate lam, one draw
     per replicate.
 
-    Only edges between the planted point and the ambient cloud are drawn,
-    one Bernoulli coin per cloud point with probability W(lam, x); cloud-to-
-    cloud edges cannot change the planted point's degree, so skipping them
-    lets all replicates run as a handful of array operations. Self loops are
-    excluded: this is the degree toward other points.
+    Only edges toward the ambient cloud count (no self loop), so each
+    replicate thins a Poisson process of rate nu * B on [0, theta_max]:
+    B = W(lam, a_l) on the strata of a declared nonincreasing f (see the
+    module docstring), else 1, and a candidate at x is an edge with
+    probability W(lam, x) / B. The draw never reads the theory.
     """
     if g.w is None:
         raise SamplerError("the graphex has no kernel, the planted degree is always 0")
@@ -628,27 +791,24 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     if theta_max is not None:
         _check_theta_max(theta_max)
     theta = theta_max if theta_max is not None else choose_theta_max(g, nu, eps)
+    if getattr(g.separable_f, "nonincreasing", False):
+        edges = _strata(g, theta)[0]
+        bound = np.clip(np.asarray(g.w_at(lam, edges[:-1]), dtype=float), 0.0, 1.0)
+    else:
+        edges, bound = np.array([0.0, theta]), np.ones(1)
+    cum = np.cumsum(np.diff(edges) * bound)
     gen = rngmod.stream(seed, _STREAM_PLANTED)
-    counts = gen.poisson(nu * theta, size=reps).astype(np.int64)
+    counts = gen.poisson(nu * cum[-1], size=reps).astype(np.int64)
     degrees = np.empty(reps, dtype=np.int64)
-    chunk_budget = 20_000_000
-    r0 = 0
-    while r0 < reps:
-        r1 = r0 + 1
-        total = int(counts[r0])
-        while r1 < reps and total + counts[r1] <= chunk_budget:
-            total += int(counts[r1])
-            r1 += 1
-        pos = gen.uniform(0.0, theta, total)
-        # W(lam, x) is a fresh array (or aliases pos, which is not needed
-        # again), so clip it in place; drop both before the next chunk's draw
-        w = np.require(g.w_at(lam, pos), dtype=float, requirements="W")
-        del pos
-        np.clip(w, 0.0, 1.0, out=w)
-        hit = gen.random(total) < w
-        del w
-        # hits of replicate i are those at positions bounds[i] .. bounds[i+1]
-        bounds = np.concatenate(([0], np.cumsum(counts[r0:r1])))
-        degrees[r0:r1] = np.diff(np.flatnonzero(hit).searchsorted(bounds))
-        r0 = r1
+    # blocks of about 2e6 expected candidates bound the memory when B = 1
+    block = max(1, int(2e6 // max(nu * cum[-1], 1.0)))
+    for r0 in range(0, reps, block):
+        c = counts[r0:r0 + block]
+        keys = gen.uniform(0.0, cum[-1], int(c.sum()))
+        s = _stratum_of(cum, keys)
+        x = edges[s] + (keys - np.append(0.0, cum)[s]) / bound[s]
+        hit = gen.random(keys.size) < _checked(x, g.w_at(lam, x), bound[s]) / bound[s]
+        # hits of replicate i are those at positions ends[i] .. ends[i+1]
+        ends = np.concatenate(([0], np.cumsum(c)))
+        degrees[r0:r0 + block] = np.diff(np.flatnonzero(hit).searchsorted(ends))
     return degrees

@@ -47,23 +47,23 @@ CASES = {
 # case -> (sha256 of the JSON file, sha256 of the CSV file)
 GOLDEN = {
     "connectivity-rejected": (
-        "ffd728c22c1e09d451142e34e8b7c695ce8e40235a7d5e0f90a8223c869d47c9",
-        "f62757921781609639e53c288309d7290ff78330b53852664184a4741e57b2f1"),
+        "353241a8cb6983521fae2aefd0a54e0abb7a434506bf1055b81866fc992aa17d",
+        "fb3feaeca8428564f400ae1c55d11a85b8320c477c0a539214cf5b9b3bee219d"),
     "connectivity-threads": (
-        "822485f4149a464d6bd8cb00fbdb90ad02f766306b1ac78ac428b3e91d0ee653",
-        "f8769a2b5f8141ca789ec3b9c150ed09f96db687747aea96df697162b948c591"),
+        "74489405eddffcc1786d25cdb6bfa649c9abab24d272cb98c5a66ba0b91160cc",
+        "c486f1b920e82b3037a5b9b83217e7e44bce473e21b1c4ab56e9e4b1e7e1f5d8"),
     "degdist-rejected": (
-        "d547fc3328c10ba4ecc9cfb828b4794445b63e47563db314354cf35fe947d642",
-        "f7d3f70b25154bbcf0c1858802842418e2a9c21e842c08185fb2ad10d012c03a"),
+        "78095e0ae1280bd4efc54dc1d717a5a7cf5e62026c540ecf20e84728ad904c14",
+        "decb4415c1b938b4ed9c7587032ffe405ba9f0ddc0de3eb933ebc7aa9d620d7e"),
     "degdist-threads": (
         "7509f4ba0426a86be7d0de6797ef32dd6ee297645536fe040b3aff5a3bc7f976",
         "806c0fad3b5abf3754920e153c414b7db79af88519790b5334f5da160d7afb5d"),
     "projectivity-slow": (
-        "35f02083dd49a4331cc897272360def556c8baba53189c6a7df3aa114b5ad868",
-        "b69f868f3e090d15d5defd57352d4ba78a4cd5f6750731ad128b6f539430f156"),
+        "91a5145ec53d2e8c2fc8f26e95046f7fe0dcd7c805b232c2aaf1f32eb393e2d6",
+        "f05143f00a88f8c3c4f09e9b9b765bcd7d9373a36b896e24c9cd68bc0f7b708a"),
     "projectivity-threads": (
-        "d9e4696b1bdba9eaa137eefd8c67b2c78da61b275b12e1e9b1560a689c7cd8be",
-        "5fbd8315a8821ca63b3971ef18a852dba6019ad3d1602a75b52f11065a6fbd13"),
+        "985347f6ffca29218c5e99dcfa05fa7c5775aa96317200598a51c4672c024e69",
+        "190c76d7a14ddf56204c5f49cbeac57b3574df54a3f6af06d09e2957455f6eff"),
     "validate-null": (
         "9389acd61a1c5ed20d2fd7062c46197e19870b0d80fbbb9789382db2ca099ca2",
         "b29c3d8acd66826dd38d5810b3498dc7a7f9325abd4ba77cc4538829a6842ff0"),
@@ -71,8 +71,8 @@ GOLDEN = {
         "a593d357e84c74b0cfe7101b1c2fa415625735e2e080cc0c126b5fe5bc4cf0ba",
         "25af19e6d53bc1fb43ff5a01f3ffc35be3eeb36387df70b775d613ea129067b9"),
     "validate-threads": (
-        "e29dbb291505e695d553eb129f881977fd507b3c037c11c6afdad7c3f712541d",
-        "50b00c9bb1ccf4292d0c71a8229b85bb641a103487e2ee8d08c0d1647fdebdf3"),
+        "ba7b11e180fca0ceed61a7db1902d92d19bdac4b9fd6fa885d30b5424df2b346",
+        "910c2eb185092f6566b843b91624164c4fd7a88d1d5ac96e87f7c127e0f5b235"),
 }
 
 
@@ -90,4 +90,4 @@ def test_report_bytes_are_frozen(case, tmp_path):
 
 def test_rejected_replicates_are_counted():
     report = CASES["degdist-rejected"]()
-    assert [r.rejected for r in report.rows] == [15, 4]
+    assert [r.rejected for r in report.rows] == [20, 8]

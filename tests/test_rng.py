@@ -1,10 +1,12 @@
 """Splittable stream addressing: reproducibility and independence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from graphex.rng import derive_key, stream
+from graphex.rng import _splitmix64, derive_key, stream, uniform_at
 
 
 def test_same_address_same_output():
@@ -75,3 +77,19 @@ def test_streams_look_independent():
     b = stream(7, 1).random(20000)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.03
+
+
+def test_uniform_at_reads_the_splitmix64_sequence():
+    # output i of the generator seeded with key, in any order and any number
+    # of times, as the scalar chain makes it
+    key = derive_key(3, 1)[0]
+    state, words = key, []
+    for _ in range(50):
+        state, w = _splitmix64(state)
+        words.append(w)
+    want = np.array([w >> 11 for w in words], dtype=float) * 2.0 ** -53
+    idx = np.array([49, 0, 7, 7, 31, 1])
+    np.testing.assert_array_equal(uniform_at(key, idx), want[idx])
+    u = uniform_at(key, np.arange(200_000))
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert abs(u.mean() - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / u.size)

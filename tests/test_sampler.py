@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, sparse
+from scipy import stats as sps
 
 from graphex.model import build, dilate
+from graphex.rng import stream
 from graphex.sampler import (
     _CSV_BLOCK,
     _GUIDE_PER_POINT,
@@ -20,6 +23,9 @@ from graphex.sampler import (
     SamplerConfig,
     SamplerError,
     _endpoints,
+    _lazy_strata,
+    _LazyCloud,
+    _strata,
     choose_theta_max,
     restrict,
     sample_keg,
@@ -274,15 +280,16 @@ def draw_digest(g: SampledGraph) -> str:
 
 
 @pytest.mark.parametrize("graphex, nu, seed, planted, digest", [
-    # the first two index visible points through the slot table, the slow
-    # cloud (about 3e5 slots, 30 endpoints) through the binary search.
-    # The point planted at 40 has no edges: it is kept, but invisible
+    # the first two index visible points through the slot table; the slow
+    # cloud (about 3e5 slots, 30 endpoints) is lazy, and its visible points
+    # go through the binary search. The point planted at 40 has no edges: it
+    # is kept, but invisible
     (FAST, 50.0, 5, (0.0, 40.0),
      "5595068e7cd8998492102158ff19f14b4f4090fe7f5ef9bde4963baf4557f7bc"),
     (STAR_ISO, 10.0, 3, (),
      "d4aadb41315e379f4b87931eee70bb780f90d2e77ec734d96ab601a6b5254aa8"),
     (SLOW, 10.0, 7, (),
-     "61b53df02445fda50f210906c8ea9987b5ee39b2bdfafaf3a7a4727fe7be28f7"),
+     "4940cc41547dc07adbe3091c9c521df082710e3a4fbee848ba706298b60b2805"),
     # about 5.4k latent points and 134k endpoint keys: it has heavy pairs,
     # and its keys take the guide table's span-1 and binary-search branches
     (FAST, 300.0, 1, (),
@@ -556,3 +563,148 @@ def test_planted_degree_levels_are_checked_as_in_sampler_config(nu, theta_max):
     with pytest.raises(SamplerError) as planted_error:
         sample_planted_degrees(FAST, nu, 0.0, 10, 0, theta_max=theta_max)
     assert str(planted_error.value) == str(config_error.value)
+
+
+# --------------------------------------------------------------------------
+# lazy stratified clouds
+# --------------------------------------------------------------------------
+
+def graph_counts(g: SampledGraph) -> np.ndarray:
+    """Edges, vertices, degree-1 vertices, self loops, wedges and triangles
+    of one draw; wedges and triangles of the simple graph without loops."""
+    loop = g.edges[:, 0] == g.edges[:, 1]
+    deg = np.bincount(g.edges.ravel(), minlength=g.n_vertices)
+    uv = g.edges[~loop]
+    adj = sparse.coo_matrix((np.ones(uv.shape[0]), (uv[:, 0], uv[:, 1])),
+                            shape=(g.n_vertices, g.n_vertices)).tocsr()
+    adj = adj + adj.T
+    simple = np.asarray(adj.sum(axis=1)).ravel()
+    triangles = (adj @ adj).multiply(adj).sum() / 6.0
+    return np.array([g.n_edges, g.n_vertices, np.count_nonzero(deg == 1),
+                     np.count_nonzero(loop), (simple * (simple - 1) / 2).sum(), triangles])
+
+
+LAZY_CASES = {
+    "slow-decay": (SLOW, 5.0, 0.5, ()),
+    "fast-decay": (FAST, 3.0, 1e-3, ()),
+    "constant-loops-planted": (build({"family": "constant", "params": {"p": 0.02, "c": 4.0},
+                                      "self_edges": True}), 8.0, 1e-3, (0.5,)),
+}
+LAZY_REPS = 2000
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_lazy_cloud_matches_naive(case):
+    # the lazy engine against the all-pairs reference: means of six counts
+    # agree within 4 SE; wedges and triangles would catch pair coins that
+    # depend on each other
+    g, nu, eps, planted = LAZY_CASES[case]
+    cfg = SamplerConfig(nu=nu, seed=0, eps=eps)
+    assert _lazy_strata(g, cfg, choose_theta_max(g, nu, eps)) is not None
+    arms = []
+    for base, fast in ((40_000, True), (50_000, False)):
+        arms.append(np.array([graph_counts(sample_keg(
+            g, SamplerConfig(nu=nu, seed=base + r, eps=eps, use_fast_path=fast),
+            planted=planted)) for r in range(LAZY_REPS)]))
+    lazy, naive = arms
+    names = ("edges", "vertices", "degree_1", "self_loops", "wedges", "triangles")
+    for k, name in enumerate(names):
+        if lazy[:, k].var() == naive[:, k].var() == 0.0:
+            assert lazy[0, k] == naive[0, k], name
+        else:
+            assert abs(z_two_sample(lazy[:, k], naive[:, k])) <= 4.0, name
+    assert naive[:, 2].mean() > 0.5 and naive[:, 4].mean() > 0.5
+    if case == "constant-loops-planted":
+        assert naive[:, 3].mean() > 0.3 and naive[:, 5].mean() > 0.05
+
+
+def test_lazy_draws_keep_planted_points_and_their_latent_coordinates():
+    g = sample_keg(SLOW, SamplerConfig(nu=20.0, seed=4, eps=1e-2, retain_latent=True),
+                   planted=(0.25, 5000.0))
+    assert g.latent[list(g.planted_indices)].tolist() == [0.25, 5000.0]
+    theta = choose_theta_max(SLOW, 20.0, 1e-2)
+    others = np.delete(g.latent, list(g.planted_indices))
+    assert np.all((others >= 0.0) & (others <= theta))
+
+
+def test_lazy_positions_are_fixed_per_slot():
+    # a slot's position is the same whenever and in whatever order it is
+    # touched, and lies in its stratum; a planted point sits where it was put
+    edges, bound = _strata(SLOW, 1e4)[:2]
+    cloud = _LazyCloud(SLOW, edges, bound, np.array([3.5]), 20.0, stream(0, 0))
+    slots = np.random.default_rng(1).integers(0, cloud.n, 5000)
+    x, s = cloud.positions(slots)
+    again, _ = cloud.positions(slots[::-1])
+    np.testing.assert_array_equal(again[::-1], x)
+    assert np.all((x >= edges[np.minimum(s, bound.size - 1)]) | (s == bound.size))
+    assert np.all((x <= edges[np.minimum(s + 1, bound.size)]) | (s == bound.size))
+    assert cloud.positions(np.array([cloud.n - 1]))[0].tolist() == [3.5]
+    # the heavy slots are those of strata whose bound exceeds 1/2
+    heavy = np.flatnonzero(np.repeat(cloud.bnd > 0.5, cloud.count))
+    np.testing.assert_array_equal(cloud.heavy, heavy)
+
+
+def test_star_rate_draws_match_the_theory_past_the_support():
+    # S = exp(-x) past the constant kernel's support c = 2: the sampler draws
+    # that tail, and the theory counts it
+    g = build({"family": "constant", "params": {"p": 0.5, "c": 2.0},
+               "exprs": {"S": "exp(-x)"}})
+    nu, reps = 3.0, 4000
+    v = np.array([sample_keg(g, SamplerConfig(nu=nu, seed=r)).n_vertices
+                  for r in range(reps)])
+    want = expected_vertices(g, nu).value
+    assert abs(v.mean() - want) <= 4.0 * v.std(ddof=1) / math.sqrt(reps)
+
+
+def chi_square_p(draws, mean):
+    """Chi-square p-value of draws against Poisson(mean), with right-tail
+    cells merged until each expects at least 5."""
+    reps = draws.size
+    kmax = int(draws.max())
+    observed = np.bincount(draws, minlength=kmax + 1).astype(float)
+    law = sps.poisson(mean)
+    expected = law.pmf(np.arange(kmax + 1)) * reps
+    expected[-1] += law.sf(kmax) * reps
+    while expected.size > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    return sps.chisquare(observed, expected * observed.sum() / expected.sum())[1]
+
+
+@pytest.mark.parametrize("spec, nu, lam, theta_max", [
+    # at lam = 0 the first stratum's bound W(0, 0) is 1
+    ({"family": "fast-decay"}, 10.0, 0.0, None),
+    # at lam = c the kernel is still p; the cutoff past c puts f's jump to 0
+    # inside the strata
+    ({"family": "constant", "params": {"p": 0.3, "c": 2.0}}, 10.0, 2.0, 3.0),
+])
+def test_planted_degrees_are_poisson_in_strata(spec, nu, lam, theta_max):
+    g = build(spec)
+    theta = theta_max if theta_max is not None else choose_theta_max(g, nu, 1e-3)
+    mean = nu * integrate.quad(lambda x: float(g.w_at(lam, x)), 0.0, theta,
+                               points=[2.0] if theta_max else None, epsabs=0.0,
+                               epsrel=1e-12, limit=200)[0]
+    draws = sample_planted_degrees(g, nu, lam, 5000, 3, theta_max=theta_max)
+    assert chi_square_p(draws, mean) >= 0.001
+
+
+def test_a_wrong_monotonicity_declaration_is_caught():
+    # f rises, but carries the nonincreasing mark: a drawn f(x) above its
+    # stratum's bound f(a) stops the draw
+    def rising(x):
+        return 0.02 + 0.04 * np.minimum(np.asarray(x, dtype=float), 5.0)
+
+    rising.nonincreasing = True
+    g = dataclasses.replace(FAST, separable_f=rising)
+    cfg = SamplerConfig(nu=2.0, seed=0, theta_max=6.0)
+    assert _lazy_strata(g, cfg, 6.0) is not None
+    with pytest.raises(SamplerError, match="not nonincreasing"):
+        for seed in range(20):
+            sample_keg(g, dataclasses.replace(cfg, seed=seed))
+    wrong_w = dataclasses.replace(g, w=lambda x, y: rising(x) * rising(y))
+    with pytest.raises(SamplerError, match="not nonincreasing"):
+        sample_planted_degrees(wrong_w, 2.0, 1.0, 200, 0, theta_max=6.0)
+    # swapping f drops the mark: a replaced factor takes the full cloud
+    assert _lazy_strata(dataclasses.replace(SLOW, separable_f=lambda x: 0.5 / (1.0 + x)),
+                        SamplerConfig(nu=5.0, seed=0), 1e3) is None

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 from test_acceptance import (
     fast_degree_count_closed_form,
     fast_vertices_closed_form,
@@ -219,6 +219,24 @@ def test_star_and_isolated_vertex_and_degree_accounting():
     n1 = expected_degree_count(g, nu, 1)
     # leaves and isolated-edge endpoints all have degree exactly 1
     assert n1.value >= nu * nu + 2 * nu * nu * 0.2
+
+
+def test_star_rate_past_the_kernel_support_is_integrated():
+    # S = exp(-x) lives past the constant kernel's support c = 2, and the
+    # visibility density jumps at c; the theory must integrate the whole
+    # tail, as the sampler draws it
+    g = build({"family": "constant", "params": {"p": 0.5, "c": 2.0},
+               "exprs": {"S": "exp(-x)"}})
+    nu = 3.0
+
+    def density(x):
+        mu = 0.5 * 2.0 if x <= 2.0 else 0.0
+        return 1.0 - math.exp(-nu * (mu + math.exp(-x)))
+
+    want = nu * (integrate.quad(density, 0.0, 2.0, epsabs=0.0, epsrel=1e-12)[0]
+                 + integrate.quad(density, 2.0, math.inf, epsabs=0.0, epsrel=1e-12)[0])
+    assert want == pytest.approx(7.0033, abs=1e-4)
+    assert expected_vertices(g, nu).components["latent"] == pytest.approx(want, rel=1e-9)
 
 
 def degree_sum_identities(g, nu, kmax):
