@@ -38,7 +38,8 @@ class GraphStatsError(ValueError):
 def _as_edges(edges) -> np.ndarray:
     arr = np.asarray(getattr(edges, "edges", edges))
     if arr.size == 0:
-        return arr.reshape(0, 2).astype(np.int64)
+        # an empty list reads as float; an empty integer array keeps its dtype
+        return arr.reshape(0, 2).astype(arr.dtype if arr.dtype.kind in "iu" else np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphStatsError(f"edge array must have shape (E, 2), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -105,10 +106,20 @@ def counts(edges) -> tuple[int, int]:
 
 
 def degrees(edges) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex ids, degree of each) for the visible vertices, ids ascending."""
+    """(vertex ids, degree of each) for the visible vertices, ids ascending
+    and of the edges' dtype, as from np.unique."""
     arr = _as_edges(edges)
     if arr.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=arr.dtype), np.empty(0, dtype=np.int64)
+    lo = int(arr.min())
+    span = int(arr.max()) - lo + 1
+    # dense ids, as ranked_unique's rule has it, are counted slot by slot, in
+    # int64, since a narrow dtype would wrap on a wide range; uint64 ids past
+    # the int64 range would wrap there, so they are sorted
+    if arr.size * SLOT_TABLE_RATIO >= span and arr.dtype != np.uint64:
+        tally = np.bincount(arr.ravel().astype(np.int64, copy=False) - lo, minlength=span)
+        slots = np.flatnonzero(tally)
+        return (slots + lo).astype(arr.dtype, copy=False), tally[slots]
     ends = np.sort(arr.ravel())
     # a new id starts wherever the sorted endpoints change; the run length
     # from one start to the next is that id's degree

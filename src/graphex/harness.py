@@ -97,12 +97,16 @@ def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float,
                 threads: int | None, measure):
     """Yield (nu, [measure(graph, i_nu) for each replicate]) per grid level,
     with replicate seeds addressed as in the module docstring."""
+    # bool is a subclass of int, but True is no thread count
+    if threads is not None and not (isinstance(threads, int) and not isinstance(threads, bool)
+                                    and threads >= 1):
+        raise HarnessError(f"threads must be None or an integer >= 1, got {threads!r}")
     for i_nu, nu in enumerate(grid):
         def one(rep: int, nu=nu, i_nu=i_nu):
             child = int(rngmod.derive_key(seed, i_nu, rep)[0])
             return measure(sample_keg(g, SamplerConfig(nu=nu, seed=child, eps=eps)), i_nu)
 
-        if threads and threads > 1:
+        if threads is not None and threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 values = list(pool.map(one, range(reps)))
         else:

@@ -43,10 +43,15 @@ the kernel factorises as W(x, y) = f(x) f(y), the fast path is used instead:
 
 A proposal endpoint is the index where a uniform key scaled by sum f falls in
 cumsum(f). When a draw has at least as many keys as latent points, a guide
-table (Chen & Asau 1974) of 4n equal buckets maps each key to the few
-indices its bucket spans: most keys settle with no comparison or one, and
-the rest, in crowded buckets, get a binary search. The indices are those of
-a binary search over all of cumsum(f), so every drawn number is too.
+table (Chen & Asau 1974) of 4n buckets finds it. A value y goes to bucket
+int(y * 4n / sum f), for the keys and the entries of cumsum(f) alike, so a
+key's answer is the count of entries in lower buckets plus those of its own
+bucket that are at most the key: a key in a bucket of at most one entry
+settles with one comparison, and only keys in crowded buckets get a binary
+search. The indices are those of a binary search over all of cumsum(f), so
+every drawn number is too. The pairs come out in (u, v) order, heavy and
+light runs merged, and keep it through the slot -> index map, so only a
+draw whose kernel pairs meet self loops or star edges sorts its rows.
 
 Lazy clouds. In a sparse draw almost every latent point stays invisible.
 When the family declares f nonincreasing (slow-decay, fast-decay, constant)
@@ -237,22 +242,26 @@ class SampledGraph:
         """One row per edge: u_index,v_index,u_label,v_label,provenance.
 
         ``dest`` is a path or an open text stream. Labels are written as the
-        ``repr`` of the float. Each vertex's index and label are formatted
-        once, and rows go out in blocks of ``_CSV_BLOCK`` edges, one write per
-        block, so memory stays bounded by a block's text, not the file's.
+        ``repr`` of the float. Each vertex's ``"i,"`` and ``"label,"`` are
+        formatted once, into object arrays. Rows go out in blocks of
+        ``_CSV_BLOCK`` edges: a block gathers its five fields per row into
+        one object array by the edge and provenance arrays, and is written by
+        one ``"".join``, so memory stays bounded by a block's text, not the
+        file's.
         """
-        index = [str(i) for i in range(self.n_vertices)]
-        label = [repr(x) for x in np.asarray(self.labels, dtype=float).tolist()]
+        index = np.array([f"{i}," for i in range(self.n_vertices)], dtype=object)
+        label = np.array([f"{x!r}," for x in np.asarray(self.labels, dtype=float).tolist()],
+                         dtype=object)
+        prov = np.array([f"{name}\n" for name in PROV_NAMES], dtype=object)
         with _out_stream(dest) as fh:
             fh.write("u_index,v_index,u_label,v_label,provenance\n")
             for b0 in range(0, self.n_edges, _CSV_BLOCK):
-                # a flat list pairs up faster than the nested one tolist()
-                # makes of a 2-D block
-                ends = iter(self.edges[b0:b0 + _CSV_BLOCK].ravel().tolist())
-                prov = self.provenance[b0:b0 + _CSV_BLOCK].tolist()
-                fh.write("".join([
-                    f"{index[u]},{index[v]},{label[u]},{label[v]},{PROV_NAMES[p]}\n"
-                    for u, v, p in zip(ends, ends, prov)]))
+                uv = self.edges[b0:b0 + _CSV_BLOCK]
+                fields = np.empty((uv.shape[0], 5), dtype=object)
+                fields[:, :2] = index[uv]
+                fields[:, 2:4] = label[uv]
+                fields[:, 4] = prov[self.provenance[b0:b0 + _CSV_BLOCK]]
+                fh.write("".join(fields.ravel().tolist()))
 
     def write_latent_csv(self, dest) -> None:
         if self.latent is None:
@@ -352,13 +361,16 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     nondecreasing ``cum``, found through a guide table (Chen & Asau 1974) when there are
     at least as many keys as entries.
 
-    The table cuts [0, total] into K = 4n buckets with edges
-    e_j = j * (total / K), the outer two widened to -inf and +inf, and holds
-    guide[j] = searchsorted(cum, e_j, side="right"). A key y with
-    e_b <= y < e_{b+1} has its answer in [guide[b], guide[b+1]]: a span of 0
-    gives it outright, a span of 1 takes one comparison, and the few keys in
-    wider spans go to a binary search of their own. The answer is the same
-    index in every case, so draws through it stay bit-identical.
+    A value y falls in bucket B(y) = int(y * (K / total)), clipped to
+    [0, K - 1], of K = 4n buckets. B is nondecreasing in y as computed in
+    floating point, so every entry of cum in a lower bucket than a key is
+    below it and every entry in a higher one above it: the answer for a key
+    in bucket b is guide[b] = #{c : B(c) < b} plus the number of the bucket's
+    own entries that are <= the key. Where the bucket holds at most one
+    entry, one comparison with cum[guide[b]] (+inf past the end) counts
+    them; the few keys in crowded buckets get a binary search, sorted first.
+    The answer is the same index in every case, so draws through it stay
+    bit-identical.
     """
     n = cum.size
     total = float(cum[-1])
@@ -367,23 +379,23 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     # denormal or infinite leaves the bucket width or its inverse unusable
     if keys.size < n or not (math.isfinite(total) and total / k >= np.finfo(float).tiny):
         return np.searchsorted(cum, keys, side="right")
-    edges = np.arange(k + 1) * (total / k)
-    edges[0] = -np.inf
-    edges[-1] = np.inf
-    guide = np.searchsorted(cum, edges, side="right")
+    scale = k / total
 
-    b = (keys * (k / total)).astype(np.intp)
-    np.clip(b, 0, k - 1, out=b)
-    # the estimate can sit one bucket off next to an edge; settle it against
-    # the stored edges so that e_b <= y < e_{b+1} holds exactly
-    b -= keys < edges[b]
-    b += keys >= edges[b + 1]
-    out = guide[b]
-    span = guide[b + 1] - out
-    one = span == 1
-    out[one] += cum[out[one]] <= keys[one]
-    wide = np.flatnonzero(span > 1)
-    out[wide] = np.searchsorted(cum, keys[wide], side="right")
+    def bucket(y):
+        b = (y * scale).astype(np.intp)
+        return np.clip(b, 0, k - 1, out=b)
+
+    guide = np.concatenate(([0], np.cumsum(np.bincount(bucket(cum), minlength=k))))
+    # the start of each bucket, or -1 for a crowded one
+    start = guide[:-1]
+    start[guide[1:] - start > 1] = -1
+    out = start[bucket(keys)]
+    out += np.append(cum, np.inf)[out] <= keys  # -1 reads +inf: no change
+    wide = np.flatnonzero(out < 0)
+    if wide.size:
+        order = np.argsort(keys[wide])
+        wide = wide[order]
+        out[wide] = np.searchsorted(cum, keys[wide], side="right")
     return out
 
 
@@ -397,7 +409,8 @@ class _Cloud:
         if np.shares_memory(f, pts):
             f = f.copy()
         self.f = np.clip(f, 0.0, 1.0, out=f)
-        self.n, self.heavy, self.total = pts.size, np.nonzero(f > _TAU)[0], float(f.sum())
+        self.big = f > _TAU
+        self.n, self.heavy, self.total = pts.size, np.flatnonzero(self.big), float(f.sum())
 
     def value(self, slots):
         """f at the slots, and its bound there."""
@@ -411,7 +424,7 @@ class _Cloud:
         keys *= cum[-1]
         ends = _endpoints(cum, keys)
         np.minimum(ends, self.n - 1, out=ends)
-        return ends, self.f[ends] > _TAU
+        return ends, self.big[ends]
 
 
 _STRATUM_RATIO = 1.25  # f falls by at most this factor inside a stratum
@@ -497,8 +510,8 @@ class _LazyCloud:
         return _checked(x, (h or self.f)(x), bound), bound
 
     def loops(self, g: Graphex, gen) -> np.ndarray:
-        """Slots with a self loop: heavy ones by a coin each, the others by
-        thinning Poi(c0 F^2) proposals per point against W(x, x)."""
+        """Slots with a self loop, ascending: heavy ones by a coin each, the
+        others by thinning Poi(c0 F^2) proposals per point against W(x, x)."""
         heavy = self.heavy
         hits = [heavy[gen.random(heavy.size) < self.value(heavy, g.diag_at)[0]]]
         rate = np.where(self.bnd > _TAU, 0.0, self.bnd ** 2)
@@ -508,7 +521,8 @@ class _LazyCloud:
             cand = sorted_unique(self.locate(gen.random(m), cum, rate)[0])
             d, q = self.value(cand, g.diag_at)
             hits.append(cand[gen.random(cand.size) < d / -np.expm1(-_C0 * q)])
-        return np.concatenate(hits)
+        # a planted heavy slot comes after the light ones of the cloud
+        return np.sort(np.concatenate(hits))
 
 
 def _stratum_of(cum, keys):
@@ -531,9 +545,12 @@ def _checked(x, value, bound):
 
 
 def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
-    """Separable pairs of a full or a lazy cloud; see the module docstring."""
+    """Separable pairs of a full or a lazy cloud, in (u, v) order; see the
+    module docstring."""
     n = cloud.n
-    chunks = []
+    # each run holds pair keys u * n + v, ascending: the heavy pairs come out
+    # of triu_indices over ascending slots, the light ones out of the dedupe
+    runs = []
     heavy = cloud.heavy
     h = heavy.size
     if h >= 2:
@@ -545,7 +562,7 @@ def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
         fh = cloud.value(heavy)[0]
         p = fh[iu] * fh[ju]
         keep = gen.random(p.size) < p
-        chunks.append(np.column_stack((heavy[iu][keep], heavy[ju][keep])))
+        runs.append(heavy[iu[keep]].astype(np.int64, copy=False) * n + heavy[ju[keep]])
 
     if cloud.total > 0.0:
         lam = _C0 * cloud.total * cloud.total / 2.0
@@ -560,24 +577,34 @@ def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
             gen.random(out=keys[:m])
             gen.random(out=keys[m:])
             ends, big = cloud.ends(keys)
+            # the keys and the endpoints are the draw's largest arrays; free
+            # them before the dedupe and the acceptance allocate theirs
+            del keys
             u = ends[:m]
             v = ends[m:]
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            ok = (lo != hi) & ~(big[:m] & big[m:])
+            ok = (u != v) & ~(big[:m] & big[m:])
+            key = np.minimum(u, v).astype(np.int64, copy=False)
+            key *= n
+            key += np.maximum(u, v)
+            del ends, u, v
             # the keys come out ascending, as from np.unique, so the
             # acceptance coins below fall on the same pairs
-            lo, hi = np.divmod(
-                sorted_unique(lo[ok].astype(np.int64, copy=False) * n + hi[ok]), n)
+            key = sorted_unique(key[ok])
+            lo, hi = np.divmod(key, n)
             (f_lo, bound_lo), (f_hi, bound_hi) = cloud.value(lo), cloud.value(hi)
             p = f_lo * f_hi
             q = np.multiply(bound_lo, bound_hi, out=bound_lo)  # f_lo is not read again
             accept = gen.random(p.size) < p / (-np.expm1(-_C0 * q))
-            chunks.append(np.column_stack((lo[accept], hi[accept])))
+            runs.append(key[accept])
 
-    if not chunks:
+    if not runs:
         return np.empty((0, 2), dtype=np.int64)
-    return np.vstack(chunks).astype(np.int64, copy=False)
+    # a stable sort merges two sorted runs in one pass; no heavy pair was
+    # proposed, so they share no key
+    key = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs), kind="stable")
+    pairs = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 _NAIVE_BLOCK = 2048
@@ -606,7 +633,9 @@ def _pairs_naive(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.nda
         return np.empty((0, 2), dtype=np.int64)
     u = np.concatenate(us)
     v = np.concatenate(vs)
-    return np.column_stack((u, v)).astype(np.int64)
+    # blocks come row band by row band; return (u, v) order, as _kernel_pairs does
+    order = np.lexsort((v, u))
+    return np.column_stack((u[order], v[order])).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +687,7 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
             kernel_uv = _pairs_naive(g, pts, gen_pairs, cfg)
     else:
         kernel_uv = np.empty((0, 2), dtype=np.int64)
+    n_pairs, n_loops = kernel_uv.shape[0], 0
 
     # self loops
     if g.self_edges and g.diag is not None and n:
@@ -667,7 +697,8 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         else:
             d = np.clip(np.asarray(g.diag_at(pts), dtype=float), 0.0, 1.0)
             hit = np.nonzero(gen_self.random(n) < d)[0]
-        if hit.size:
+        n_loops = hit.size
+        if n_loops:
             loops = np.column_stack((hit, hit)).astype(np.int64)
             kernel_uv = np.vstack((kernel_uv, loops)) if kernel_uv.size else loops
 
@@ -708,15 +739,21 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         provs.append(np.full(n_iso, PROV_ISOLATED, dtype=np.uint8))
 
     if rows:
-        edges = np.vstack(rows).astype(np.int64, copy=False)
+        edges = np.vstack(rows).astype(np.int64, copy=False) if len(rows) > 1 else rows[0]
         provenance = np.concatenate(provs)
-        # one stable sort on a combined key is the lexicographic order of
-        # (u, v, provenance) at half the cost of np.lexsort; u, v < n_vertices
-        # and provenance < 3, so the key fits int64 below 1.7e9 vertices
-        key = (edges[:, 0] * n_vertices + edges[:, 1]) * len(PROV_NAMES) + provenance
-        order = np.argsort(key, kind="stable")
-        edges = edges[order]
-        provenance = provenance[order]
+        # each run is in (u, v) order: the kernel pairs (the slot -> index map
+        # is increasing), the self loops, the star edges, and the isolated
+        # edges, whose vertices come after all others. Only where two of the
+        # first three meet do the rows need sorting
+        if (n_pairs > 0) + (n_loops > 0) + (n_leaves > 0) > 1:
+            # one stable sort on a combined key is the lexicographic order of
+            # (u, v, provenance) at half the cost of np.lexsort; u, v <
+            # n_vertices and provenance < 3, so the key fits int64 below 1.7e9
+            # vertices
+            key = (edges[:, 0] * n_vertices + edges[:, 1]) * len(PROV_NAMES) + provenance
+            order = np.argsort(key, kind="stable")
+            edges = edges[order]
+            provenance = provenance[order]
     else:
         edges = np.empty((0, 2), dtype=np.int64)
         provenance = np.empty(0, dtype=np.uint8)

@@ -105,6 +105,14 @@ def test_sample_impossible_request_is_config_error(tmp_path, capsys):
     assert "graphex: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_bad_thread_count_is_config_error(capsys, threads):
+    code = run("validate", "--graphex", FAST, "--nus", "3", "--replicates", "30",
+               "--seed", "0", f"--threads={threads}")
+    assert code == EXIT_CONFIG
+    assert "threads must be None or an integer >= 1" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # expect / check
 # --------------------------------------------------------------------------

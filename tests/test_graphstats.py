@@ -135,15 +135,27 @@ def unique_degrees(arr):
     return ids, np.bincount(inverse, minlength=ids.size).astype(np.int64)
 
 
-@given(any_edge_lists)
+@given(any_edge_lists, st.sampled_from([np.int64, np.int32, np.int16, np.uint32]))
 @settings(max_examples=200, deadline=None)
-def test_degrees_match_unique_reference(edges):
+def test_degrees_match_unique_reference(edges, dtype):
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if dtype is not np.int64:
+        # fold the ids into the dtype's range, keeping negative and spread ones
+        info = np.iinfo(dtype)
+        arr = (arr - info.min) % (int(info.max) - info.min + 1) + info.min
+    arr = arr.astype(dtype)
     ids, deg = degrees(arr)
     ref_ids, ref_deg = unique_degrees(arr)
     np.testing.assert_array_equal(ids, ref_ids)
     np.testing.assert_array_equal(deg, ref_deg)
     assert ids.dtype == ref_ids.dtype and deg.dtype == np.int64
+
+
+def test_degrees_of_uint64_ids_past_int64():
+    arr = np.array([[2**64 - 1, 2**64 - 2], [2**64 - 1, 2**64 - 1]], dtype=np.uint64)
+    ids, deg = degrees(arr)
+    assert ids.dtype == np.uint64
+    assert ids.tolist() == [2**64 - 2, 2**64 - 1] and deg.tolist() == [1, 3]
 
 
 @given(edge_lists)

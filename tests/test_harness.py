@@ -9,6 +9,7 @@ from graphex.harness import (
     HarnessError,
     ProjectivityReport,
     ValidationReport,
+    _replicates,
     connectivity_experiment,
     degdist_experiment,
     projectivity_test,
@@ -71,6 +72,15 @@ def test_validate_is_deterministic_and_thread_invariant():
         == json.dumps(c.to_dict(), sort_keys=True)
     d = validate_expectations(FAST, (3.0,), 30, seed=8)
     assert a.to_dict() != d.to_dict()
+
+
+@pytest.mark.parametrize("threads", [0, -4, True, 2.5])
+def test_replicate_engine_refuses_bad_thread_counts(threads):
+    # refused before any draw, from the engine and from every experiment on it
+    with pytest.raises(HarnessError, match="threads"):
+        next(_replicates(FAST, (3.0,), 30, 0, 1e-3, threads, lambda graph, i_nu: 0))
+    with pytest.raises(HarnessError, match="threads"):
+        validate_expectations(FAST, (3.0,), 30, seed=0, threads=threads)
 
 
 def test_validate_argument_errors():

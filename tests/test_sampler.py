@@ -98,6 +98,9 @@ def check_graph_invariants(g: SampledGraph):
         assert g.edges.min() >= 0 and g.edges.max() < g.n_vertices
         assert np.all(g.edges[:, 0] <= g.edges[:, 1])
         assert np.unique(g.edges, axis=0).shape[0] == g.n_edges
+        # rows in (u, v, provenance) order
+        order = np.lexsort((g.provenance, g.edges[:, 1], g.edges[:, 0]))
+        np.testing.assert_array_equal(order, np.arange(g.n_edges))
     if g.n_vertices:
         assert g.labels.min() >= 0.0 and g.labels.max() <= g.nu
         # every stored vertex is visible
@@ -111,10 +114,19 @@ def check_graph_invariants(g: SampledGraph):
     ({"family": "slow-decay"}, 5.0, 7),
     ({"family": "constant", "params": {"p": 0.5, "c": 2.0}, "self_edges": True}, 8.0, 0),
     ({"family": "custom", "exprs": {"W": "0", "S": "exp(-x)"}, "I": 0.2}, 10.0, 3),
+    ({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.2, "self_edges": True},
+     30.0, 2),
     ({"family": "caron-fox"}, 6.0, 9),
 ])
 def test_draw_invariants(spec, nu, seed):
     g = sample_keg(build(spec), SamplerConfig(nu=nu, seed=seed))
+    check_graph_invariants(g)
+
+
+def test_naive_path_rows_come_in_order():
+    # more latent points than one naive block, so pairs come band by band
+    g = sample_keg(FAST, SamplerConfig(nu=300.0, seed=5, use_fast_path=False))
+    assert g.nu * g.theta_max > 2 * 2048
     check_graph_invariants(g)
 
 
@@ -269,6 +281,56 @@ def test_write_csv_matches_per_edge_writer(tmp_path):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def blockwise_csv(g: SampledGraph) -> str:
+    """Reference writer: each vertex's index and label formatted once, then
+    one f-string per row, in blocks of _CSV_BLOCK edges."""
+    index = [str(i) for i in range(g.n_vertices)]
+    label = [repr(x) for x in np.asarray(g.labels, dtype=float).tolist()]
+    out = ["u_index,v_index,u_label,v_label,provenance\n"]
+    for b0 in range(0, g.n_edges, _CSV_BLOCK):
+        ends = iter(g.edges[b0:b0 + _CSV_BLOCK].ravel().tolist())
+        prov = g.provenance[b0:b0 + _CSV_BLOCK].tolist()
+        out.append("".join([
+            f"{index[u]},{index[v]},{label[u]},{label[v]},{PROV_NAMES[p]}\n"
+            for u, v, p in zip(ends, ends, prov)]))
+    return "".join(out)
+
+
+def assert_same_text(got: str, want: str):
+    """got == want, reported by the first line that differs (pytest's own
+    diff of two long texts takes minutes)."""
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i}: {g[i:i + 1]} != {w[i:i + 1]} ({len(g)} against {len(w)} lines)")
+
+
+def test_write_csv_matches_reference_on_a_draw(tmp_path):
+    # kernel pairs, self loops, star and isolated edges, over several blocks
+    decl = {"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.2, "self_edges": True}
+    g = sample_keg(build(decl), SamplerConfig(nu=250.0, seed=4))
+    by_prov = g.edge_counts_by_provenance()
+    assert g.n_edges > _CSV_BLOCK and min(by_prov.values()) > 0
+    assert np.any(g.edges[:, 0] == g.edges[:, 1])
+    g.labels[:3] = [1e-05, 2.5e-07, 1.2345678901234567e+16]
+    want = blockwise_csv(g)
+    assert "e-05" in want and "e+16" in want
+    assert_same_text(per_edge_csv(g), want)
+    buf = io.StringIO()
+    g.write_csv(buf)
+    assert_same_text(buf.getvalue(), want)
+    path = tmp_path / "edges.csv"
+    g.write_csv(path)
+    assert path.read_bytes() == want.encode("utf-8")
+
+    empty = SampledGraph(nu=1.0, seed=0, theta_max=1.0, epsilon=1e-3, labels=np.empty(0),
+                         edges=np.empty((0, 2), dtype=np.int64),
+                         provenance=np.empty(0, dtype=np.uint8))
+    buf = io.StringIO()
+    empty.write_csv(buf)
+    assert buf.getvalue() == blockwise_csv(empty) == "u_index,v_index,u_label,v_label,provenance\n"
+
+
 def draw_digest(g: SampledGraph) -> str:
     h = hashlib.sha256()
     for arr in (g.edges, g.provenance, g.labels, g.latent):
@@ -294,7 +356,12 @@ def draw_digest(g: SampledGraph) -> str:
     # and its keys take the guide table's span-1 and binary-search branches
     (FAST, 300.0, 1, (),
      "540815177c305cbcaaa9099d7c9fd1fa2729fbd917b0cae1bfafdf96c6bba958"),
-], ids=["fast-planted", "star-isolated", "slow", "fast-large"])
+    # the benchmark's draw: about 20.8k latent points, 689 heavy ones, 1.44M
+    # endpoint keys, of which about 70k fall in crowded guide-table buckets,
+    # and 520k edges
+    (FAST, 1000.0, 3, (),
+     "b97c24ca7e2b41271f220d6850873e6b1646af052631d246e4f58d4976b454ce"),
+], ids=["fast-planted", "star-isolated", "slow", "fast-large", "fast-1000"])
 def test_frozen_draws(graphex, nu, seed, planted, digest):
     # frozen sha256 of whole draws: any change to how randomness is consumed,
     # or to vertex indexing and edge order, shows here
@@ -642,6 +709,18 @@ def test_lazy_positions_are_fixed_per_slot():
     # the heavy slots are those of strata whose bound exceeds 1/2
     heavy = np.flatnonzero(np.repeat(cloud.bnd > 0.5, cloud.count))
     np.testing.assert_array_equal(cloud.heavy, heavy)
+
+
+@pytest.mark.parametrize("seed", [48, 69])
+def test_lazy_self_loops_come_in_order(seed):
+    # loops on a planted heavy point (the last slot) and on light cloud
+    # points, and no other kernel edge to merge them with
+    g = build({"family": "fast-decay", "self_edges": True})
+    cfg = SamplerConfig(nu=1.0, seed=seed)
+    assert _lazy_strata(g, cfg, choose_theta_max(g, 1.0, cfg.eps)) is not None
+    d = sample_keg(g, cfg, planted=(0.05,))
+    assert d.n_edges >= 2 and np.all(d.edges[:, 0] == d.edges[:, 1])
+    check_graph_invariants(d)
 
 
 def test_star_rate_draws_match_the_theory_past_the_support():
