@@ -114,9 +114,9 @@ def check_graph_invariants(g: SampledGraph):
     ({"family": "slow-decay"}, 5.0, 7),
     ({"family": "constant", "params": {"p": 0.5, "c": 2.0}, "self_edges": True}, 8.0, 0),
     ({"family": "custom", "exprs": {"W": "0", "S": "exp(-x)"}, "I": 0.2}, 10.0, 3),
+    ({"family": "caron-fox"}, 6.0, 9),
     ({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.2, "self_edges": True},
      30.0, 2),
-    ({"family": "caron-fox"}, 6.0, 9),
 ])
 def test_draw_invariants(spec, nu, seed):
     g = sample_keg(build(spec), SamplerConfig(nu=nu, seed=seed))
