@@ -74,14 +74,20 @@ def ranked_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the cost of NumPy's hash-based unique. Values that fill their range
     densely, such as a graph's vertex ids, are ranked through a table of
     seen slots, sparse ones by a sort and a binary search; both give the same
-    result."""
+    result. uint64 values are sorted, as in ``degrees``, and past the int64
+    range their distinct values stay uint64."""
     if a.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lo = int(a.min())
     span = int(a.max()) - lo + 1
-    if a.size * SLOT_TABLE_RATIO < span:
-        ids = sorted_unique(a).astype(np.int64, copy=False)
-        return ids, ids.searchsorted(a)
+    if a.size * SLOT_TABLE_RATIO < span or a.dtype == np.uint64:
+        # ranked in the values' own dtype: int64 against uint64 compares in
+        # float64, which merges values past 2^53
+        ids = sorted_unique(a)
+        ranks = ids.searchsorted(a)
+        if int(ids[-1]) <= np.iinfo(np.int64).max:
+            ids = ids.astype(np.int64, copy=False)
+        return ids, ranks
     # in int64: a narrow dtype would wrap on a range wider than its own
     slot = a.astype(np.int64, copy=False) - lo
     seen = np.zeros(span, dtype=bool)

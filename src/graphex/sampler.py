@@ -30,28 +30,32 @@ the kernel factorises as W(x, y) = f(x) f(y), the fast path is used instead:
 
 * points with f > 1/2 are few (f is integrable), and their pairs get direct
   coins;
-* for every other pair, proposals are drawn as a Poisson number
-  M ~ Poi(c0 * (sum f)^2 / 2) of ordered pairs with endpoints i.i.d.
-  proportional to f, so each unordered pair {i, j} is proposed a
-  Poi(c0 f_i f_j) number of times independently of all others. Discarding
-  self pairs and already-covered heavy pairs, deduplicating, and accepting
-  each proposed pair once with probability f_i f_j / (1 - exp(-c0 f_i f_j))
-  yields the edge with probability exactly f_i f_j. The constant
-  c0 = -ln(1/2) / (1/2) makes the acceptance probability peak at exactly 1
-  when f_i f_j = 1/2, which is the largest product a non-heavy pair can
-  reach, so the acceptance probability never exceeds 1.
+* every other pair {u, v}, u < v, is proposed a Poi(c0 f_u f_v) number of
+  times, independently of all others, and only from its lower slot u (as
+  Batagelj & Brandes 2005 and Miller & Hagberg 2011 walk Chung-Lu pairs):
+  slot u draws K_u ~ Poi(c0 f_u R_u) partners v > u in proportion to f_v,
+  where R_u is the f-mass of every later slot for a light u and of the
+  later light slots only for a heavy u. Deduplicating the keys u * n + v
+  and accepting each proposed pair once with probability
+  f_u f_v / (1 - exp(-c0 f_u f_v)) yields the edge with probability exactly
+  f_u f_v. The constant c0 = -ln(1/2) / (1/2) makes the acceptance
+  probability peak at exactly 1 when f_u f_v = 1/2, which is the largest
+  product a non-heavy pair can reach, so the acceptance probability never
+  exceeds 1.
 
-A proposal endpoint is the index where a uniform key scaled by sum f falls in
-cumsum(f). When a draw has at least as many keys as latent points, a guide
-table (Chen & Asau 1974) of 4n buckets finds it. A value y goes to bucket
-int(y * 4n / sum f), for the keys and the entries of cumsum(f) alike, so a
-key's answer is the count of entries in lower buckets plus those of its own
-bucket that are at most the key: a key in a bucket of at most one entry
-settles with one comparison, and only keys in crowded buckets get a binary
-search. The indices are those of a binary search over all of cumsum(f), so
-every drawn number is too. The pairs come out in (u, v) order, heavy and
-light runs merged, and keep it through the slot -> index map, so only a
-draw whose kernel pairs meet self loops or star edges sorts its rows.
+A partner is the index where a key, uniform on [C_u, C_n) for the cumulative
+f C of the slot's table (cumsum(f), or cumsum of f with heavy slots zeroed),
+falls in that table; each later slot v of the table holds [C_{v-1}, C_v).
+When a draw has at least as many keys as latent points, a guide table (Chen &
+Asau 1974) of 4n buckets finds it. A value y goes to bucket
+int(y * 4n / C_n), for the keys and the entries of C alike, so a key's
+answer is the count of entries in lower buckets plus those of its own bucket
+that are at most the key: a key in a bucket of at most one entry settles
+with one comparison, and only keys in crowded buckets get a binary search.
+The indices are those of a binary search over all of C, so every drawn
+number is too. The pairs come out in (u, v) order, heavy and light runs
+merged, and keep it through the slot -> index map, so only a draw whose
+kernel pairs meet self loops or star edges sorts its rows.
 
 Lazy clouds. In a sparse draw almost every latent point stays invisible.
 When the family declares f nonincreasing (slow-decay, fast-decay, constant)
@@ -59,10 +63,13 @@ and there is no star rate, [0, theta_max] is cut into strata [a_l, a_{l+1})
 inside which f falls by at most a small ratio, and F_l = min(f(a_l), 1)
 bounds f there. Only the counts n_l ~ Poi(nu (a_{l+1} - a_l)) are drawn up
 front (Poisson thinning, Lewis & Shedler 1979), and the scheme above runs
-with f replaced by F, as Miller & Hagberg (2011) do for Chung-Lu graphs: an
-endpoint is a stratum chosen in proportion to n_l F_l and a uniform index in
-it; a point gets its position, uniform in its stratum, only where touched;
-a pair is accepted with probability f_i f_j / (1 - exp(-c0 F_i F_j)).
+with f replaced by F, as Miller & Hagberg (2011) do for Chung-Lu graphs,
+except that the proposals are M ~ Poi(c0 (sum F)^2 / 2) ordered pairs with
+both endpoints i.i.d. in proportion to F, less self pairs and heavy-heavy
+ones: an endpoint is a stratum chosen in proportion to n_l F_l and a uniform
+index in it; a point gets its position, uniform in its stratum, only where
+touched; a pair is accepted with probability
+f_i f_j / (1 - exp(-c0 F_i F_j)).
 Strata with F > 1/2 are heavy, the other points' self loops are thinned
 against F^2 alike, and a planted point is a stratum of its own. A drawn f(x)
 over its bound raises SamplerError. theta_max and the law of the draw stay
@@ -72,8 +79,8 @@ endpoints and heavy points number at least the latent points (the guide
 table's rule), for a user ``separable`` f or a star rate, which declare no
 bound, and on the naive path, the reference.
 
-Both paths produce the same distribution; a statistical equivalence test
-lives in the test suite.
+Both paths produce the same distribution; differential tests in the test
+suite hold the full and the lazy cloud against the naive path.
 """
 
 from __future__ import annotations
@@ -154,6 +161,10 @@ class SamplerConfig:
     for any kernel whose diagonal decays at least as fast as its marginal).
     ``max_latent_points`` caps nu * theta_max, the expected size of the full
     cloud, also for a lazy draw that makes only the points it touches.
+    ``max_pair_coins`` caps the coins of the naive path and of the heavy
+    pairs. ``max_proposals`` caps the expected number of pair proposals:
+    sum over slots u of c0 f_u R_u for a full cloud, c0 (sum F)^2 / 2 for a
+    lazy one (see the module docstring).
     """
 
     nu: float
@@ -400,7 +411,9 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class _Cloud:
-    """Every latent point of a draw, drawn up front; f bounds itself."""
+    """Every latent point of a draw, drawn up front; f bounds itself. A pair
+    that is not heavy-heavy is proposed only from its lower slot u: a light u
+    reaches every later slot, a heavy u every later light one."""
 
     def __init__(self, g: Graphex, pts: np.ndarray):
         # clipped in place; pts itself is still needed for self loops, stars
@@ -410,21 +423,50 @@ class _Cloud:
             f = f.copy()
         self.f = np.clip(f, 0.0, 1.0, out=f)
         self.big = f > _TAU
-        self.n, self.heavy, self.total = pts.size, np.flatnonzero(self.big), float(f.sum())
+        self.n, self.heavy = pts.size, np.flatnonzero(self.big)
 
     def value(self, slots):
         """f at the slots, and its bound there."""
         f = self.f[slots]
         return f, f
 
-    def ends(self, keys):
-        """Endpoint slots for unit keys (scaled in place), and which are
-        heavy."""
-        cum = np.cumsum(self.f)
-        keys *= cum[-1]
-        ends = _endpoints(cum, keys)
-        np.minimum(ends, self.n - 1, out=ends)
-        return ends, self.big[ends]
+    def proposals(self, gen, cfg: SamplerConfig) -> np.ndarray:
+        """Distinct proposed pair keys u * n + v, u < v, ascending: slot u
+        draws K_u ~ Poi(c0 f_u R_u) partners in proportion to f, R_u being
+        the f-mass its table holds past u, so a pair {u, v} is proposed
+        Poi(c0 f_u f_v) times, independently of all others."""
+        f, n, big = self.f, self.n, self.big
+        # (slots, cumulative f of their table): a heavy partner weighs 0 in
+        # the heavy slots' table
+        groups = ((np.flatnonzero(~big), np.cumsum(f)),
+                  (self.heavy, np.cumsum(np.where(big, 0.0, f))))
+        reach = [cum[-1] - cum[slots] for slots, cum in groups]
+        rate = np.concatenate([_C0 * f[slots] * r for (slots, _), r in zip(groups, reach)])
+        _check_proposals(float(rate.sum()), cfg)
+        counts = gen.poisson(rate)
+        keys = []
+        for (slots, cum), r in zip(groups, reach):
+            count, counts = counts[:slots.size], counts[slots.size:]
+            m = int(count.sum())
+            if not m:
+                continue
+            # slot u's keys fall in [cum[u], cum[-1]), where each later
+            # partner v holds [cum[v - 1], cum[v]); one that rounds up to
+            # cum[-1] goes to the last partner of any weight, which lies past
+            # every slot that drew a key
+            pick = gen.random(m)
+            pick *= np.repeat(r, count)
+            u = np.repeat(slots, count)
+            pick += cum[u]
+            v = _endpoints(cum, pick)
+            del pick
+            np.minimum(v, np.searchsorted(cum, cum[-1]), out=v)
+            u *= n
+            u += v
+            keys.append(u)
+        if not keys:
+            return np.empty(0, dtype=np.int64)
+        return sorted_unique(np.concatenate(keys) if len(keys) > 1 else keys[0])
 
 
 _STRATUM_RATIO = 1.25  # f falls by at most this factor inside a stratum
@@ -493,9 +535,34 @@ class _LazyCloud:
         off = (keys - np.append(0.0, cum)[s]) / rate[s]
         return self.start[s] + np.minimum(off, self.count[s] - 1).astype(np.int64), s
 
-    def ends(self, keys):
-        slots, s = self.locate(keys, self.cum, self.bnd)
-        return slots, self.bnd[s] > _TAU
+    def proposals(self, gen, cfg: SamplerConfig) -> np.ndarray:
+        """Distinct proposed pair keys u * n + v, u < v, ascending: M ~
+        Poi(c0 (sum F)^2 / 2) ordered pairs with endpoints i.i.d. in
+        proportion to F, less self pairs and heavy-heavy ones, so a pair
+        {u, v} is proposed Poi(c0 F_u F_v) times, independently of all
+        others."""
+        if self.total <= 0.0:
+            return np.empty(0, dtype=np.int64)
+        lam = _C0 * self.total * self.total / 2.0
+        _check_proposals(lam, cfg)
+        m = int(gen.poisson(lam))
+        if not m:
+            return np.empty(0, dtype=np.int64)
+        # the u keys, then the v keys, drawn in that order
+        keys = np.empty(2 * m)
+        gen.random(out=keys[:m])
+        gen.random(out=keys[m:])
+        ends, s = self.locate(keys, self.cum, self.bnd)
+        big = self.bnd[s] > _TAU
+        u = ends[:m]
+        v = ends[m:]
+        ok = (u != v) & ~(big[:m] & big[m:])
+        key = np.minimum(u, v)
+        key *= self.n
+        key += np.maximum(u, v)
+        # the keys come out ascending, as from np.unique, so the acceptance
+        # coins fall on the same pairs
+        return sorted_unique(key[ok])
 
     def positions(self, slots):
         """Latent coordinates of the slots, and their strata."""
@@ -544,9 +611,18 @@ def _checked(x, value, bound):
     return value
 
 
+def _check_proposals(lam: float, cfg: SamplerConfig) -> None:
+    if lam > cfg.max_proposals:
+        raise SamplerError(
+            f"the proposal rate {lam:.3g} exceeds max_proposals; "
+            "lower nu or raise the cap")
+
+
 def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
-    """Separable pairs of a full or a lazy cloud, in (u, v) order; see the
-    module docstring."""
+    """Separable pairs of a full or a lazy cloud, in (u, v) order: direct
+    coins for the heavy pairs, then the cloud's proposals, each accepted once
+    with probability f_u f_v / (1 - exp(-c0 F_u F_v)); see the module
+    docstring."""
     n = cloud.n
     # each run holds pair keys u * n + v, ascending: the heavy pairs come out
     # of triu_indices over ascending slots, the light ones out of the dedupe
@@ -564,38 +640,14 @@ def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
         keep = gen.random(p.size) < p
         runs.append(heavy[iu[keep]].astype(np.int64, copy=False) * n + heavy[ju[keep]])
 
-    if cloud.total > 0.0:
-        lam = _C0 * cloud.total * cloud.total / 2.0
-        if lam > cfg.max_proposals:
-            raise SamplerError(
-                f"the proposal rate {lam:.3g} exceeds max_proposals; "
-                "lower nu or raise the cap")
-        m = int(gen.poisson(lam))
-        if m:
-            # the u keys, then the v keys, drawn in that order
-            keys = np.empty(2 * m)
-            gen.random(out=keys[:m])
-            gen.random(out=keys[m:])
-            ends, big = cloud.ends(keys)
-            # the keys and the endpoints are the draw's largest arrays; free
-            # them before the dedupe and the acceptance allocate theirs
-            del keys
-            u = ends[:m]
-            v = ends[m:]
-            ok = (u != v) & ~(big[:m] & big[m:])
-            key = np.minimum(u, v).astype(np.int64, copy=False)
-            key *= n
-            key += np.maximum(u, v)
-            del ends, u, v
-            # the keys come out ascending, as from np.unique, so the
-            # acceptance coins below fall on the same pairs
-            key = sorted_unique(key[ok])
-            lo, hi = np.divmod(key, n)
-            (f_lo, bound_lo), (f_hi, bound_hi) = cloud.value(lo), cloud.value(hi)
-            p = f_lo * f_hi
-            q = np.multiply(bound_lo, bound_hi, out=bound_lo)  # f_lo is not read again
-            accept = gen.random(p.size) < p / (-np.expm1(-_C0 * q))
-            runs.append(key[accept])
+    key = cloud.proposals(gen, cfg)
+    if key.size:
+        lo, hi = np.divmod(key, n)
+        (f_lo, bound_lo), (f_hi, bound_hi) = cloud.value(lo), cloud.value(hi)
+        p = f_lo * f_hi
+        q = np.multiply(bound_lo, bound_hi, out=bound_lo)  # f_lo is not read again
+        accept = gen.random(p.size) < p / (-np.expm1(-_C0 * q))
+        runs.append(key[accept])
 
     if not runs:
         return np.empty((0, 2), dtype=np.int64)

@@ -50,20 +50,20 @@ GOLDEN = {
         "353241a8cb6983521fae2aefd0a54e0abb7a434506bf1055b81866fc992aa17d",
         "fb3feaeca8428564f400ae1c55d11a85b8320c477c0a539214cf5b9b3bee219d"),
     "connectivity-threads": (
-        "74489405eddffcc1786d25cdb6bfa649c9abab24d272cb98c5a66ba0b91160cc",
-        "c486f1b920e82b3037a5b9b83217e7e44bce473e21b1c4ab56e9e4b1e7e1f5d8"),
+        "790945828f82eb257e33b3ff2791e3941f4e898b4f26ecab41245b25f3f5cafb",
+        "4a191db9fbf9e9ca5dbd4a24df43079ac9f0d03a3380fc5189f33eba9f6ca83d"),
     "degdist-rejected": (
         "78095e0ae1280bd4efc54dc1d717a5a7cf5e62026c540ecf20e84728ad904c14",
         "decb4415c1b938b4ed9c7587032ffe405ba9f0ddc0de3eb933ebc7aa9d620d7e"),
     "degdist-threads": (
-        "7509f4ba0426a86be7d0de6797ef32dd6ee297645536fe040b3aff5a3bc7f976",
-        "806c0fad3b5abf3754920e153c414b7db79af88519790b5334f5da160d7afb5d"),
+        "5bc8230be3d38b25469efb975736ef3608bd19a96d5929ef83ce3b79ecc46ebf",
+        "19fcf8d524700e4df76831191ffeb32fb25c7f910e0e676819b953dda35f73c5"),
     "projectivity-slow": (
         "91a5145ec53d2e8c2fc8f26e95046f7fe0dcd7c805b232c2aaf1f32eb393e2d6",
         "f05143f00a88f8c3c4f09e9b9b765bcd7d9373a36b896e24c9cd68bc0f7b708a"),
     "projectivity-threads": (
-        "985347f6ffca29218c5e99dcfa05fa7c5775aa96317200598a51c4672c024e69",
-        "190c76d7a14ddf56204c5f49cbeac57b3574df54a3f6af06d09e2957455f6eff"),
+        "4e00d0bac90262c0d2467b4cc0a344063fb8a4ae27f1fabe39a50b8f31c2d4f9",
+        "8e6977a43b53b55012122c71181139cd8236dc8ca69a5f9842d4a9e09d6f3f9b"),
     "validate-null": (
         "9389acd61a1c5ed20d2fd7062c46197e19870b0d80fbbb9789382db2ca099ca2",
         "b29c3d8acd66826dd38d5810b3498dc7a7f9325abd4ba77cc4538829a6842ff0"),

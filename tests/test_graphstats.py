@@ -214,6 +214,24 @@ def test_ranked_unique_matches_numpy(dtype, values, spread):
     assert ids.dtype == np.int64 and ranks.dtype == np.int64
 
 
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60),
+       st.sampled_from([2**64 - 64, 2**63 - 32, 2**62, 0]), st.sampled_from([1, 10**15]))
+@settings(max_examples=200, deadline=None)
+def test_ranked_unique_of_uint64_ids_past_int64(values, base, spread):
+    # ids near, across and past 2^63, dense and sparse, some closer than a
+    # float64 can tell apart
+    a = np.asarray([(base + v * spread) % 2**64 for v in values], dtype=np.uint64)
+    ids, ranks = ranked_unique(a)
+    want_ids, want_ranks = np.unique(a, return_inverse=True)
+    assert ids.tolist() == want_ids.tolist()
+    np.testing.assert_array_equal(ranks, want_ranks)
+    assert ranks.dtype == np.int64
+
+
+def test_largest_component_of_uint64_ids_past_int64():
+    assert largest_component(np.array([[2**64 - 1, 2**64 - 2]], dtype=np.uint64)) == (2, 1.0)
+
+
 @given(edge_lists)
 @settings(max_examples=100, deadline=None)
 def test_relabeling_invariance(edges):

@@ -275,10 +275,10 @@ def test_write_csv_matches_per_edge_writer(tmp_path):
     assert "e-05" in want and "e+16" in want
     buf = io.StringIO()
     g.write_csv(buf)
-    assert buf.getvalue() == want
+    assert_same_text(buf.getvalue(), want)
     path = tmp_path / "edges.csv"
     g.write_csv(path)
-    assert path.read_bytes() == want.encode("utf-8")
+    assert_same_text(path.read_bytes().decode("utf-8"), want)
 
 
 def blockwise_csv(g: SampledGraph) -> str:
@@ -321,7 +321,7 @@ def test_write_csv_matches_reference_on_a_draw(tmp_path):
     assert_same_text(buf.getvalue(), want)
     path = tmp_path / "edges.csv"
     g.write_csv(path)
-    assert path.read_bytes() == want.encode("utf-8")
+    assert_same_text(path.read_bytes().decode("utf-8"), want)
 
     empty = SampledGraph(nu=1.0, seed=0, theta_max=1.0, epsilon=1e-3, labels=np.empty(0),
                          edges=np.empty((0, 2), dtype=np.int64),
@@ -345,22 +345,23 @@ def draw_digest(g: SampledGraph) -> str:
     # the first two index visible points through the slot table; the slow
     # cloud (about 3e5 slots, 30 endpoints) is lazy, and its visible points
     # go through the binary search. The point planted at 40 has no edges: it
-    # is kept, but invisible
+    # is kept, but invisible. The 760 slots' light partners are found through
+    # the guide table (897 keys), their heavy ones' by binary search (469)
     (FAST, 50.0, 5, (0.0, 40.0),
-     "5595068e7cd8998492102158ff19f14b4f4090fe7f5ef9bde4963baf4557f7bc"),
+     "6223dcc5ae6419de221ffc0e456ce92a7a471f337cc8387412ffa0cd485aa0dc"),
     (STAR_ISO, 10.0, 3, (),
      "d4aadb41315e379f4b87931eee70bb780f90d2e77ec734d96ab601a6b5254aa8"),
     (SLOW, 10.0, 7, (),
      "4940cc41547dc07adbe3091c9c521df082710e3a4fbee848ba706298b60b2805"),
-    # about 5.4k latent points and 134k endpoint keys: it has heavy pairs,
+    # about 5.4k latent points and 48k partner keys: it has heavy pairs,
     # and its keys take the guide table's span-1 and binary-search branches
     (FAST, 300.0, 1, (),
-     "540815177c305cbcaaa9099d7c9fd1fa2729fbd917b0cae1bfafdf96c6bba958"),
-    # the benchmark's draw: about 20.8k latent points, 689 heavy ones, 1.44M
-    # endpoint keys, of which about 70k fall in crowded guide-table buckets,
-    # and 520k edges
+     "b11fb21413a0cffb9eba8b616c54e50f0a2d5043bedf8803bf5289a52505024d"),
+    # the benchmark's draw: about 20.8k latent points, 689 heavy ones, 546k
+    # partner keys (363k of light slots, 183k of heavy ones), of which about
+    # 26k fall in crowded guide-table buckets, and 519k edges
     (FAST, 1000.0, 3, (),
-     "b97c24ca7e2b41271f220d6850873e6b1646af052631d246e4f58d4976b454ce"),
+     "aab2106565a11e49c4586b85f4895b386c3517af94979a50e1db99f232658dda"),
 ], ids=["fast-planted", "star-isolated", "slow", "fast-large", "fast-1000"])
 def test_frozen_draws(graphex, nu, seed, planted, digest):
     # frozen sha256 of whole draws: any change to how randomness is consumed,
@@ -651,6 +652,28 @@ def graph_counts(g: SampledGraph) -> np.ndarray:
                      np.count_nonzero(loop), (simple * (simple - 1) / 2).sum(), triangles])
 
 
+COUNT_NAMES = ("edges", "vertices", "degree_1", "self_loops", "wedges", "triangles")
+
+
+def naive_counts_matching_fast(g, nu, eps, planted, reps, bases):
+    """graph_counts of reps naive draws, at seeds bases[1] + r, once their
+    means agree within 4 SE with those of reps fast-path draws, at seeds
+    bases[0] + r; wedges and triangles would catch pair coins that depend on
+    each other."""
+    arms = []
+    for base, fast in zip(bases, (True, False)):
+        arms.append(np.array([graph_counts(sample_keg(
+            g, SamplerConfig(nu=nu, seed=base + r, eps=eps, use_fast_path=fast),
+            planted=planted)) for r in range(reps)]))
+    fast, naive = arms
+    for k, name in enumerate(COUNT_NAMES):
+        if fast[:, k].var() == naive[:, k].var() == 0.0:
+            assert fast[0, k] == naive[0, k], name
+        else:
+            assert abs(z_two_sample(fast[:, k], naive[:, k])) <= 4.0, name
+    return naive
+
+
 LAZY_CASES = {
     "slow-decay": (SLOW, 5.0, 0.5, ()),
     "fast-decay": (FAST, 3.0, 1e-3, ()),
@@ -662,27 +685,40 @@ LAZY_REPS = 2000
 
 @pytest.mark.parametrize("case", sorted(LAZY_CASES))
 def test_lazy_cloud_matches_naive(case):
-    # the lazy engine against the all-pairs reference: means of six counts
-    # agree within 4 SE; wedges and triangles would catch pair coins that
-    # depend on each other
+    # the lazy engine against the all-pairs reference
     g, nu, eps, planted = LAZY_CASES[case]
-    cfg = SamplerConfig(nu=nu, seed=0, eps=eps)
-    assert _lazy_strata(g, cfg, choose_theta_max(g, nu, eps)) is not None
-    arms = []
-    for base, fast in ((40_000, True), (50_000, False)):
-        arms.append(np.array([graph_counts(sample_keg(
-            g, SamplerConfig(nu=nu, seed=base + r, eps=eps, use_fast_path=fast),
-            planted=planted)) for r in range(LAZY_REPS)]))
-    lazy, naive = arms
-    names = ("edges", "vertices", "degree_1", "self_loops", "wedges", "triangles")
-    for k, name in enumerate(names):
-        if lazy[:, k].var() == naive[:, k].var() == 0.0:
-            assert lazy[0, k] == naive[0, k], name
-        else:
-            assert abs(z_two_sample(lazy[:, k], naive[:, k])) <= 4.0, name
+    assert _lazy_strata(g, SamplerConfig(nu=nu, seed=0, eps=eps),
+                        choose_theta_max(g, nu, eps)) is not None
+    naive = naive_counts_matching_fast(g, nu, eps, planted, LAZY_REPS, (40_000, 50_000))
     assert naive[:, 2].mean() > 0.5 and naive[:, 4].mean() > 0.5
     if case == "constant-loops-planted":
         assert naive[:, 3].mean() > 0.3 and naive[:, 5].mean() > 0.05
+
+
+FULL_CASES = {
+    "fast-decay": (FAST, 20.0, ()),
+    # a star rate, isolated edges, self loops and a planted heavy point
+    "fast-decay-stars-loops-planted": (
+        build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.2,
+               "self_edges": True}), 10.0, (0.1,)),
+    # f = sqrt(p) > 1/2 everywhere: every pair is a heavy coin
+    "constant-all-heavy": (build({"family": "constant", "params": {"p": 0.5, "c": 2.0}}),
+                           6.0, ()),
+    # a user f that is not monotone declares no bound: only the full cloud
+    # draws it
+    "separable-bump": (build({"family": "separable",
+                              "exprs": {"f": "0.9*exp(-(x-1.5)^2)"}}), 10.0, ()),
+}
+FULL_REPS = 1000
+
+
+@pytest.mark.parametrize("case", sorted(FULL_CASES))
+def test_full_cloud_matches_naive(case):
+    # the full cloud's ordered proposals against the all-pairs reference
+    g, nu, planted = FULL_CASES[case]
+    assert _lazy_strata(g, SamplerConfig(nu=nu, seed=0), choose_theta_max(g, nu, 1e-3)) is None
+    naive = naive_counts_matching_fast(g, nu, 1e-3, planted, FULL_REPS, (60_000, 70_000))
+    assert naive[:, 4].mean() > 0.5 and naive[:, 5].mean() > 0.5
 
 
 def test_lazy_draws_keep_planted_points_and_their_latent_coordinates():
