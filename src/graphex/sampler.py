@@ -560,8 +560,6 @@ class _LazyCloud:
         key = np.minimum(u, v)
         key *= self.n
         key += np.maximum(u, v)
-        # the keys come out ascending, as from np.unique, so the acceptance
-        # coins fall on the same pairs
         return sorted_unique(key[ok])
 
     def positions(self, slots):
