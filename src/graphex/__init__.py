@@ -2,12 +2,7 @@
 formulas, sampling and Monte Carlo validation."""
 
 from .expr import EvalError, Expr, ExprError, ParseError, parse
-from .finiteness import (
-    ConditionVerdict,
-    FinitenessReport,
-    ProbeConfig,
-    check_local_finiteness,
-)
+from .finiteness import ConditionVerdict, FinitenessReport, check_local_finiteness
 from .graphstats import (
     DegreeHistogram,
     counts,
@@ -71,7 +66,6 @@ __all__ = [
     "InfiniteExpectationError",
     "IntegralResult",
     "ParseError",
-    "ProbeConfig",
     "ProjectivityReport",
     "QuadratureError",
     "SampledGraph",

@@ -15,22 +15,27 @@ means the probes show divergence; "undecidable" means the probe budget could
 not separate slow convergence from divergence. Numeric verdicts for the
 level-set condition assume the marginal is eventually nonincreasing, which is
 true for every built-in family and stated in each note.
+
+The probe budgets are fixed constants: at most ``_MAX_SHELLS`` doubling
+shells from a first shell of width 1, each integrated to ``_SHELL_REL_TOL``
+(``_NESTED_REL_TOL`` for the nested kernel probe), a shell counted as
+negligible below ``_NEGLIGIBLE`` of the running sum, and 15 rounds that each
+narrow the bracket of the marginal's crossing of 1 sixteen-fold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graphex, GraphexError
+from .model import Graphex, GraphexError, _probe_grid
 from .quadrature import QuadratureError, integrate_array
 
 __all__ = [
     "ConditionVerdict",
     "FinitenessReport",
-    "ProbeConfig",
     "check_local_finiteness",
     "CONDITION_KEYS",
 ]
@@ -47,6 +52,11 @@ HOLDS = "holds-analytic"
 HOLDS_NUMERIC = "holds-numeric"
 VIOLATED = "violated"
 UNDECIDABLE = "undecidable"
+
+_MAX_SHELLS = 40
+_SHELL_REL_TOL = 1e-8
+_NESTED_REL_TOL = 1e-6
+_NEGLIGIBLE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,24 +103,6 @@ class FinitenessReport:
         }
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Budget knobs for the numeric fallbacks."""
-
-    initial_width: float = 1.0
-    max_shells: int = 40
-    shell_rel_tol: float = 1e-8
-    negligible: float = 1e-10
-    bisect_iters: int = 60
-    probe_max: float = 1e6
-    probe_points: int = 64
-
-
-def _grid(config: ProbeConfig) -> np.ndarray:
-    pts = np.geomspace(1e-9, config.probe_max, config.probe_points - 1)
-    return np.concatenate(([0.0], pts))
-
-
 # ---------------------------------------------------------------------------
 # Tail probe: classify integral of f over [start, inf)
 # ---------------------------------------------------------------------------
@@ -120,23 +112,23 @@ DIVERGENT = "divergent"
 UNCLEAR = "unclear"
 
 
-def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
+def _probe_tail(f, start: float, integrate=None):
     """Integrate f over doubling shells and classify the tail.
 
     ``integrate(f, a, b)`` integrates one shell into (value, converged); the
-    default is :func:`integrate_array` at the configured shell tolerance. Returns
+    default is :func:`integrate_array` at ``_SHELL_REL_TOL``. Returns
     (kind, value, note): kind is "convergent" (value is the integral
     estimate), "divergent" (value is inf) or "unclear" (value is the partial
     sum accumulated so far).
     """
     if integrate is None:
         def integrate(f, a, b):
-            return integrate_array(f, a, b, config.shell_rel_tol)[::2]
+            return integrate_array(f, a, b, _SHELL_REL_TOL)[::2]
     shells = []
     total = 0.0
     a = start
-    h = config.initial_width
-    for _ in range(config.max_shells):
+    h = 1.0
+    for _ in range(_MAX_SHELLS):
         b = a + h
         try:
             val, converged = integrate(f, a, b)
@@ -152,7 +144,7 @@ def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
             if s0 <= 1e-320:
                 return (CONVERGENT, total,
                         f"integrand vanishes past x ~ {a:.6g}; integral ~ {total:.6g}")
-            if s0 < s1 < s2 and s0 <= config.negligible * max(total, 1e-300):
+            if s0 < s1 < s2 and s0 <= _NEGLIGIBLE * max(total, 1e-300):
                 ratio = s0 / s1
                 if ratio < 0.9:
                     tail = s0 * ratio / (1.0 - ratio)
@@ -166,10 +158,10 @@ def _probe_tail(f, start: float, config: ProbeConfig, integrate=None):
     rest = sum(shells[half:])
     if rest > 0.8 * head and shells[-1] > 0.5 * shells[half]:
         return (DIVERGENT, math.inf,
-                f"shell sums do not decay over {config.max_shells} doubling shells "
+                f"shell sums do not decay over {_MAX_SHELLS} doubling shells "
                 f"(reached x ~ {a:.3g}); the integral diverges")
     return (UNCLEAR, total,
-            f"shell sums decay too slowly to classify within {config.max_shells} shells")
+            f"shell sums decay too slowly to classify within {_MAX_SHELLS} shells")
 
 
 def _probe_verdict(key: str, probe, prefix: str) -> ConditionVerdict:
@@ -195,12 +187,11 @@ def _check_isolated(g: Graphex) -> ConditionVerdict:
                             "isolated-edge rate I is infinite")
 
 
-def _check_star(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
+def _check_star(g: Graphex) -> ConditionVerdict:
     key = "star_rate_integrable"
     if g.s is None:
         return ConditionVerdict(key, HOLDS, "no star rate declared", bound=0.0)
-    return _probe_verdict(key, _probe_tail(g.s_at, 0.0, config),
-                          "integral of S: ")
+    return _probe_verdict(key, _probe_tail(g.s_at, 0.0), "integral of S: ")
 
 
 def _safe_marginal(g: Graphex, xs: np.ndarray) -> np.ndarray:
@@ -209,7 +200,7 @@ def _safe_marginal(g: Graphex, xs: np.ndarray) -> np.ndarray:
     return np.where(settled & np.isfinite(value), value, math.inf)
 
 
-def _check_level_sets(g: Graphex, config: ProbeConfig):
+def _check_level_sets(g: Graphex):
     """Condition on the marginal: a.e. finite, and {mu > 1} of finite measure.
 
     Returns (verdict, crossing) where crossing is a numeric upper bound for
@@ -229,7 +220,7 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
                 "so mu is bounded and compactly supported")
         return ConditionVerdict(key, HOLDS, note, bound=g.support), g.support
 
-    xs = _grid(config)
+    xs = _probe_grid()
     mu_vals = _safe_marginal(g, xs)
     infinite = ~np.isfinite(mu_vals)
     if infinite.any():
@@ -264,8 +255,8 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
     lo = float(xs[above_idx[-1]])
     hi = float(xs[above_idx[-1] + 1])
     # each round probes 15 interior points in one call and narrows the
-    # bracket 16-fold, four of the configured bisection steps
-    for _ in range(0, config.bisect_iters, 4):
+    # bracket 16-fold, as four bisection steps would
+    for _ in range(15):
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
         grid = np.linspace(lo, hi, 17)
@@ -284,8 +275,7 @@ def _check_level_sets(g: Graphex, config: ProbeConfig):
     return ConditionVerdict(key, HOLDS_NUMERIC, note, bound=hi), hi
 
 
-def _check_restricted_kernel(g: Graphex, crossing: float | None,
-                             config: ProbeConfig) -> ConditionVerdict:
+def _check_restricted_kernel(g: Graphex, crossing: float | None) -> ConditionVerdict:
     """Integrability of W over the region where both marginals are <= 1."""
     key = "kernel_core_integrable"
     if g.w is None:
@@ -311,20 +301,18 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None,
             raise GraphexError("inner tail did not converge")
         return value.reshape(np.shape(x))
 
-    nested = replace(config, shell_rel_tol=max(config.shell_rel_tol, 1e-6))
-
     def shell(f, a, b):
-        res = g.integrate(f, nested.shell_rel_tol, lo=a, hi=b)
+        res = g.integrate(f, _NESTED_REL_TOL, lo=a, hi=b)
         return res.value, res.converged
 
-    probe = _probe_tail(inner, x0, nested, shell)
+    probe = _probe_tail(inner, x0, shell)
     region = f"kernel restricted to [{x0:.6g}, inf)^2"
     if probe[0] == CONVERGENT:
         region += " (where mu <= 1)"
     return _probe_verdict(key, probe, region + ": ")
 
 
-def _check_diagonal(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
+def _check_diagonal(g: Graphex) -> ConditionVerdict:
     key = "diagonal_integrable"
     if not g.self_edges or g.diag is None:
         return ConditionVerdict(key, HOLDS, "self edges disabled, the diagonal is unused",
@@ -338,19 +326,16 @@ def _check_diagonal(g: Graphex, config: ProbeConfig) -> ConditionVerdict:
             key, HOLDS,
             f"the diagonal is bounded by 1 on [0, {g.support:.6g}] and zero beyond",
             bound=g.support)
-    return _probe_verdict(key, _probe_tail(g.diag_at, 0.0, config),
-                          "integral of W(x, x): ")
+    return _probe_verdict(key, _probe_tail(g.diag_at, 0.0), "integral of W(x, x): ")
 
 
-def check_local_finiteness(g: Graphex, config: ProbeConfig | None = None) -> FinitenessReport:
+def check_local_finiteness(g: Graphex) -> FinitenessReport:
     """Run all five local-finiteness conditions against a graphex."""
-    config = config or ProbeConfig()
-    level, crossing = _check_level_sets(g, config)
-    conditions = (
+    level, crossing = _check_level_sets(g)
+    return FinitenessReport((
         _check_isolated(g),
-        _check_star(g, config),
+        _check_star(g),
         level,
-        _check_restricted_kernel(g, crossing, config),
-        _check_diagonal(g, config),
-    )
-    return FinitenessReport(conditions)
+        _check_restricted_kernel(g, crossing),
+        _check_diagonal(g),
+    ))

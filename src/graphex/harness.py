@@ -84,7 +84,9 @@ def _check_reps(reps: int) -> None:
 
 def _check_grid(nus) -> tuple[float, ...]:
     grid = tuple(float(v) for v in nus)
-    if not grid or any(not (math.isfinite(v) and v > 0) for v in grid):
+    # bool is a subclass of int, but True is no truncation level
+    if (not grid or any(isinstance(v, bool) for v in nus)
+            or any(not (math.isfinite(v) and v > 0) for v in grid)):
         raise HarnessError(f"the nu grid must be nonempty with positive entries, got {nus!r}")
     return grid
 
@@ -331,7 +333,7 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
     grid = _check_grid(nus)
     if (k is None) == (beta is None):
         raise HarnessError("exactly one of k and beta must be given")
-    if k is not None and not (isinstance(k, int) and k >= 1):
+    if k is not None and not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
         raise HarnessError(f"k must be an integer >= 1, got {k!r}")
     if beta is not None and not (0.0 < beta < 1.0):
         raise HarnessError(f"beta must lie in (0, 1), got {beta!r}")
@@ -450,7 +452,7 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     p-value is used; with integer-valued samples it is conservative.
     """
     _check_reps(reps)
-    if not (math.isfinite(nu) and nu > 0):
+    if isinstance(nu, bool) or not (math.isfinite(nu) and nu > 0):
         raise HarnessError(f"nu must be positive and finite, got {nu!r}")
 
     def edge_count(graph, i_nu):

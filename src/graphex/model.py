@@ -91,7 +91,6 @@ class Graphex:
     every latent-axis integral there.
     """
 
-    family: str
     isolated_rate: float
     w: Callable | None
     s: Callable | None
@@ -181,19 +180,19 @@ class Graphex:
         return (np.hstack((np.full_like(cut, lo), cut)),
                 np.hstack((cut, np.full_like(cut, self.support))))
 
-    def refined_marginal(self, x, rel_tol: float = 1e-8):
+    def refined_marginal(self, x):
         """Arrays (mu(x), settled): :meth:`marginal_nodes`, then one call of
         :func:`refine` for the elements it does not settle (jumps in W, or a
         divergent marginal)."""
         flat = np.asarray(x, dtype=float).ravel()
-        value, settled = self.marginal_nodes(flat, rel_tol)
+        value, settled = self.marginal_nodes(flat, 1e-8)
         redo = np.flatnonzero(~settled)
         if redo.size:
             value[redo], _, settled[redo], _ = refine(
-                self._w_of_y, *self._halves(flat[redo], 0.0), rel_tol, args=(flat[redo],))
+                self._w_of_y, *self._halves(flat[redo], 0.0), 1e-8, args=(flat[redo],))
         return value.reshape(np.shape(x)), settled.reshape(np.shape(x))
 
-    def marginal(self, x, rel_tol: float = 1e-8):
+    def marginal(self, x):
         """mu(x) = integral of W(x, y) dy.
 
         Analytic when declared; otherwise :meth:`refined_marginal` computes
@@ -204,7 +203,7 @@ class Graphex:
             return self.mu(x) if np.ndim(x) else float(self.mu(x))
         if self.w is None:
             return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-        value, settled = self.refined_marginal(x, rel_tol)
+        value, settled = self.refined_marginal(x)
         if not settled.all():
             bad = np.asarray(x, dtype=float)[~settled]
             raise GraphexError(
@@ -259,16 +258,16 @@ class Graphex:
         return self._norm("w_l1", self.nested_marginal, rel_tol,
                           "||W||_1 did not converge; the kernel may be non-integrable")
 
-    def s_l1(self, rel_tol: float = 1e-9) -> float:
-        return self.tail_s(0.0, rel_tol)
+    def s_l1(self) -> float:
+        return self.tail_s(0.0)
 
-    def diag_l1(self, rel_tol: float = 1e-9) -> float:
+    def diag_l1(self) -> float:
         """integral of W(x, x) dx (zero when self edges are disabled)."""
         if not self.self_edges or self.diag is None:
             return 0.0
         if self.diag_l1_value is not None:
             return self.diag_l1_value
-        return self._norm("diag_l1", self.diag_at, rel_tol,
+        return self._norm("diag_l1", self.diag_at, 1e-9,
                           "the diagonal W(x, x) is not integrable within probe budget")
 
     def _norm(self, name: str, h, rel_tol: float, message: str) -> float:
@@ -610,8 +609,8 @@ def build(spec: dict) -> Graphex:
 
     if not self_edges:
         parts["diag_l1_value"] = 0.0
-    return Graphex(family=family, isolated_rate=isolated, s=s_fn, self_edges=self_edges,
-                   spec=echo, tail_s_fn=tail_s_fn, **parts)
+    return Graphex(isolated_rate=isolated, s=s_fn, self_edges=self_edges, spec=echo,
+                   tail_s_fn=tail_s_fn, **parts)
 
 
 def _jsonable(obj):

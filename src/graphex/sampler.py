@@ -183,8 +183,7 @@ class SamplerConfig:
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise SamplerError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0):
-            raise SamplerError(f"eps must be > 0, got {self.eps!r}")
+        _check_eps(self.eps)
         if self.theta_max is not None:
             _check_theta_max(self.theta_max)
 
@@ -194,6 +193,12 @@ def _check_level(nu, name: str) -> None:
     if not (isinstance(nu, (int, float)) and not isinstance(nu, bool)
             and math.isfinite(nu) and nu >= 0):
         raise SamplerError(f"{name} must be a finite number >= 0, got {nu!r}")
+
+
+def _check_eps(eps) -> None:
+    # bool is a subclass of int, but True is no budget
+    if not (isinstance(eps, (int, float)) and not isinstance(eps, bool) and eps > 0):
+        raise SamplerError(f"eps must be > 0, got {eps!r}")
 
 
 def _check_theta_max(theta_max) -> None:
@@ -299,10 +304,8 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     every kernel edge with an endpoint past a is counted through that
     endpoint's expected degree nu * mu, and star edges through nu * S.
     """
-    if nu < 0 or not math.isfinite(nu):
-        raise SamplerError(f"nu must be finite and >= 0, got {nu!r}")
-    if eps <= 0:
-        raise SamplerError(f"eps must be > 0, got {eps!r}")
+    _check_level(nu, "nu")
+    _check_eps(eps)
     if nu == 0.0 or (g.w is None and g.s is None):
         return 0.0
     if math.isfinite(g.support) and g.s is None:
@@ -870,7 +873,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     """
     if g.w is None:
         raise SamplerError("the graphex has no kernel, the planted degree is always 0")
-    if not (isinstance(reps, int) and reps >= 1):
+    if not (isinstance(reps, int) and not isinstance(reps, bool) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise SamplerError(f"lam must be finite and >= 0, got {lam!r}")

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+# relative tolerance of every latent-axis integral below
+_REL_TOL = 1e-9
+
+
 class TheoryError(GraphexError):
     """An expectation could not be evaluated."""
 
@@ -80,6 +84,12 @@ def _check_nu(nu: float) -> float:
     return float(nu)
 
 
+def _check_k(k, least: int, why: str = "") -> None:
+    # bool is a subclass of int, but True is no degree
+    if not (isinstance(k, int) and not isinstance(k, bool) and k >= least):
+        raise TheoryError(f"k must be an integer >= {least}, got {k!r}{why}")
+
+
 def _pois_pmf(k: int, rho):
     """Poisson pmf at k for an array of rates rho, in log space;
     pois(k; 0) = 1[k == 0]."""
@@ -93,8 +103,7 @@ def _rate(g: Graphex, nu: float):
     return lambda x: nu * g.nested_marginal(x) + nu * g.s_at(x)
 
 
-def _latent_count(g: Graphex, nu: float, rel_tol: float, density, what,
-                  leaves: bool) -> ExpectationResult:
+def _latent_count(g: Graphex, nu: float, density, what, leaves: bool) -> ExpectationResult:
     """Expected count of vertices with some property at level nu.
 
     Latent points contribute nu * int density dx; every star leaf and
@@ -110,7 +119,7 @@ def _latent_count(g: Graphex, nu: float, rel_tol: float, density, what,
     err_total = 0.0
     latent = 0.0
     if g.w is not None or g.s is not None:
-        res = g.integrate(density, rel_tol)
+        res = g.integrate(density, _REL_TOL)
         if not res.converged:
             raise TheoryError(f"the {what} did not converge; "
                               "check local finiteness first")
@@ -154,7 +163,7 @@ def expected_edges(g: Graphex, nu: float) -> ExpectationResult:
     return ExpectationResult(sum(components.values()), components, 0.0)
 
 
-def expected_vertices(g: Graphex, nu: float, rel_tol: float = 1e-9) -> ExpectationResult:
+def expected_vertices(g: Graphex, nu: float) -> ExpectationResult:
     """Expected number of visible (degree >= 1) vertices at level nu."""
     nu = _check_nu(nu)
     rate = _rate(g, nu)
@@ -164,20 +173,17 @@ def expected_vertices(g: Graphex, nu: float, rel_tol: float = 1e-9) -> Expectati
         r = rate(x)
         return -np.expm1(-r) + g.diag_at(x) * np.exp(-r)
 
-    return _latent_count(g, nu, rel_tol, visible, "visible-vertex integral", leaves=True)
+    return _latent_count(g, nu, visible, "visible-vertex integral", leaves=True)
 
 
-def expected_degree_count(g: Graphex, nu: float, k: int,
-                          rel_tol: float = 1e-9) -> ExpectationResult:
+def expected_degree_count(g: Graphex, nu: float, k: int) -> ExpectationResult:
     """Expected number of vertices whose degree is exactly k (k >= 1).
 
     A self loop contributes 2 to its vertex's degree, so latent points with a
     self edge reach degree k exactly when their other edges number k - 2.
     """
     nu = _check_nu(nu)
-    if not (isinstance(k, int) and k >= 1):
-        raise TheoryError(f"k must be an integer >= 1, got {k!r} "
-                          "(degree-0 latent points are invisible)")
+    _check_k(k, 1, " (degree-0 latent points are invisible)")
     rate = _rate(g, nu)
 
     def density(x):
@@ -186,26 +192,25 @@ def expected_degree_count(g: Graphex, nu: float, k: int,
         return (1.0 - d) * _pois_pmf(k, r) + d * _pois_pmf(k - 2, r)
 
     # star leaves and isolated-edge endpoints all have degree 1
-    return _latent_count(g, nu, rel_tol, density, f"degree-{k} integral", leaves=k == 1)
+    return _latent_count(g, nu, density, f"degree-{k} integral", leaves=k == 1)
 
 
 # ---------------------------------------------------------------------------
 # Degree distribution of the kernel component
 # ---------------------------------------------------------------------------
 
-def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
+def _ccdfs(g: Graphex, nu: float, ks) -> list:
     """[P(D > k) for k in ks], sharing one visibility integral.
 
     The visibility integral and each degree-tail numerator are cached on the
-    graphex instance, like its cutoff, under ("visibility", nu, rel_tol) and
-    ("degree_tail", nu, k, rel_tol): P(D > k), P(D = k) and P(D = k + 1) at
+    graphex instance, like its cutoff, under ("visibility", nu) and
+    ("degree_tail", nu, k): P(D > k), P(D = k) and P(D = k + 1) at
     one nu integrate each piece once. The cache holds the quadrature results,
     so a failed integral raises the same error on every call.
     """
     nu = _check_nu(nu)
     for k in ks:
-        if not (isinstance(k, int) and k >= 0):
-            raise TheoryError(f"k must be an integer >= 0, got {k!r}")
+        _check_k(k, 0)
     if g.w is None:
         raise TheoryError("the graphex has no kernel, so no latent vertex is ever visible")
     if nu == 0.0:
@@ -215,13 +220,13 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
 
     def integral(key, h):
         if key not in g._cache:
-            g._cache[key] = g.integrate(h, rel_tol)
+            g._cache[key] = g.integrate(h, _REL_TOL)
         return g._cache[key]
 
     def denominator(x):
         return -np.expm1(-nu * g.nested_marginal(x))
 
-    den = integral(("visibility", nu, rel_tol), denominator)
+    den = integral(("visibility", nu), denominator)
     if not den.converged:
         raise TheoryError("the visibility integral did not converge")
     if den.value < 1e-300:
@@ -236,27 +241,26 @@ def _ccdfs(g: Graphex, nu: float, ks, rel_tol: float) -> list:
         def numerator(x):
             return poisson_tail(nu * g.nested_marginal(x), k)
 
-        num = integral(("degree_tail", nu, k, rel_tol), numerator)
+        num = integral(("degree_tail", nu, k), numerator)
         if not num.converged:
             raise TheoryError(f"the degree-tail integral at k = {k} did not converge")
         out.append(num.value / den.value)
     return out
 
 
-def degree_ccdf(g: Graphex, nu: float, k: int, rel_tol: float = 1e-9) -> float:
+def degree_ccdf(g: Graphex, nu: float, k: int) -> float:
     """P(D > k) for the degree D of a uniformly chosen visible vertex.
 
     Kernel component only: stars, self edges and isolated edges are ignored.
     The k = 0 value is exactly 1 because visibility means degree >= 1.
     """
-    return _ccdfs(g, nu, (k,), rel_tol)[0]
+    return _ccdfs(g, nu, (k,))[0]
 
 
-def degree_pmf(g: Graphex, nu: float, k: int, rel_tol: float = 1e-9) -> float:
+def degree_pmf(g: Graphex, nu: float, k: int) -> float:
     """P(D = k) for the same law as :func:`degree_ccdf` (k >= 1)."""
-    if not (isinstance(k, int) and k >= 1):
-        raise TheoryError(f"k must be an integer >= 1, got {k!r}")
-    above, at_least = _ccdfs(g, nu, (k - 1, k), rel_tol)
+    _check_k(k, 1)
+    above, at_least = _ccdfs(g, nu, (k - 1, k))
     return above - at_least
 
 

@@ -4,12 +4,8 @@ import math
 
 import pytest
 
-from graphex.finiteness import (
-    CONDITION_KEYS,
-    FinitenessReport,
-    ProbeConfig,
-    check_local_finiteness,
-)
+from graphex import finiteness
+from graphex.finiteness import CONDITION_KEYS, FinitenessReport, check_local_finiteness
 from graphex.model import build, dilate
 
 ANALYTIC = "holds-analytic"
@@ -124,10 +120,11 @@ def test_null_graphex_holds_trivially():
     assert rep.all_hold
 
 
-def test_probe_config_is_respected():
+def test_probe_config_is_respected(monkeypatch):
     # a tiny shell budget downgrades a hard verdict to undecidable, never to a
     # false pass/fail
+    monkeypatch.setattr(finiteness, "_MAX_SHELLS", 4)
     g = build({"family": "custom", "exprs": {"W": "0", "S": "1/(1+x)"}})
-    rep = check_local_finiteness(g, ProbeConfig(max_shells=4))
+    rep = check_local_finiteness(g)
     assert rep["star_rate_integrable"].status in ("violated", "undecidable")
     assert isinstance(rep, FinitenessReport)

@@ -1,17 +1,22 @@
-"""Frozen bytes of the four report kinds.
+"""Frozen bytes of the four experiment report kinds and of ``check`` reports.
 
-Each case writes its report as JSON (``write_json``) and as CSV
+Each experiment case writes its report as JSON (``write_json``) and as CSV
 (``write_csv`` of ``csv_rows()``) and compares the sha256 of both files with
 a frozen value. A change to the replicate seeds, the random streams, the
 theory values or the serializers shows up here. The cases cover a thread
 pool, replicates rejected as empty graphs, a null kernel, and star and
 isolated-edge rates.
+
+Each ``check`` case writes the local-finiteness report of one declaration as
+JSON, as ``graphex check`` does; a change to the probe budgets, the probe
+grid or the quadrature under them moves its digest.
 """
 
 import hashlib
 
 import pytest
 
+from graphex.finiteness import check_local_finiteness
 from graphex.harness import (
     connectivity_experiment,
     degdist_experiment,
@@ -91,3 +96,31 @@ def test_report_bytes_are_frozen(case, tmp_path):
 def test_rejected_replicates_are_counted():
     report = CASES["degdist-rejected"]()
     assert [r.rejected for r in report.rows] == [20, 8]
+
+
+# declaration -> sha256 of write_json(check_local_finiteness(build(spec)).to_dict())
+CHECK_CASES = {
+    "caron-fox": {"family": "caron-fox"},
+    "caron-fox-self": {"family": "caron-fox", "self_edges": True},
+    "custom-exp": {"family": "custom", "exprs": {"W": "exp(-x-y)"}},
+    # the declaration of docs/recipes/check-custom-kernel.sh
+    "custom-recipe": {"family": "custom",
+                      "exprs": {"W": "exp(-x-y)", "S": "0.5*exp(-x)"}, "I": 0.1},
+    "custom-star-violated": {"family": "custom", "exprs": {"W": "0", "S": "1/(1+x)"}},
+    "custom-indicator": {"family": "custom", "exprs": {"W": "le(x*y, 1)"}},
+}
+CHECK_GOLDEN = {
+    "caron-fox": "90fced1746351b850f41b3b742d582dcee22cd1536228c3e4e4c64ad4011f490",
+    "caron-fox-self": "baf545252ae29b56f7aff634922158ca03fb7e6a269f6b12cb9a8b1fc7d18430",
+    "custom-exp": "8dcd1ea737d34004744bc41cfd9b8bb58549009831d9e33e98b363dcbc0d59ae",
+    "custom-indicator": "a1cdf948cd05b604b7f5ee4f702c04aab7b73ac7816ae7ee17e585314198650e",
+    "custom-recipe": "53abc58df5e5f5cbcf90594b380fe7aaa75962b1432a07fdfa8bf7e4ad394e1d",
+    "custom-star-violated": "77b25a4a61c798d4fda105f85e0822aa9aa6b769cac4a0273c3cbb28c053f09b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_check_report_bytes_are_frozen(case, tmp_path):
+    path = tmp_path / "check.json"
+    write_json(check_local_finiteness(build(CHECK_CASES[case])).to_dict(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECK_GOLDEN[case]

@@ -18,6 +18,13 @@ from graphex.harness import (
     write_json,
 )
 from graphex.model import build, dilate
+from graphex.sampler import (
+    SamplerConfig,
+    SamplerError,
+    choose_theta_max,
+    sample_planted_degrees,
+)
+from graphex.theory import TheoryError, degree_ccdf, degree_pmf, expected_degree_count
 
 FAST = build({"family": "fast-decay"})
 NULL = build({"family": "custom", "exprs": {"W": "0"}})
@@ -130,6 +137,26 @@ def test_degdist_argument_errors():
         degdist_experiment(FAST, (5.0,), 40, seed=0, beta=1.5)
     with pytest.raises(HarnessError, match="empty"):
         degdist_experiment(NULL, (1.0,), 30, seed=0, k=1)
+
+
+# bool is a subclass of int, but True is no count, degree, level or budget; each
+# module refuses it with its own error
+@pytest.mark.parametrize("call, error", [
+    (lambda: degdist_experiment(FAST, (3.0,), 30, 0, k=True), HarnessError),
+    (lambda: validate_expectations(FAST, (2.0, True), 30, 0), HarnessError),
+    (lambda: projectivity_test(FAST, True, 30, 0), HarnessError),
+    (lambda: SamplerConfig(nu=2.0, seed=0, eps=True), SamplerError),
+    (lambda: sample_planted_degrees(FAST, 2.0, True, True, 0), SamplerError),
+    (lambda: sample_planted_degrees(FAST, 2.0, 1.0, 30, 0, eps=True), SamplerError),
+    (lambda: choose_theta_max(FAST, True, 1e-3), SamplerError),
+    (lambda: expected_degree_count(FAST, 2.0, True), TheoryError),
+    (lambda: degree_ccdf(FAST, 2.0, True), TheoryError),
+    (lambda: degree_pmf(FAST, 2.0, True), TheoryError),
+], ids=["degdist-k", "grid-nu", "projectivity-nu", "sampler-eps", "planted-reps",
+        "planted-eps", "cutoff-nu", "degk-k", "ccdf-k", "pmf-k"])
+def test_bool_is_refused_as_a_number(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # --------------------------------------------------------------------------

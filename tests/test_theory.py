@@ -90,6 +90,9 @@ FAST_CDF_SQRT_NU1E4 = 0.52999722280971199
 # test_closed_form_values_are_frozen, as the tanh-sinh rule computes it; a
 # change of rule, tolerance or integrand moves it
 CLOSED_FORM_TABLE_SHA256 = "8686f01bb95fb0acb3f3a21cde2bb4b7953560c151b83235da87b3b392d15eb1"
+# the same for test_blackbox_values_are_frozen: kernels with no declared
+# marginal, whose every value runs through the numeric marginal
+BLACKBOX_TABLE_SHA256 = "c8aa55108db7fc437740cd46c3f5b2f57d98a1d582ed924e46ad59b07ff4037c"
 
 
 @pytest.mark.parametrize("nu, want", sorted(SLOW_VERTICES.items()))
@@ -361,25 +364,40 @@ def test_closed_form_values_are_frozen():
     assert digest == CLOSED_FORM_TABLE_SHA256
 
 
+def test_blackbox_values_are_frozen():
+    values = []
+    for spec in ({"family": "caron-fox"},
+                 {"family": "custom", "exprs": {"W": "exp(-x-y)"}},
+                 {"family": "custom", "exprs": {"W": "exp(-x-y)", "S": "0.5*exp(-x)"},
+                  "I": 0.1}):
+        g = build(spec)
+        for nu in (2.0, 20.0):
+            values.append(expected_edges(g, nu).value)
+            values.append(expected_vertices(g, nu).value)
+            values += [expected_degree_count(g, nu, k).value for k in (1, 3)]
+            values.append(degree_pmf(g, nu, 2))
+    assert len(values) == 30
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == BLACKBOX_TABLE_SHA256
+
+
 @pytest.mark.parametrize("spec", [
     SLOW, FAST,
     # a separable f with no tail bound
     {"family": "separable", "exprs": {"f": "exp(-x)/(1+x)"}},
 ])
 def test_degree_law_cache_keys(spec):
-    # a graphex warmed at other nu, k and rel_tol gives a fresh one's values
+    # a graphex warmed at other nu and k gives a fresh one's values
     warm = build(spec)
-    for nu, k, rel_tol in ((10.0, 3, 1e-3), (100.0, 4, 1e-9), (100.0, 3, 1e-3),
-                           (1000.0, 2, 1e-9)):
-        degree_pmf(warm, nu, k, rel_tol)
-        degree_ccdf(warm, nu, k + 1, rel_tol)
-    for nu, k, rel_tol in ((10.0, 3, 1e-9), (100.0, 3, 1e-9), (10.0, 5, 1e-3),
-                           (1000.0, 3, 1e-3)):
-        pmf = degree_pmf(build(spec), nu, k, rel_tol)
-        assert degree_pmf(warm, nu, k, rel_tol) == pmf
+    for nu, k in ((10.0, 3), (100.0, 4), (1000.0, 2)):
+        degree_pmf(warm, nu, k)
+        degree_ccdf(warm, nu, k + 1)
+    for nu, k in ((10.0, 3), (100.0, 3), (10.0, 5), (1000.0, 3)):
+        pmf = degree_pmf(build(spec), nu, k)
+        assert degree_pmf(warm, nu, k) == pmf
         for j in (k - 1, k, k + 1):
-            assert degree_ccdf(warm, nu, j, rel_tol) == degree_ccdf(build(spec), nu, j, rel_tol)
-        assert pmf == degree_ccdf(warm, nu, k - 1, rel_tol) - degree_ccdf(warm, nu, k, rel_tol)
+            assert degree_ccdf(warm, nu, j) == degree_ccdf(build(spec), nu, j)
+        assert pmf == degree_ccdf(warm, nu, k - 1) - degree_ccdf(warm, nu, k)
     # an int nu is the same level as its float
     assert degree_ccdf(warm, 100, 3) == degree_ccdf(build(spec), 100.0, 3)
 
