@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain-latent", action="store_true",
                    help="keep latent coordinates so --latent-out can be written")
     p.add_argument("--no-fast-path", action="store_true",
-                   help="force the naive pair loop even for separable kernels")
+                   help="force the naive pair loop even for separable and caron-fox kernels")
     p.add_argument("--out", metavar="PATH", help="edge CSV (default: stdout)")
     p.add_argument("--latent-out", metavar="PATH", help="latent-value sidecar CSV")
     p.add_argument("--meta-out", metavar="PATH", help="graph metadata JSON")

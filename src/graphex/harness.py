@@ -401,12 +401,9 @@ class ConnectivityReport(_Record):
 def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
                             eps: float = 1e-3, threshold: float = 0.95,
                             threads: int | None = None) -> ConnectivityReport:
-    """Mean largest-component fraction across a nu grid, for separable kernels."""
+    """Mean largest-component fraction across a nu grid."""
     _check_reps(reps)
     grid = _check_grid(nus)
-    if g.separable_f is None:
-        raise HarnessError("the connectivity experiment expects a separable kernel "
-                           "W(x, y) = f(x) f(y)")
 
     def fraction(graph, i_nu):
         if graph.n_vertices == 0:

@@ -86,7 +86,10 @@ class Graphex:
     diagonal, which unlocks the sampler's fast path; an f that carries
     ``nonincreasing = True`` (set by the builders of slow-decay, fast-decay
     and constant) also unlocks its lazy clouds, and a copy with another f
-    does not inherit the mark. ``kinks`` lists the
+    does not inherit the mark. ``rate_factor`` is set when
+    W(x, y) = 1 - exp(-r(x) r(y)) off the diagonal (caron-fox, r = sqrt(2) g):
+    a pair is then an edge exactly when a Poi(r_u r_v) count is positive,
+    which the sampler draws without an acceptance step. ``kinks`` lists the
     interior points where the marginal may jump; :meth:`integrate` splits
     every latent-axis integral there.
     """
@@ -106,6 +109,7 @@ class Graphex:
     tail_s_fn: Callable | None = None
     support: float = math.inf
     separable_f: Callable | None = None
+    rate_factor: Callable | None = None
     kinks: tuple = ()
 
     # per-instance results (cutoffs, norms, degree-law integrals); not an init
@@ -516,7 +520,12 @@ def _family_caron_fox(params: dict, exprs: dict):
         gv = g(x)
         return -np.expm1(-gv * gv)
 
-    return dict(w=w, diag=diag)
+    sqrt2 = math.sqrt(2.0)
+
+    def r(x):
+        return sqrt2 * g(x)
+
+    return dict(w=w, diag=diag, rate_factor=r)
 
 
 def _family_custom(params: dict, exprs: dict):

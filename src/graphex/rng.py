@@ -36,8 +36,9 @@ def derive_key(seed: int, *path: int) -> tuple[int, int]:
     fixed part of the package's reproducibility contract: changing it would
     change every sampled graph.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    # bool is a subclass of int, but True is no seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     state = seed & _MASK64
     # absorb the path, one element per round, plus a length word so that
     # (1,) and (1, 0) map to different keys

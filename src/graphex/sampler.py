@@ -24,9 +24,10 @@ The generative process at truncation level nu:
    cloud with a small visible graph sorts its few endpoints and
    binary-searches them instead, which gives the same indices.
 
-Pair sampling has two interchangeable implementations. The naive path flips
-one coin per pair in vectorised blocks, which is exact but quadratic. When
-the kernel factorises as W(x, y) = f(x) f(y), the fast path is used instead:
+Pair sampling has three interchangeable implementations. The naive path
+flips one coin per pair in vectorised blocks, which is exact but quadratic.
+When the kernel factorises as W(x, y) = f(x) f(y), the fast path is used
+instead:
 
 * points with f > 1/2 are few (f is integrable), and their pairs get direct
   coins;
@@ -42,6 +43,13 @@ the kernel factorises as W(x, y) = f(x) f(y), the fast path is used instead:
   probability peak at exactly 1 when f_u f_v = 1/2, which is the largest
   product a non-heavy pair can reach, so the acceptance probability never
   exceeds 1.
+
+When W(x, y) = 1 - exp(-r(x) r(y)) off the diagonal (caron-fox, with
+r = sqrt(2) g; Caron & Fox 2017, section 3), the same ordered proposals run
+with f = r and c0 = 1, unclipped and with no heavy slot: pair {u, v} is
+proposed a Poi(r_u r_v) number of times, and it is an edge exactly when that
+count is positive, so the distinct keys are the edges, with no acceptance
+coin. Self loops keep their coin, 1 - exp(-g^2).
 
 A partner is the index where a key, uniform on [C_u, C_n) for the cumulative
 f C of the slot's table (cumsum(f), or cumsum of f with heavy slots zeroed),
@@ -79,8 +87,9 @@ endpoints and heavy points number at least the latent points (the guide
 table's rule), for a user ``separable`` f or a star rate, which declare no
 bound, and on the naive path, the reference.
 
-Both paths produce the same distribution; differential tests in the test
-suite hold the full and the lazy cloud against the naive path.
+All paths produce the same distribution; differential tests in the test
+suite hold the full cloud, the lazy cloud and the Caron-Fox construction
+against the naive path.
 """
 
 from __future__ import annotations
@@ -163,8 +172,9 @@ class SamplerConfig:
     cloud, also for a lazy draw that makes only the points it touches.
     ``max_pair_coins`` caps the coins of the naive path and of the heavy
     pairs. ``max_proposals`` caps the expected number of pair proposals:
-    sum over slots u of c0 f_u R_u for a full cloud, c0 (sum F)^2 / 2 for a
-    lazy one (see the module docstring).
+    sum over slots u of c0 f_u R_u for a full cloud (c0 = 1 and f = r for
+    the Caron-Fox construction), c0 (sum F)^2 / 2 for a lazy one (see the
+    module docstring).
     """
 
     nu: float
@@ -303,6 +313,13 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     The certified budget at cutoff a is nu^2 * (tail_mu(a) + tail_S(a)):
     every kernel edge with an endpoint past a is counted through that
     endpoint's expected degree nu * mu, and star edges through nu * S.
+
+    A kernel W = 1 - exp(-r(x) r(y)) (``Graphex.rate_factor``) puts the
+    separable majorant ||r||_1 * (integral of r past a) in place of
+    tail_mu(a): 1 - e^-t <= t gives W <= r(x) r(y), so the budget stays an
+    upper bound, and each probe costs one single integral instead of a
+    nested one. ||r||_1 is computed once per graphex, on the first cutoff;
+    where it does not converge, the nested tail_mu is used.
     """
     _check_level(nu, "nu")
     _check_eps(eps)
@@ -327,11 +344,12 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
                 and (g.s is None or g.tail_s_fn is not None))
     probe_tol = 1e-9 if analytic else 1e-4
     width_tol = 1e-12 if analytic else 1e-4
+    tail_mu = _majorant_tail(g) or g.tail_mu
 
     def budget(a: float) -> float:
         t = 0.0
         if g.w is not None:
-            t += g.tail_mu(a, probe_tol)
+            t += tail_mu(a, probe_tol)
         if g.s is not None:
             t += g.tail_s(a, probe_tol)
         return nu * nu * t
@@ -361,6 +379,28 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
             "cannot be sampled; one with jumps can, given theta_max (--theta-max)") from err
     g._cache[cache_key] = hi
     return hi
+
+
+def _majorant_tail(g: Graphex):
+    """(a, rel_tol) -> ||r||_1 * integral of r past a, which bounds
+    tail_mu(a) for a kernel with a rate factor r; None without one, or where
+    ||r||_1 does not converge."""
+    r = g.rate_factor
+    if r is None:
+        return None
+    if ("rate_l1",) not in g._cache:
+        g._cache[("rate_l1",)] = g.integrate(r, 1e-9)
+    norm = g._cache[("rate_l1",)]
+    if not norm.converged:
+        return None
+
+    def tail(a: float, rel_tol: float) -> float:
+        res = g.integrate(r, rel_tol, lo=a)
+        if not res.converged:
+            raise GraphexError(f"tail of the rate factor past x={a!r} did not converge")
+        return norm.value * res.value
+
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +454,39 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class _Cloud:
-    """Every latent point of a draw, drawn up front; f bounds itself. A pair
-    that is not heavy-heavy is proposed only from its lower slot u: a light u
-    reaches every later slot, a heavy u every later light one."""
+    """Every latent point of a draw, drawn up front, with its weight f. A
+    pair that is not heavy-heavy is proposed only from its lower slot u: a
+    light u reaches every later slot, a heavy u every later light one.
+
+    For a kernel with a rate factor r, f is r and c0 is 1, unclipped and
+    with no heavy slot: the proposals are then the edges themselves, so
+    ``thin`` is False. Otherwise f is the separable factor, clipped to
+    [0, 1], and bounds itself."""
 
     def __init__(self, g: Graphex, pts: np.ndarray):
+        self.thin = g.rate_factor is None
+        weight = g.separable_f if self.thin else g.rate_factor
         # clipped in place; pts itself is still needed for self loops, stars
         # and retain_latent, so an f that is pts (or a view of it) is copied
-        f = np.require(np.asarray(g.separable_f(pts), dtype=float), requirements="W")
+        f = np.require(np.asarray(weight(pts), dtype=float), requirements="W")
         if np.shares_memory(f, pts):
             f = f.copy()
-        self.f = np.clip(f, 0.0, 1.0, out=f)
-        self.big = f > _TAU
+        # a rate has no upper bound, but a negative one is no Poisson mean
+        self.f = np.clip(f, 0.0, 1.0 if self.thin else None, out=f)
+        self.c0 = _C0 if self.thin else 1.0
+        self.big = f > _TAU if self.thin else np.zeros(f.size, dtype=bool)
         self.n, self.heavy = pts.size, np.flatnonzero(self.big)
 
     def value(self, slots):
         """f at the slots, and its bound there."""
         f = self.f[slots]
         return f, f
+
+    def acceptance(self, lo, hi):
+        """The probability f_lo f_hi / (1 - exp(-c0 f_lo f_hi)) of accepting a
+        proposed pair."""
+        p = self.f[lo] * self.f[hi]
+        return p / (-np.expm1(-_C0 * p))
 
     def proposals(self, gen, cfg: SamplerConfig) -> np.ndarray:
         """Distinct proposed pair keys u * n + v, u < v, ascending: slot u
@@ -441,10 +496,11 @@ class _Cloud:
         f, n, big = self.f, self.n, self.big
         # (slots, cumulative f of their table): a heavy partner weighs 0 in
         # the heavy slots' table
-        groups = ((np.flatnonzero(~big), np.cumsum(f)),
-                  (self.heavy, np.cumsum(np.where(big, 0.0, f))))
+        groups = [(np.flatnonzero(~big), np.cumsum(f))]
+        if self.heavy.size:
+            groups.append((self.heavy, np.cumsum(np.where(big, 0.0, f))))
         reach = [cum[-1] - cum[slots] for slots, cum in groups]
-        rate = np.concatenate([_C0 * f[slots] * r for (slots, _), r in zip(groups, reach)])
+        rate = np.concatenate([self.c0 * f[slots] * r for (slots, _), r in zip(groups, reach)])
         _check_proposals(float(rate.sum()), cfg)
         counts = gen.poisson(rate)
         keys = []
@@ -513,6 +569,8 @@ class _LazyCloud:
     counter-based stream, so only the slots a draw touches are placed, and
     each the same whenever it is touched."""
 
+    thin = True  # every proposal is accepted with its own probability
+
     def __init__(self, g: Graphex, edges, bound, planted, nu: float, gen):
         self.f = g.separable_f
         self.lo = np.concatenate((edges[:-1], planted))
@@ -564,6 +622,12 @@ class _LazyCloud:
         key *= self.n
         key += np.maximum(u, v)
         return sorted_unique(key[ok])
+
+    def acceptance(self, lo, hi):
+        """The probability f_lo f_hi / (1 - exp(-c0 F_lo F_hi)) of accepting
+        a proposed pair."""
+        (f_lo, bound_lo), (f_hi, bound_hi) = self.value(lo), self.value(hi)
+        return f_lo * f_hi / (-np.expm1(-_C0 * (bound_lo * bound_hi)))
 
     def positions(self, slots):
         """Latent coordinates of the slots, and their strata."""
@@ -620,10 +684,10 @@ def _check_proposals(lam: float, cfg: SamplerConfig) -> None:
 
 
 def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
-    """Separable pairs of a full or a lazy cloud, in (u, v) order: direct
-    coins for the heavy pairs, then the cloud's proposals, each accepted once
-    with probability f_u f_v / (1 - exp(-c0 F_u F_v)); see the module
-    docstring."""
+    """Kernel pairs of a full or a lazy cloud, in (u, v) order: direct coins
+    for the heavy pairs, then the cloud's proposals, each accepted once with
+    probability f_u f_v / (1 - exp(-c0 F_u F_v)) where the cloud thins them;
+    see the module docstring."""
     n = cloud.n
     # each run holds pair keys u * n + v, ascending: the heavy pairs come out
     # of triu_indices over ascending slots, the light ones out of the dedupe
@@ -642,13 +706,10 @@ def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
         runs.append(heavy[iu[keep]].astype(np.int64, copy=False) * n + heavy[ju[keep]])
 
     key = cloud.proposals(gen, cfg)
+    if key.size and cloud.thin:
+        key = key[gen.random(key.size) < cloud.acceptance(*np.divmod(key, n))]
     if key.size:
-        lo, hi = np.divmod(key, n)
-        (f_lo, bound_lo), (f_hi, bound_hi) = cloud.value(lo), cloud.value(hi)
-        p = f_lo * f_hi
-        q = np.multiply(bound_lo, bound_hi, out=bound_lo)  # f_lo is not read again
-        accept = gen.random(p.size) < p / (-np.expm1(-_C0 * q))
-        runs.append(key[accept])
+        runs.append(key)
 
     if not runs:
         return np.empty((0, 2), dtype=np.int64)
@@ -728,7 +789,8 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         if planted.size:
             pts = np.concatenate((pts, planted))
         n = pts.size
-        cloud = _Cloud(g, pts) if cfg.use_fast_path and g.separable_f is not None else None
+        fast = g.separable_f is not None or g.rate_factor is not None
+        cloud = _Cloud(g, pts) if cfg.use_fast_path and fast else None
     planted_slots = np.arange(n_cloud, n, dtype=np.int64)
 
     # kernel pairs
@@ -875,7 +937,8 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
         raise SamplerError("the graphex has no kernel, the planted degree is always 0")
     if not (isinstance(reps, int) and not isinstance(reps, bool) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
-    if not (math.isfinite(lam) and lam >= 0):
+    # bool is a subclass of int, but True is no latent coordinate
+    if isinstance(lam, bool) or not (math.isfinite(lam) and lam >= 0):
         raise SamplerError(f"lam must be finite and >= 0, got {lam!r}")
     _check_level(nu, "nu")
     if theta_max is not None:

@@ -52,16 +52,17 @@ def test_sample_deterministic_files(tmp_path):
 
 
 def test_sample_caron_fox_is_frozen(tmp_path):
-    # no closed-form marginal: the cutoff comes from numeric tails of the
-    # marginal, and this digest pins it (theta_max 13.5927734375) with the
-    # whole draw
+    # no closed-form marginal: the cutoff comes from the separable majorant
+    # 2 ||g||_1 (integral of g past a), and this digest pins it (theta_max
+    # 13.5927734375, as the nested tail of the marginal gave) with the whole
+    # draw of the Caron-Fox construction
     out, meta = tmp_path / "e.csv", tmp_path / "meta.json"
     assert run("sample", "--graphex", '{"family": "caron-fox"}', "--nu", "20",
                "--seed", "1", "--out", str(out), "--meta-out", str(meta)) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "24a9967cac6f854879bb660f9e247b9fc43c41d956b8777f9bd0eb26abe52185"
+        "de4da543109f04a8b1a81b2b6432981868bc78ec30c92ffc2adf7d8f2aaf43cf"
     assert hashlib.sha256(meta.read_bytes()).hexdigest() == \
-        "2a26c45018773e477184832d77e730c6c470f9ce7ef839f01cb603acb8469c4a"
+        "ab3530f4e87cbf28e2ca8bd27ec9cc4cdbbf182395db89003c64126d71f4952f"
 
 
 def test_sample_nu_zero_writes_header_only(tmp_path, capsys):
@@ -193,6 +194,15 @@ def test_connectivity_exit_codes(tmp_path):
             "--replicates", "30", "--seed", "303", "--out", str(out))
     assert run(*base, "--threshold", "0.5") == EXIT_OK
     assert run(*base, "--threshold", "0.999") == EXIT_FAIL
+
+
+def test_connectivity_on_caron_fox(tmp_path):
+    # no separable factor: the Caron-Fox construction draws the replicates
+    out = tmp_path / "c.json"
+    assert run("connectivity", "--graphex", '{"family": "caron-fox"}', "--nus", "10,40",
+               "--replicates", "30", "--seed", "0", "--out", str(out)) == EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["rejected"] for r in rows] == [0, 0] and rows[-1]["mean_fraction"] >= 0.95
 
 
 def test_projectivity_cli(tmp_path):

@@ -174,10 +174,15 @@ def test_connectivity_growth():
                       "final_ok", "ok"}
 
 
-def test_connectivity_requires_separable_kernel():
+def test_connectivity_takes_any_kernel_the_sampler_draws():
+    # the complete bipartite block graphon: every visible vertex is in the
+    # one component
     block = dilate([[0.0, 1.0], [1.0, 0.0]], 1.0)
-    with pytest.raises(HarnessError, match="separable"):
-        connectivity_experiment(block, (5.0,), 30, seed=0)
+    rep = connectivity_experiment(block, (5.0,), 30, seed=0)
+    assert rep.rows[0].mean_fraction == 1.0
+    # what the sampler cannot draw, its caps refuse
+    with pytest.raises(SamplerError, match="max_pair_coins"):
+        connectivity_experiment(block, (3e4,), 30, seed=0)
 
 
 # --------------------------------------------------------------------------

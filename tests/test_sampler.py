@@ -633,6 +633,16 @@ def test_planted_degree_levels_are_checked_as_in_sampler_config(nu, theta_max):
     assert str(planted_error.value) == str(config_error.value)
 
 
+@pytest.mark.parametrize("lam, seed", [
+    (1.0, True), (1.0, 1.0), (1.0, -1), (True, 0),
+])
+def test_planted_degrees_refuse_a_bool_or_non_integer_seed_or_lam(lam, seed):
+    # bool is a subclass of int; the stream's key refuses it as a seed, as
+    # SamplerConfig does
+    with pytest.raises(ValueError, match="seed|lam"):
+        sample_planted_degrees(FAST, 2.0, lam, 3, seed)
+
+
 # --------------------------------------------------------------------------
 # lazy stratified clouds
 # --------------------------------------------------------------------------
@@ -823,3 +833,75 @@ def test_a_wrong_monotonicity_declaration_is_caught():
     # swapping f drops the mark: a replaced factor takes the full cloud
     assert _lazy_strata(dataclasses.replace(SLOW, separable_f=lambda x: 0.5 / (1.0 + x)),
                         SamplerConfig(nu=5.0, seed=0), 1e3) is None
+
+
+# --------------------------------------------------------------------------
+# the Caron-Fox construction
+# --------------------------------------------------------------------------
+
+CARON_FOX_CASES = {
+    "default": ("exp(-x)", 5.0),
+    "jump": ("exp(-x)*(1+le(x,1))", 3.0),
+    "g0-is-5": ("5*exp(-3*x)", 3.0),
+}
+
+
+def caron_fox(source: str, self_edges: bool = False):
+    return build({"family": "caron-fox", "exprs": {"g": source}, "self_edges": self_edges})
+
+
+@pytest.mark.parametrize("case", sorted(CARON_FOX_CASES))
+def test_caron_fox_construction_matches_naive(case):
+    # Poi(r_u r_v) proposals per pair, r = sqrt(2) g, kept as edges without
+    # a coin, against the all-pairs reference; self loops keep their coin
+    source, nu = CARON_FOX_CASES[case]
+    g = caron_fox(source, self_edges=True)
+    naive = naive_counts_matching_fast(g, nu, 1e-3, (), FULL_REPS, (80_000, 90_000))
+    assert naive[:, 3].mean() > 0.5 and naive[:, 5].mean() > 0.5
+
+
+@pytest.mark.parametrize("nu", [20.0, 1000.0])
+def test_caron_fox_cutoff_of_the_default_g(nu):
+    # W <= r(x) r(y) = 2 e^-x e^-y puts the budget at 2 nu^2 e^-a, which
+    # meets eps at ln(2 nu^2 / eps); the bisection stops within its width
+    # above that
+    a = choose_theta_max(caron_fox("exp(-x)"), nu, 1e-3)
+    assert 0.0 <= a - math.log(2.0 * nu * nu / 1e-3) <= 1e-4 * a
+    if nu == 20.0:
+        assert a == 13.5927734375
+
+
+@pytest.mark.parametrize("source", ["exp(-x)", "2*exp(-x)", "5*exp(-3*x)"])
+def test_caron_fox_cutoff_is_never_below_the_nested_one(source):
+    # the majorant's budget bounds the nested tail of the marginal, so its
+    # cutoff is certified wherever the nested one is
+    g = caron_fox(source)
+    nested = dataclasses.replace(g, rate_factor=None)
+    assert choose_theta_max(g, 20.0, 1e-3) >= choose_theta_max(nested, 20.0, 1e-3)
+
+
+def test_a_caron_fox_g_with_a_jump_certifies():
+    # the nested tail cannot settle the marginal's jump at y = 1; the
+    # majorant's single integrals can, and the tail of the refined marginal
+    # past its cutoff (Gauss-Laguerre: mu(a + t) e^t is nearly constant,
+    # since g = e^-x there) is within the budget
+    g = caron_fox("exp(-x)*(1+le(x,1))")
+    with pytest.raises(SamplerError, match="cannot certify"):
+        choose_theta_max(dataclasses.replace(g, rate_factor=None), 20.0, 1e-3)
+    a = choose_theta_max(g, 20.0, 1e-3)
+    t, weight = np.polynomial.laguerre.laggauss(20)
+    assert 20.0 ** 2 * (weight @ (np.exp(t) * g.marginal(a + t))) <= 1e-3
+
+
+def test_caron_fox_cutoff_falls_back_to_the_nested_tail():
+    # a spike of 1e300 at 0 leaves ||r||_1 unsettled, so the cutoff takes the
+    # nested tail of the marginal, which cannot settle it either
+    g = caron_fox("exp(-x)/(x+1e-300)")
+    with pytest.raises(SamplerError, match="tail of the marginal"):
+        choose_theta_max(g, 20.0, 1e-3)
+
+
+def test_a_warm_caron_fox_draw_at_nu_1000_fits_the_default_caps():
+    g = caron_fox("exp(-x)")
+    graph = sample_keg(g, SamplerConfig(nu=1000.0, seed=0))
+    assert graph.n_edges > 7e5
