@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 __all__ = [
     "DegreeHistogram",
     "GraphStatsError",
+    "components",
     "count_edges",
     "count_vertices",
     "counts",
@@ -166,19 +167,26 @@ def largest_component_size(edges) -> int:
     return largest_component(edges)[0]
 
 
-def largest_component(edges) -> tuple[int, float]:
-    """(size, fraction of visible vertices); (0, 0.0) for an empty graph."""
+def components(edges) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex ids ascending, the connected component of each, numbered from
+    0)."""
     arr = _as_edges(edges)
     if arr.size == 0:
-        return 0, 0.0
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
     ids, inverse = ranked_unique(arr.ravel())
-    n_ids = ids.size
     pairs = inverse.reshape(arr.shape)
     adjacency = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
-                          shape=(n_ids, n_ids))
-    _, component = connected_components(adjacency, directed=False)
+                          shape=(ids.size, ids.size))
+    return ids, connected_components(adjacency, directed=False)[1]
+
+
+def largest_component(edges) -> tuple[int, float]:
+    """(size, fraction of visible vertices); (0, 0.0) for an empty graph."""
+    ids, component = components(edges)
+    if ids.size == 0:
+        return 0, 0.0
     size = int(np.bincount(component).max())
-    return size, size / n_ids
+    return size, size / ids.size
 
 
 def sparsity_ratio(edges) -> float:

@@ -3,13 +3,20 @@
 Every experiment runs on one replicate engine, :func:`_replicates`. For each
 truncation level nu of a grid it draws R graphs, and replicate ``rep`` at
 grid index ``i_nu`` always uses the child seed
-``derive_key(seed, i_nu, rep)[0]`` of the one base seed, so results do not
-depend on scheduling and the optional thread pool changes only wall time.
-Each graph is reduced to a value by the experiment's measure: counts of
-registered statistics, a degree fraction, a largest-component fraction, or
-an edge count. The projectivity test is the same engine over the two-level
-grid (2 nu, nu): arm 0 restricts its draws at 2 nu to [0, nu], arm 1 draws
-at nu directly.
+``derive_key(seed, i_nu, rep)[0]`` of the one base seed. The graphs are drawn
+in blocks of replicates (``sampler._draw``), as many per block as the
+expected work of a draw allows. Replicate ``rep`` of a block is, to the bit,
+the graph ``sample_keg`` draws at its child seed. So results do not depend
+on blocks or scheduling, and the block size and the optional thread pool,
+which draws blocks in parallel, change only wall time. The experiment's
+measure reduces each block to one value per replicate: counts of registered
+statistics, a degree fraction, a largest-component fraction, or an edge
+count. Degrees are counted over the block's whole graph, and components come
+from one search of it, since no edge joins two replicates. The projectivity
+test is the same engine over the two-level grid (2 nu, nu): arm 0 keeps the
+edges of its draws at 2 nu whose labels are both in [0, nu], arm 1 draws at
+nu directly. Labels are drawn only for arm 0, the one measure that reads
+them; they have a stream of their own, so no other number moves.
 
 Reports are frozen dataclasses that share one serializer, :class:`_Record`:
 ``to_dict`` (JSON) and ``csv_rows`` (flat CSV). Serialising the same report
@@ -47,10 +54,14 @@ from scipy.stats import ks_2samp
 
 from . import rng as rngmod
 from . import theory
+from .graphstats import components
 from .graphstats import degrees as _degrees
-from .graphstats import largest_component
+# not called here, but bound for perfbench's tracer, which wraps these in
+# every module that holds them
+from .graphstats import largest_component  # noqa: F401
 from .model import Graphex
-from .sampler import SamplerConfig, restrict, sample_keg
+from .sampler import SamplerConfig, _block_size, _draw
+from .sampler import restrict, sample_keg  # noqa: F401
 
 __all__ = [
     "ConnectivityReport",
@@ -82,6 +93,12 @@ def _check_reps(reps: int) -> None:
         raise HarnessError(f"need at least {MIN_REPLICATES} replicates, got {reps!r}")
 
 
+def _check_verdict_level(value, name: str, ok, what: str) -> None:
+    # bool is a subclass of int, but True is no level
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+        raise HarnessError(f"{name} must be {what}, got {value!r}")
+
+
 def _check_grid(nus) -> tuple[float, ...]:
     grid = tuple(float(v) for v in nus)
     # bool is a subclass of int, but True is no truncation level
@@ -96,24 +113,37 @@ def _check_grid(nus) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float,
-                threads: int | None, measure):
-    """Yield (nu, [measure(graph, i_nu) for each replicate]) per grid level,
-    with replicate seeds addressed as in the module docstring."""
+                threads: int | None, measure, labelled=()):
+    """Yield (nu, [value of each replicate]) per grid level, with replicate
+    seeds addressed as in the module docstring. The replicates are drawn in
+    blocks; ``measure(block, i_nu)`` gives the value of each replicate of a
+    block. Labels are drawn only at the levels whose indices ``labelled``
+    lists."""
     # bool is a subclass of int, but True is no thread count
     if threads is not None and not (isinstance(threads, int) and not isinstance(threads, bool)
                                     and threads >= 1):
         raise HarnessError(f"threads must be None or an integer >= 1, got {threads!r}")
     for i_nu, nu in enumerate(grid):
-        def one(rep: int, nu=nu, i_nu=i_nu):
-            child = int(rngmod.derive_key(seed, i_nu, rep)[0])
-            return measure(sample_keg(g, SamplerConfig(nu=nu, seed=child, eps=eps)), i_nu)
+        cfg = SamplerConfig(nu=nu, seed=seed, eps=eps)
+        seeds = rngmod.derive_keys(seed, i_nu, np.arange(reps))[0].tolist()
+        size = _block_size(g, cfg)
+        chunks = [seeds[i:i + size] for i in range(0, reps, size)]
 
-        if threads is not None and threads > 1:
+        def one(chunk, cfg=cfg, i_nu=i_nu):
+            return measure(_draw(g, cfg, chunk, labels=i_nu in labelled), i_nu)
+
+        if threads is not None and threads > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(one, range(reps)))
+                parts = list(pool.map(one, chunks))
         else:
-            values = [one(rep) for rep in range(reps)]
-        yield nu, values
+            parts = [one(chunk) for chunk in chunks]
+        yield nu, [value for part in parts for value in part]
+
+
+def _degree_table(block):
+    """(replicate of each visible vertex, its degree), vertices ascending."""
+    ids, deg = _degrees(block.edges)
+    return block.replicate_of(ids), deg
 
 
 def _drop_empty(values: list, nu: float, why: str) -> tuple[list, int]:
@@ -220,12 +250,13 @@ class ValidationReport(_Record):
     ok = all_ok
 
 
-# statistic -> (its count in one graph, given the graph and its degrees;
-# its expectation at nu). Theory is looked up on the module at call time.
+# statistic -> (its count in each replicate of a block, given the block and
+# the replicate and degree of each visible vertex; its expectation at nu).
+# Theory is looked up on the module at call time.
 _STATISTICS = {
-    "edges": (lambda graph, deg: graph.n_edges,
+    "edges": (lambda block, rep, deg: np.diff(block.edge_start),
               lambda g, nu: theory.expected_edges(g, nu).value),
-    "vertices": (lambda graph, deg: int(deg.size),
+    "vertices": (lambda block, rep, deg: np.bincount(rep, minlength=block.reps),
                  lambda g, nu: theory.expected_vertices(g, nu).value),
 }
 
@@ -240,7 +271,7 @@ def _statistic(name: str):
         except ValueError:
             k = 0
         if k >= 1:
-            return (lambda graph, deg: int(np.count_nonzero(deg == k)),
+            return (lambda block, rep, deg: np.bincount(rep[deg == k], minlength=block.reps),
                     lambda g, nu: theory.expected_degree_count(g, nu, k).value)
     raise HarnessError(f"unknown statistic {name!r}; expected edges, vertices "
                        "or degree_<k> with k >= 1")
@@ -257,10 +288,15 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
     _check_reps(reps)
     grid = _check_grid(nus)
     parsed = [(name, *_statistic(name)) for name in stats]
+    _check_verdict_level(z_crit, "z_crit", lambda z: math.isfinite(z) and z > 0,
+                         "a finite number > 0")
 
-    def counts(graph, i_nu):
-        _, deg = _degrees(graph.edges)
-        return [float(count(graph, deg)) for _, count, _ in parsed]
+    def counts(block, i_nu):
+        rep, deg = _degree_table(block)
+        table = np.zeros((len(parsed), block.reps))
+        for j, (_, count, _) in enumerate(parsed):
+            table[j] = count(block, rep, deg)
+        return table.T.tolist()
 
     rows = []
     for nu, samples in _replicates(g, grid, reps, seed, eps, threads, counts):
@@ -339,13 +375,11 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
         raise HarnessError(f"beta must lie in (0, 1), got {beta!r}")
     ks = [k if k is not None else max(1, int(math.floor(nu ** beta))) for nu in grid]
 
-    def fractions(graph, i_nu):
-        _, deg = _degrees(graph.edges)
-        if deg.size == 0:
-            return None
-        n = deg.size
-        return (float(np.count_nonzero(deg > ks[i_nu])) / n,
-                float(np.count_nonzero(deg == ks[i_nu])) / n)
+    def fractions(block, i_nu):
+        rep, deg = _degree_table(block)
+        n, above, at = (np.bincount(r, minlength=block.reps).tolist()
+                        for r in (rep, rep[deg > ks[i_nu]], rep[deg == ks[i_nu]]))
+        return [(a / v, b / v) if v else None for v, a, b in zip(n, above, at)]
 
     rows = []
     levels = _replicates(g, grid, reps, seed, eps, threads, fractions)
@@ -401,14 +435,20 @@ class ConnectivityReport(_Record):
 def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
                             eps: float = 1e-3, threshold: float = 0.95,
                             threads: int | None = None) -> ConnectivityReport:
-    """Mean largest-component fraction across a nu grid."""
+    """Mean largest-component fraction across a nu grid. The components of
+    a block's replicates come from one search of the block's graph."""
     _check_reps(reps)
     grid = _check_grid(nus)
+    _check_verdict_level(threshold, "threshold", lambda t: 0.0 <= t <= 1.0, "in [0, 1]")
 
-    def fraction(graph, i_nu):
-        if graph.n_vertices == 0:
-            return None
-        return largest_component(graph.edges)[1]
+    def fraction(block, i_nu):
+        ids, component = components(block.edges)
+        rep = block.replicate_of(ids)
+        largest = np.zeros(block.reps, dtype=np.int64)
+        np.maximum.at(largest, rep, np.bincount(component)[component])
+        seen = np.bincount(rep, minlength=block.reps)
+        return [None if not n else s / v if v else 0.0 for n, s, v in
+                zip(np.diff(block.vertex_start).tolist(), largest.tolist(), seen.tolist())]
 
     rows = []
     for nu, results in _replicates(g, grid, reps, seed, eps, threads, fraction):
@@ -451,12 +491,21 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     _check_reps(reps)
     if isinstance(nu, bool) or not (math.isfinite(nu) and nu > 0):
         raise HarnessError(f"nu must be positive and finite, got {nu!r}")
+    _check_verdict_level(p_floor, "p_floor", lambda p: 0.0 < p < 1.0, "in (0, 1)")
 
-    def edge_count(graph, i_nu):
-        return (restrict(graph, nu) if i_nu == 0 else graph).n_edges
+    def edge_count(block, i_nu):
+        per_replicate = np.diff(block.edge_start)
+        if i_nu == 1:
+            return per_replicate.tolist()
+        # restricted to [0, nu]: the edges whose labels are both <= nu
+        labels, edges = block.labels, block.edges
+        kept = (labels[edges[:, 0]] <= nu) & (labels[edges[:, 1]] <= nu)
+        rep = np.repeat(np.arange(block.reps), per_replicate)
+        return np.bincount(rep[kept], minlength=block.reps).tolist()
 
     arm_a, arm_b = (np.asarray(counts, dtype=float) for _, counts in
-                    _replicates(g, (2.0 * nu, nu), reps, seed, eps, threads, edge_count))
+                    _replicates(g, (2.0 * nu, nu), reps, seed, eps, threads, edge_count,
+                                labelled=(0,)))
     result = ks_2samp(arm_a, arm_b, method="asymp")
     return ProjectivityReport(
         nu=float(nu), replicates=reps, ks_statistic=float(result.statistic),

@@ -90,6 +90,24 @@ bound, and on the naive path, the reference.
 All paths produce the same distribution; differential tests in the test
 suite hold the full cloud, the lazy cloud and the Caron-Fox construction
 against the naive path.
+
+Blocks of replicates. One engine, ``_draw``, draws a block of replicates at
+one configuration, one child seed each, and ``sample_keg`` is its block of
+one. Each (replicate, stream) generator gets the calls a draw of its own
+makes, with the same sizes and in the same order; where a stream's later
+call depends on a stage that runs over the whole block (the coins of the
+distinct proposals), the call is made at once, for as many values as could
+be needed, which draws the same numbers, since a coin is one uniform and
+nothing reads the stream after it. Every stage between the calls runs once
+over the block: the latent strata or points, positions through
+``uniform_at``, partner searches, dedupe, acceptance, self loops,
+visibility and indexing. Slots, pair keys and vertex ids run through the
+block, replicate by replicate, so a sort or a dedupe over the block keeps
+each replicate's own order, and a search in a replicate's own table is
+done row by row or, for many small rows, as one search of the pairs
+(replicate, value). Stars, isolated edges, labels and the naive path loop
+over the replicates. ``_block_size`` sets how many replicates share a block
+from the expected work of one draw, so a large draw is a block of its own.
 """
 
 from __future__ import annotations
@@ -101,6 +119,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .expr import EvalError
 from .graphstats import ranked_unique, sorted_unique
 from .model import Graphex, GraphexError
 
@@ -344,7 +363,6 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
                 and (g.s is None or g.tail_s_fn is not None))
     probe_tol = 1e-9 if analytic else 1e-4
     width_tol = 1e-12 if analytic else 1e-4
-    tail_mu = _majorant_tail(g) or g.tail_mu
 
     def budget(a: float) -> float:
         t = 0.0
@@ -355,6 +373,7 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
         return nu * nu * t
 
     try:
+        tail_mu = _majorant_tail(g) or g.tail_mu
         if budget(0.0) <= eps:
             g._cache[cache_key] = 0.0
             return 0.0
@@ -373,7 +392,9 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
                 hi = mid
             if hi - lo <= width_tol * max(1.0, hi):
                 break
-    except GraphexError as err:
+    # an expression that fails at a quadrature node (a division by zero off
+    # the build's probe grid, say) leaves the tail unknown too
+    except (GraphexError, EvalError) as err:
         raise SamplerError(
             f"cannot certify a truncation level: {err}. A non-integrable kernel "
             "cannot be sampled; one with jumps can, given theta_max (--theta-max)") from err
@@ -453,17 +474,108 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Cloud:
-    """Every latent point of a draw, drawn up front, with its weight f. A
-    pair that is not heavy-heavy is proposed only from its lower slot u: a
-    light u reaches every later slot, a heavy u every later light one.
+# keys per row from which a table is searched row by row; measured on 2
+# cores, the search at once costs 4x less at 100 keys per row, 4x more at
+# 7,000. A row is searched through a guide table from _GUIDE_KEYS keys:
+# below that, a binary search over a row of up to 2,000 entries costs less
+# than building the table
+_ROW_KEYS = 1024
+_GUIDE_KEYS = 512
+
+
+def _search_row(row: np.ndarray, keys: np.ndarray, out=None) -> np.ndarray:
+    """``np.searchsorted(row, keys, side="right")``, except that a key that
+    rounds up to the row's total goes to the first index holding it."""
+    where = _endpoints(row, keys) if keys.size >= _GUIDE_KEYS else \
+        np.searchsorted(row, keys, side="right")
+    return np.minimum(where, np.searchsorted(row, row[-1]), out=where if out is None else out)
+
+
+def _partners(table: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Where each key falls in its row of a table whose rows are
+    nondecreasing, the keys coming row by row, counts[r] of them in row r:
+    ``np.searchsorted(row, key, side="right")``, except that a key that
+    rounds up to the row's total goes to the first index holding the total.
+
+    A table of at most two rows (one draw's light and heavy tables), or one
+    with ``_ROW_KEYS`` keys per row, is searched row by row, through the
+    guide table of ``_endpoints`` where a row has many keys. Other tables are
+    searched at once, for the pairs (r, key) among the pairs (r, entry),
+    ordered lexicographically as the complex numbers r + entry j are: that
+    gives each row's own answer, which a search of offset floats would
+    not."""
+    if table.shape[0] == 1:
+        return _search_row(table[0], keys)
+    if table.shape[0] == 2 or keys.size >= _ROW_KEYS * table.shape[0]:
+        out = np.empty(keys.size, dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for row, b0, b1 in zip(table, bounds, bounds[1:]):
+            _search_row(row, keys[b0:b1], out[b0:b1])
+        return out
+    last = np.count_nonzero(table < table[:, -1:], axis=1)
+    height, width = table.shape
+    rows = np.repeat(np.arange(height), counts)
+    flat = np.empty(table.shape, dtype=complex)
+    flat.real = np.arange(height)[:, None]
+    flat.imag = table
+    flat = flat.ravel()
+    probe = np.empty(keys.size, dtype=complex)
+    probe.real = rows
+    probe.imag = keys
+    return np.minimum(np.searchsorted(flat, probe, side="right") - rows * width, last[rows])
+
+
+def _coins_of(keys: np.ndarray, bounds: np.ndarray, offsets: np.ndarray,
+              coins: np.ndarray) -> np.ndarray:
+    """The coin of each of the ascending ``keys``: replicate r owns the keys
+    in [bounds[r], bounds[r + 1]), and its k-th key takes
+    coins[offsets[r] + k]."""
+    if bounds.size == 2:
+        return coins[:keys.size]
+    per = np.diff(np.searchsorted(keys, bounds))
+    return coins[np.repeat(offsets - (np.cumsum(per) - per), per) + np.arange(keys.size)]
+
+
+def _pairs_of(keys: np.ndarray, kbase: np.ndarray, n: np.ndarray, base: np.ndarray):
+    """The slot pairs (u, v), one row each, of the ascending pair keys
+    kbase[r] + u' * n[r] + v' of replicate r, whose slots u', v' start at
+    base[r]."""
+    pairs = np.empty((keys.size, 2), dtype=np.int64)
+    if n.size == 1:
+        np.divmod(keys, n[0], out=(pairs[:, 0], pairs[:, 1]))
+        return pairs
+    per = np.diff(np.searchsorted(keys, kbase))
+    np.divmod(keys - np.repeat(kbase[:-1], per), np.repeat(n, per), out=(pairs[:, 0], pairs[:, 1]))
+    pairs += np.repeat(base[:-1], per)[:, None]
+    return pairs
+
+
+def _heavy_pairs(heavy: np.ndarray):
+    """(replicate, a, b) of each pair of heavy points a < b of a replicate,
+    which has heavy[r] of them, counted through the block: replicate by
+    replicate, in ``np.triu_indices`` order. The replicate of a block of one
+    is 0."""
+    iu, ju = np.triu_indices(int(heavy.max()), k=1)
+    if heavy.size == 1:
+        return 0, iu, ju
+    rep, pair = np.nonzero(ju < heavy[:, None])
+    first = np.concatenate(([0], np.cumsum(heavy)))[rep]
+    return rep, first + iu[pair], first + ju[pair]
+
+
+class _Clouds:
+    """Every latent point of each replicate of a block, drawn up front, with
+    its weight f. Slots run through the block, replicate by replicate: slot
+    i of replicate r is slot base[r] + i. A pair that is not heavy-heavy is
+    proposed only from its lower slot u: a light u reaches every later slot
+    of its replicate, a heavy u every later light one.
 
     For a kernel with a rate factor r, f is r and c0 is 1, unclipped and
     with no heavy slot: the proposals are then the edges themselves, so
     ``thin`` is False. Otherwise f is the separable factor, clipped to
     [0, 1], and bounds itself."""
 
-    def __init__(self, g: Graphex, pts: np.ndarray):
+    def __init__(self, g: Graphex, pts: np.ndarray, base: np.ndarray):
         self.thin = g.rate_factor is None
         weight = g.separable_f if self.thin else g.rate_factor
         # clipped in place; pts itself is still needed for self loops, stars
@@ -475,7 +587,9 @@ class _Cloud:
         self.f = np.clip(f, 0.0, 1.0 if self.thin else None, out=f)
         self.c0 = _C0 if self.thin else 1.0
         self.big = f > _TAU if self.thin else np.zeros(f.size, dtype=bool)
-        self.n, self.heavy = pts.size, np.flatnonzero(self.big)
+        self.heavy = np.flatnonzero(self.big)
+        self.base, self.n = base, np.diff(base)
+        self.n_heavy = np.diff(np.searchsorted(self.heavy, base))
 
     def value(self, slots):
         """f at the slots, and its bound there."""
@@ -488,44 +602,75 @@ class _Cloud:
         p = self.f[lo] * self.f[hi]
         return p / (-np.expm1(-_C0 * p))
 
-    def proposals(self, gen, cfg: SamplerConfig) -> np.ndarray:
-        """Distinct proposed pair keys u * n + v, u < v, ascending: slot u
-        draws K_u ~ Poi(c0 f_u R_u) partners in proportion to f, R_u being
-        the f-mass its table holds past u, so a pair {u, v} is proposed
-        Poi(c0 f_u f_v) times, independently of all others."""
-        f, n, big = self.f, self.n, self.big
-        # (slots, cumulative f of their table): a heavy partner weighs 0 in
-        # the heavy slots' table
-        groups = [(np.flatnonzero(~big), np.cumsum(f))]
-        if self.heavy.size:
-            groups.append((self.heavy, np.cumsum(np.where(big, 0.0, f))))
-        reach = [cum[-1] - cum[slots] for slots, cum in groups]
-        rate = np.concatenate([self.c0 * f[slots] * r for (slots, _), r in zip(groups, reach)])
+    def propose(self, kbase: np.ndarray) -> None:
+        """Lay out the proposal rates: slot u of replicate r draws
+        K_u ~ Poi(c0 f_u R_u) partners in proportion to f, R_u being the
+        f-mass its table holds past u. Each replicate's entries come in the
+        order its stream draws them: its light slots, then its heavy ones."""
+        f, n = self.f, self.n
+        tables = 2 if self.heavy.size else 1
+        rep = np.repeat(np.arange(n.size), n)
+        col = np.arange(f.size) - self.base[rep]
+        # the cumulative f of each replicate's tables, in rows padded with
+        # their totals: a heavy partner weighs 0 in the heavy slots' table
+        width = max(int(n.max()), 1)
+        table = np.zeros((n.size * tables, width))
+        at = rep * (tables * width) + col
+        table.ravel()[at] = f
+        if tables == 2:
+            table.ravel()[at + width] = np.where(self.big, 0.0, f)
+        self.table = np.cumsum(table, axis=1)
+        # the entries: each slot, with the row of the table it searches
+        order = np.argsort(rep * tables + self.big, kind="stable") if tables == 2 else slice(None)
+        rep, col = rep[order], col[order]
+        self.row = rep * tables + self.big[order]
+        self.at = self.table[self.row, col]
+        self.reach = self.table[self.row, -1] - self.at
+        self.rate = self.c0 * f[order] * self.reach
+        self.keybase = kbase[rep] + col * n[rep]
+
+    def draw(self, r: int, gen, cfg: SamplerConfig):
+        """Replicate r's partner counts and the uniforms of its partner keys,
+        then, where the cloud thins, a coin for each of at most that many
+        distinct pairs: a coin is one uniform, and nothing reads the stream
+        after the coins."""
+        rate = self.rate[self.base[r]:self.base[r + 1]]
         _check_proposals(float(rate.sum()), cfg)
         counts = gen.poisson(rate)
-        keys = []
-        for (slots, cum), r in zip(groups, reach):
-            count, counts = counts[:slots.size], counts[slots.size:]
-            m = int(count.sum())
-            if not m:
-                continue
-            # slot u's keys fall in [cum[u], cum[-1]), where each later
-            # partner v holds [cum[v - 1], cum[v]); one that rounds up to
-            # cum[-1] goes to the last partner of any weight, which lies past
-            # every slot that drew a key
-            pick = gen.random(m)
-            pick *= np.repeat(r, count)
-            u = np.repeat(slots, count)
-            pick += cum[u]
-            v = _endpoints(cum, pick)
-            del pick
-            np.minimum(v, np.searchsorted(cum, cum[-1]), out=v)
-            u *= n
-            u += v
-            keys.append(u)
-        if not keys:
-            return np.empty(0, dtype=np.int64)
-        return sorted_unique(np.concatenate(keys) if len(keys) > 1 else keys[0])
+        m = int(counts.sum())
+        if not m:
+            return None
+        return counts, gen.random(m), gen.random(m) if self.thin else None
+
+    def pair_keys(self, draws, kbase):
+        """Distinct proposed pair keys kbase[r] + u' * n[r] + v', u' < v' the
+        slots inside replicate r, ascending, and each one's coin: slot u's
+        keys fall in [cum[u], cum[-1]), where each later partner v holds
+        [cum[v - 1], cum[v])."""
+        counts = np.zeros(self.rate.size, dtype=np.int64)
+        picks, coins, offsets, m = [], [], np.zeros(self.n.size, dtype=np.int64), 0
+        for r, drawn in enumerate(draws):
+            if drawn is not None:
+                counts[self.base[r]:self.base[r + 1]] = drawn[0]
+                picks.append(drawn[1])
+                coins.append(drawn[2])
+                offsets[r] = m
+                m += drawn[1].size
+        draws.clear()  # each array goes as soon as it is read
+        if not picks:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        pick = picks[0] if len(picks) == 1 else np.concatenate(picks)
+        del picks
+        pick *= np.repeat(self.reach, counts)
+        pick += np.repeat(self.at, counts)
+        per_row = np.bincount(self.row, counts, self.table.shape[0]).astype(np.int64)
+        key = np.repeat(self.keybase, counts)
+        key += _partners(self.table, per_row, pick)
+        del pick
+        key = sorted_unique(key)
+        if not self.thin:
+            return key, None
+        return key, _coins_of(key, kbase, offsets, coins[0] if len(coins) == 1 else np.concatenate(coins))
 
 
 _STRATUM_RATIO = 1.25  # f falls by at most this factor inside a stratum
@@ -561,67 +706,104 @@ def _lazy_strata(g: Graphex, cfg: SamplerConfig, theta: float):
     return None if covered >= nu * theta else (edges, bound)
 
 
-class _LazyCloud:
-    """A latent cloud in strata: stratum l holds count[l] ~ Poi(nu width[l])
-    points on [lo[l], lo[l] + width[l]), where f <= bnd[l], and a planted
-    point is a stratum of its own, of zero width. Slots run stratum by
-    stratum. Slot i sits at lo + width * u_i, with u_i read from a
-    counter-based stream, so only the slots a draw touches are placed, and
-    each the same whenever it is touched."""
+class _LazyClouds:
+    """The latent clouds of a block of replicates, in strata: stratum l of
+    replicate r holds count[r, l] ~ Poi(nu width[l]) points on
+    [lo[l], lo[l] + width[l]), where f <= bnd[l], and a planted point is a
+    stratum of its own, of zero width. Slots run through the block,
+    replicate by replicate and in each stratum by stratum; slot i of
+    replicate r is slot base[r] + i. It sits at lo + width * u_i, with u_i
+    read from the replicate's counter-based stream, so only the slots a draw
+    touches are placed, and each the same whenever it is touched."""
 
     thin = True  # every proposal is accepted with its own probability
 
-    def __init__(self, g: Graphex, edges, bound, planted, nu: float, gen):
+    def __init__(self, g: Graphex, edges, bound, planted, nu: float, gens):
         self.f = g.separable_f
         self.lo = np.concatenate((edges[:-1], planted))
         self.width = np.concatenate((np.diff(edges), 0.0 * planted))
         self.bnd = np.concatenate((bound, np.clip(self.f(planted), 0.0, 1.0)))
-        self.count = np.concatenate((gen.poisson(nu * np.diff(edges)),
-                                     np.ones(planted.size, dtype=np.int64)))
-        self.start = np.concatenate(([0], np.cumsum(self.count)))
-        self.n_cloud, self.n = int(self.start[bound.size]), int(self.start[-1])
-        self.key = int(gen.integers(2 ** 64, dtype=np.uint64))
-        heavy = np.flatnonzero(self.bnd > _TAU)
-        c = self.count[heavy]
-        self.heavy = np.repeat(self.start[heavy] - np.cumsum(c) + c, c) + np.arange(c.sum())
-        self.cum = np.cumsum(self.count * self.bnd)
-        self.total = float(self.cum[-1])
+        mean = nu * np.diff(edges)
+        counts, keys = [], []
+        for gen in gens:
+            counts.append(gen.poisson(mean))
+            # gen.integers(2 ** 64, dtype=np.uint64) is this word, at a
+            # fraction of the cost
+            keys.append(gen.bit_generator.random_raw())
+        self.key = np.array(keys, dtype=np.uint64)
+        self.count = np.ones((len(counts), self.bnd.size), dtype=np.int64)
+        self.count[:, :bound.size] = counts
+        start = np.zeros((len(counts), self.bnd.size + 1), dtype=np.int64)
+        np.cumsum(self.count, axis=1, out=start[:, 1:])
+        self.n, self.n_cloud = start[:, -1].copy(), start[:, bound.size].copy()
+        self.base = np.concatenate(([0], np.cumsum(self.n)))
+        # the first slot of each stratum
+        start += self.base[:-1, None]
+        self.start = start[:, :-1]
+        heavy = self.bnd > _TAU
+        c = self.count[:, heavy].ravel()
+        self.heavy = np.repeat(self.start[:, heavy].ravel() - np.cumsum(c) + c, c) + np.arange(c.sum())
+        self.n_heavy = self.count[:, heavy].sum(axis=1)
+        self.below = self._below(self.bnd)
 
-    def locate(self, keys, cum, rate):
-        """Slots for unit keys (scaled in place), and their strata: the
-        stratum whose share of ``cum`` holds the key, a point of stratum l
-        weighing rate[l], then the index inside it."""
-        keys *= cum[-1]
-        s = _stratum_of(cum, keys)
-        off = (keys - np.append(0.0, cum)[s]) / rate[s]
-        return self.start[s] + np.minimum(off, self.count[s] - 1).astype(np.int64), s
+    def _below(self, rate):
+        """Per replicate, the cumulative rate of its strata, after a leading
+        0: a point of stratum l weighing rate[l]."""
+        below = np.zeros((self.count.shape[0], self.count.shape[1] + 1))
+        np.multiply(self.count, rate, out=below[:, 1:])
+        np.cumsum(below[:, 1:], axis=1, out=below[:, 1:])
+        return below
 
-    def proposals(self, gen, cfg: SamplerConfig) -> np.ndarray:
-        """Distinct proposed pair keys u * n + v, u < v, ascending: M ~
-        Poi(c0 (sum F)^2 / 2) ordered pairs with endpoints i.i.d. in
-        proportion to F, less self pairs and heavy-heavy ones, so a pair
-        {u, v} is proposed Poi(c0 F_u F_v) times, independently of all
-        others."""
-        if self.total <= 0.0:
-            return np.empty(0, dtype=np.int64)
-        lam = _C0 * self.total * self.total / 2.0
-        _check_proposals(lam, cfg)
-        m = int(gen.poisson(lam))
-        if not m:
-            return np.empty(0, dtype=np.int64)
-        # the u keys, then the v keys, drawn in that order
-        keys = np.empty(2 * m)
-        gen.random(out=keys[:m])
-        gen.random(out=keys[m:])
-        ends, s = self.locate(keys, self.cum, self.bnd)
-        big = self.bnd[s] > _TAU
-        u = ends[:m]
-        v = ends[m:]
-        ok = (u != v) & ~(big[:m] & big[m:])
-        key = np.minimum(u, v)
-        key *= self.n
-        key += np.maximum(u, v)
-        return sorted_unique(key[ok])
+    def locate(self, keys, counts, below, rate):
+        """Slots for unit keys (scaled in place), counts[r] of them for
+        replicate r, replicate by replicate, and their strata: the stratum
+        whose share of the replicate's cumulative rate (``below``, after its
+        leading 0) holds the key, a point of stratum l weighing rate[l], then
+        the index inside it."""
+        rows = np.repeat(np.arange(counts.size), counts) if counts.size > 1 else 0
+        cum = below[:, 1:]
+        keys *= cum[rows, -1]
+        s = _partners(cum, counts, keys)
+        off = (keys - below[rows, s]) / rate[s]
+        return self.start[rows, s] + np.minimum(off, self.count[rows, s] - 1).astype(np.int64), s
+
+    def propose(self, kbase: np.ndarray) -> None:
+        """Each replicate's expected number of ordered pairs, c0 (sum F)^2 / 2."""
+        total = self.below[:, -1]
+        self.lam = _C0 * total * total / 2.0
+
+    def draw(self, r: int, gen, cfg: SamplerConfig):
+        """Replicate r's u keys, v keys and coins, as three rows of M ~
+        Poi(c0 (sum F)^2 / 2) uniforms; there is at most one coin per
+        distinct pair, and nothing reads the stream after the coins."""
+        if self.below[r, -1] <= 0.0:
+            return None
+        _check_proposals(self.lam[r], cfg)
+        m = int(gen.poisson(self.lam[r]))
+        return gen.random(3 * m).reshape(3, m) if m else None
+
+    def pair_keys(self, draws, kbase):
+        """Distinct proposed pair keys kbase[r] + u' * n[r] + v', u' < v' the
+        slots inside replicate r, ascending, and each one's coin: M ordered
+        pairs with endpoints i.i.d. in proportion to F, less self pairs and
+        heavy-heavy ones, so a pair {u, v} is proposed Poi(c0 F_u F_v) times,
+        independently of all others."""
+        m = np.array([0 if d is None else d.shape[1] for d in draws], dtype=np.int64)
+        if not m.any():
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        offsets = np.cumsum(m) - m
+        u, v, coins = np.concatenate([d for d in draws if d is not None], axis=1)
+        rows = np.repeat(np.arange(m.size), m) if m.size > 1 else 0
+        u, su = self.locate(u, m, self.below, self.bnd)
+        v, sv = self.locate(v, m, self.below, self.bnd)
+        big = self.bnd > _TAU
+        ok = (u != v) & ~(big[su] & big[sv])
+        key = np.minimum(u, v) - self.base[rows]
+        key *= self.n[rows]
+        key += np.maximum(u, v) - self.base[rows]
+        key += kbase[rows]
+        key = sorted_unique(key[ok])
+        return key, _coins_of(key, kbase, offsets, coins)
 
     def acceptance(self, lo, hi):
         """The probability f_lo f_hi / (1 - exp(-c0 F_lo F_hi)) of accepting
@@ -631,8 +813,10 @@ class _LazyCloud:
 
     def positions(self, slots):
         """Latent coordinates of the slots, and their strata."""
-        s = np.searchsorted(self.start, slots, side="right") - 1
-        return self.lo[s] + self.width[s] * rngmod.uniform_at(self.key, slots), s
+        flat = np.searchsorted(self.start.ravel(), slots, side="right") - 1
+        rows, s = np.divmod(flat, self.bnd.size)
+        u = rngmod.uniform_at(self.key[rows], slots - self.base[rows])
+        return self.lo[s] + self.width[s] * u, s
 
     def value(self, slots, h=None):
         """f at the slots and its bound there, or h and the bound's square for
@@ -641,19 +825,33 @@ class _LazyCloud:
         bound = self.bnd[s] if h is None else self.bnd[s] ** 2
         return _checked(x, (h or self.f)(x), bound), bound
 
-    def loops(self, g: Graphex, gen) -> np.ndarray:
+    def loops(self, g: Graphex, gens) -> np.ndarray:
         """Slots with a self loop, ascending: heavy ones by a coin each, the
-        others by thinning Poi(c0 F^2) proposals per point against W(x, x)."""
+        others by thinning Poi(c0 F^2) proposals per point against W(x, x).
+        A replicate's stream draws its heavy coins, its proposal count, and
+        its proposals with a coin for each of at most that many distinct
+        candidates in one call."""
         heavy = self.heavy
-        hits = [heavy[gen.random(heavy.size) < self.value(heavy, g.diag_at)[0]]]
+        diag_heavy = self.value(heavy, g.diag_at)[0]
         rate = np.where(self.bnd > _TAU, 0.0, self.bnd ** 2)
-        cum = np.cumsum(self.count * rate)
-        m = int(gen.poisson(_C0 * cum[-1]))
-        if m:
-            cand = sorted_unique(self.locate(gen.random(m), cum, rate)[0])
+        below = self._below(rate)
+        lam = _C0 * below[:, -1]
+        coins, drawn = [], []
+        m = np.zeros(self.n.size, dtype=np.int64)
+        for r, gen in enumerate(gens):
+            coins.append(gen.random(self.n_heavy[r]))
+            m[r] = gen.poisson(lam[r])
+            if m[r]:
+                drawn.append(gen.random(2 * m[r]).reshape(2, m[r]))
+        hits = [heavy[np.concatenate(coins) < diag_heavy]]
+        if drawn:
+            offsets = np.cumsum(m) - m
+            keys, coin = np.concatenate(drawn, axis=1)
+            cand = sorted_unique(self.locate(keys, m, below, rate)[0])
             d, q = self.value(cand, g.diag_at)
-            hits.append(cand[gen.random(cand.size) < d / -np.expm1(-_C0 * q)])
-        # a planted heavy slot comes after the light ones of the cloud
+            coin = _coins_of(cand, self.base, offsets, coin)
+            hits.append(cand[coin < d / -np.expm1(-_C0 * q)])
+        # a planted heavy slot comes after the light ones of its cloud
         return np.sort(np.concatenate(hits))
 
 
@@ -683,42 +881,60 @@ def _check_proposals(lam: float, cfg: SamplerConfig) -> None:
             "lower nu or raise the cap")
 
 
-def _kernel_pairs(cloud, gen, cfg: SamplerConfig) -> np.ndarray:
-    """Kernel pairs of a full or a lazy cloud, in (u, v) order: direct coins
-    for the heavy pairs, then the cloud's proposals, each accepted once with
-    probability f_u f_v / (1 - exp(-c0 F_u F_v)) where the cloud thins them;
-    see the module docstring."""
-    n = cloud.n
-    # each run holds pair keys u * n + v, ascending: the heavy pairs come out
-    # of triu_indices over ascending slots, the light ones out of the dedupe
-    runs = []
-    heavy = cloud.heavy
-    h = heavy.size
-    if h >= 2:
-        if h * (h - 1) / 2 > cfg.max_pair_coins:
-            raise SamplerError(
-                f"{h} latent points have f > {_TAU}; too many heavy pairs to coin "
-                "(raise max_pair_coins or lower nu)")
-        iu, ju = np.triu_indices(h, k=1)
-        fh = cloud.value(heavy)[0]
-        p = fh[iu] * fh[ju]
-        keep = gen.random(p.size) < p
-        runs.append(heavy[iu[keep]].astype(np.int64, copy=False) * n + heavy[ju[keep]])
+def _kernel_pairs(cloud, gens, cfg: SamplerConfig) -> np.ndarray:
+    """Kernel pairs of a block of full or lazy clouds, as slot pairs (u, v),
+    u < v, replicate by replicate and in (u, v) order inside each: direct
+    coins for the heavy pairs, then the cloud's proposals, each accepted
+    once with probability f_u f_v / (1 - exp(-c0 F_u F_v)) where the cloud
+    thins them; see the module docstring. Each replicate's stream draws, in
+    this order, its heavy coins and its proposals."""
+    n, base = cloud.n, cloud.base
+    # pair keys kbase[r] + u' * n[r] + v' order the pairs of the whole block
+    # (``_block_size`` keeps them below 2^63)
+    kbase = np.concatenate(([0], np.cumsum(n * n)))
+    heavy = cloud.n_heavy
+    worst = int(heavy.max())
+    if worst * (worst - 1) / 2 > cfg.max_pair_coins:
+        raise SamplerError(
+            f"{worst} latent points have f > {_TAU}; too many heavy pairs to coin "
+            "(raise max_pair_coins or lower nu)")
+    cloud.propose(kbase)
+    coins, draws = [], []
+    for r, gen in enumerate(gens):
+        if n[r] < 2:
+            draws.append(None)
+            continue
+        h = int(heavy[r])
+        if h >= 2:
+            coins.append(gen.random(h * (h - 1) // 2))
+        draws.append(cloud.draw(r, gen, cfg))
 
-    key = cloud.proposals(gen, cfg)
+    # each run holds pair keys, ascending: the heavy pairs come out of
+    # triu_indices over ascending slots, the light ones out of the dedupe
+    runs = [_heavy_keys(cloud, coins, kbase)] if coins else []
+    key, coin = cloud.pair_keys(draws, kbase)
     if key.size and cloud.thin:
-        key = key[gen.random(key.size) < cloud.acceptance(*np.divmod(key, n))]
+        key = key[coin < cloud.acceptance(*_pairs_of(key, kbase, n, base).T)]
     if key.size:
         runs.append(key)
-
     if not runs:
         return np.empty((0, 2), dtype=np.int64)
     # a stable sort merges two sorted runs in one pass; no heavy pair was
     # proposed, so they share no key
     key = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs), kind="stable")
-    pairs = np.empty((key.size, 2), dtype=np.int64)
-    np.divmod(key, n, out=(pairs[:, 0], pairs[:, 1]))
-    return pairs
+    return _pairs_of(key, kbase, n, base)
+
+
+def _heavy_keys(cloud, coins: list, kbase: np.ndarray) -> np.ndarray:
+    """The pair keys of the heavy pairs that the coins keep, ascending: pair
+    {u, v} is kept with probability f_u f_v."""
+    rep, a, b = _heavy_pairs(cloud.n_heavy)
+    fh = cloud.value(cloud.heavy)[0]
+    keep = np.concatenate(coins) < fh[a] * fh[b]
+    u, v = cloud.heavy[a[keep]], cloud.heavy[b[keep]]
+    rep = rep[keep] if np.ndim(rep) else rep
+    base = cloud.base[rep]
+    return kbase[rep] + (u - base) * cloud.n[rep] + (v - base)
 
 
 _NAIVE_BLOCK = 2048
@@ -756,11 +972,104 @@ def _pairs_naive(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.nda
 # Full draw
 # ---------------------------------------------------------------------------
 
-def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
-    """Draw one graph. ``planted`` lists latent coordinates of extra points
-    that join the latent cloud deterministically and are always kept in the
-    vertex set, visible or not (their final indices are reported in
-    ``planted_indices``)."""
+@dataclass
+class _Block:
+    """The draws of a block of replicates, as one graph: replicate i owns the
+    vertices vertex_start[i]:vertex_start[i + 1] and the edges
+    edge_start[i]:edge_start[i + 1], whose endpoints are vertex ids of the
+    block. ``labels`` is None where they were not drawn; ``planted`` holds
+    each replicate's planted vertices, numbered inside the replicate."""
+
+    nu: float
+    theta: float
+    eps: float
+    seeds: tuple
+    edges: np.ndarray
+    provenance: np.ndarray
+    edge_start: np.ndarray
+    vertex_start: np.ndarray
+    labels: np.ndarray | None
+    latent: np.ndarray | None
+    planted: np.ndarray
+
+    @property
+    def reps(self) -> int:
+        return len(self.seeds)
+
+    def replicate_of(self, vertices: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.vertex_start, vertices, side="right") - 1
+
+    def graph(self, i: int) -> SampledGraph:
+        """Replicate i as a graph of its own."""
+        v0, v1 = int(self.vertex_start[i]), int(self.vertex_start[i + 1])
+        e0, e1 = int(self.edge_start[i]), int(self.edge_start[i + 1])
+        edges = self.edges[e0:e1]
+        return SampledGraph(
+            nu=self.nu, seed=self.seeds[i], theta_max=self.theta, epsilon=self.eps,
+            labels=self.labels[v0:v1], edges=edges - v0 if v0 else edges,
+            provenance=self.provenance[e0:e1],
+            latent=None if self.latent is None else self.latent[v0:v1],
+            planted_indices=tuple(self.planted[i].tolist()),
+        )
+
+
+# expected points, proposals and coins per block of replicates; a draw
+# bigger than this is a block of its own. Measured on 2 cores over the
+# validation and projectivity draws of the sparse-clouds benchmark, blocks
+# of twice this size are 3% faster and hold twice the memory, blocks of half
+# of it 30% slower
+_BLOCK_WORK = 1 << 14
+
+
+def _block_size(g: Graphex, cfg: SamplerConfig) -> int:
+    """How many replicates at cfg share one block: as many as split
+    ``_BLOCK_WORK`` by the expected work of one draw. A lazy draw expects
+    c0 (nu sum F)^2 proposal endpoints, nu * (heavy width) heavy points and
+    a Poisson count per stratum. A full cloud expects nu * theta_max points,
+    and for ordered proposals at most 2 nu^2 ||W||_1 proposals and heavy
+    coins (c0 < 2, and f > 1/2 on a set no wider than 2 ||f||_1), the
+    naive path (nu * theta_max)^2 / 2 coins. The pair keys of a block stay
+    below 2^63."""
+    nu = float(cfg.nu)
+    theta = cfg.theta_max if cfg.theta_max is not None else choose_theta_max(g, nu, cfg.eps)
+    points = nu * theta
+    if _lazy_strata(g, cfg, theta) is not None:
+        _, bound, mass, heavy = _strata(g, theta)
+        work = _C0 * (nu * mass) ** 2 + nu * heavy + bound.size
+    else:
+        norm = g.w_l1_value if g.separable_f is not None else None
+        rate_l1 = g._cache.get(("rate_l1",))
+        if g.rate_factor is not None and rate_l1 is not None and rate_l1.converged:
+            norm = rate_l1.value ** 2
+        fast = cfg.use_fast_path and norm is not None
+        work = points + (2.0 * nu * nu * norm if fast else points * points / 2.0)
+    size = int(_BLOCK_WORK // max(work, 1.0))
+    return max(1, min(size, int(2.0 ** 61 / (1.1 * points + 100.0) ** 2)))
+
+
+def _full_points(expected: float, theta: float, planted: np.ndarray, reps: int, gens):
+    """Every replicate's latent points, replicate by replicate, its planted
+    ones last; the first slot of each replicate, and its number of points
+    that are not planted."""
+    empty = np.empty(0)
+    clouds = [empty] * reps
+    if expected > 0:
+        clouds = []
+        for gen in gens:
+            k = int(gen.poisson(expected))
+            clouds.append(gen.uniform(0.0, theta, k) if k else empty)
+    n_cloud = np.array([c.size for c in clouds], dtype=np.int64)
+    pts = np.concatenate([x for c in clouds for x in (c, planted)])
+    base = np.concatenate(([0], np.cumsum(n_cloud + planted.size)))
+    return pts, base, n_cloud
+
+
+def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True) -> _Block:
+    """Draw a block of replicates: replicate i is the graph that
+    ``sample_keg`` draws at cfg with seed seeds[i] (cfg.seed is not read),
+    to the bit. Each of its streams gets the calls it gets in a draw of its
+    own, in the same order; between the calls, every stage runs once over
+    the whole block. Labels are drawn only where ``labels`` asks for them."""
     nu = float(cfg.nu)
     if not math.isfinite(g.isolated_rate):
         raise SamplerError("the isolated-edge rate is infinite; the graph would have "
@@ -778,94 +1087,118 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         if not (math.isfinite(x) and x >= 0):
             raise SamplerError(f"planted latent coordinates must be finite and >= 0, "
                                f"got {x!r}")
-    gen_lat = rngmod.stream(cfg.seed, _STREAM_LATENT)
+    seeds = tuple(seeds)
+    reps = len(seeds)
+
+    def gens(stream):
+        return rngmod.streams(seeds, stream)
+
     strata = _lazy_strata(g, cfg, theta)
     if strata is not None:
-        cloud = _LazyCloud(g, *strata, planted, nu, gen_lat)
-        n_cloud, n = cloud.n_cloud, cloud.n
+        cloud = _LazyClouds(g, *strata, planted, nu, gens(_STREAM_LATENT))
+        base, n_cloud = cloud.base, cloud.n_cloud
     else:
-        n_cloud = int(gen_lat.poisson(expected_points)) if expected_points > 0 else 0
-        pts = gen_lat.uniform(0.0, theta, n_cloud) if n_cloud else np.empty(0)
-        if planted.size:
-            pts = np.concatenate((pts, planted))
-        n = pts.size
+        pts, base, n_cloud = _full_points(expected_points, theta, planted, reps,
+                                          gens(_STREAM_LATENT))
         fast = g.separable_f is not None or g.rate_factor is not None
-        cloud = _Cloud(g, pts) if cfg.use_fast_path and fast else None
-    planted_slots = np.arange(n_cloud, n, dtype=np.int64)
+        cloud = _Clouds(g, pts, base) if cfg.use_fast_path and fast else None
+    n = np.diff(base)
+    most = int(n.max())
+    planted_slots = (base[:-1] + n_cloud)[:, None] + np.arange(planted.size)
 
     # kernel pairs
-    if g.w is not None and n >= 2:
-        gen_pairs = rngmod.stream(cfg.seed, _STREAM_PAIRS)
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if g.w is not None and most >= 2:
         if cloud is not None:
-            kernel_uv = _kernel_pairs(cloud, gen_pairs, cfg)
+            pairs = _kernel_pairs(cloud, gens(_STREAM_PAIRS), cfg)
         else:
-            kernel_uv = _pairs_naive(g, pts, gen_pairs, cfg)
-    else:
-        kernel_uv = np.empty((0, 2), dtype=np.int64)
-    n_pairs, n_loops = kernel_uv.shape[0], 0
+            naive = [_pairs_naive(g, pts[base[r]:base[r + 1]], gen, cfg) + base[r]
+                     for r, gen in enumerate(gens(_STREAM_PAIRS)) if n[r] >= 2]
+            pairs = naive[0] if len(naive) == 1 else np.concatenate(naive)
+    if strata is None:
+        cloud = None  # a full cloud's weights and tables serve only its pairs
 
     # self loops
-    if g.self_edges and g.diag is not None and n:
-        gen_self = rngmod.stream(cfg.seed, _STREAM_SELF)
+    loops = np.empty(0, dtype=np.int64)
+    if g.self_edges and g.diag is not None and most:
         if strata is not None:
-            hit = cloud.loops(g, gen_self)
+            loops = cloud.loops(g, gens(_STREAM_SELF))
         else:
             d = np.clip(np.asarray(g.diag_at(pts), dtype=float), 0.0, 1.0)
-            hit = np.nonzero(gen_self.random(n) < d)[0]
-        n_loops = hit.size
-        if n_loops:
-            loops = np.column_stack((hit, hit)).astype(np.int64)
-            kernel_uv = np.vstack((kernel_uv, loops)) if kernel_uv.size else loops
+            coins = [gen.random(k) for gen, k in zip(gens(_STREAM_SELF), n.tolist()) if k]
+            loops = np.flatnonzero(np.concatenate(coins) < d)
 
     # star leaves (a lazy draw has no star rate)
-    if g.s is not None and n:
+    n_leaves = np.zeros(reps, dtype=np.int64)
+    hubs = np.empty(0, dtype=np.int64)
+    if g.s is not None and most:
         rates = nu * np.clip(np.asarray(g.s_at(pts), dtype=float), 0.0, None)
-        leaves = rngmod.stream(cfg.seed, _STREAM_STARS).poisson(rates)
-        hubs = np.repeat(np.arange(n, dtype=np.int64), leaves)
-    else:
-        hubs = np.empty(0, dtype=np.int64)
+        leaves = [gen.poisson(rates[base[r]:base[r + 1]]) if n[r] else np.empty(0, dtype=np.int64)
+                  for r, gen in enumerate(gens(_STREAM_STARS))]
+        n_leaves = np.array([k.sum() for k in leaves], dtype=np.int64)
+        hubs = np.repeat(np.arange(pts.size, dtype=np.int64), np.concatenate(leaves))
 
     # isolated edges
-    n_iso = 0
+    n_iso = np.zeros(reps, dtype=np.int64)
     if g.isolated_rate > 0.0 and nu > 0.0:
-        n_iso = int(rngmod.stream(cfg.seed, _STREAM_ISOLATED).poisson(g.isolated_rate * nu * nu))
+        n_iso = np.array([gen.poisson(g.isolated_rate * nu * nu)
+                          for gen in gens(_STREAM_ISOLATED)], dtype=np.int64)
 
-    # visibility and final indexing: the kept latent slots in slot order, and
-    # each endpoint's index among them
-    n_pair_ends = kernel_uv.size
-    visible, index = ranked_unique(np.concatenate((kernel_uv.ravel(), hubs, planted_slots)))
-    v0 = visible.size
-    n_leaves = hubs.size
+    # visibility and final indexing: each replicate's kept latent slots in
+    # slot order, then its star leaves and its isolated-edge endpoints
+    n_ends = 2 * pairs.shape[0]
+    visible, index = ranked_unique(np.concatenate((pairs.ravel(), loops, hubs,
+                                                   planted_slots.ravel())))
+    first_visible = np.searchsorted(visible, base)
+    v0 = np.diff(first_visible)
     n_vertices = v0 + n_leaves + 2 * n_iso
+    vertex_start = np.concatenate(([0], np.cumsum(n_vertices)))
+    vertex = np.arange(visible.size, dtype=np.int64)
+    if reps > 1:
+        vertex += np.repeat(vertex_start[:-1] - first_visible[:-1], v0)
+        index = vertex[index]
 
     rows = []
     provs = []
-    if kernel_uv.shape[0]:
-        rows.append(index[:n_pair_ends].reshape(kernel_uv.shape))
-        provs.append(np.zeros(kernel_uv.shape[0], dtype=np.uint8))
-    if n_leaves:
-        leaf_ids = v0 + np.arange(n_leaves, dtype=np.int64)
-        rows.append(np.column_stack((index[n_pair_ends:n_pair_ends + n_leaves], leaf_ids)))
-        provs.append(np.full(n_leaves, PROV_STAR, dtype=np.uint8))
-    if n_iso:
-        base = v0 + n_leaves
-        left = base + 2 * np.arange(n_iso, dtype=np.int64)
+    if pairs.shape[0]:
+        rows.append(index[:n_ends].reshape(pairs.shape))
+        provs.append(np.zeros(pairs.shape[0], dtype=np.uint8))
+    if loops.size:
+        at = index[n_ends:n_ends + loops.size]
+        rows.append(np.column_stack((at, at)))
+        provs.append(np.zeros(loops.size, dtype=np.uint8))
+    # the k-th leaf, and the k-th isolated edge, of the block: the ones before
+    # it in its replicate come after that replicate's latent vertices (and
+    # leaves)
+    first = vertex_start[:-1] + v0
+    if hubs.size:
+        leaf = np.arange(hubs.size) + np.repeat(first - (np.cumsum(n_leaves) - n_leaves), n_leaves)
+        at = n_ends + loops.size
+        rows.append(np.column_stack((index[at:at + hubs.size], leaf)))
+        provs.append(np.full(hubs.size, PROV_STAR, dtype=np.uint8))
+    if n_iso.any():
+        first += n_leaves - 2 * (np.cumsum(n_iso) - n_iso)
+        left = 2 * np.arange(int(n_iso.sum())) + np.repeat(first, n_iso)
         rows.append(np.column_stack((left, left + 1)))
-        provs.append(np.full(n_iso, PROV_ISOLATED, dtype=np.uint8))
+        provs.append(np.full(left.size, PROV_ISOLATED, dtype=np.uint8))
 
+    total = int(vertex_start[-1])
     if rows:
         edges = np.vstack(rows).astype(np.int64, copy=False) if len(rows) > 1 else rows[0]
         provenance = np.concatenate(provs)
-        # each run is in (u, v) order: the kernel pairs (the slot -> index map
-        # is increasing), the self loops, the star edges, and the isolated
-        # edges, whose vertices come after all others. Only where two of the
-        # first three meet do the rows need sorting
-        if (n_pairs > 0) + (n_loops > 0) + (n_leaves > 0) > 1:
+        # each run is in (u, v) order through the block: the kernel pairs
+        # (the slot -> index map is increasing), the self loops, the star
+        # edges, and the isolated edges, whose vertices come after all others
+        # of their replicate. Only where two of the first three meet, or the
+        # isolated edges follow rows of several replicates, do the rows need
+        # sorting
+        kernel_runs = (pairs.shape[0] > 0) + (loops.size > 0) + (hubs.size > 0)
+        if kernel_runs > 1 or (reps > 1 and kernel_runs and n_iso.any()):
             # one stable sort on a combined key is the lexicographic order of
             # (u, v, provenance) at half the cost of np.lexsort; u, v <
-            # n_vertices and provenance < 3, so the key fits int64 below 1.7e9
+            # total and provenance < 3, so the key fits int64 below 1.7e9
             # vertices
-            key = (edges[:, 0] * n_vertices + edges[:, 1]) * len(PROV_NAMES) + provenance
+            key = (edges[:, 0] * total + edges[:, 1]) * len(PROV_NAMES) + provenance
             order = np.argsort(key, kind="stable")
             edges = edges[order]
             provenance = provenance[order]
@@ -873,21 +1206,36 @@ def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
         edges = np.empty((0, 2), dtype=np.int64)
         provenance = np.empty(0, dtype=np.uint8)
 
-    labels = rngmod.stream(cfg.seed, _STREAM_LABELS).uniform(0.0, nu, n_vertices) \
-        if n_vertices else np.empty(0)
+    drawn_labels = None
+    if labels:
+        drawn_labels = [gen.uniform(0.0, nu, k) if k else np.empty(0)
+                        for gen, k in zip(gens(_STREAM_LABELS), n_vertices.tolist())]
+        drawn_labels = drawn_labels[0] if reps == 1 else np.concatenate(drawn_labels)
 
     latent = None
     if cfg.retain_latent:
-        latent = np.full(n_vertices, np.nan)
-        latent[:v0] = pts[visible] if strata is None else cloud.positions(visible)[0]
+        latent = np.full(total, np.nan)
+        latent[vertex] = pts[visible] if strata is None else cloud.positions(visible)[0]
 
-    planted_final = tuple(index[n_pair_ends + n_leaves:].tolist())
+    at = n_ends + loops.size + hubs.size
+    planted_final = index[at:].reshape(planted_slots.shape) - vertex_start[:-1, None]
 
-    return SampledGraph(
-        nu=nu, seed=cfg.seed, theta_max=float(theta), epsilon=float(cfg.eps),
-        labels=labels, edges=edges, provenance=provenance,
-        latent=latent, planted_indices=planted_final,
+    return _Block(
+        nu=nu, theta=float(theta), eps=float(cfg.eps), seeds=seeds,
+        edges=edges, provenance=provenance,
+        edge_start=np.searchsorted(edges[:, 0], vertex_start) if reps > 1
+        else np.array([0, edges.shape[0]]),
+        vertex_start=vertex_start, labels=drawn_labels, latent=latent,
+        planted=planted_final,
     )
+
+
+def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
+    """Draw one graph. ``planted`` lists latent coordinates of extra points
+    that join the latent cloud deterministically and are always kept in the
+    vertex set, visible or not (their final indices are reported in
+    ``planted_indices``). It is the block of one of the replicate engine."""
+    return _draw(g, cfg, (cfg.seed,), planted).graph(0)
 
 
 def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:

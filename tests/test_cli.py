@@ -106,6 +106,28 @@ def test_sample_impossible_request_is_config_error(tmp_path, capsys):
     assert "graphex: error:" in capsys.readouterr().err
 
 
+def test_an_expression_error_at_a_quadrature_node_is_config_error(capsys):
+    # g divides by zero at x = 1, off the probe grid that build vets, so the
+    # build succeeds and the cutoff's quadrature meets the error
+    decl = '{"family": "caron-fox", "exprs": {"g": "exp(-x)/abs(x-1)"}}'
+    code = run("sample", "--graphex", decl, "--nu", "5", "--seed", "0")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("graphex: error:") == 1 and "division by zero" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--nus", "3", "--z-crit", "nan"),
+    ("projectivity", "--nu", "3", "--p-floor", "2"),
+    ("connectivity", "--nus", "3", "--threshold", "nan"),
+])
+def test_a_verdict_level_out_of_range_is_config_error(argv, capsys):
+    code = run(argv[0], "--graphex", FAST, *argv[1:], "--replicates", "30", "--seed", "0")
+    assert code == EXIT_CONFIG
+    assert "graphex: error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_bad_thread_count_is_config_error(capsys, threads):
     code = run("validate", "--graphex", FAST, "--nus", "3", "--replicates", "30",

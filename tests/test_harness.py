@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from graphex.harness import (
 from graphex.model import build, dilate
 from graphex.sampler import (
     SamplerConfig,
+    _block_size,
     SamplerError,
     choose_theta_max,
     sample_planted_degrees,
@@ -91,6 +93,10 @@ def test_replicate_engine_refuses_bad_thread_counts(threads):
 
 
 def test_validate_argument_errors():
+    # a z threshold that is not finite and positive passes or fails every row
+    for z_crit in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(HarnessError, match="z_crit"):
+            validate_expectations(FAST, (3.0,), 30, seed=0, z_crit=z_crit)
     with pytest.raises(HarnessError):
         validate_expectations(FAST, (3.0,), 29, seed=0)
     with pytest.raises(HarnessError):
@@ -152,8 +158,12 @@ def test_degdist_argument_errors():
     (lambda: expected_degree_count(FAST, 2.0, True), TheoryError),
     (lambda: degree_ccdf(FAST, 2.0, True), TheoryError),
     (lambda: degree_pmf(FAST, 2.0, True), TheoryError),
+    (lambda: validate_expectations(FAST, (2.0,), 30, 0, z_crit=True), HarnessError),
+    (lambda: projectivity_test(FAST, 2.0, 30, 0, p_floor=True), HarnessError),
+    (lambda: connectivity_experiment(FAST, (2.0,), 30, 0, threshold=True), HarnessError),
 ], ids=["degdist-k", "grid-nu", "projectivity-nu", "sampler-eps", "planted-reps",
-        "planted-eps", "cutoff-nu", "degk-k", "ccdf-k", "pmf-k"])
+        "planted-eps", "cutoff-nu", "degk-k", "ccdf-k", "pmf-k", "validate-z-crit",
+        "projectivity-p-floor", "connectivity-threshold"])
 def test_bool_is_refused_as_a_number(call, error):
     with pytest.raises(error):
         call()
@@ -204,6 +214,18 @@ def test_projectivity_argument_errors():
         projectivity_test(FAST, 0.0, 30, seed=0)
     with pytest.raises(HarnessError):
         projectivity_test(FAST, 3.0, 10, seed=0)
+    # a p-value floor outside (0, 1) passes or fails every run
+    for p_floor in (math.nan, 0.0, 1.0, 2.0, -0.5):
+        with pytest.raises(HarnessError, match="p_floor"):
+            projectivity_test(FAST, 3.0, 30, seed=0, p_floor=p_floor)
+
+
+def test_connectivity_argument_errors():
+    # a threshold outside [0, 1] is no fraction; NaN would reach the report,
+    # which json then writes as the invalid token NaN
+    for threshold in (math.nan, -0.1, 1.5, math.inf):
+        with pytest.raises(HarnessError, match="threshold"):
+            connectivity_experiment(FAST, (3.0,), 30, seed=0, threshold=threshold)
 
 
 # --------------------------------------------------------------------------
@@ -227,3 +249,31 @@ def test_write_json_and_csv(tmp_path):
     lines = cpath.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == ",".join(fields)
     assert len(lines) == 1 + len(rows)
+
+
+# --------------------------------------------------------------------------
+# blocks and threads
+# --------------------------------------------------------------------------
+
+def test_reports_are_the_same_bytes_for_any_thread_count():
+    # several blocks per level, so that two threads share them out
+    g = build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.1})
+    assert _block_size(g, SamplerConfig(nu=30.0, seed=0)) < 20
+    runs = {}
+    for threads in (None, 1, 2):
+        reports = (
+            validate_expectations(g, (3.0, 30.0), 60, 7, threads=threads),
+            degdist_experiment(g, (3.0, 30.0), 60, 8, k=1, threads=threads),
+            connectivity_experiment(g, (3.0, 30.0), 60, 9, threshold=0.1, threads=threads),
+            projectivity_test(g, 15.0, 60, 10, threads=threads),
+        )
+        runs[threads] = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+    assert runs[None] == runs[1] == runs[2]
+
+
+def test_a_seed_past_2_64_addresses_its_low_64_bits():
+    # the child seeds come from the key derivation, which masks a seed to 64
+    # bits
+    wide = validate_expectations(FAST, (3.0,), 30, seed=2**64 + 3)
+    assert wide.rows == validate_expectations(FAST, (3.0,), 30, seed=3).rows
+

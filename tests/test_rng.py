@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from graphex.rng import _splitmix64, derive_key, stream, uniform_at
+from graphex.rng import _splitmix64, derive_key, derive_keys, stream, streams, uniform_at
 
 
 def test_same_address_same_output():
@@ -93,3 +93,25 @@ def test_uniform_at_reads_the_splitmix64_sequence():
     u = uniform_at(key, np.arange(200_000))
     assert 0.0 <= u.min() and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / u.size)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40),
+       st.lists(st.integers(min_value=0, max_value=2**32), max_size=3))
+def test_derive_keys_is_derive_key_elementwise(seeds, path):
+    w0, w1 = derive_keys(np.array(seeds, dtype=np.uint64), *path)
+    assert list(zip(w0.tolist(), w1.tolist())) == [derive_key(s, *path) for s in seeds]
+
+
+@pytest.mark.parametrize("count", [1, 3, 40])
+def test_streams_draw_what_stream_draws(count):
+    # one re-keyed generator per seed, in turn, from the scalar or the array
+    # key derivation, gives each stream's own numbers, whatever was drawn
+    # from the one before
+    seeds = [5 + 7 * i for i in range(count - 1)] + [2**64 + 9]
+    for gen, seed in zip(streams(seeds, 2, 1), seeds):
+        want = stream(seed, 2, 1)
+        np.testing.assert_array_equal(gen.poisson([0.5, 3.0, 40.0]), want.poisson([0.5, 3.0, 40.0]))
+        assert gen.bit_generator.random_raw() == int(want.integers(2**64, dtype=np.uint64))
+        np.testing.assert_array_equal(gen.random(5), want.random(5))
+        np.testing.assert_array_equal(gen.uniform(0.0, 3.0, 4), want.uniform(0.0, 3.0, 4))
+

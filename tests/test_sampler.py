@@ -24,7 +24,9 @@ from graphex.sampler import (
     SamplerError,
     _endpoints,
     _lazy_strata,
-    _LazyCloud,
+    _block_size,
+    _draw,
+    _LazyClouds,
     _strata,
     choose_theta_max,
     restrict,
@@ -525,13 +527,25 @@ NU = 5.0
 KMAX = 6
 
 
+def draws(g, cfg, seeds, planted=()):
+    """The graphs sample_keg draws at cfg with each seed, drawn in blocks:
+    each replicate of a block is that graph, to the bit (as
+    test_a_block_of_replicates_draws_each_as_a_block_of_one checks)."""
+    seeds = list(seeds)
+    size = _block_size(g, cfg)
+    for b0 in range(0, len(seeds), size):
+        block = _draw(g, cfg, seeds[b0:b0 + size], planted)
+        for i in range(block.reps):
+            yield block.graph(i)
+
+
 def summarize_arm(base_seed, **cfg_kw):
     """Per-replicate edge counts, vertex counts and degree histogram rows."""
     e = np.empty(REPS)
     v = np.empty(REPS)
     hist = np.zeros((REPS, KMAX))
-    for i in range(REPS):
-        g = sample_keg(FAST, SamplerConfig(nu=NU, seed=base_seed + i, **cfg_kw))
+    seeds = range(base_seed, base_seed + REPS)
+    for i, g in enumerate(draws(FAST, SamplerConfig(nu=NU, seed=0, **cfg_kw), seeds)):
         e[i] = g.n_edges
         if g.n_edges:
             deg = np.bincount(g.edges.ravel())
@@ -672,9 +686,9 @@ def naive_counts_matching_fast(g, nu, eps, planted, reps, bases):
     each other."""
     arms = []
     for base, fast in zip(bases, (True, False)):
-        arms.append(np.array([graph_counts(sample_keg(
-            g, SamplerConfig(nu=nu, seed=base + r, eps=eps, use_fast_path=fast),
-            planted=planted)) for r in range(reps)]))
+        cfg = SamplerConfig(nu=nu, seed=0, eps=eps, use_fast_path=fast)
+        arms.append(np.array([graph_counts(graph) for graph in
+                              draws(g, cfg, range(base, base + reps), planted)]))
     fast, naive = arms
     for k, name in enumerate(COUNT_NAMES):
         if fast[:, k].var() == naive[:, k].var() == 0.0:
@@ -744,16 +758,17 @@ def test_lazy_positions_are_fixed_per_slot():
     # a slot's position is the same whenever and in whatever order it is
     # touched, and lies in its stratum; a planted point sits where it was put
     edges, bound = _strata(SLOW, 1e4)[:2]
-    cloud = _LazyCloud(SLOW, edges, bound, np.array([3.5]), 20.0, stream(0, 0))
-    slots = np.random.default_rng(1).integers(0, cloud.n, 5000)
+    cloud = _LazyClouds(SLOW, edges, bound, np.array([3.5]), 20.0, [stream(0, 0)])
+    n = int(cloud.n[0])
+    slots = np.random.default_rng(1).integers(0, n, 5000)
     x, s = cloud.positions(slots)
     again, _ = cloud.positions(slots[::-1])
     np.testing.assert_array_equal(again[::-1], x)
     assert np.all((x >= edges[np.minimum(s, bound.size - 1)]) | (s == bound.size))
     assert np.all((x <= edges[np.minimum(s + 1, bound.size)]) | (s == bound.size))
-    assert cloud.positions(np.array([cloud.n - 1]))[0].tolist() == [3.5]
+    assert cloud.positions(np.array([n - 1]))[0].tolist() == [3.5]
     # the heavy slots are those of strata whose bound exceeds 1/2
-    heavy = np.flatnonzero(np.repeat(cloud.bnd > 0.5, cloud.count))
+    heavy = np.flatnonzero(np.repeat(cloud.bnd > 0.5, cloud.count[0]))
     np.testing.assert_array_equal(cloud.heavy, heavy)
 
 
@@ -901,7 +916,88 @@ def test_caron_fox_cutoff_falls_back_to_the_nested_tail():
         choose_theta_max(g, 20.0, 1e-3)
 
 
+def test_an_expression_error_in_the_cutoff_cannot_certify():
+    # exp(-x)/abs(x-1) builds (no probe point sits at x = 1) but divides by
+    # zero at a quadrature node of ||r||_1
+    g = caron_fox("exp(-x)/abs(x-1)")
+    with pytest.raises(SamplerError, match="cannot certify.*division by zero"):
+        choose_theta_max(g, 5.0, 1e-3)
+    with pytest.raises(SamplerError, match="cannot certify"):
+        sample_keg(g, SamplerConfig(nu=5.0, seed=0))
+
+
 def test_a_warm_caron_fox_draw_at_nu_1000_fits_the_default_caps():
     g = caron_fox("exp(-x)")
     graph = sample_keg(g, SamplerConfig(nu=1000.0, seed=0))
     assert graph.n_edges > 7e5
+
+
+# --------------------------------------------------------------------------
+# blocks of replicates
+# --------------------------------------------------------------------------
+
+BLOCK_CASES = {
+    "lazy": (SLOW, 10.0, 1e-2, ()),
+    "lazy-loops-planted": (build({"family": "fast-decay", "self_edges": True}), 3.0, 1e-3,
+                           (0.05, 2.0)),
+    "full": (FAST, 20.0, 1e-3, ()),
+    # every point heavy: heavy coins only, and self loops on a full cloud
+    "full-loops": (build({"family": "constant", "params": {"p": 0.5, "c": 2.0},
+                          "self_edges": True}), 6.0, 1e-3, ()),
+    "caron-fox": (build({"family": "caron-fox", "exprs": {"g": "5*exp(-3*x)"},
+                         "self_edges": True}), 5.0, 1e-3, ()),
+    "naive": (build({"family": "custom", "exprs": {"W": "exp(-x-y)"}, "self_edges": True}),
+              4.0, 1e-3, (0.5,)),
+    "stars-isolated": (STAR_ISO, 5.0, 1e-3, ()),
+    "full-stars-isolated-loops": (
+        build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.2,
+               "self_edges": True}), 4.0, 1e-3, (0.1,)),
+}
+# small seeds, and seeds past 2^63 and past 2^64, whose streams mask them
+BLOCK_SEEDS = [*range(20), 2**63 + 7, 2**64 - 1, 2**64 + 3]
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
+    # every replicate of a block is, to the bit, the graph a block of one
+    # (sample_keg) draws at its seed: each stream gets the same calls
+    g, nu, eps, planted = BLOCK_CASES[case]
+    cfg = SamplerConfig(nu=nu, seed=0, eps=eps, retain_latent=True)
+    lazy = _lazy_strata(g, cfg, choose_theta_max(g, nu, eps)) is not None
+    assert lazy == case.startswith("lazy")
+    alone = [sample_keg(g, dataclasses.replace(cfg, seed=seed), planted) for seed in BLOCK_SEEDS]
+    for size in (1, 7, _block_size(g, cfg)):
+        for labels in (True, False):
+            for b0 in range(0, len(BLOCK_SEEDS), size):
+                seeds = BLOCK_SEEDS[b0:b0 + size]
+                block = _draw(g, cfg, seeds, planted, labels=labels)
+                assert block.reps == len(seeds)
+                for i, want in enumerate(alone[b0:b0 + size]):
+                    got = block.graph(i) if labels else None
+                    v0, v1 = block.vertex_start[i], block.vertex_start[i + 1]
+                    e0, e1 = block.edge_start[i], block.edge_start[i + 1]
+                    assert v1 - v0 == want.n_vertices
+                    np.testing.assert_array_equal(block.edges[e0:e1] - v0, want.edges)
+                    np.testing.assert_array_equal(block.provenance[e0:e1], want.provenance)
+                    np.testing.assert_array_equal(block.latent[v0:v1], want.latent)
+                    assert tuple(block.planted[i].tolist()) == want.planted_indices
+                    if labels:
+                        np.testing.assert_array_equal(got.labels, want.labels)
+                        np.testing.assert_array_equal(got.edges, want.edges)
+                        assert got.seed == want.seed and got.theta_max == want.theta_max
+                    else:
+                        assert block.labels is None
+    # the cases draw something, in every stage they name
+    counts = np.sum([g.edge_counts_by_provenance()["kernel"] for g in alone])
+    assert counts > 0 or case == "stars-isolated"
+    if "stars" in case:
+        assert sum(g.edge_counts_by_provenance()["star"] for g in alone) > 0
+        assert sum(g.edge_counts_by_provenance()["isolated"] for g in alone) > 0
+    if "loops" in case:
+        assert sum(int(np.count_nonzero(g.edges[:, 0] == g.edges[:, 1])) for g in alone) > 0
+
+
+def test_a_large_draw_is_a_block_of_its_own():
+    assert _block_size(FAST, SamplerConfig(nu=1000.0, seed=0)) == 1
+    assert _block_size(SLOW, SamplerConfig(nu=5.0, seed=0, eps=1e-2)) > 100
+
