@@ -5,6 +5,8 @@ attribute) or a bare integer edge array of shape (E, 2). Vertices are
 whatever integers appear as endpoints; a vertex is visible exactly when it
 appears in some edge, so there are never degree-zero vertices here. A self
 loop is one edge that adds 2 to its vertex's degree.
+
+SciPy loads on the first component search, not on import.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "DegreeHistogram",
@@ -173,6 +173,10 @@ def components(edges) -> tuple[np.ndarray, np.ndarray]:
     arr = _as_edges(edges)
     if arr.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+    # imported here so that importing graphex does not load SciPy
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     ids, inverse = ranked_unique(arr.ravel())
     pairs = inverse.reshape(arr.shape)
     adjacency = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),

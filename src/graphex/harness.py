@@ -22,6 +22,8 @@ Reports are frozen dataclasses that share one serializer, :class:`_Record`:
 ``to_dict`` (JSON) and ``csv_rows`` (flat CSV). Serialising the same report
 twice gives byte-identical output.
 
+SciPy loads on the first KS test, integral or component search, not on import.
+
 Statistical conventions: z = (sample mean - theory) / (sd / sqrt(R)) with the
 sample sd using ddof=1. Zero sample variance needs care, because the sd
 yardstick collapses. Three cases:
@@ -50,7 +52,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import rng as rngmod
 from . import theory
@@ -506,6 +507,9 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     arm_a, arm_b = (np.asarray(counts, dtype=float) for _, counts in
                     _replicates(g, (2.0 * nu, nu), reps, seed, eps, threads, edge_count,
                                 labelled=(0,)))
+    # imported here so that importing graphex does not load SciPy
+    from scipy.stats import ks_2samp
+
     result = ks_2samp(arm_a, arm_b, method="asymp")
     return ProjectivityReport(
         nu=float(nu), replicates=reps, ks_statistic=float(result.statistic),

@@ -12,6 +12,8 @@ and a tail that never settles is reported as not converged.
 :func:`poisson_tail` evaluates P(Poisson(lam) > k) through the regularized
 lower incomplete gamma function, accurate to ~1e-14 absolute across the
 supported range (lam up to ~1e6, k up to ~1e5), far inside the 1e-12 contract.
+
+SciPy loads on the first integral or tail, not on import.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import special as _special
 
 __all__ = [
     "IntegralResult",
@@ -106,8 +106,11 @@ def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
                 raise QuadratureError(f"the integrand is not finite at t = {t[bad][0]!r}")
         return y
 
-    res = _sciint.tanhsinh(checked, a, b, args=(a, b, *args), rtol=min(rel_tol, _TS_RTOL),
-                           atol=_TS_ATOL, minlevel=_TS_MINLEVEL, maxlevel=maxlevel)
+    # imported here so that importing graphex does not load SciPy
+    from scipy.integrate import tanhsinh
+
+    res = tanhsinh(checked, a, b, args=(a, b, *args), rtol=min(rel_tol, _TS_RTOL),
+                   atol=_TS_ATOL, minlevel=_TS_MINLEVEL, maxlevel=maxlevel)
     value = res.integral
     converged = res.success | (np.isfinite(value) & (res.error <= rel_tol * np.abs(value)))
     return value, res.error, converged, res.nfev
@@ -226,7 +229,10 @@ def poisson_tail(lam, k):
     k_float = np.asarray(k_arr, dtype=float)
     if np.any(k_float < 0) or np.any(np.floor(k_float) != k_float):
         raise ValueError("k must be a non-negative integer")
-    out = _special.gammainc(k_float + 1.0, lam_arr)
+    # imported here so that importing graphex does not load SciPy
+    from scipy.special import gammainc
+
+    out = gammainc(k_float + 1.0, lam_arr)
     if np.isscalar(lam) and (np.isscalar(k) or k_float.ndim == 0):
         return float(out)
     return out

@@ -208,13 +208,16 @@ class SamplerConfig:
 
     def __post_init__(self):
         _check_level(self.nu, "nu")
-        # bool is a subclass of int, but True is no seed
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise SamplerError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         _check_eps(self.eps)
         if self.theta_max is not None:
-            _check_theta_max(self.theta_max)
+            _check_level(self.theta_max, "theta_max")
+
+
+def _check_seed(seed) -> None:
+    # bool is a subclass of int, but True is no seed
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise SamplerError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _check_level(nu, name: str) -> None:
@@ -228,11 +231,6 @@ def _check_eps(eps) -> None:
     # bool is a subclass of int, but True is no budget
     if not (isinstance(eps, (int, float)) and not isinstance(eps, bool) and eps > 0):
         raise SamplerError(f"eps must be > 0, got {eps!r}")
-
-
-def _check_theta_max(theta_max) -> None:
-    if not (math.isfinite(theta_max) and theta_max >= 0):
-        raise SamplerError(f"theta_max override must be finite and >= 0, got {theta_max!r}")
 
 
 @dataclass
@@ -1289,8 +1287,10 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     if isinstance(lam, bool) or not (math.isfinite(lam) and lam >= 0):
         raise SamplerError(f"lam must be finite and >= 0, got {lam!r}")
     _check_level(nu, "nu")
+    _check_seed(seed)
+    _check_eps(eps)
     if theta_max is not None:
-        _check_theta_max(theta_max)
+        _check_level(theta_max, "theta_max")
     theta = theta_max if theta_max is not None else choose_theta_max(g, nu, eps)
     if getattr(g.separable_f, "nonincreasing", False):
         edges = _strata(g, theta)[0]

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .model import Graphex, GraphexError
 from .quadrature import QuadratureError, poisson_tail
@@ -95,6 +94,9 @@ def _pois_pmf(k: int, rho):
     pois(k; 0) = 1[k == 0]."""
     if k < 0:
         return np.zeros(np.shape(rho))
+    # imported here so that importing graphex does not load SciPy
+    from scipy.special import gammaln, xlogy
+
     return np.exp(xlogy(k, rho) - rho - gammaln(k + 1))
 
 

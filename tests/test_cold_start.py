@@ -1,0 +1,121 @@
+"""Cold start: importing graphex, building a declaration and drawing a
+closed-form graph load no SciPy module.
+
+SciPy costs about 0.9 s to import cold, more than a fast-decay ``sample``
+needs in all. So every SciPy import in the package sits inside the function
+that uses it: the quadrature rule and the Poisson tail (``quadrature``), the
+Poisson pmf (``theory``), the component search (``graphstats``) and the KS
+test (``harness``). Everything runs in one fresh interpreter, in order: the
+steps that must not load SciPy first, then one call of each deferred import,
+which must still work and load it.
+
+A user ``separable`` declaration is not among the SciPy-free builds: ``build``
+integrates its f to get ||f||_1, and so loads ``scipy.integrate``.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import graphex
+
+SCRIPT = r"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+out_dir = sys.argv[2]
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+loaded = {}
+import graphex
+import graphex.cli
+loaded["import"] = scipy_modules()
+
+from graphex import cli, graphstats, harness, theory
+from graphex.model import build
+from graphex.sampler import SamplerConfig, sample_keg
+
+DECLS = {
+    "slow-decay": {"family": "slow-decay"},
+    "fast-decay": {"family": "fast-decay"},
+    "constant-self": {"family": "constant", "params": {"p": 0.5, "c": 2.0},
+                      "self_edges": True},
+    "caron-fox": {"family": "caron-fox"},
+    "graphon-dilation": {"family": "graphon-dilation",
+                         "params": {"c": 2.0, "grid": [[0.5, 0.2], [0.2, 0.8]]}},
+    "custom": {"family": "custom", "exprs": {"W": "exp(-x-y)"}},
+}
+built = {}
+for name, decl in DECLS.items():
+    built[name] = build(decl)
+    loaded[f"build {name}"] = scipy_modules()
+
+graph = sample_keg(built["fast-decay"], SamplerConfig(nu=10.0, seed=1))
+loaded["sample_keg"] = scipy_modules()
+
+csv = os.path.join(out_dir, "fast.csv")
+code = cli.main(["sample", "--graphex", '{"family": "fast-decay"}', "--nu", "10",
+                 "--seed", "1", "--out", csv])
+loaded["cli sample"] = scipy_modules()
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+loaded["cli --version"] = scipy_modules()
+
+edges_expected = theory.expected_edges(built["custom"], 20.0).value
+loaded["expected_edges"] = scipy_modules()
+giant = graphstats.largest_component([[0, 1], [1, 2], [5, 6]])
+loaded["largest_component"] = scipy_modules()
+ks = harness.projectivity_test(built["fast-decay"], 2.0, 30, 0)
+loaded["projectivity_test"] = scipy_modules()
+
+print(json.dumps({
+    "loaded": loaded, "edges": int(graph.n_edges), "cli_code": code,
+    "csv_bytes": os.path.getsize(csv), "expected_edges": edges_expected,
+    "largest_component": list(giant), "ks_p_value": ks.p_value,
+}))
+"""
+
+NO_SCIPY_STEPS = [
+    "import", "build slow-decay", "build fast-decay", "build constant-self",
+    "build caron-fox", "build graphon-dilation", "build custom", "sample_keg",
+    "cli sample", "cli --version",
+]
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    src = pathlib.Path(graphex.__file__).resolve().parents[1]
+    out_dir = tmp_path_factory.mktemp("cold")
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(src), str(out_dir)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("step", NO_SCIPY_STEPS)
+def test_step_loads_no_scipy(cold, step):
+    assert cold["loaded"][step] == []
+
+
+def test_the_scipy_free_steps_did_their_work(cold):
+    assert cold["edges"] > 0
+    assert cold["cli_code"] == 0
+    assert cold["csv_bytes"] > 0
+
+
+def test_deferred_imports_still_load_and_work(cold):
+    # ||W||_1 = 1 for W = exp(-x-y), so nu^2 / 2 edges at nu = 20
+    assert cold["expected_edges"] == pytest.approx(200.0, rel=1e-8)
+    assert "scipy.integrate" in cold["loaded"]["expected_edges"]
+    assert cold["largest_component"] == [3, 3 / 5]
+    assert "scipy.sparse.csgraph" in cold["loaded"]["largest_component"]
+    assert 0.0 <= cold["ks_p_value"] <= 1.0
+    assert "scipy.stats" in cold["loaded"]["projectivity_test"]

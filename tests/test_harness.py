@@ -152,8 +152,10 @@ def test_degdist_argument_errors():
     (lambda: validate_expectations(FAST, (2.0, True), 30, 0), HarnessError),
     (lambda: projectivity_test(FAST, True, 30, 0), HarnessError),
     (lambda: SamplerConfig(nu=2.0, seed=0, eps=True), SamplerError),
+    (lambda: SamplerConfig(nu=5.0, seed=1, theta_max=True), SamplerError),
     (lambda: sample_planted_degrees(FAST, 2.0, True, True, 0), SamplerError),
     (lambda: sample_planted_degrees(FAST, 2.0, 1.0, 30, 0, eps=True), SamplerError),
+    (lambda: sample_planted_degrees(FAST, 5.0, 1.0, 3, 1, theta_max=True), SamplerError),
     (lambda: choose_theta_max(FAST, True, 1e-3), SamplerError),
     (lambda: expected_degree_count(FAST, 2.0, True), TheoryError),
     (lambda: degree_ccdf(FAST, 2.0, True), TheoryError),
@@ -161,9 +163,9 @@ def test_degdist_argument_errors():
     (lambda: validate_expectations(FAST, (2.0,), 30, 0, z_crit=True), HarnessError),
     (lambda: projectivity_test(FAST, 2.0, 30, 0, p_floor=True), HarnessError),
     (lambda: connectivity_experiment(FAST, (2.0,), 30, 0, threshold=True), HarnessError),
-], ids=["degdist-k", "grid-nu", "projectivity-nu", "sampler-eps", "planted-reps",
-        "planted-eps", "cutoff-nu", "degk-k", "ccdf-k", "pmf-k", "validate-z-crit",
-        "projectivity-p-floor", "connectivity-threshold"])
+], ids=["degdist-k", "grid-nu", "projectivity-nu", "sampler-eps", "sampler-theta-max",
+        "planted-reps", "planted-eps", "planted-theta-max", "cutoff-nu", "degk-k", "ccdf-k",
+        "pmf-k", "validate-z-crit", "projectivity-p-floor", "connectivity-threshold"])
 def test_bool_is_refused_as_a_number(call, error):
     with pytest.raises(error):
         call()

@@ -636,10 +636,12 @@ def test_planted_degree_determinism_and_validation():
 @pytest.mark.parametrize("nu, theta_max", [
     (10.0, -1.0), (10.0, math.inf), (10.0, math.nan),
     (-1.0, 5.0), (math.inf, 5.0), (math.nan, 5.0), (True, 5.0), (True, None),
+    (10.0, True), (10.0, "2"),
 ])
 def test_planted_degree_levels_are_checked_as_in_sampler_config(nu, theta_max):
     # the same rules and messages as a draw's config, whether or not the
-    # cutoff is given
+    # cutoff is given; a bool or a string cutoff is refused as a level, not
+    # taken as 1.0 or left to a bare TypeError
     with pytest.raises(SamplerError) as config_error:
         SamplerConfig(nu=nu, seed=0, theta_max=theta_max)
     with pytest.raises(SamplerError) as planted_error:
@@ -648,13 +650,26 @@ def test_planted_degree_levels_are_checked_as_in_sampler_config(nu, theta_max):
 
 
 @pytest.mark.parametrize("lam, seed", [
-    (1.0, True), (1.0, 1.0), (1.0, -1), (True, 0),
+    (1.0, True), (1.0, 1.0), (1.0, -1), (True, 0), (1.0, 1.5),
 ])
 def test_planted_degrees_refuse_a_bool_or_non_integer_seed_or_lam(lam, seed):
-    # bool is a subclass of int; the stream's key refuses it as a seed, as
-    # SamplerConfig does
-    with pytest.raises(ValueError, match="seed|lam"):
-        sample_planted_degrees(FAST, 2.0, lam, 3, seed)
+    # bool is a subclass of int, but True is no seed; a seed is refused by
+    # the same rule and message as SamplerConfig's, with or without a cutoff
+    for theta_max in (None, 5.0):
+        with pytest.raises(SamplerError, match="seed|lam") as planted_error:
+            sample_planted_degrees(FAST, 2.0, lam, 3, seed, theta_max=theta_max)
+    if lam is not True:
+        with pytest.raises(SamplerError) as config_error:
+            SamplerConfig(nu=2.0, seed=seed)
+        assert str(planted_error.value) == str(config_error.value)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, True])
+def test_planted_degrees_check_eps_even_with_a_cutoff(eps):
+    # eps goes unused once theta_max is given, but a bad one is still refused
+    for theta_max in (None, 5.0):
+        with pytest.raises(SamplerError, match="eps"):
+            sample_planted_degrees(FAST, 2.0, 1.0, 3, 1, eps=eps, theta_max=theta_max)
 
 
 # --------------------------------------------------------------------------
