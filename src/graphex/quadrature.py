@@ -9,16 +9,27 @@ settle, by splitting their intervals in rounds of array calls: finite
 pieces in half, tails at powers of two. A jump ends up in a short piece,
 and a tail that never settles is reported as not converged.
 
+The rule is SciPy's ``scipy.integrate.tanhsinh`` (as of SciPy 1.17),
+ported to NumPy alone without its per-call framework: the same nodes and
+weights, the same substitution x = 1/t - 1 + a for [a, inf), the same
+Euler-Maclaurin sums and error estimate (Bailey, Jeyabalan & Li 2005) and
+the same stop per element. Every number comes from the same floating-point
+operations on the same operands in the same order, sums included, so value,
+error, convergence and evaluation count are SciPy's bit for bit; a test
+holds the two against each other. Only SciPy's probe of the centre node, a
+node that level 0 evaluates anyway, is left out.
+
 :func:`poisson_tail` evaluates P(Poisson(lam) > k) through the regularized
 lower incomplete gamma function, accurate to ~1e-14 absolute across the
 supported range (lam up to ~1e6, k up to ~1e5), far inside the 1e-12 contract.
 
-SciPy loads on the first integral or tail, not on import.
+SciPy loads on the first Poisson tail, not on import; no integral loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +84,10 @@ def first_pass(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
 
     ``f(t, *args)`` is elementwise: it takes an array of nodes (and the
     matching slices of ``args``) and returns the integrand there. The limits
-    and ``args`` broadcast together; ``b`` may be infinite. Returns arrays
-    ``(value, error, converged, evaluations)`` of that broadcast shape.
+    and ``args`` broadcast together. ``a`` must be finite and ``b`` may be
+    infinite; a NaN limit, an infinite ``a`` or ``b < a`` raises
+    QuadratureError. Returns arrays ``(value, error, converged,
+    evaluations)`` of the broadcast shape.
     ``converged`` means that the rule met its own tolerance, or that its
     error estimate is within ``rel_tol`` (a rule stopped by the rounding
     floor of a very short interval). The rule assumes a smooth integrand: on
@@ -86,34 +99,159 @@ def first_pass(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
     return _tanhsinh(f, a, b, rel_tol, args, _TS_MAXLEVEL)
 
 
+# The rule (Takahasi & Mori 1974) as SciPy's `tanhsinh` builds it. Level 0
+# has the nodes j h0, j = 0..8, and level k adds the odd multiples of h0/2^k
+# below 8 h0. h0 is chosen so that, at 8 h0, the distance 1 - x_j of the
+# outermost node from the end of [-1, 1] is four times the smallest normal
+# double (Vanherck, Soree & Magnus 2020, eq. 13). The centre node is used
+# twice, once from each end, with half its weight.
+_N_BASE_STEPS = 8
+_H0 = math.asinh(math.log(2.0 / (4.0 * sys.float_info.min) - 1.0) / math.pi) / _N_BASE_STEPS
+_EPS = sys.float_info.epsilon
+_PAIRS = {}
+# x_j and -x_j: the node's signed distance out past the centre, at each end
+_OUTWARD = np.array([[1.0], [-1.0]])
+
+
+def _pairs(level, through=False):
+    """(1 - x_j, w_j) for the nodes that level ``level`` adds or, with
+    ``through``, for levels 0 to ``level``, in order; cached on first use."""
+    key = (level, through)
+    if key not in _PAIRS:
+        if through:
+            pairs = tuple(np.concatenate(p) for p in zip(*map(_pairs, range(level + 1))))
+        else:
+            j = (np.arange(_N_BASE_STEPS + 1) if level == 0 else
+                 np.arange(1, _N_BASE_STEPS * 2**level + 1, 2))
+            jh = j * (_H0 / 2**level)
+            u1 = np.pi / 2 * np.cosh(jh)
+            u2 = np.pi / 2 * np.sinh(jh)
+            with np.errstate(over="ignore"):
+                wj = u1 / np.cosh(u2)**2
+                xjc = 1 / (np.exp(u2) * np.cosh(u2))
+            if level == 0:
+                wj[0] = wj[0] / 2
+            pairs = (xjc, wj)
+        for v in pairs:
+            v.flags.writeable = False
+        _PAIRS[key] = pairs
+    return _PAIRS[key]
+
+
+def _limits(a, b):
+    """The limits as float arrays; refuses a NaN, an infinite lower limit
+    and b < a."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(a).all() or np.isnan(b).any():
+        raise QuadratureError("a lower limit must be finite and an upper limit not NaN")
+    if np.any(b < a):
+        raise QuadratureError("upper limit below lower limit")
+    return a, b
+
+
 def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
     if not (0.0 < rel_tol <= 1e-2):
         raise QuadratureError(f"rel_tol must be in (0, 1e-2], got {rel_tol!r}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b < a):
-        raise QuadratureError("upper limit below lower limit")
+    a, b = _limits(a, b)
     # the rule returns NaN on an interval one ulp wide; at double precision
     # a few ulps hold no mass, so such an interval is closed up
     b = np.where(b - a <= 4.0 * np.spacing(np.abs(a)), a, b)
-
-    def checked(t, lo, hi, *rest):
-        y = f(t, *rest)
-        if not np.isfinite(y).all():
-            # a node that rounds onto an endpoint carries no weight
-            bad = ~np.isfinite(y) & (t > lo) & (t < hi)
-            if bad.any():
-                raise QuadratureError(f"the integrand is not finite at t = {t[bad][0]!r}")
-        return y
-
-    # imported here so that importing graphex does not load SciPy
-    from scipy.integrate import tanhsinh
-
-    res = tanhsinh(checked, a, b, args=(a, b, *args), rtol=min(rel_tol, _TS_RTOL),
-                   atol=_TS_ATOL, minlevel=_TS_MINLEVEL, maxlevel=maxlevel)
-    value = res.integral
-    converged = res.success | (np.isfinite(value) & (res.error <= rel_tol * np.abs(value)))
-    return value, res.error, converged, res.nfev
+    shape = np.broadcast_shapes(a.shape, b.shape, *(np.shape(x) for x in args))
+    lo, hi = (np.broadcast_to(v, shape).ravel() for v in (a, b))
+    value = np.zeros(lo.size)
+    error = np.zeros(lo.size)
+    success = lo == hi  # an empty interval is settled before any node
+    # SciPy's count starts at 1 for its probe of the centre node, which is
+    # evaluated here only as a node of level 0; the count is kept as SciPy's
+    nfev = np.ones(lo.size, dtype=np.int32)
+    rows = np.flatnonzero(~success)  # the open integrals; a row leaves when it stops
+    lo, hi = lo[rows, None, None], hi[rows, None, None]
+    rest = [np.broadcast_to(np.asarray(x), shape).ravel()[rows, None] for x in args]
+    # [a, inf) is integrated over t in [0, 1], x = 1/t - 1 + a, dx = dt/t^2
+    tail = np.isinf(hi[:, 0, 0])
+    ta, tb = np.where(hi == np.inf, 0.0, lo), np.where(hi == np.inf, 1.0, hi)
+    # the outermost node at each end so far whose weight is not zero and
+    # whose value is finite, and its value and weight: the error estimate
+    # needs the last term of the sum
+    reach = np.full((rows.size, 2), -np.inf)
+    edge_f = np.full((rows.size, 2), np.nan)
+    edge_w = np.zeros((rows.size, 2))
+    rtol = min(rel_tol, _TS_RTOL)
+    calls = 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for level in range(_TS_MINLEVEL, maxlevel + 1):
+            if not rows.size:
+                break
+            m = rows.size
+            h = _H0 / 2**level
+            # the first call evaluates levels 0 to _TS_MINLEVEL at once
+            xjc, wj = _pairs(level, through=level == _TS_MINLEVEL)
+            alpha = (tb - ta) / 2
+            # axis 1 is the end a node is measured from: b, then a
+            xj = np.concatenate((-alpha * xjc + tb, alpha * xjc + ta), axis=1)
+            x = xj.reshape(m, -1)
+            if tail.any():
+                x = np.where(tail[:, None], 1 / x - 1 + lo[:, 0], x)
+            fj = np.asarray(f(x, *rest), dtype=float)
+            if fj.shape != x.shape:
+                raise QuadratureError("the integrand must return one value per node")
+            if not np.isfinite(fj).all():
+                # a node that rounds onto an endpoint carries no weight
+                bad = ~np.isfinite(fj) & (x > lo[:, 0]) & (x < hi[:, 0])
+                if bad.any():
+                    raise QuadratureError(f"the integrand is not finite at t = {x[bad][0]!r}")
+            del x
+            calls += fj.shape[-1]
+            f3 = fj.reshape(m, 2, -1)  # a view, written in place
+            if tail.any():
+                f3[tail] *= xj[tail]**-2.
+            w = np.where((xj <= ta) | (xj >= tb), 0.0, wj * alpha)
+            invalid = ~np.isfinite(f3) | (w == 0)
+            out = np.where(invalid, -np.inf, _OUTWARD * xj)
+            del xj
+            i = np.argmax(out, axis=-1)[..., None]
+            far = np.take_along_axis(out, i, -1)[..., 0]
+            new = far > reach
+            reach = np.where(new, far, reach)
+            edge_f = np.where(new, np.take_along_axis(f3, i, -1)[..., 0], edge_f)
+            edge_w = np.where(new, np.take_along_axis(w, i, -1)[..., 0], edge_w)
+            # a node without a finite value takes the outermost one's
+            np.copyto(f3, edge_f[..., None], where=invalid)
+            del out, invalid, f3
+            fjwj = fj * w.reshape(m, -1)
+            del fj, w
+            Sn = np.sum(fjwj, axis=-1) * h
+            if level == _TS_MINLEVEL:
+                # the estimates one and two levels down, from the same terms
+                terms = fjwj.reshape(m, 2, -1)
+                Snm1, Snm2 = (
+                    np.sum(terms[:, :, :_pairs(level - back, through=True)[0].size]
+                           .reshape(m, -1), axis=-1) * (2**back * h)
+                    for back in (1, 2))
+            else:
+                Sn = Snm1 / 2 + Sn
+            # the error estimate of Bailey, Jeyabalan & Li (2005), section 5
+            d1 = np.abs(Sn - Snm1)
+            d2 = np.abs(Sn - Snm2)
+            d3 = _EPS * np.max(np.abs(fjwj), axis=-1)
+            d4 = np.max(np.abs(edge_f * edge_w), axis=-1)
+            d5 = _EPS * np.abs(Sn)
+            del fjwj
+            temp = np.where(d1 > 0, d1**(np.log(d1) / np.log(d2)), 0)
+            aerr = np.clip(np.max(np.stack([temp, d1**2, d3, d4]), axis=0), d5, d1)
+            done = (aerr / np.abs(Sn) < rtol) | (aerr < _TS_ATOL)
+            stop = done | ~np.isfinite(Sn) | (level == maxlevel)
+            value[rows[stop]], error[rows[stop]] = Sn[stop], aerr[stop]
+            success[rows[stop]] = done[stop]
+            nfev[rows[stop]] = calls
+            keep = ~stop
+            rows, lo, hi, ta, tb, tail = (v[keep] for v in (rows, lo, hi, ta, tb, tail))
+            rest = [v[keep] for v in rest]
+            reach, edge_f, edge_w = reach[keep], edge_f[keep], edge_w[keep]
+            Snm2, Snm1 = Snm1[keep], Sn[keep]
+    converged = success | (np.isfinite(value) & (error <= rel_tol * np.abs(value)))
+    return tuple(r.reshape(shape)[()] for r in (value, error, converged, nfev))
 
 
 # Refinement: on a jump, two levels of the rule can agree by chance and
@@ -152,8 +290,8 @@ def refine(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
     """Refine integrals that a first pass of the rule has not settled.
 
     Row i of the 2-d limits ``a`` and ``b`` holds the pieces of integral i;
-    ``args`` are 1-d, one element per integral; ``f`` is as for
-    :func:`first_pass`. Each round halves every open piece (a piece
+    ``args`` are 1-d, one element per integral; ``f`` and the limits are as
+    for :func:`first_pass`. Each round halves every open piece (a piece
     [a, inf) is cut at the next power of two above a) and integrates all
     the halves in one call. A pair of halves is kept when both settle and
     agree with their whole, and an integral is settled once all its pieces
@@ -161,6 +299,7 @@ def refine(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
     ``(value, error, converged, evaluations)``; ``converged`` is False for
     a divergent integral, or one whose jumps the budget cannot isolate.
     """
+    a, b = _limits(a, b)
     n, k = a.shape
     value = np.zeros(n)  # sums over the kept pieces
     error = np.zeros(n)

@@ -1,16 +1,16 @@
-"""Cold start: importing graphex, building a declaration and drawing a
-closed-form graph load no SciPy module.
+"""Cold start: importing graphex, building a declaration, drawing a graph
+and integrating load no SciPy module.
 
 SciPy costs about 0.9 s to import cold, more than a fast-decay ``sample``
-needs in all. So every SciPy import in the package sits inside the function
-that uses it: the quadrature rule and the Poisson tail (``quadrature``), the
-Poisson pmf (``theory``), the component search (``graphstats``) and the KS
-test (``harness``). Everything runs in one fresh interpreter, in order: the
-steps that must not load SciPy first, then one call of each deferred import,
-which must still work and load it.
-
-A user ``separable`` declaration is not among the SciPy-free builds: ``build``
-integrates its f to get ||f||_1, and so loads ``scipy.integrate``.
+needs in all. The package integrates with its own rule, so no step that
+only integrates loads SciPy: not a user ``separable`` build, which
+integrates its f to get ||f||_1, not the quadrature cutoff of a caron-fox
+``sample``, and not an expectation of a custom kernel. Every other SciPy
+import sits inside the function that uses it: the Poisson tail
+(``quadrature``), the Poisson pmf (``theory``), the component search
+(``graphstats``) and the KS test (``harness``). Everything runs in one fresh
+interpreter, in order: the steps that must not load SciPy first, then one
+call of each deferred import, which must still work and load it.
 """
 
 import json
@@ -50,6 +50,7 @@ DECLS = {
     "graphon-dilation": {"family": "graphon-dilation",
                          "params": {"c": 2.0, "grid": [[0.5, 0.2], [0.2, 0.8]]}},
     "custom": {"family": "custom", "exprs": {"W": "exp(-x-y)"}},
+    "separable": {"family": "separable", "exprs": {"f": "exp(-x) / (1 + x)"}},
 }
 built = {}
 for name, decl in DECLS.items():
@@ -63,6 +64,10 @@ csv = os.path.join(out_dir, "fast.csv")
 code = cli.main(["sample", "--graphex", '{"family": "fast-decay"}', "--nu", "10",
                  "--seed", "1", "--out", csv])
 loaded["cli sample"] = scipy_modules()
+caron_fox_csv = os.path.join(out_dir, "caron-fox.csv")
+caron_fox_code = cli.main(["sample", "--graphex", '{"family": "caron-fox"}', "--nu", "20",
+                           "--seed", "1", "--out", caron_fox_csv])
+loaded["cli sample caron-fox"] = scipy_modules()
 try:
     cli.main(["--version"])
 except SystemExit:
@@ -78,15 +83,16 @@ loaded["projectivity_test"] = scipy_modules()
 
 print(json.dumps({
     "loaded": loaded, "edges": int(graph.n_edges), "cli_code": code,
-    "csv_bytes": os.path.getsize(csv), "expected_edges": edges_expected,
+    "csv_bytes": os.path.getsize(csv), "caron_fox_code": caron_fox_code,
+    "caron_fox_csv_bytes": os.path.getsize(caron_fox_csv), "expected_edges": edges_expected,
     "largest_component": list(giant), "ks_p_value": ks.p_value,
 }))
 """
 
 NO_SCIPY_STEPS = [
     "import", "build slow-decay", "build fast-decay", "build constant-self",
-    "build caron-fox", "build graphon-dilation", "build custom", "sample_keg",
-    "cli sample", "cli --version",
+    "build caron-fox", "build graphon-dilation", "build custom", "build separable",
+    "sample_keg", "cli sample", "cli sample caron-fox", "cli --version", "expected_edges",
 ]
 
 
@@ -109,12 +115,13 @@ def test_the_scipy_free_steps_did_their_work(cold):
     assert cold["edges"] > 0
     assert cold["cli_code"] == 0
     assert cold["csv_bytes"] > 0
+    assert cold["caron_fox_code"] == 0
+    assert cold["caron_fox_csv_bytes"] > 0
+    # ||W||_1 = 1 for W = exp(-x-y), so nu^2 / 2 edges at nu = 20
+    assert cold["expected_edges"] == pytest.approx(200.0, rel=1e-8)
 
 
 def test_deferred_imports_still_load_and_work(cold):
-    # ||W||_1 = 1 for W = exp(-x-y), so nu^2 / 2 edges at nu = 20
-    assert cold["expected_edges"] == pytest.approx(200.0, rel=1e-8)
-    assert "scipy.integrate" in cold["loaded"]["expected_edges"]
     assert cold["largest_component"] == [3, 3 / 5]
     assert "scipy.sparse.csgraph" in cold["loaded"]["largest_component"]
     assert 0.0 <= cold["ks_p_value"] <= 1.0

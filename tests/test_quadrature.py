@@ -7,12 +7,14 @@ digits; exact rationals are written as such.
 import ast
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import graphex
+from graphex import quadrature
 from graphex.quadrature import (
     IntegralResult,
     QuadratureError,
@@ -315,8 +317,8 @@ def test_refine_sums_the_pieces_of_each_row():
 
 
 def test_only_the_quadrature_module_integrates():
-    # one integration layer: a second path to scipy.integrate cannot creep
-    # back into the package
+    # one integration layer, and it is the package's own: no module of the
+    # package reaches scipy.integrate
     def integrates(node):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -331,4 +333,106 @@ def test_only_the_quadrature_module_integrates():
     package = pathlib.Path(graphex.__file__).parent
     users = {path.name for path in package.glob("*.py")
              if any(integrates(node) for node in ast.walk(ast.parse(path.read_text())))}
-    assert users == {"quadrature.py"}
+    assert users == set()
+
+
+@pytest.mark.parametrize("a, b", [([0.0, math.nan], math.inf), (0.0, math.nan),
+                                  (math.inf, math.inf), (-math.inf, 0.0)])
+def test_limits_must_be_numbers_and_the_lower_one_finite(a, b):
+    # refused before any node, not integrated to NaN or with a warning
+    f = lambda t: np.exp(-t)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for integrate in (first_pass, integrate_array):
+            with pytest.raises(QuadratureError, match="limit"):
+                integrate(f, a, b)
+        a2, b2 = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
+        with pytest.raises(QuadratureError, match="limit"):
+            refine(f, a2, b2)
+
+
+def test_integrand_must_return_one_value_per_node():
+    with pytest.raises(QuadratureError, match="one value per node"):
+        first_pass(lambda t: np.ones(3), 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The rule against SciPy's: value, error, convergence and evaluation count
+# must be equal, not close
+# ---------------------------------------------------------------------------
+
+def scipy_rule(f, a, b, rel_tol, args, maxlevel):
+    """quadrature._tanhsinh computed by scipy.integrate.tanhsinh, with the
+    same settings and the same closing of intervals a few ulps wide."""
+    tanhsinh = getattr(pytest.importorskip("scipy.integrate"), "tanhsinh", None)
+    if tanhsinh is None:
+        pytest.skip("scipy.integrate.tanhsinh needs SciPy 1.15")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    b = np.where(b - a <= 4.0 * np.spacing(np.abs(a)), a, b)
+    res = tanhsinh(f, a, b, args=args, rtol=min(rel_tol, quadrature._TS_RTOL),
+                   atol=quadrature._TS_ATOL, minlevel=quadrature._TS_MINLEVEL,
+                   maxlevel=maxlevel)
+    value = res.integral
+    converged = res.success | (np.isfinite(value) & (res.error <= rel_tol * np.abs(value)))
+    return value, res.error, converged, res.nfev
+
+
+def assert_same_rule(f, a, b, rel_tol, args=(), maxlevel=quadrature._TS_MAXLEVEL):
+    got = quadrature._tanhsinh(f, a, b, rel_tol, args, maxlevel)
+    want = scipy_rule(f, a, b, rel_tol, args, maxlevel)
+    for name, g, w in zip(("value", "error", "converged", "evaluations"), got, want):
+        assert np.shape(g) == np.shape(w), name
+        assert np.array_equal(g, w), (name, g, w)
+
+
+RULE_CASES = {
+    # finite and [a, inf) limits, and zero-width and one-ulp pieces
+    "smooth": (lambda t: np.exp(-(t - 1.0) ** 2) * (1.0 + t),
+               [0.0, 1.0, 2.0, 2.0, 0.5, 3.0, 0.25],
+               [1.0, math.inf, 2.0, math.inf, np.nextafter(0.5, 1.0), 3.5, 7.0], ()),
+    "scalar": (lambda t: 1.0 / (1.0 + t * t), 0.0, math.inf, ()),
+    # a step that fools the rule, and tails that never settle
+    "step": (lambda t: 1.0 * (t <= math.pi), [0.0, 0.0, 1.0], [4.0, math.inf, math.inf], ()),
+    "unconverged tail": (lambda t: 1.0 / (1.0 + t), [0.0, 2.0], math.inf, ()),
+    "edge singularity": (lambda t: t ** -0.5, [0.0, 0.0], [1.0, 1e-3], ()),
+    # limits of one shape broadcast against args of another
+    "broadcast args": (lambda t, c, d: np.exp(-c * t) * np.cos(d * t),
+                       [0.0, 0.5, 1.0, 2.0], [1.0, 3.0, math.inf, 9.0],
+                       (np.array([[0.5], [1.0], [4.0]]), np.array([0.0, 1.0, 3.0, 30.0]))),
+}
+
+
+@pytest.mark.parametrize("maxlevel", [5, 10])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_rule_is_scipys_bit_for_bit(case, rel_tol, maxlevel):
+    f, a, b, args = RULE_CASES[case]
+    assert_same_rule(f, a, b, rel_tol, args, maxlevel)
+
+
+@pytest.mark.parametrize("decl", [
+    {"family": "custom", "exprs": {"W": "exp(-(x - y)^2) / (1 + x + y)"}},
+    {"family": "caron-fox"},
+])
+def test_rule_is_scipys_on_the_marginal_nodes(decl):
+    # the 2-d limits of the marginal: each row split at y = x, one piece
+    # empty at x = 0
+    g = graphex.build(decl)
+    x = np.array([0.0, 0.1, 1.0, 2.5, 7.0, 40.0])
+    a, b = g._halves(x, 0.0)
+    for rel_tol in (1e-8, 1e-10):
+        assert_same_rule(g._w_of_y, a, b, rel_tol, (x[:, None],))
+
+
+def test_rule_is_scipys_in_a_nested_integral(monkeypatch):
+    # ||W||_1 of caron-fox, an outer integral whose every node is a pass of
+    # inner integrals, is the same number by either rule
+    def norm():
+        g = graphex.build({"family": "caron-fox"})
+        return g.integrate(g.nested_marginal, 1e-9)
+
+    ours = norm()
+    monkeypatch.setattr(quadrature, "_tanhsinh", scipy_rule)
+    assert norm() == ours
+    assert ours.converged
