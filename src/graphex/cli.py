@@ -13,9 +13,10 @@ import argparse
 import json
 import sys
 
-from . import __version__, theory
+from . import __version__
 from .finiteness import check_local_finiteness
 from .harness import (
+    _STATISTICS,
     DEFAULT_P_FLOOR,
     DEFAULT_STATS,
     DEFAULT_Z_CRIT,
@@ -23,6 +24,7 @@ from .harness import (
     connectivity_experiment,
     degdist_experiment,
     projectivity_test,
+    statistic,
     validate_expectations,
     write_csv,
     write_json,
@@ -113,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expect", help="evaluate an expected statistic")
     _add_graphex(p)
     p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--stat", choices=("edges", "vertices", "degk"), default="edges")
+    # the registry's statistics, with degk for degree_<k>
+    p.add_argument("--stat", default="edges",
+                   choices=["degk" if name == "degree_<k>" else name for name in _STATISTICS])
     p.add_argument("--k", type=int, default=None, help="degree for --stat degk")
     p.add_argument("--out", metavar="PATH", help="JSON output (default: stdout)")
     p.set_defaults(fn=cmd_expect)
@@ -129,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stats", type=_str_list, default=DEFAULT_STATS,
-                   metavar="NAME,...", help="edges, vertices, degree_<k>")
+                   metavar="NAME,...", help=", ".join(_STATISTICS))
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--z-crit", type=float, default=DEFAULT_Z_CRIT)
     _add_report_flags(p)
@@ -192,19 +196,14 @@ def cmd_sample(args) -> int:
 
 def cmd_expect(args) -> int:
     g = _load_graphex(args.graphex)
-    if args.stat == "edges":
-        result = theory.expected_edges(g, args.nu)
-        label = "edges"
-    elif args.stat == "vertices":
-        result = theory.expected_vertices(g, args.nu)
-        label = "vertices"
-    else:
+    name = args.stat
+    if name == "degk":
         if args.k is None:
             raise HarnessError("--stat degk requires --k")
-        result = theory.expected_degree_count(g, args.nu, args.k)
-        label = f"degree_{args.k}"
-    payload = {"statistic": label, "nu": args.nu}
-    payload.update(result.to_dict())
+        name = f"degree_{args.k}"
+    _, predict = statistic(name)
+    payload = {"statistic": name, "nu": args.nu}
+    payload.update(predict(g, args.nu).to_dict())
     _emit(payload, args)
     return EXIT_OK
 

@@ -34,7 +34,6 @@ __all__ = [
     "EvalError",
     "Expr",
     "parse",
-    "to_string",
     "FUNCTIONS",
 ]
 
@@ -273,51 +272,6 @@ def parse(text: str) -> "Expr":
 
 
 # ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _print(node: Node, parent_prec: int, right_side: bool) -> str:
-    if isinstance(node, Lit):
-        text = repr(node.value)
-        return text[:-2] if text.endswith(".0") else text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _print(node.arg, _PREC["neg"], False)
-        out = f"-{inner}"
-        # parenthesise when embedded where a bare unary minus would rebind,
-        # e.g. as the left operand of ^ or the right operand of - or /
-        if parent_prec > _PREC["neg"] or (right_side and parent_prec == _PREC["neg"]):
-            return f"({out})"
-        return out
-    if isinstance(node, Call):
-        args = ", ".join(_print(a, 0, False) for a in node.args)
-        return f"{node.fn}({args})"
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            # right-associative: the left child needs parens at equal precedence
-            lhs = _print(node.lhs, prec + 1, False)
-            rhs = _print(node.rhs, prec, True)
-        else:
-            lhs = _print(node.lhs, prec, False)
-            rhs = _print(node.rhs, prec + 1, True)
-        out = f"{lhs} {node.op} {rhs}" if node.op in "+-" else f"{lhs}{node.op}{rhs}"
-        if prec < parent_prec:
-            return f"({out})"
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def to_string(node: Node) -> str:
-    """Render an AST back to source. ``parse(to_string(n)).ast == n``."""
-    return _print(node, 0, False)
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -404,13 +358,13 @@ def _call(node: Call, args):
 
 
 class Expr:
-    """A parsed expression: evaluate it, print it, inspect its variables."""
+    """A parsed expression: evaluate it, inspect its variables; its text is its source."""
 
     __slots__ = ("ast", "source")
 
-    def __init__(self, ast: Node, source: str | None = None):
+    def __init__(self, ast: Node, source: str):
         self.ast = ast
-        self.source = source if source is not None else to_string(ast)
+        self.source = source
 
     def __call__(self, x=None, y=None):
         out = _eval(self.ast, {"x": x, "y": y})
@@ -440,13 +394,15 @@ class Expr:
         return frozenset(found)
 
     def __str__(self) -> str:
-        return to_string(self.ast)
+        return self.source
 
     def __repr__(self) -> str:
-        return f"Expr({to_string(self.ast)!r})"
+        return f"Expr({self.source!r})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Expr) and self.ast == other.ast
 
     def __hash__(self) -> int:
-        return hash(to_string(self.ast))
+        # the nodes are frozen and pos is left out of their comparison, so
+        # equal ASTs hash alike
+        return hash(self.ast)

@@ -18,6 +18,12 @@ edges of its draws at 2 nu whose labels are both in [0, nu], arm 1 draws at
 nu directly. Labels are drawn only for arm 0, the one measure that reads
 them; they have a stream of their own, so no other number moves.
 
+The registry of statistics, ``_STATISTICS``, is the one place that declares
+a statistic: its name, its count in each replicate of a block, and its
+theory, an ``ExpectationResult``. ``validate_expectations`` and the CLI's
+``expect`` and ``validate`` read names, counts and theory from it alone, so a
+statistic added there needs no other edit.
+
 Reports are frozen dataclasses that share one serializer, :class:`_Record`:
 ``to_dict`` (JSON) and ``csv_rows`` (flat CSV). Serialising the same report
 twice gives byte-identical output.
@@ -74,6 +80,7 @@ __all__ = [
     "connectivity_experiment",
     "degdist_experiment",
     "projectivity_test",
+    "statistic",
     "validate_expectations",
     "write_csv",
     "write_json",
@@ -101,7 +108,10 @@ def _check_verdict_level(value, name: str, ok, what: str) -> None:
 
 
 def _check_grid(nus) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in nus)
+    try:
+        grid = tuple(float(v) for v in nus)
+    except (TypeError, ValueError):
+        grid = ()  # not an iterable of numbers: refused below
     # bool is a subclass of int, but True is no truncation level
     if (not grid or any(isinstance(v, bool) for v in nus)
             or any(not (math.isfinite(v) and v > 0) for v in grid)):
@@ -251,31 +261,38 @@ class ValidationReport(_Record):
     ok = all_ok
 
 
-# statistic -> (its count in each replicate of a block, given the block and
-# the replicate and degree of each visible vertex; its expectation at nu).
-# Theory is looked up on the module at call time.
+# name -> (its count in each replicate of a block, given the block and the
+# replicate and degree of each visible vertex; its theory at nu). A name
+# <family>_<k> declares one statistic per integer k >= 1, and its two
+# functions take k last. Theory is looked up on the module at call time.
 _STATISTICS = {
     "edges": (lambda block, rep, deg: np.diff(block.edge_start),
-              lambda g, nu: theory.expected_edges(g, nu).value),
+              lambda g, nu: theory.expected_edges(g, nu)),
     "vertices": (lambda block, rep, deg: np.bincount(rep, minlength=block.reps),
-                 lambda g, nu: theory.expected_vertices(g, nu).value),
+                 lambda g, nu: theory.expected_vertices(g, nu)),
+    "degree_<k>": (lambda block, rep, deg, k: np.bincount(rep[deg == k], minlength=block.reps),
+                   lambda g, nu, k: theory.expected_degree_count(g, nu, k)),
 }
 
 
-def _statistic(name: str):
-    """The registry entry of edges, vertices or degree_<k> with k >= 1."""
-    if name in _STATISTICS:
+def statistic(name: str):
+    """(count, theory) of a registered statistic, or of a member of a family
+    <family>_<k> with its k bound; the family's own name is no statistic."""
+    if name in _STATISTICS and not name.endswith("_<k>"):
         return _STATISTICS[name]
-    if name.startswith("degree_"):
-        try:
-            k = int(name.split("_", 1)[1])
-        except ValueError:
-            k = 0
-        if k >= 1:
-            return (lambda block, rep, deg: np.bincount(rep[deg == k], minlength=block.reps),
-                    lambda g, nu: theory.expected_degree_count(g, nu, k).value)
-    raise HarnessError(f"unknown statistic {name!r}; expected edges, vertices "
-                       "or degree_<k> with k >= 1")
+    family, _, index = name.partition("_")
+    try:
+        k = int(index)
+    except ValueError:
+        k = 0
+    entry = _STATISTICS.get(f"{family}_<k>")
+    if entry is None or k < 1:
+        *names, last = _STATISTICS
+        raise HarnessError(f"unknown statistic {name!r}; expected "
+                           f"{', '.join(names)} or {last} with k >= 1")
+    count, predict = entry
+    return (lambda block, rep, deg: count(block, rep, deg, k),
+            lambda g, nu: predict(g, nu, k))
 
 
 def validate_expectations(g: Graphex, nus, reps: int, seed: int,
@@ -288,7 +305,7 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
     """
     _check_reps(reps)
     grid = _check_grid(nus)
-    parsed = [(name, *_statistic(name)) for name in stats]
+    parsed = [(name, *statistic(name)) for name in stats]
     _check_verdict_level(z_crit, "z_crit", lambda z: math.isfinite(z) and z > 0,
                          "a finite number > 0")
 
@@ -307,7 +324,7 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
             mean = float(values.mean())
             sd = float(values.std(ddof=1))
             se = sd / math.sqrt(reps)
-            expected = float(expect(g, nu))
+            expected = float(expect(g, nu).value)
             z = _z_score(mean, sd, se, expected, reps)
             rows.append(StatRow(label, nu, reps, mean, sd, se, expected, z,
                                 "pass" if abs(z) <= z_crit else "fail"))

@@ -853,12 +853,6 @@ class _LazyClouds:
         return np.sort(np.concatenate(hits))
 
 
-def _stratum_of(cum, keys):
-    """The stratum whose share of ``cum`` holds each key; a key at the total
-    goes to the last stratum of any weight."""
-    return np.minimum(np.searchsorted(cum, keys, side="right"), np.searchsorted(cum, cum[-1]))
-
-
 def _checked(x, value, bound):
     """value at latent coordinates x, clipped to [0, 1], once no element is
     over its declared bound."""
@@ -1283,9 +1277,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
         raise SamplerError("the graphex has no kernel, the planted degree is always 0")
     if not (isinstance(reps, int) and not isinstance(reps, bool) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
-    # bool is a subclass of int, but True is no latent coordinate
-    if isinstance(lam, bool) or not (math.isfinite(lam) and lam >= 0):
-        raise SamplerError(f"lam must be finite and >= 0, got {lam!r}")
+    _check_level(lam, "lam")
     _check_level(nu, "nu")
     _check_seed(seed)
     _check_eps(eps)
@@ -1306,7 +1298,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     for r0 in range(0, reps, block):
         c = counts[r0:r0 + block]
         keys = gen.uniform(0.0, cum[-1], int(c.sum()))
-        s = _stratum_of(cum, keys)
+        s = _search_row(cum, keys)
         x = edges[s] + (keys - np.append(0.0, cum)[s]) / bound[s]
         hit = gen.random(keys.size) < _checked(x, g.w_at(lam, x), bound[s]) / bound[s]
         # hits of replicate i are those at positions ends[i] .. ends[i+1]

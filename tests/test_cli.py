@@ -3,9 +3,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from graphex import harness, theory
 from graphex.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 FAST = '{"family": "fast-decay"}'
@@ -155,6 +158,53 @@ def test_expect_degk_requires_k(capsys):
     assert json.loads(capsys.readouterr().out)["statistic"] == "degree_1"
     assert run("expect", "--graphex", FAST, "--nu", "2",
                "--stat", "degk") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--stat", "edges"),
+     "ddc774f9768305ebf5da29e5dacbecb12c0e9bd5da72c0b1cd0ae8aa9fa1aa39"),
+    (("--stat", "vertices"),
+     "e0d83707458eb14379b11f3ccea52c49668b358dc8cda25f8dcc5e349b9313e9"),
+    (("--stat", "degk", "--k", "2"),
+     "cea527045904d532ec741fcacfd25090f3ad2435261e24991c0d8afcf86fccfa"),
+], ids=["edges", "vertices", "degk-2"])
+def test_expect_is_frozen(argv, digest, capsys):
+    assert run("expect", "--graphex", '{"family": "slow-decay"}', "--nu", "100",
+               *argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_a_degree_below_1_is_refused_with_one_message(capsys):
+    message = ("graphex: error: unknown statistic 'degree_0'; expected edges, "
+               "vertices or degree_<k> with k >= 1\n")
+    assert run("expect", "--graphex", FAST, "--nu", "2", "--stat", "degk",
+               "--k", "0") == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+    assert run("validate", "--graphex", FAST, "--nus", "2", "--replicates", "30",
+               "--seed", "0", "--stats", "degree_0") == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+
+
+def test_a_registered_statistic_reaches_expect_and_validate(monkeypatch, capsys):
+    # twice the edge count: one registry entry, and no other edit, makes it
+    # a choice of expect and a statistic of validate
+    def twice(g, nu):
+        result = theory.expected_edges(g, nu)
+        return replace(result, value=2.0 * result.value)
+
+    monkeypatch.setitem(harness._STATISTICS, "twice_edges",
+                        (lambda block, rep, deg: 2 * np.diff(block.edge_start), twice))
+    assert run("expect", "--graphex", CONST, "--nu", "3", "--stat", "twice_edges") == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["statistic"] == "twice_edges"
+    assert payload["value"] == pytest.approx(18.0, rel=1e-9)
+    assert run("validate", "--graphex", FAST, "--nus", "3", "--replicates", "30",
+               "--seed", "0", "--stats", "edges,twice_edges") == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["statistic"] for r in rows] == ["edges", "twice_edges"]
+    assert rows[1]["mean"] == 2 * rows[0]["mean"]
+    assert rows[1]["theory"] == pytest.approx(2 * rows[0]["theory"], rel=1e-12)
+    assert rows[1]["z"] == pytest.approx(rows[0]["z"], rel=1e-9)
 
 
 def test_check_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cold start: importing graphex, building a declaration, drawing a graph
-and integrating load no SciPy module.
+and integrating load no SciPy module, and neither do the CLI's ``expect
+--stat edges|vertices`` and ``check``.
 
 SciPy costs about 0.9 s to import cold, more than a fast-decay ``sample``
 needs in all. The package integrates with its own rule, so no step that
@@ -73,6 +74,15 @@ try:
 except SystemExit:
     pass
 loaded["cli --version"] = scipy_modules()
+expect_codes = []
+for stat in ("edges", "vertices"):
+    expect_codes.append(cli.main(["expect", "--graphex", '{"family": "slow-decay"}', "--nu",
+                                  "10", "--stat", stat, "--out",
+                                  os.path.join(out_dir, f"{stat}.json")]))
+    loaded[f"cli expect {stat}"] = scipy_modules()
+check_code = cli.main(["check", "--graphex", '{"family": "slow-decay"}', "--out",
+                       os.path.join(out_dir, "check.json")])
+loaded["cli check"] = scipy_modules()
 
 edges_expected = theory.expected_edges(built["custom"], 20.0).value
 loaded["expected_edges"] = scipy_modules()
@@ -86,13 +96,15 @@ print(json.dumps({
     "csv_bytes": os.path.getsize(csv), "caron_fox_code": caron_fox_code,
     "caron_fox_csv_bytes": os.path.getsize(caron_fox_csv), "expected_edges": edges_expected,
     "largest_component": list(giant), "ks_p_value": ks.p_value,
+    "expect_codes": expect_codes, "check_code": check_code,
 }))
 """
 
 NO_SCIPY_STEPS = [
     "import", "build slow-decay", "build fast-decay", "build constant-self",
     "build caron-fox", "build graphon-dilation", "build custom", "build separable",
-    "sample_keg", "cli sample", "cli sample caron-fox", "cli --version", "expected_edges",
+    "sample_keg", "cli sample", "cli sample caron-fox", "cli --version", "cli expect edges",
+    "cli expect vertices", "cli check", "expected_edges",
 ]
 
 
@@ -117,6 +129,8 @@ def test_the_scipy_free_steps_did_their_work(cold):
     assert cold["csv_bytes"] > 0
     assert cold["caron_fox_code"] == 0
     assert cold["caron_fox_csv_bytes"] > 0
+    assert cold["expect_codes"] == [0, 0]
+    assert cold["check_code"] == 0
     # ||W||_1 = 1 for W = exp(-x-y), so nu^2 / 2 edges at nu = 20
     assert cold["expected_edges"] == pytest.approx(200.0, rel=1e-8)
 

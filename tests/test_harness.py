@@ -103,10 +103,17 @@ def test_validate_argument_errors():
         validate_expectations(FAST, (), 30, seed=0)
     with pytest.raises(HarnessError):
         validate_expectations(FAST, (-1.0,), 30, seed=0)
+    # a grid that is not an iterable of numbers: the grid's message, not a
+    # bare ValueError or TypeError
+    for nus in (["a"], None):
+        with pytest.raises(HarnessError, match="the nu grid must be nonempty"):
+            validate_expectations(FAST, nus, 30, seed=0)
     with pytest.raises(HarnessError):
         validate_expectations(FAST, (3.0,), 30, seed=0, stats=("edges", "degree_0"))
     with pytest.raises(HarnessError):
         validate_expectations(FAST, (3.0,), 30, seed=0, stats=("triangles",))
+    with pytest.raises(HarnessError, match="unknown statistic"):
+        validate_expectations(FAST, (3.0,), 30, seed=0, stats=("degree_<k>",))
 
 
 # --------------------------------------------------------------------------

@@ -650,15 +650,17 @@ def test_planted_degree_levels_are_checked_as_in_sampler_config(nu, theta_max):
 
 
 @pytest.mark.parametrize("lam, seed", [
-    (1.0, True), (1.0, 1.0), (1.0, -1), (True, 0), (1.0, 1.5),
+    (1.0, True), (1.0, 1.0), (1.0, -1), (True, 0), (1.0, 1.5), ("1", 0), (None, 0),
 ])
 def test_planted_degrees_refuse_a_bool_or_non_integer_seed_or_lam(lam, seed):
     # bool is a subclass of int, but True is no seed; a seed is refused by
-    # the same rule and message as SamplerConfig's, with or without a cutoff
+    # the same rule and message as SamplerConfig's, with or without a cutoff.
+    # A lam that is no number is refused by the same number check, not left
+    # to a bare TypeError
     for theta_max in (None, 5.0):
         with pytest.raises(SamplerError, match="seed|lam") as planted_error:
             sample_planted_degrees(FAST, 2.0, lam, 3, seed, theta_max=theta_max)
-    if lam is not True:
+    if isinstance(lam, float):  # the seed is the bad argument
         with pytest.raises(SamplerError) as config_error:
             SamplerConfig(nu=2.0, seed=seed)
         assert str(planted_error.value) == str(config_error.value)
