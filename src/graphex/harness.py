@@ -263,7 +263,8 @@ class ValidationReport(_Record):
 
 # name -> (its count in each replicate of a block, given the block and the
 # replicate and degree of each visible vertex; its theory at nu). A name
-# <family>_<k> declares one statistic per integer k >= 1, and its two
+# <family>_<k> declares one statistic per integer k >= 1, written in decimal
+# digits without a leading zero, so each statistic has one name; its two
 # functions take k last. Theory is looked up on the module at call time.
 _STATISTICS = {
     "edges": (lambda block, rep, deg: np.diff(block.edge_start),
@@ -281,10 +282,7 @@ def statistic(name: str):
     if name in _STATISTICS and not name.endswith("_<k>"):
         return _STATISTICS[name]
     family, _, index = name.partition("_")
-    try:
-        k = int(index)
-    except ValueError:
-        k = 0
+    k = int(index) if index.isascii() and index.isdigit() and index[0] != "0" else 0
     entry = _STATISTICS.get(f"{family}_<k>")
     if entry is None or k < 1:
         *names, last = _STATISTICS

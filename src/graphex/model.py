@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,6 +56,12 @@ __all__ = [
 PROBE_GRID_SIZE = 64
 _PROBE_X_MAX = 1e6
 _SYMMETRY_TOL = 1e-12
+# distinct node sets whose inner marginals a graphex keeps
+# (:meth:`Graphex.marginal_nodes`): the expectations of a black-box kernel,
+# at any number of levels nu, have two (levels 0 to 4 of the outer rule,
+# then level 5), while a finiteness check or a cutoff search passes through
+# up to about 20 that it uses once each
+_MARGINAL_MEMO_SIZE = 16
 
 
 class GraphexError(ValueError):
@@ -164,16 +171,31 @@ class Graphex:
         """One pass of the tanh-sinh rule over y >= lo for every element of
         x: returns arrays (integral of W(x, y) dy, settled). The range is
         split at y = x, where kernels that decay away from the diagonal keep
-        their mass. Elements that are not settled carry no usable value."""
+        their mass. Elements that are not settled carry no usable value.
+
+        The outer integrals of the theory share their nodes (every integral
+        over [0, inf) has the same ones at each level of the rule), so the
+        result is memoised per graphex, keyed by the bytes of x, rel_tol and
+        lo, for the last ``_MARGINAL_MEMO_SIZE`` distinct node sets. Each
+        call returns fresh arrays, which the caller may write."""
         x = np.asarray(x, dtype=float).ravel()
-        value, error, ok, _ = first_pass(self._w_of_y, *self._halves(x, lo), rel_tol,
-                                         args=(x[:, None],))
-        value = value.sum(axis=1)
-        # the two pieces' errors count against their sum: a short piece that
-        # met only its rounding floor is still fine next to a long one
-        settled = ok.all(axis=1) | (
-            np.isfinite(value) & (error.sum(axis=1) <= rel_tol * np.abs(value)))
-        return value, settled
+        memo = self._cache.setdefault("marginal_nodes", OrderedDict())
+        key = (x.tobytes(), rel_tol, lo)
+        # taken out and put back, so the last use sits at the end
+        found = memo.pop(key, None)
+        if found is None:
+            value, error, ok, _ = first_pass(self._w_of_y, *self._halves(x, lo), rel_tol,
+                                             args=(x[:, None],))
+            value = value.sum(axis=1)
+            # the two pieces' errors count against their sum: a short piece
+            # that met only its rounding floor is still fine next to a long one
+            settled = ok.all(axis=1) | (
+                np.isfinite(value) & (error.sum(axis=1) <= rel_tol * np.abs(value)))
+            found = value, settled
+        memo[key] = found
+        while len(memo) > _MARGINAL_MEMO_SIZE:
+            memo.popitem(last=False)
+        return found[0].copy(), found[1].copy()
 
     def _w_of_y(self, y, x):
         return self.w(x, y)

@@ -17,7 +17,12 @@ the same stop per element. Every number comes from the same floating-point
 operations on the same operands in the same order, sums included, so value,
 error, convergence and evaluation count are SciPy's bit for bit; a test
 holds the two against each other. Only SciPy's probe of the centre node, a
-node that level 0 evaluates anyway, is left out.
+node that level 0 evaluates anyway, is left out. What is the same for many
+integrals is computed once: every [a, inf) integral has the same nodes t on
+[0, 1], so t, 1/t - 1, t^-2 and the weights are made once per level (and
+cached), and each row adds only its a. The integrand sees the finite rows
+first, then the [a, inf) rows; it is elementwise, so their order moves no
+bit.
 
 :func:`poisson_tail` evaluates P(Poisson(lam) > k) through the regularized
 lower incomplete gamma function, accurate to ~1e-14 absolute across the
@@ -109,6 +114,7 @@ _N_BASE_STEPS = 8
 _H0 = math.asinh(math.log(2.0 / (4.0 * sys.float_info.min) - 1.0) / math.pi) / _N_BASE_STEPS
 _EPS = sys.float_info.epsilon
 _PAIRS = {}
+_TAIL_NODES = {}
 # x_j and -x_j: the node's signed distance out past the centre, at each end
 _OUTWARD = np.array([[1.0], [-1.0]])
 
@@ -138,6 +144,27 @@ def _pairs(level, through=False):
     return _PAIRS[key]
 
 
+def _tail_nodes(level, through=False):
+    """What every [a, inf) row shares at a level, as the rule makes it for a
+    finite row on [0, 1]: arrays of shape (1, 2, n) of the nodes t (axis 1
+    is the end a node is measured from: 1, then 0), 1/t - 1, t^-2 and the
+    weights; cached on first use."""
+    key = (level, through)
+    if key not in _TAIL_NODES:
+        xjc, wj = _pairs(level, through)
+        t = np.concatenate((1.0 - 0.5 * xjc, 0.5 * xjc)).reshape(1, 2, -1)
+        with np.errstate(over="ignore", divide="ignore"):
+            nodes = (t, 1 / t - 1, t**-2., np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5))
+        for v in nodes:
+            v.flags.writeable = False
+        _TAIL_NODES[key] = nodes
+    return _TAIL_NODES[key]
+
+
+# the ends a node is measured from (axis 1 of the nodes), as indices
+_ENDS = np.arange(2)
+
+
 def _limits(a, b):
     """The limits as float arrays; refuses a NaN, an infinite lower limit
     and b < a."""
@@ -165,12 +192,15 @@ def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
     # SciPy's count starts at 1 for its probe of the centre node, which is
     # evaluated here only as a node of level 0; the count is kept as SciPy's
     nfev = np.ones(lo.size, dtype=np.int32)
-    rows = np.flatnonzero(~success)  # the open integrals; a row leaves when it stops
+    # the open integrals, a row each, and a row leaves when it stops. [a, inf)
+    # is integrated over t in [0, 1], x = 1/t - 1 + a, dx = dt/t^2, and
+    # those rows share their nodes in t, so the nf finite rows come first
+    rows = np.flatnonzero(~success)
+    finite = np.isfinite(hi[rows])
+    rows = np.concatenate((rows[finite], rows[~finite]))
+    nf = np.count_nonzero(finite)
     lo, hi = lo[rows, None, None], hi[rows, None, None]
     rest = [np.broadcast_to(np.asarray(x), shape).ravel()[rows, None] for x in args]
-    # [a, inf) is integrated over t in [0, 1], x = 1/t - 1 + a, dx = dt/t^2
-    tail = np.isinf(hi[:, 0, 0])
-    ta, tb = np.where(hi == np.inf, 0.0, lo), np.where(hi == np.inf, 1.0, hi)
     # the outermost node at each end so far whose weight is not zero and
     # whose value is finite, and its value and weight: the error estimate
     # needs the last term of the sum
@@ -186,13 +216,25 @@ def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
             m = rows.size
             h = _H0 / 2**level
             # the first call evaluates levels 0 to _TS_MINLEVEL at once
-            xjc, wj = _pairs(level, through=level == _TS_MINLEVEL)
-            alpha = (tb - ta) / 2
-            # axis 1 is the end a node is measured from: b, then a
-            xj = np.concatenate((-alpha * xjc + tb, alpha * xjc + ta), axis=1)
-            x = xj.reshape(m, -1)
-            if tail.any():
-                x = np.where(tail[:, None], 1 / x - 1 + lo[:, 0], x)
+            through = level == _TS_MINLEVEL
+            # the points where f is evaluated, and each block of rows (the
+            # finite ones, then the [a, inf) ones) with its nodes and weights
+            blocks = []
+            xjc, wj = _pairs(level, through)
+            x = np.empty((m, 2, xjc.size))
+            if nf:
+                ta, tb = lo[:nf], hi[:nf]
+                alpha = (tb - ta) / 2
+                # axis 1 is the end a node is measured from: b, then a
+                xj = np.concatenate((-alpha * xjc + tb, alpha * xjc + ta), axis=1,
+                                    out=x[:nf])
+                blocks.append((slice(0, nf), xj,
+                               np.where((xj <= ta) | (xj >= tb), 0.0, wj * alpha)))
+            if nf < m:
+                t, t_inv, t_jac, t_w = _tail_nodes(level, through)
+                blocks.append((slice(nf, m), t, t_w))
+                np.add(t_inv, lo[nf:], out=x[nf:])
+            x = x.reshape(m, -1)
             fj = np.asarray(f(x, *rest), dtype=float)
             if fj.shape != x.shape:
                 raise QuadratureError("the integrand must return one value per node")
@@ -204,23 +246,24 @@ def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
             del x
             calls += fj.shape[-1]
             f3 = fj.reshape(m, 2, -1)  # a view, written in place
-            if tail.any():
-                f3[tail] *= xj[tail]**-2.
-            w = np.where((xj <= ta) | (xj >= tb), 0.0, wj * alpha)
-            invalid = ~np.isfinite(f3) | (w == 0)
-            out = np.where(invalid, -np.inf, _OUTWARD * xj)
-            del xj
-            i = np.argmax(out, axis=-1)[..., None]
-            far = np.take_along_axis(out, i, -1)[..., 0]
-            new = far > reach
-            reach = np.where(new, far, reach)
-            edge_f = np.where(new, np.take_along_axis(f3, i, -1)[..., 0], edge_f)
-            edge_w = np.where(new, np.take_along_axis(w, i, -1)[..., 0], edge_w)
-            # a node without a finite value takes the outermost one's
-            np.copyto(f3, edge_f[..., None], where=invalid)
-            del out, invalid, f3
-            fjwj = fj * w.reshape(m, -1)
-            del fj, w
+            if nf < m:
+                f3[nf:] *= t_jac
+            for part, nodes, w in blocks:
+                fp = f3[part]
+                invalid = ~np.isfinite(fp) | (w == 0)
+                out = np.where(invalid, -np.inf, _OUTWARD * nodes)
+                row, i = np.arange(fp.shape[0])[:, None], np.argmax(out, axis=-1)
+                far = out[row, _ENDS, i]
+                new = far > reach[part]
+                np.copyto(reach[part], far, where=new)
+                np.copyto(edge_f[part], fp[row, _ENDS, i], where=new)
+                np.copyto(edge_w[part], np.broadcast_to(w, fp.shape)[row, _ENDS, i], where=new)
+                # a node without a finite value takes the outermost one's
+                np.copyto(fp, edge_f[part, :, None], where=invalid)
+                fp *= w
+            # f3 now holds the terms f_j w_j
+            fjwj = fj
+            del blocks, nodes, w, fj, f3, fp, invalid, out
             Sn = np.sum(fjwj, axis=-1) * h
             if level == _TS_MINLEVEL:
                 # the estimates one and two levels down, from the same terms
@@ -239,14 +282,17 @@ def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
             d5 = _EPS * np.abs(Sn)
             del fjwj
             temp = np.where(d1 > 0, d1**(np.log(d1) / np.log(d2)), 0)
-            aerr = np.clip(np.max(np.stack([temp, d1**2, d3, d4]), axis=0), d5, d1)
+            # the largest of temp, d1^2, d3 and d4, clipped to [d5, d1]
+            aerr = np.minimum(np.maximum(np.maximum(np.maximum(np.maximum(
+                temp, d1**2), d3), d4), d5), d1)
             done = (aerr / np.abs(Sn) < rtol) | (aerr < _TS_ATOL)
             stop = done | ~np.isfinite(Sn) | (level == maxlevel)
             value[rows[stop]], error[rows[stop]] = Sn[stop], aerr[stop]
             success[rows[stop]] = done[stop]
             nfev[rows[stop]] = calls
             keep = ~stop
-            rows, lo, hi, ta, tb, tail = (v[keep] for v in (rows, lo, hi, ta, tb, tail))
+            nf = np.count_nonzero(keep[:nf])
+            rows, lo, hi = rows[keep], lo[keep], hi[keep]
             rest = [v[keep] for v in rest]
             reach, edge_f, edge_w = reach[keep], edge_f[keep], edge_w[keep]
             Snm2, Snm1 = Snm1[keep], Sn[keep]

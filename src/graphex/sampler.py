@@ -992,7 +992,11 @@ class _Block:
         return np.searchsorted(self.vertex_start, vertices, side="right") - 1
 
     def graph(self, i: int) -> SampledGraph:
-        """Replicate i as a graph of its own."""
+        """Replicate i as a graph of its own; a block drawn without labels
+        has none to give it."""
+        if self.labels is None:
+            raise SamplerError("this block was drawn with labels=False, so its replicates "
+                               "cannot be made graphs; draw it with labels=True")
         v0, v1 = int(self.vertex_start[i]), int(self.vertex_start[i + 1])
         e0, e1 = int(self.edge_start[i]), int(self.edge_start[i + 1])
         edges = self.edges[e0:e1]

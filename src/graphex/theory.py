@@ -20,10 +20,13 @@ degree distribution of a visible vertex chosen uniformly at random, in the
 large-nu limit ignoring stars, self edges and isolated edges.
 
 All integrals run through :meth:`Graphex.integrate` on the array layer of
-:mod:`graphex.quadrature`. Every node's marginal comes from one array call
-(:meth:`Graphex.nested_marginal`), which is never refined: where it does not
-settle (a black-box kernel with jumps, such as ``le(x, 2) * le(y, 2)``), the
-expectation raises a TheoryError at once.
+:mod:`graphex.quadrature`. The marginals at all the nodes of one level of the
+outer rule come from one array call (:meth:`Graphex.nested_marginal`), which
+is never refined: where it does not settle (a black-box kernel with jumps,
+such as ``le(x, 2) * le(y, 2)``), the expectation raises a TheoryError at
+once. Every integral over [0, inf) has the same nodes, and the graphex
+memoises that call per node set, so every expectation at every nu shares the
+inner passes of the first.
 """
 
 from __future__ import annotations

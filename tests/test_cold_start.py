@@ -1,6 +1,7 @@
 """Cold start: importing graphex, building a declaration, drawing a graph
 and integrating load no SciPy module, and neither do the CLI's ``expect
---stat edges|vertices`` and ``check``.
+--stat edges|vertices`` and ``check``, of a closed-form family and of a
+custom kernel, whose integrals are nested.
 
 SciPy costs about 0.9 s to import cold, more than a fast-decay ``sample``
 needs in all. The package integrates with its own rule, so no step that
@@ -22,6 +23,7 @@ import sys
 import pytest
 
 import graphex
+from graphex import theory
 
 SCRIPT = r"""
 import json, os, sys
@@ -83,6 +85,17 @@ for stat in ("edges", "vertices"):
 check_code = cli.main(["check", "--graphex", '{"family": "slow-decay"}', "--out",
                        os.path.join(out_dir, "check.json")])
 loaded["cli check"] = scipy_modules()
+# a custom kernel's expectation and check are nested integrals, whose inner
+# marginals the graphex memoises
+CUSTOM = json.dumps(DECLS["custom"])
+custom_codes = [cli.main(["expect", "--graphex", CUSTOM, "--nu", "20", "--stat", "vertices",
+                          "--out", os.path.join(out_dir, "custom-vertices.json")])]
+loaded["cli expect vertices custom"] = scipy_modules()
+custom_codes.append(cli.main(["check", "--graphex", CUSTOM, "--out",
+                              os.path.join(out_dir, "custom-check.json")]))
+loaded["cli check custom"] = scipy_modules()
+with open(os.path.join(out_dir, "custom-vertices.json")) as fh:
+    custom_vertices = json.load(fh)
 
 edges_expected = theory.expected_edges(built["custom"], 20.0).value
 loaded["expected_edges"] = scipy_modules()
@@ -96,7 +109,8 @@ print(json.dumps({
     "csv_bytes": os.path.getsize(csv), "caron_fox_code": caron_fox_code,
     "caron_fox_csv_bytes": os.path.getsize(caron_fox_csv), "expected_edges": edges_expected,
     "largest_component": list(giant), "ks_p_value": ks.p_value,
-    "expect_codes": expect_codes, "check_code": check_code,
+    "expect_codes": expect_codes, "check_code": check_code, "custom_codes": custom_codes,
+    "custom_vertices": custom_vertices,
 }))
 """
 
@@ -104,7 +118,8 @@ NO_SCIPY_STEPS = [
     "import", "build slow-decay", "build fast-decay", "build constant-self",
     "build caron-fox", "build graphon-dilation", "build custom", "build separable",
     "sample_keg", "cli sample", "cli sample caron-fox", "cli --version", "cli expect edges",
-    "cli expect vertices", "cli check", "expected_edges",
+    "cli expect vertices", "cli check", "cli expect vertices custom", "cli check custom",
+    "expected_edges",
 ]
 
 
@@ -131,6 +146,9 @@ def test_the_scipy_free_steps_did_their_work(cold):
     assert cold["caron_fox_csv_bytes"] > 0
     assert cold["expect_codes"] == [0, 0]
     assert cold["check_code"] == 0
+    assert cold["custom_codes"] == [0, 0]
+    custom = graphex.build({"family": "custom", "exprs": {"W": "exp(-x-y)"}})
+    assert cold["custom_vertices"]["value"] == theory.expected_vertices(custom, 20.0).value
     # ||W||_1 = 1 for W = exp(-x-y), so nu^2 / 2 edges at nu = 20
     assert cold["expected_edges"] == pytest.approx(200.0, rel=1e-8)
 

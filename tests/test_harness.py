@@ -14,6 +14,7 @@ from graphex.harness import (
     connectivity_experiment,
     degdist_experiment,
     projectivity_test,
+    statistic,
     validate_expectations,
     write_csv,
     write_json,
@@ -114,6 +115,27 @@ def test_validate_argument_errors():
         validate_expectations(FAST, (3.0,), 30, seed=0, stats=("triangles",))
     with pytest.raises(HarnessError, match="unknown statistic"):
         validate_expectations(FAST, (3.0,), 30, seed=0, stats=("degree_<k>",))
+
+
+@pytest.mark.parametrize("name", [
+    "degree_1_2", "degree_+2", "degree_ 2", "degree_2 ", "degree_02", "degree_0",
+    "degree_-1", "degree_2.0", "degree_\u00b2", "degree_\u0662", "degree_", "degree",
+])
+def test_degree_names_are_decimal_digits_without_a_leading_zero(name):
+    # each degree has one name: "degree_1_2" once counted degree 12 and
+    # "degree_+2" degree 2 under a second label
+    with pytest.raises(HarnessError, match="unknown statistic"):
+        statistic(name)
+    with pytest.raises(HarnessError, match="unknown statistic"):
+        validate_expectations(FAST, (3.0,), 30, seed=0, stats=("edges", name))
+
+
+def test_degree_names_count_their_degree():
+    rep = validate_expectations(FAST, (3.0,), 30, seed=0,
+                                stats=("degree_2", "degree_12", "degree_10"))
+    assert [r.statistic for r in rep.rows] == ["degree_2", "degree_12", "degree_10"]
+    assert [r.theory for r in rep.rows] == [
+        expected_degree_count(FAST, 3.0, k).value for k in (2, 12, 10)]
 
 
 # --------------------------------------------------------------------------

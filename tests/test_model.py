@@ -8,6 +8,7 @@ import pytest
 
 from scipy import integrate
 
+from graphex import model, theory
 from graphex.model import Graphex, GraphexError, SpecError, build, build_from_json, dilate
 
 
@@ -217,6 +218,95 @@ def test_unsettled_elements_are_refined():
     np.testing.assert_allclose(box.marginal(xs), [1.0, 1.0, 0.0], rtol=1e-9, atol=0)
     smooth = build({"family": "caron-fox"})
     assert smooth.marginal_nodes(np.linspace(0.0, 30.0, 50))[1].all()
+
+
+BLACK_BOX = [{"family": "caron-fox"}, {"family": "custom", "exprs": {"W": "exp(-x-y)"}}]
+
+
+def expectation_run(g):
+    """The expectations of three levels: edges, vertices, degree counts and
+    the degree law, as the theory computes them."""
+    return [(theory.expected_edges(g, nu).value, theory.expected_vertices(g, nu).value,
+             theory.expected_degree_count(g, nu, 1).value,
+             theory.expected_degree_count(g, nu, 2).value,
+             theory.degree_ccdf(g, nu, 2), theory.degree_pmf(g, nu, 3))
+            for nu in (5.0, 20.0, 100.0)]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("spec", BLACK_BOX)
+def test_memoised_marginals_are_a_fresh_graphex_s_bit_for_bit(spec):
+    warm = build(spec)
+    first = expectation_run(warm)
+    assert warm._cache["marginal_nodes"]
+    assert np.array_equal(bits(expectation_run(warm)), bits(first))
+    assert np.array_equal(bits(expectation_run(build(spec))), bits(first))
+    # the last node set twice: the second time from the memo
+    for x in (np.linspace(0.0, 30.0, 50), np.array([0.5, 2.0]), np.array([0.5, 2.0])):
+        for lo in (0.0, 1.0):
+            got, want = warm.marginal_nodes(x, 1e-7, lo), build(spec).marginal_nodes(x, 1e-7, lo)
+            assert np.array_equal(bits(got[0]), bits(want[0]))
+            assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("spec", BLACK_BOX)
+def test_each_distinct_node_set_gets_one_inner_pass(spec, monkeypatch):
+    passes, node_sets = [], set()
+    first_pass, marginal_nodes = model.first_pass, model.Graphex.marginal_nodes
+
+    def counted_pass(*args, **kwargs):
+        passes.append(1)
+        return first_pass(*args, **kwargs)
+
+    def seen(self, x, rel_tol=1e-8, lo=0.0):
+        node_sets.add((np.asarray(x, dtype=float).tobytes(), rel_tol, lo))
+        return marginal_nodes(self, x, rel_tol, lo)
+
+    monkeypatch.setattr(model, "first_pass", counted_pass)
+    monkeypatch.setattr(model.Graphex, "marginal_nodes", seen)
+    g = build(spec)
+    expectation_run(g)
+    # three levels of six statistics share two node sets of the outer rule
+    assert len(passes) == len(node_sets) == 2
+    expectation_run(g)
+    assert len(passes) == 2
+
+
+def test_the_marginal_memo_is_bounded_and_keeps_the_last_used():
+    g = build(BLACK_BOX[0])
+    size = model._MARGINAL_MEMO_SIZE
+    first = np.array([0.25, 4.0])
+    g.marginal_nodes(first)
+    for i in range(3 * size):
+        g.marginal_nodes(np.array([1.0 + i, 2.0 + i]))
+        g.marginal_nodes(first)  # used again, so never the oldest
+        assert len(g._cache["marginal_nodes"]) <= size
+    memo = g._cache["marginal_nodes"]
+    assert len(memo) == size
+    assert (first.tobytes(), 1e-8, 0.0) in memo
+    assert (np.array([1.0, 2.0]).tobytes(), 1e-8, 0.0) not in memo
+
+
+def test_writes_to_a_returned_marginal_do_not_reach_the_memo():
+    box = build({"family": "custom", "exprs": {"W": "0.5 * le(x, 2) * le(y, 2)"}})
+    xs = np.array([0.0, 1.0, 3.0])
+    value, settled = box.marginal_nodes(xs)
+    want = value.copy(), settled.copy()
+    value[:] = -1.0
+    settled[:] = True
+    # refined_marginal writes its refined elements into the memoised pass
+    refined, ok = box.refined_marginal(xs)
+    assert ok.all()
+    np.testing.assert_allclose(refined, [1.0, 1.0, 0.0], rtol=1e-9, atol=0)
+    refined[:] = -2.0
+    again = box.marginal_nodes(xs)
+    assert np.array_equal(bits(again[0]), bits(want[0]))
+    assert np.array_equal(again[1], want[1]) and not again[1][:2].any()
+    assert np.array_equal(bits(box.refined_marginal(xs)[0]),
+                          bits(build(box.spec).refined_marginal(xs)[0]))
 
 
 def test_marginal_resolves_jumps_near_the_diagonal_and_far_out():

@@ -400,6 +400,12 @@ RULE_CASES = {
     "broadcast args": (lambda t, c, d: np.exp(-c * t) * np.cos(d * t),
                        [0.0, 0.5, 1.0, 2.0], [1.0, 3.0, math.inf, 9.0],
                        (np.array([[0.5], [1.0], [4.0]]), np.array([0.0, 1.0, 3.0, 30.0]))),
+    # finite and [a, inf) rows interleaved, one empty, and a peak whose
+    # sharpness sets the level each row stops at
+    "mixed rows": (lambda t, c: np.exp(-c * (t - 1.0) ** 2) * (1.0 + 0.5 * np.cos(t)),
+                   [0.0, 0.0, 0.5, 2.0, 1.0, 0.25, 3.0, 0.0],
+                   np.array([3.0, math.inf, 2.0, math.inf, 40.0, math.inf, 3.0, math.inf]),
+                   (np.array([[0.5], [5.0], [60.0], [800.0]]),)),
 }
 
 
@@ -409,6 +415,16 @@ RULE_CASES = {
 def test_rule_is_scipys_bit_for_bit(case, rel_tol, maxlevel):
     f, a, b, args = RULE_CASES[case]
     assert_same_rule(f, a, b, rel_tol, args, maxlevel)
+
+
+@pytest.mark.parametrize("maxlevel", [5, 10])
+def test_the_mixed_rows_stop_at_different_levels(maxlevel):
+    # so the [a, inf) rows, which share their nodes, and the finite rows
+    # leave the rule at different levels, beside each other
+    f, a, b, args = RULE_CASES["mixed rows"]
+    evaluations = quadrature._tanhsinh(f, a, b, 1e-8, args, maxlevel)[3]
+    for rows in (np.isfinite(b) & (np.array(a) < b), np.isinf(b)):
+        assert len(np.unique(evaluations[:, rows])) >= (2 if maxlevel == 5 else 4)
 
 
 @pytest.mark.parametrize("decl", [

@@ -1014,6 +1014,16 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
         assert sum(int(np.count_nonzero(g.edges[:, 0] == g.edges[:, 1])) for g in alone) > 0
 
 
+def test_a_block_without_labels_refuses_to_make_graphs():
+    block = _draw(FAST, SamplerConfig(nu=5.0, seed=0), (1, 2), labels=False)
+    assert block.labels is None and block.reps == 2
+    for i in range(2):
+        with pytest.raises(SamplerError, match="labels=False"):
+            block.graph(i)
+    labelled = _draw(FAST, SamplerConfig(nu=5.0, seed=0), (1, 2))
+    assert labelled.graph(1).n_edges == block.edge_start[2] - block.edge_start[1]
+
+
 def test_a_large_draw_is_a_block_of_its_own():
     assert _block_size(FAST, SamplerConfig(nu=1000.0, seed=0)) == 1
     assert _block_size(SLOW, SamplerConfig(nu=5.0, seed=0, eps=1e-2)) > 100
