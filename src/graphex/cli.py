@@ -82,8 +82,6 @@ def _add_report_flags(p) -> None:
     p.add_argument("--out", metavar="PATH", help="write the JSON report here "
                    "(default: stdout)")
     p.add_argument("--csv", metavar="PATH", help="also write a flat CSV of the rows")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for replicates (default: serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expected missed-edge budget for the latent cutoff")
     p.add_argument("--theta-max", type=float, default=None,
                    help="override the computed latent cutoff")
-    p.add_argument("--retain-latent", action="store_true",
-                   help="keep latent coordinates so --latent-out can be written")
     p.add_argument("--no-fast-path", action="store_true",
                    help="force the naive pair loop even for separable and caron-fox kernels")
     p.add_argument("--out", metavar="PATH", help="edge CSV (default: stdout)")
@@ -183,7 +179,7 @@ def cmd_sample(args) -> int:
     g = _load_graphex(args.graphex)
     cfg = SamplerConfig(nu=args.nu, seed=args.seed, eps=args.eps,
                         theta_max=args.theta_max,
-                        retain_latent=args.retain_latent or bool(args.latent_out),
+                        retain_latent=bool(args.latent_out),
                         use_fast_path=not args.no_fast_path)
     graph = sample_keg(g, cfg)
     graph.write_csv(args.out if args.out else sys.stdout)
@@ -223,7 +219,7 @@ def _report_command(experiment: str, levels: str, *options: str):
     def run(args) -> int:
         g = _load_graphex(args.graphex)
         report = globals()[experiment](
-            g, getattr(args, levels), args.replicates, args.seed, threads=args.threads,
+            g, getattr(args, levels), args.replicates, args.seed,
             **{name: getattr(args, name) for name in options})
         _emit(report.to_dict(), args)
         if args.csv:

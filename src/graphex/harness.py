@@ -5,11 +5,11 @@ truncation level nu of a grid it draws R graphs, and replicate ``rep`` at
 grid index ``i_nu`` always uses the child seed
 ``derive_key(seed, i_nu, rep)[0]`` of the one base seed. The graphs are drawn
 in blocks of replicates (``sampler._draw``), as many per block as the
-expected work of a draw allows. Replicate ``rep`` of a block is, to the bit,
-the graph ``sample_keg`` draws at its child seed. So results do not depend
-on blocks or scheduling, and the block size and the optional thread pool,
-which draws blocks in parallel, change only wall time. The experiment's
-measure reduces each block to one value per replicate: counts of registered
+expected work of a draw allows, and on a thread pool where draws are large
+(``_workers``). Replicate ``rep`` of a block is, to the bit, the graph
+``sample_keg`` draws at its child seed. So results do not depend on blocks
+or scheduling, which change only wall time. The experiment's measure
+reduces each block to one value per replicate: counts of registered
 statistics, a degree fraction, a largest-component fraction, or an edge
 count. Degrees are counted over the block's whole graph, and components come
 from one search of it, since no edge joins two replicates. The projectivity
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -66,7 +67,7 @@ from .graphstats import degrees as _degrees
 # not called here, but bound for perfbench's tracer, which wraps these in
 # every module that holds them
 from .graphstats import largest_component  # noqa: F401
-from .model import Graphex
+from .model import Graphex, _number
 from .sampler import SamplerConfig, _block_size, _draw
 from .sampler import restrict, sample_keg  # noqa: F401
 
@@ -102,8 +103,7 @@ def _check_reps(reps: int) -> None:
 
 
 def _check_verdict_level(value, name: str, ok, what: str) -> None:
-    # bool is a subclass of int, but True is no level
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+    if not (_number(value) and ok(value)):
         raise HarnessError(f"{name} must be {what}, got {value!r}")
 
 
@@ -123,28 +123,47 @@ def _check_grid(nus) -> tuple[float, ...]:
 # The replicate engine
 # ---------------------------------------------------------------------------
 
-def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float,
-                threads: int | None, measure, labelled=()):
+# expected work of one draw (``sampler._block_size``) from which a level's
+# blocks go to a thread pool. On 2 cores, serial vs. a pool of two (medians
+# of 5-9 alternating runs), fast-decay degdist at nu = 1000 (2.0e6) takes
+# 3544 -> 1640 ms and at nu = 300 (1.85e5) 394 -> 248 ms; at 8.4e4 the pool
+# is level to 25% faster, at 4.8e4 and below level or slower (2.2e4: 49 -> 93)
+_POOL_WORK = 1 << 17
+# expected work of the draws in flight at once. A draw's peak holds about 16
+# bytes per unit (tracemalloc, fast-decay nu = 200 and 1000: 1.4 and 32.6 MB),
+# so this caps the pool's draws near 270 MB, 8 at nu = 1000
+_POOL_BUDGET = 1 << 24
+
+
+def _workers(work: float, blocks: int) -> int:
+    """Threads for a level's blocks: 1 unless there are several and a draw's
+    work reaches ``_POOL_WORK``, else one per block and core, within budget."""
+    if blocks < 2 or work < _POOL_WORK:
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(blocks, cores, int(_POOL_BUDGET // work)))
+
+
+def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float, measure,
+                labelled=()):
     """Yield (nu, [value of each replicate]) per grid level, with replicate
-    seeds addressed as in the module docstring. The replicates are drawn in
-    blocks; ``measure(block, i_nu)`` gives the value of each replicate of a
-    block. Labels are drawn only at the levels whose indices ``labelled``
-    lists."""
-    # bool is a subclass of int, but True is no thread count
-    if threads is not None and not (isinstance(threads, int) and not isinstance(threads, bool)
-                                    and threads >= 1):
-        raise HarnessError(f"threads must be None or an integer >= 1, got {threads!r}")
+    seeds as in the module docstring. ``measure(block, i_nu)`` gives the
+    values of a block's replicates, drawn on ``_workers`` threads, which only
+    read ``g._cache``. Labels are drawn only at the level indices in ``labelled``."""
     for i_nu, nu in enumerate(grid):
         cfg = SamplerConfig(nu=nu, seed=seed, eps=eps)
         seeds = rngmod.derive_keys(seed, i_nu, np.arange(reps))[0].tolist()
-        size = _block_size(g, cfg)
+        size, work = _block_size(g, cfg)  # caches the cutoff before any worker runs
         chunks = [seeds[i:i + size] for i in range(0, reps, size)]
 
         def one(chunk, cfg=cfg, i_nu=i_nu):
             return measure(_draw(g, cfg, chunk, labels=i_nu in labelled), i_nu)
 
-        if threads is not None and threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = _workers(work, len(chunks))
+        if workers > 1:
+            # map keeps the order of the blocks
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(one, chunks))
         else:
             parts = [one(chunk) for chunk in chunks]
@@ -295,8 +314,7 @@ def statistic(name: str):
 
 def validate_expectations(g: Graphex, nus, reps: int, seed: int,
                           stats=DEFAULT_STATS,
-                          eps: float = 1e-3, z_crit: float = DEFAULT_Z_CRIT,
-                          threads: int | None = None) -> ValidationReport:
+                          eps: float = 1e-3, z_crit: float = DEFAULT_Z_CRIT) -> ValidationReport:
     """Compare replicate means of count statistics against the theory engine.
 
     All statistics at one nu are read off the same R graphs.
@@ -315,7 +333,7 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
         return table.T.tolist()
 
     rows = []
-    for nu, samples in _replicates(g, grid, reps, seed, eps, threads, counts):
+    for nu, samples in _replicates(g, grid, reps, seed, eps, counts):
         samples = np.asarray(samples)
         for j, (label, _, expect) in enumerate(parsed):
             values = samples[:, j]
@@ -372,8 +390,7 @@ class DegreeLawReport(_Record):
 
 
 def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = None,
-                       beta: float | None = None, eps: float = 1e-3,
-                       threads: int | None = None) -> DegreeLawReport:
+                       beta: float | None = None, eps: float = 1e-3) -> DegreeLawReport:
     """Empirical degree law of a random visible vertex vs. the theory ratio.
 
     Per graph, the fraction of vertices with degree > k (and exactly k) is
@@ -385,10 +402,10 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
     grid = _check_grid(nus)
     if (k is None) == (beta is None):
         raise HarnessError("exactly one of k and beta must be given")
-    if k is not None and not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
+    if k is not None and not (_number(k, int) and k >= 1):
         raise HarnessError(f"k must be an integer >= 1, got {k!r}")
-    if beta is not None and not (0.0 < beta < 1.0):
-        raise HarnessError(f"beta must lie in (0, 1), got {beta!r}")
+    if beta is not None:
+        _check_verdict_level(beta, "beta", lambda b: 0.0 < b < 1.0, "in (0, 1)")
     ks = [k if k is not None else max(1, int(math.floor(nu ** beta))) for nu in grid]
 
     def fractions(block, i_nu):
@@ -398,7 +415,7 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
         return [(a / v, b / v) if v else None for v, a, b in zip(n, above, at)]
 
     rows = []
-    levels = _replicates(g, grid, reps, seed, eps, threads, fractions)
+    levels = _replicates(g, grid, reps, seed, eps, fractions)
     for k_nu, (nu, results) in zip(ks, levels):
         kept, rejected = _drop_empty(results, nu, "the degree experiment is undefined")
         arr = np.asarray(kept)
@@ -449,8 +466,7 @@ class ConnectivityReport(_Record):
 
 
 def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
-                            eps: float = 1e-3, threshold: float = 0.95,
-                            threads: int | None = None) -> ConnectivityReport:
+                            eps: float = 1e-3, threshold: float = 0.95) -> ConnectivityReport:
     """Mean largest-component fraction across a nu grid. The components of
     a block's replicates come from one search of the block's graph."""
     _check_reps(reps)
@@ -467,7 +483,7 @@ def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
                 zip(np.diff(block.vertex_start).tolist(), largest.tolist(), seen.tolist())]
 
     rows = []
-    for nu, results in _replicates(g, grid, reps, seed, eps, threads, fraction):
+    for nu, results in _replicates(g, grid, reps, seed, eps, fraction):
         kept, rejected = _drop_empty(results, nu, "is the kernel identically zero?")
         rows.append(ConnectivityRow(nu, reps, rejected, float(np.mean(kept))))
     return ConnectivityReport(tuple(rows), threshold, seed, dict(g.spec))
@@ -496,8 +512,7 @@ class ProjectivityReport(_Record):
 
 
 def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
-                      eps: float = 1e-3, p_floor: float = DEFAULT_P_FLOOR,
-                      threads: int | None = None) -> ProjectivityReport:
+                      eps: float = 1e-3, p_floor: float = DEFAULT_P_FLOOR) -> ProjectivityReport:
     """KS test: edge counts of restrict(sample(2 nu), nu) vs. sample(nu).
 
     Under projectivity the two arms are identically distributed, so a tiny
@@ -505,8 +520,7 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     p-value is used; with integer-valued samples it is conservative.
     """
     _check_reps(reps)
-    if isinstance(nu, bool) or not (math.isfinite(nu) and nu > 0):
-        raise HarnessError(f"nu must be positive and finite, got {nu!r}")
+    _check_verdict_level(nu, "nu", lambda v: math.isfinite(v) and v > 0, "positive and finite")
     _check_verdict_level(p_floor, "p_floor", lambda p: 0.0 < p < 1.0, "in (0, 1)")
 
     def edge_count(block, i_nu):
@@ -520,8 +534,7 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
         return np.bincount(rep[kept], minlength=block.reps).tolist()
 
     arm_a, arm_b = (np.asarray(counts, dtype=float) for _, counts in
-                    _replicates(g, (2.0 * nu, nu), reps, seed, eps, threads, edge_count,
-                                labelled=(0,)))
+                    _replicates(g, (2.0 * nu, nu), reps, seed, eps, edge_count, labelled=(0,)))
     # imported here so that importing graphex does not load SciPy
     from scipy.stats import ks_2samp
 

@@ -319,6 +319,11 @@ def _require(cond: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _number(value, kinds=(int, float)) -> bool:
+    # bool is a subclass of int, but True (JSON's true) is no number
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _compile_expr(source: str, allowed_vars: set[str], what: str) -> exprmod.Expr:
     try:
         e = exprmod.parse(source)
@@ -368,11 +373,10 @@ def _vet_nonnegative(f: Callable, what: str, factor: bool = False) -> None:
 def _family_constant(params: dict, exprs: dict):
     p = params.get("p")
     c = params.get("c")
-    _require(isinstance(p, (int, float)) and 0.0 <= p <= 1.0, "constant: p must be in [0, 1]")
-    _require(isinstance(c, (int, float)) and c > 0 and math.isfinite(c),
+    _require(_number(p) and 0.0 <= p <= 1.0, "constant: p must be in [0, 1]")
+    _require(_number(c) and c > 0 and math.isfinite(c),
              "constant: c must be a finite positive number")
-    p = float(p)
-    c = float(c)
+    p, c = float(p), float(c)
 
     def w(x, y):
         x = np.asarray(x, dtype=float)
@@ -404,12 +408,17 @@ def _family_constant(params: dict, exprs: dict):
 def _family_graphon_dilation(params: dict, exprs: dict):
     c = params.get("c")
     grid = params.get("grid")
-    _require(isinstance(c, (int, float)) and c > 0 and math.isfinite(c),
+    _require(_number(c) and c > 0 and math.isfinite(c),
              "graphon-dilation: c must be a finite positive number")
     c = float(c)
-    arr = np.asarray(grid, dtype=float)
+    try:
+        arr = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)  # ragged, or entries that are no numbers: refused below
     _require(arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.shape[0] >= 1,
              "graphon-dilation: grid must be a square matrix")
+    _require(all(_number(v, (int, float, np.number)) for row in grid for v in row),
+             "graphon-dilation: grid entries must be numbers")
     _require(bool(np.all((arr >= 0.0) & (arr <= 1.0))),
              "graphon-dilation: grid entries must lie in [0, 1]")
     _require(bool(np.allclose(arr, arr.T, atol=_SYMMETRY_TOL)),
@@ -606,10 +615,11 @@ def build(spec: dict) -> Graphex:
     exprs = spec.get("exprs", {})
     _require(isinstance(params, dict), "params must be an object")
     _require(isinstance(exprs, dict), "exprs must be an object")
-    self_edges = bool(spec.get("self_edges", False))
+    self_edges = spec.get("self_edges", False)
+    _require(isinstance(self_edges, bool), "self_edges must be true or false")
 
     isolated = spec.get("I", 0.0)
-    _require(isinstance(isolated, (int, float)) and not math.isnan(isolated) and isolated >= 0,
+    _require(_number(isolated) and not math.isnan(isolated) and isolated >= 0,
              "I must be a number >= 0 (math.inf is representable but unsampleable)")
     isolated = float(isolated)
 

@@ -112,6 +112,7 @@ from the expected work of one draw, so a large draw is a block of its own.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -121,7 +122,7 @@ import numpy as np
 from . import rng as rngmod
 from .expr import EvalError
 from .graphstats import ranked_unique, sorted_unique
-from .model import Graphex, GraphexError
+from .model import Graphex, GraphexError, _number
 
 __all__ = [
     "PROV_ISOLATED",
@@ -159,24 +160,11 @@ class SamplerError(GraphexError):
     pass
 
 
-class _out_stream:
-    """Context manager over a path (opened/closed) or an existing stream
-    (left open)."""
-
-    def __init__(self, dest):
-        self.dest = dest
-        self.fh = None
-
-    def __enter__(self):
-        if hasattr(self.dest, "write"):
-            return self.dest
-        self.fh = open(self.dest, "w", encoding="utf-8", newline="")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh is not None:
-            self.fh.close()
-        return False
+def _out_stream(dest):
+    """A context over a path (opened and closed) or a stream (left open)."""
+    if hasattr(dest, "write"):
+        return contextlib.nullcontext(dest)
+    return open(dest, "w", encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)
@@ -215,21 +203,17 @@ class SamplerConfig:
 
 
 def _check_seed(seed) -> None:
-    # bool is a subclass of int, but True is no seed
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+    if not (_number(seed, int) and seed >= 0):
         raise SamplerError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _check_level(nu, name: str) -> None:
-    # bool is a subclass of int, but True is no truncation level
-    if not (isinstance(nu, (int, float)) and not isinstance(nu, bool)
-            and math.isfinite(nu) and nu >= 0):
+    if not (_number(nu) and math.isfinite(nu) and nu >= 0):
         raise SamplerError(f"{name} must be a finite number >= 0, got {nu!r}")
 
 
 def _check_eps(eps) -> None:
-    # bool is a subclass of int, but True is no budget
-    if not (isinstance(eps, (int, float)) and not isinstance(eps, bool) and eps > 0):
+    if not (_number(eps) and eps > 0):
         raise SamplerError(f"eps must be > 0, got {eps!r}")
 
 
@@ -1017,15 +1001,15 @@ class _Block:
 _BLOCK_WORK = 1 << 14
 
 
-def _block_size(g: Graphex, cfg: SamplerConfig) -> int:
-    """How many replicates at cfg share one block: as many as split
-    ``_BLOCK_WORK`` by the expected work of one draw. A lazy draw expects
-    c0 (nu sum F)^2 proposal endpoints, nu * (heavy width) heavy points and
-    a Poisson count per stratum. A full cloud expects nu * theta_max points,
-    and for ordered proposals at most 2 nu^2 ||W||_1 proposals and heavy
-    coins (c0 < 2, and f > 1/2 on a set no wider than 2 ||f||_1), the
-    naive path (nu * theta_max)^2 / 2 coins. The pair keys of a block stay
-    below 2^63."""
+def _block_size(g: Graphex, cfg: SamplerConfig) -> tuple[int, float]:
+    """How many replicates at cfg share one block, and the expected work of
+    one draw: as many as split ``_BLOCK_WORK`` by that work. A lazy draw
+    expects c0 (nu sum F)^2 proposal endpoints, nu * (heavy width) heavy
+    points and a Poisson count per stratum. A full cloud expects
+    nu * theta_max points, and for ordered proposals at most 2 nu^2 ||W||_1
+    proposals and heavy coins (c0 < 2, and f > 1/2 on a set no wider than
+    2 ||f||_1), the naive path (nu * theta_max)^2 / 2 coins. The pair keys
+    of a block stay below 2^63."""
     nu = float(cfg.nu)
     theta = cfg.theta_max if cfg.theta_max is not None else choose_theta_max(g, nu, cfg.eps)
     points = nu * theta
@@ -1040,7 +1024,7 @@ def _block_size(g: Graphex, cfg: SamplerConfig) -> int:
         fast = cfg.use_fast_path and norm is not None
         work = points + (2.0 * nu * nu * norm if fast else points * points / 2.0)
     size = int(_BLOCK_WORK // max(work, 1.0))
-    return max(1, min(size, int(2.0 ** 61 / (1.1 * points + 100.0) ** 2)))
+    return max(1, min(size, int(2.0 ** 61 / (1.1 * points + 100.0) ** 2))), work
 
 
 def _full_points(expected: float, theta: float, planted: np.ndarray, reps: int, gens):
@@ -1279,7 +1263,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     """
     if g.w is None:
         raise SamplerError("the graphex has no kernel, the planted degree is always 0")
-    if not (isinstance(reps, int) and not isinstance(reps, bool) and reps >= 1):
+    if not (_number(reps, int) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
     _check_level(lam, "lam")
     _check_level(nu, "nu")

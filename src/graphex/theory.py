@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graphex, GraphexError
+from .model import Graphex, GraphexError, _number
 from .quadrature import QuadratureError, poisson_tail
 
 __all__ = [
@@ -79,16 +79,13 @@ class ExpectationResult:
 
 
 def _check_nu(nu: float) -> float:
-    # bool is a subclass of int, but True is no truncation level
-    if not (isinstance(nu, (int, float)) and not isinstance(nu, bool)
-            and math.isfinite(nu) and nu >= 0):
+    if not (_number(nu) and math.isfinite(nu) and nu >= 0):
         raise TheoryError(f"truncation level nu must be a finite number >= 0, got {nu!r}")
     return float(nu)
 
 
 def _check_k(k, least: int, why: str = "") -> None:
-    # bool is a subclass of int, but True is no degree
-    if not (isinstance(k, int) and not isinstance(k, bool) and k >= least):
+    if not (_number(k, int) and k >= least):
         raise TheoryError(f"k must be an integer >= {least}, got {k!r}{why}")
 
 

@@ -131,12 +131,16 @@ def test_a_verdict_level_out_of_range_is_config_error(argv, capsys):
     assert "graphex: error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_bad_thread_count_is_config_error(capsys, threads):
-    code = run("validate", "--graphex", FAST, "--nus", "3", "--replicates", "30",
-               "--seed", "0", f"--threads={threads}")
-    assert code == EXIT_CONFIG
-    assert "threads must be None or an integer >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ("sample", "--nu", "5", "--seed", "1", "--retain-latent"),
+    ("validate", "--nus", "3", "--seed", "0", "--threads", "2"),
+], ids=["sample-retain-latent", "validate-threads"])
+def test_retired_flags_are_usage_errors(argv):
+    # --latent-out alone keeps the latent values; a level of replicates
+    # chooses its own thread pool
+    with pytest.raises(SystemExit) as exc:
+        run(argv[0], "--graphex", FAST, *argv[1:])
+    assert exc.value.code == 2
 
 
 # --------------------------------------------------------------------------

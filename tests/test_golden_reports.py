@@ -3,9 +3,10 @@
 Each experiment case writes its report as JSON (``write_json``) and as CSV
 (``write_csv`` of ``csv_rows()``) and compares the sha256 of both files with
 a frozen value. A change to the replicate seeds, the random streams, the
-theory values or the serializers shows up here. The cases cover a thread
-pool, replicates rejected as empty graphs, a null kernel, and star and
-isolated-edge rates.
+theory values or the serializers shows up here. The cases cover replicates
+rejected as empty graphs, a null kernel, and star and isolated-edge rates.
+The ``*-threads`` cases are named for the ``threads`` option the harness
+once took; the thread pool a level now chooses for itself changes no byte.
 
 Each ``check`` case writes the local-finiteness report of one declaration as
 JSON, as ``graphex check`` does; a change to the probe budgets, the probe
@@ -33,19 +34,17 @@ NULL = build({"family": "custom", "exprs": {"W": "0"}})
 STAR_ISO = build({"family": "custom", "exprs": {"W": "0", "S": "exp(-x)"}, "I": 0.2})
 
 CASES = {
-    "validate-threads": lambda: validate_expectations(FAST, (2.0, 3.0), 30, 5, threads=2),
+    "validate-threads": lambda: validate_expectations(FAST, (2.0, 3.0), 30, 5),
     "validate-null": lambda: validate_expectations(
         NULL, (2.0,), 30, 0, stats=("edges", "vertices", "degree_1")),
     "validate-star-iso": lambda: validate_expectations(
         STAR_ISO, (3.0,), 30, 1, stats=("edges", "vertices", "degree_1")),
     "degdist-rejected": lambda: degdist_experiment(SLOW, (2, 4), 30, 11, k=1, eps=1e-2),
-    "degdist-threads": lambda: degdist_experiment(FAST, (9.0, 25.0), 30, 4, beta=0.5,
-                                                  threads=2),
-    "connectivity-threads": lambda: connectivity_experiment(FAST, (5.0, 10.0), 30, 3,
-                                                            threads=2),
+    "degdist-threads": lambda: degdist_experiment(FAST, (9.0, 25.0), 30, 4, beta=0.5),
+    "connectivity-threads": lambda: connectivity_experiment(FAST, (5.0, 10.0), 30, 3),
     "connectivity-rejected": lambda: connectivity_experiment(SLOW, (1.0, 2.0), 30, 3,
                                                              eps=1e-2),
-    "projectivity-threads": lambda: projectivity_test(FAST, 3.0, 60, 4, threads=2),
+    "projectivity-threads": lambda: projectivity_test(FAST, 3.0, 60, 4),
     "projectivity-slow": lambda: projectivity_test(SLOW, 2.0, 40, 9, eps=1e-2),
 }
 

@@ -1,16 +1,19 @@
 import json
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from graphex import harness
 from graphex.harness import (
     ConnectivityReport,
     DegreeLawReport,
     HarnessError,
     ProjectivityReport,
     ValidationReport,
-    _replicates,
     connectivity_experiment,
     degdist_experiment,
     projectivity_test,
@@ -74,23 +77,13 @@ def test_validate_report_shape():
 
 
 def test_validate_is_deterministic_and_thread_invariant():
+    # the thread pool's share of the draws is checked by
+    # test_reports_are_the_same_bytes_for_any_thread_count
     a = validate_expectations(FAST, (3.0,), 30, seed=7)
     b = validate_expectations(FAST, (3.0,), 30, seed=7)
-    c = validate_expectations(FAST, (3.0,), 30, seed=7, threads=2)
-    assert json.dumps(a.to_dict(), sort_keys=True) \
-        == json.dumps(b.to_dict(), sort_keys=True) \
-        == json.dumps(c.to_dict(), sort_keys=True)
+    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
     d = validate_expectations(FAST, (3.0,), 30, seed=8)
     assert a.to_dict() != d.to_dict()
-
-
-@pytest.mark.parametrize("threads", [0, -4, True, 2.5])
-def test_replicate_engine_refuses_bad_thread_counts(threads):
-    # refused before any draw, from the engine and from every experiment on it
-    with pytest.raises(HarnessError, match="threads"):
-        next(_replicates(FAST, (3.0,), 30, 0, 1e-3, threads, lambda graph, i_nu: 0))
-    with pytest.raises(HarnessError, match="threads"):
-        validate_expectations(FAST, (3.0,), 30, seed=0, threads=threads)
 
 
 def test_validate_argument_errors():
@@ -174,8 +167,9 @@ def test_degdist_argument_errors():
         degdist_experiment(NULL, (1.0,), 30, seed=0, k=1)
 
 
-# bool is a subclass of int, but True is no count, degree, level or budget; each
-# module refuses it with its own error
+# bool is a subclass of int, but True is no count, degree, level or budget, and
+# a string or None is no level either; each module refuses them with its own
+# error
 @pytest.mark.parametrize("call, error", [
     (lambda: degdist_experiment(FAST, (3.0,), 30, 0, k=True), HarnessError),
     (lambda: validate_expectations(FAST, (2.0, True), 30, 0), HarnessError),
@@ -192,9 +186,13 @@ def test_degdist_argument_errors():
     (lambda: validate_expectations(FAST, (2.0,), 30, 0, z_crit=True), HarnessError),
     (lambda: projectivity_test(FAST, 2.0, 30, 0, p_floor=True), HarnessError),
     (lambda: connectivity_experiment(FAST, (2.0,), 30, 0, threshold=True), HarnessError),
+    (lambda: projectivity_test(FAST, "1", 30, 0), HarnessError),
+    (lambda: projectivity_test(FAST, None, 30, 0), HarnessError),
+    (lambda: degdist_experiment(FAST, (3.0,), 30, 0, beta="0.5"), HarnessError),
 ], ids=["degdist-k", "grid-nu", "projectivity-nu", "sampler-eps", "sampler-theta-max",
         "planted-reps", "planted-eps", "planted-theta-max", "cutoff-nu", "degk-k", "ccdf-k",
-        "pmf-k", "validate-z-crit", "projectivity-p-floor", "connectivity-threshold"])
+        "pmf-k", "validate-z-crit", "projectivity-p-floor", "connectivity-threshold",
+        "projectivity-nu-text", "projectivity-nu-none", "degdist-beta-text"])
 def test_bool_is_refused_as_a_number(call, error):
     with pytest.raises(error):
         call()
@@ -286,20 +284,69 @@ def test_write_json_and_csv(tmp_path):
 # blocks and threads
 # --------------------------------------------------------------------------
 
-def test_reports_are_the_same_bytes_for_any_thread_count():
-    # several blocks per level, so that two threads share them out
+def test_reports_are_the_same_bytes_for_any_thread_count(monkeypatch):
+    # several blocks per level; a pool forced on for every draw, on 1, 2 and 4
+    # usable cores and with threads switching often, gives the serial
+    # engine's bytes
     g = build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.1})
-    assert _block_size(g, SamplerConfig(nu=30.0, seed=0)) < 20
+    assert _block_size(g, SamplerConfig(nu=30.0, seed=0))[0] < 20
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
     runs = {}
-    for threads in (None, 1, 2):
-        reports = (
-            validate_expectations(g, (3.0, 30.0), 60, 7, threads=threads),
-            degdist_experiment(g, (3.0, 30.0), 60, 8, k=1, threads=threads),
-            connectivity_experiment(g, (3.0, 30.0), 60, 9, threshold=0.1, threads=threads),
-            projectivity_test(g, 15.0, 60, 10, threads=threads),
-        )
-        runs[threads] = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    assert runs[None] == runs[1] == runs[2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cores in (None, 1, 2, 4):
+            monkeypatch.setattr(harness, "_POOL_WORK", math.inf if cores is None else 0.0)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)),
+                                raising=False)
+            pools.clear()
+            reports = (
+                validate_expectations(g, (3.0, 30.0), 60, 7),
+                degdist_experiment(g, (3.0, 30.0), 60, 8, k=1),
+                connectivity_experiment(g, (3.0, 30.0), 60, 9, threshold=0.1),
+                projectivity_test(g, 15.0, 60, 10),
+            )
+            runs[cores] = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+            assert max(pools, default=1) == (cores or 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[None] == runs[1] == runs[2] == runs[4]
+
+
+def test_a_level_is_pooled_only_when_its_draws_are_large(monkeypatch):
+    big, budget = harness._POOL_WORK, harness._POOL_BUDGET
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert harness._workers(10 * big, 1) == 1  # one block
+    assert harness._workers(big / 2, 30) == 1  # small draws
+    assert harness._workers(big, 30) == 3  # one per usable core
+    assert harness._workers(big, 2) == 2  # one per block
+    assert harness._workers(budget / 2, 30) == 2  # as many as the budget holds
+    assert harness._workers(budget, 30) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert harness._workers(big, 30) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._workers(big, 30) == 1
+
+
+def test_only_the_largest_benchmark_draws_are_pooled():
+    # the levels of the benchmark's degdist, connectivity, validate and
+    # projectivity runs: only fast-decay at nu = 1000 draws enough to pool
+    const = build({"family": "constant", "params": {"p": 0.5, "c": 2.0}, "self_edges": True})
+    slow = build({"family": "slow-decay"})
+    levels = [(FAST, 1e-3, nu) for nu in (5.0, 10.0, 20.0, 25.0, 50.0, 100.0, 200.0)]
+    levels += [(const, 1e-3, nu) for nu in (5.0, 10.0, 20.0)]
+    levels += [(slow, 1e-2, nu) for nu in (5.0, 10.0, 20.0)]
+    for g, eps, nu in levels:
+        assert _block_size(g, SamplerConfig(nu=nu, seed=0, eps=eps))[1] < harness._POOL_WORK
+    assert _block_size(FAST, SamplerConfig(nu=1000.0, seed=0))[1] >= harness._POOL_WORK
 
 
 def test_a_seed_past_2_64_addresses_its_low_64_bits():

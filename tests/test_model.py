@@ -399,6 +399,29 @@ def test_bad_declarations_raise_spec_error(spec):
         build(spec)
 
 
+# JSON's true is no number, nor is a string, and a flag is true or false;
+# each refusal names its field
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "fast-decay", "self_edges": "false"}, "self_edges"),
+    ({"family": "fast-decay", "self_edges": 1}, "self_edges"),
+    ({"family": "constant", "params": {"p": True, "c": 1.0}}, "p"),
+    ({"family": "constant", "params": {"p": 0.5, "c": True}}, "c"),
+    ({"family": "custom", "exprs": {"W": "0"}, "I": True}, "I"),
+    ({"family": "graphon-dilation", "params": {"c": True, "grid": [[0.5]]}}, "c"),
+    ({"family": "graphon-dilation", "params": {"c": 1.0, "grid": [[True]]}}, "grid"),
+    ({"family": "graphon-dilation", "params": {"c": 1.0, "grid": [[0.5, True], [1, 0.5]]}},
+     "grid"),
+    ({"family": "graphon-dilation", "params": {"c": 1.0, "grid": [["0.5"]]}}, "grid"),
+    ({"family": "graphon-dilation", "params": {"c": 1.0, "grid": [["a"]]}}, "grid"),
+    ({"family": "graphon-dilation", "params": {"c": 1.0, "grid": [[0.5, 0.5], [0.5]]}}, "grid"),
+], ids=["self-edges-text", "self-edges-number", "constant-p", "constant-c", "I",
+        "dilation-c", "dilation-grid", "dilation-grid-mixed", "dilation-grid-text",
+        "dilation-grid-letter", "dilation-grid-ragged"])
+def test_number_and_flag_fields_are_checked(spec, field):
+    with pytest.raises(SpecError, match=rf"(^|: ){field} "):
+        build(spec)
+
+
 def test_build_from_json_and_echo():
     g = build_from_json('{"family": "constant", "params": {"p": 0.5, "c": 2}, "I": 0.1}')
     assert isinstance(g, Graphex)

@@ -532,7 +532,7 @@ def draws(g, cfg, seeds, planted=()):
     each replicate of a block is that graph, to the bit (as
     test_a_block_of_replicates_draws_each_as_a_block_of_one checks)."""
     seeds = list(seeds)
-    size = _block_size(g, cfg)
+    size = _block_size(g, cfg)[0]
     for b0 in range(0, len(seeds), size):
         block = _draw(g, cfg, seeds[b0:b0 + size], planted)
         for i in range(block.reps):
@@ -983,7 +983,7 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
     lazy = _lazy_strata(g, cfg, choose_theta_max(g, nu, eps)) is not None
     assert lazy == case.startswith("lazy")
     alone = [sample_keg(g, dataclasses.replace(cfg, seed=seed), planted) for seed in BLOCK_SEEDS]
-    for size in (1, 7, _block_size(g, cfg)):
+    for size in (1, 7, _block_size(g, cfg)[0]):
         for labels in (True, False):
             for b0 in range(0, len(BLOCK_SEEDS), size):
                 seeds = BLOCK_SEEDS[b0:b0 + size]
@@ -1025,6 +1025,6 @@ def test_a_block_without_labels_refuses_to_make_graphs():
 
 
 def test_a_large_draw_is_a_block_of_its_own():
-    assert _block_size(FAST, SamplerConfig(nu=1000.0, seed=0)) == 1
-    assert _block_size(SLOW, SamplerConfig(nu=5.0, seed=0, eps=1e-2)) > 100
+    assert _block_size(FAST, SamplerConfig(nu=1000.0, seed=0))[0] == 1
+    assert _block_size(SLOW, SamplerConfig(nu=5.0, seed=0, eps=1e-2))[0] > 100
 
