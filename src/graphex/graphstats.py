@@ -122,16 +122,13 @@ def degrees(edges) -> tuple[np.ndarray, np.ndarray]:
     span = int(arr.max()) - lo + 1
     # dense ids, as ranked_unique's rule has it, are counted slot by slot, in
     # int64, since a narrow dtype would wrap on a wide range; uint64 ids past
-    # the int64 range would wrap there, so they are sorted
+    # the int64 range would wrap there, so they are ranked like sparse ones
     if arr.size * SLOT_TABLE_RATIO >= span and arr.dtype != np.uint64:
         tally = np.bincount(arr.ravel().astype(np.int64, copy=False) - lo, minlength=span)
         slots = np.flatnonzero(tally)
         return (slots + lo).astype(arr.dtype, copy=False), tally[slots]
-    ends = np.sort(arr.ravel())
-    # a new id starts wherever the sorted endpoints change; the run length
-    # from one start to the next is that id's degree
-    starts = np.flatnonzero(np.concatenate(([True], ends[1:] != ends[:-1])))
-    return ends[starts], np.diff(starts, append=ends.size).astype(np.int64)
+    ids, rank = ranked_unique(arr.ravel())
+    return ids.astype(arr.dtype, copy=False), np.bincount(rank, minlength=ids.size)
 
 
 @dataclass(frozen=True)

@@ -109,14 +109,13 @@ def _check_verdict_level(value, name: str, ok, what: str) -> None:
 
 def _check_grid(nus) -> tuple[float, ...]:
     try:
-        grid = tuple(float(v) for v in nus)
-    except (TypeError, ValueError):
-        grid = ()  # not an iterable of numbers: refused below
-    # bool is a subclass of int, but True is no truncation level
-    if (not grid or any(isinstance(v, bool) for v in nus)
-            or any(not (math.isfinite(v) and v > 0) for v in grid)):
+        grid = tuple(nus)
+    except TypeError:
+        grid = ()  # not an iterable: refused below
+    # a level is a number, as projectivity's is: not a bool, nor a string
+    if not grid or not all(_number(v) and math.isfinite(v) and v > 0 for v in grid):
         raise HarnessError(f"the nu grid must be nonempty with positive entries, got {nus!r}")
-    return grid
+    return tuple(float(v) for v in grid)
 
 
 # ---------------------------------------------------------------------------

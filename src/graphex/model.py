@@ -284,6 +284,11 @@ class Graphex:
         return self._norm("w_l1", self.nested_marginal, rel_tol,
                           "||W||_1 did not converge; the kernel may be non-integrable")
 
+    def rate_l1(self) -> float:
+        """||r||_1 of the rate factor (see ``rate_factor``)."""
+        return self._norm("rate_l1", self.rate_factor, 1e-9,
+                          "||r||_1 of the rate factor did not converge")
+
     def s_l1(self) -> float:
         return self.tail_s(0.0)
 

@@ -54,16 +54,11 @@ coin. Self loops keep their coin, 1 - exp(-g^2).
 A partner is the index where a key, uniform on [C_u, C_n) for the cumulative
 f C of the slot's table (cumsum(f), or cumsum of f with heavy slots zeroed),
 falls in that table; each later slot v of the table holds [C_{v-1}, C_v).
-When a draw has at least as many keys as latent points, a guide table (Chen &
-Asau 1974) of 4n buckets finds it. A value y goes to bucket
-int(y * 4n / C_n), for the keys and the entries of C alike, so a key's
-answer is the count of entries in lower buckets plus those of its own bucket
-that are at most the key: a key in a bucket of at most one entry settles
-with one comparison, and only keys in crowded buckets get a binary search.
-The indices are those of a binary search over all of C, so every drawn
-number is too. The pairs come out in (u, v) order, heavy and light runs
-merged, and keep it through the slot -> index map, so only a draw whose
-kernel pairs meet self loops or star edges sorts its rows.
+Where many keys search a long table, a guide table (Chen & Asau 1974; see
+``_endpoints``) finds the indices a binary search would, so every drawn
+number is the same either way. The pairs come out in (u, v) order, heavy
+and light runs merged, and keep it through the slot -> index map, so only a
+draw whose kernel pairs meet self loops or star edges sorts its rows.
 
 Lazy clouds. In a sparse draw almost every latent point stays invisible.
 When the family declares f nonincreasing (slow-decay, fast-decay, constant)
@@ -83,9 +78,11 @@ against F^2 alike, and a planted point is a stratum of its own. A drawn f(x)
 over its bound raises SamplerError. theta_max and the law of the draw stay
 those of the full cloud; the streams differ, and kept points are indexed
 stratum by stratum. The full cloud stays where the expected proposal
-endpoints and heavy points number at least the latent points (the guide
-table's rule), for a user ``separable`` f or a star rate, which declare no
-bound, and on the naive path, the reference.
+endpoints and heavy points number at least the latent points, and for a
+user ``separable`` f or a star rate, which declare no bound; any other
+kernel takes the naive path, the reference. ``_plan`` alone makes this
+choice, with the cutoff and the expected work of a draw, and the ``_MAX_*``
+constants cap a draw's latent points, pair coins and proposals.
 
 All paths produce the same distribution; differential tests in the test
 suite hold the full cloud, the lazy cloud and the Caron-Fox construction
@@ -107,7 +104,8 @@ each replicate's own order, and a search in a replicate's own table is
 done row by row or, for many small rows, as one search of the pairs
 (replicate, value). Stars, isolated edges, labels and the naive path loop
 over the replicates. ``_block_size`` sets how many replicates share a block
-from the expected work of one draw, so a large draw is a block of its own.
+from the expected work of one draw (``_plan``), so a large draw is a block
+of its own.
 """
 
 from __future__ import annotations
@@ -115,6 +113,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +145,13 @@ _CSV_BLOCK = 1 << 16  # edges formatted per write in SampledGraph.write_csv
 _TAU = 0.5
 _C0 = -math.log(1.0 - _TAU) / _TAU  # 1.3862943611...
 
+# caps on one draw: the expected latent points nu * theta_max, also of a lazy
+# draw; the coins of the naive path and of the heavy pairs; and the expected
+# pair proposals, sum c0 f_u R_u of a full cloud, c0 (sum F)^2 / 2 of a lazy one
+_MAX_LATENT_POINTS = 5e7
+_MAX_PAIR_COINS = 2e8
+_MAX_PROPOSALS = 3e8
+
 # streams per graph draw: one per independent stage
 _STREAM_LATENT = 0
 _STREAM_PAIRS = 1
@@ -175,13 +181,9 @@ class SamplerConfig:
     the latent-space cutoff is at most eps (kernel and star edges; missed
     self loops are additionally possible but are of strictly lower order
     for any kernel whose diagonal decays at least as fast as its marginal).
-    ``max_latent_points`` caps nu * theta_max, the expected size of the full
-    cloud, also for a lazy draw that makes only the points it touches.
-    ``max_pair_coins`` caps the coins of the naive path and of the heavy
-    pairs. ``max_proposals`` caps the expected number of pair proposals:
-    sum over slots u of c0 f_u R_u for a full cloud (c0 = 1 and f = r for
-    the Caron-Fox construction), c0 (sum F)^2 / 2 for a lazy one (see the
-    module docstring).
+    ``theta_max`` sets the cutoff in place of eps, and
+    ``use_fast_path=False`` coins every pair on the naive path, the
+    reference. The caps on a draw's size are module constants.
     """
 
     nu: float
@@ -190,21 +192,14 @@ class SamplerConfig:
     theta_max: float | None = None
     retain_latent: bool = False
     use_fast_path: bool = True
-    max_latent_points: float = 5e7
-    max_pair_coins: float = 2e8
-    max_proposals: float = 3e8
 
     def __post_init__(self):
         _check_level(self.nu, "nu")
-        _check_seed(self.seed)
+        if not (_number(self.seed, int) and self.seed >= 0):
+            raise SamplerError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_eps(self.eps)
         if self.theta_max is not None:
             _check_level(self.theta_max, "theta_max")
-
-
-def _check_seed(seed) -> None:
-    if not (_number(seed, int) and seed >= 0):
-        raise SamplerError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _check_level(nu, name: str) -> None:
@@ -319,7 +314,7 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     separable majorant ||r||_1 * (integral of r past a) in place of
     tail_mu(a): 1 - e^-t <= t gives W <= r(x) r(y), so the budget stays an
     upper bound, and each probe costs one single integral instead of a
-    nested one. ||r||_1 is computed once per graphex, on the first cutoff;
+    nested one. ||r||_1 is computed once per graphex (``Graphex.rate_l1``);
     where it does not converge, the nested tail_mu is used.
     """
     _check_level(nu, "nu")
@@ -391,17 +386,16 @@ def _majorant_tail(g: Graphex):
     r = g.rate_factor
     if r is None:
         return None
-    if ("rate_l1",) not in g._cache:
-        g._cache[("rate_l1",)] = g.integrate(r, 1e-9)
-    norm = g._cache[("rate_l1",)]
-    if not norm.converged:
+    try:
+        norm = g.rate_l1()
+    except GraphexError:
         return None
 
     def tail(a: float, rel_tol: float) -> float:
         res = g.integrate(r, rel_tol, lo=a)
         if not res.converged:
             raise GraphexError(f"tail of the rate factor past x={a!r} did not converge")
-        return norm.value * res.value
+        return norm * res.value
 
     return tail
 
@@ -411,12 +405,18 @@ def _majorant_tail(g: Graphex):
 # ---------------------------------------------------------------------------
 
 _GUIDE_PER_POINT = 4  # guide-table buckets per entry of cum
+# binary-search probes, keys * log2(entries), from which a guide table pays
+# for its fixed cost of about 45 us. On 2 cores: 1.9k keys over 71 strata, 23
+# us plain and 62 by table; 1.7k keys over 1.6k points, 150 and 120 us; and
+# 3-9x faster by table on 3.4k-21k points with 5.5k-380k keys
+_GUIDE_PROBES = 1 << 14
 
 
 def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cum, keys, side="right")`` for a non-empty,
-    nondecreasing ``cum``, found through a guide table (Chen & Asau 1974) when there are
-    at least as many keys as entries.
+    nondecreasing ``cum``, found through a guide table (Chen & Asau 1974)
+    where the keys number at least the entries and make at least
+    ``_GUIDE_PROBES`` binary-search probes.
 
     A value y falls in bucket B(y) = int(y * (K / total)), clipped to
     [0, K - 1], of K = 4n buckets. B is nondecreasing in y as computed in
@@ -434,7 +434,8 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     k = _GUIDE_PER_POINT * n
     # a table cannot pay for itself over fewer keys, and a total that is
     # denormal or infinite leaves the bucket width or its inverse unusable
-    if keys.size < n or not (math.isfinite(total) and total / k >= np.finfo(float).tiny):
+    if (keys.size < n or keys.size * math.log2(n) < _GUIDE_PROBES
+            or not (math.isfinite(total) and total / k >= np.finfo(float).tiny)):
         return np.searchsorted(cum, keys, side="right")
     scale = k / total
 
@@ -458,18 +459,14 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 # keys per row from which a table is searched row by row; measured on 2
 # cores, the search at once costs 4x less at 100 keys per row, 4x more at
-# 7,000. A row is searched through a guide table from _GUIDE_KEYS keys:
-# below that, a binary search over a row of up to 2,000 entries costs less
-# than building the table
+# 7,000
 _ROW_KEYS = 1024
-_GUIDE_KEYS = 512
 
 
 def _search_row(row: np.ndarray, keys: np.ndarray, out=None) -> np.ndarray:
     """``np.searchsorted(row, keys, side="right")``, except that a key that
     rounds up to the row's total goes to the first index holding it."""
-    where = _endpoints(row, keys) if keys.size >= _GUIDE_KEYS else \
-        np.searchsorted(row, keys, side="right")
+    where = _endpoints(row, keys)
     return np.minimum(where, np.searchsorted(row, row[-1]), out=where if out is None else out)
 
 
@@ -611,13 +608,13 @@ class _Clouds:
         self.rate = self.c0 * f[order] * self.reach
         self.keybase = kbase[rep] + col * n[rep]
 
-    def draw(self, r: int, gen, cfg: SamplerConfig):
+    def draw(self, r: int, gen):
         """Replicate r's partner counts and the uniforms of its partner keys,
         then, where the cloud thins, a coin for each of at most that many
         distinct pairs: a coin is one uniform, and nothing reads the stream
         after the coins."""
         rate = self.rate[self.base[r]:self.base[r + 1]]
-        _check_proposals(float(rate.sum()), cfg)
+        _check_proposals(float(rate.sum()))
         counts = gen.poisson(rate)
         m = int(counts.sum())
         if not m:
@@ -675,17 +672,6 @@ def _strata(g: Graphex, theta: float):
         width = np.diff(edges)
         g._cache[key] = edges, bound, width @ bound, width[bound > _TAU].sum()
     return g._cache[key]
-
-
-def _lazy_strata(g: Graphex, cfg: SamplerConfig, theta: float):
-    """The strata of a lazy draw, or None where the full cloud is drawn."""
-    nu = float(cfg.nu)
-    if not (cfg.use_fast_path and g.s is None
-            and getattr(g.separable_f, "nonincreasing", False)):
-        return None
-    edges, bound, mass, heavy = _strata(g, theta)
-    covered = _C0 * (nu * mass) ** 2 + nu * heavy
-    return None if covered >= nu * theta else (edges, bound)
 
 
 class _LazyClouds:
@@ -754,13 +740,13 @@ class _LazyClouds:
         total = self.below[:, -1]
         self.lam = _C0 * total * total / 2.0
 
-    def draw(self, r: int, gen, cfg: SamplerConfig):
+    def draw(self, r: int, gen):
         """Replicate r's u keys, v keys and coins, as three rows of M ~
         Poi(c0 (sum F)^2 / 2) uniforms; there is at most one coin per
         distinct pair, and nothing reads the stream after the coins."""
         if self.below[r, -1] <= 0.0:
             return None
-        _check_proposals(self.lam[r], cfg)
+        _check_proposals(self.lam[r])
         m = int(gen.poisson(self.lam[r]))
         return gen.random(3 * m).reshape(3, m) if m else None
 
@@ -850,14 +836,14 @@ def _checked(x, value, bound):
     return value
 
 
-def _check_proposals(lam: float, cfg: SamplerConfig) -> None:
-    if lam > cfg.max_proposals:
+def _check_proposals(lam: float) -> None:
+    if lam > _MAX_PROPOSALS:
         raise SamplerError(
-            f"the proposal rate {lam:.3g} exceeds max_proposals; "
-            "lower nu or raise the cap")
+            f"the proposal rate {lam:.3g} exceeds max_proposals ({_MAX_PROPOSALS:.3g}); "
+            "lower nu")
 
 
-def _kernel_pairs(cloud, gens, cfg: SamplerConfig) -> np.ndarray:
+def _kernel_pairs(cloud, gens) -> np.ndarray:
     """Kernel pairs of a block of full or lazy clouds, as slot pairs (u, v),
     u < v, replicate by replicate and in (u, v) order inside each: direct
     coins for the heavy pairs, then the cloud's proposals, each accepted
@@ -870,10 +856,10 @@ def _kernel_pairs(cloud, gens, cfg: SamplerConfig) -> np.ndarray:
     kbase = np.concatenate(([0], np.cumsum(n * n)))
     heavy = cloud.n_heavy
     worst = int(heavy.max())
-    if worst * (worst - 1) / 2 > cfg.max_pair_coins:
+    if worst * (worst - 1) / 2 > _MAX_PAIR_COINS:
         raise SamplerError(
             f"{worst} latent points have f > {_TAU}; too many heavy pairs to coin "
-            "(raise max_pair_coins or lower nu)")
+            f"(over max_pair_coins, {_MAX_PAIR_COINS:.3g}); lower nu")
     cloud.propose(kbase)
     coins, draws = [], []
     for r, gen in enumerate(gens):
@@ -883,7 +869,7 @@ def _kernel_pairs(cloud, gens, cfg: SamplerConfig) -> np.ndarray:
         h = int(heavy[r])
         if h >= 2:
             coins.append(gen.random(h * (h - 1) // 2))
-        draws.append(cloud.draw(r, gen, cfg))
+        draws.append(cloud.draw(r, gen))
 
     # each run holds pair keys, ascending: the heavy pairs come out of
     # triu_indices over ascending slots, the light ones out of the dedupe
@@ -916,12 +902,12 @@ def _heavy_keys(cloud, coins: list, kbase: np.ndarray) -> np.ndarray:
 _NAIVE_BLOCK = 2048
 
 
-def _pairs_naive(g: Graphex, pts: np.ndarray, gen, cfg: SamplerConfig) -> np.ndarray:
+def _pairs_naive(g: Graphex, pts: np.ndarray, gen) -> np.ndarray:
     n = pts.size
-    if n * (n - 1) / 2 > cfg.max_pair_coins:
+    if n * (n - 1) / 2 > _MAX_PAIR_COINS:
         raise SamplerError(
-            f"{n} latent points means {n * (n - 1) // 2} pair coins, over the cap; "
-            "use a separable family (fast path) or raise max_pair_coins")
+            f"{n} latent points means {n * (n - 1) // 2} pair coins, over max_pair_coins "
+            f"({_MAX_PAIR_COINS:.3g}); use a separable family (fast path) or lower nu")
     us = []
     vs = []
     for i0 in range(0, n, _NAIVE_BLOCK):
@@ -1000,31 +986,61 @@ class _Block:
 # of it 30% slower
 _BLOCK_WORK = 1 << 14
 
+# a draw's cutoff, its engine (one of the three) and its expected work
+_LAZY, _FULL, _NAIVE = "lazy strata", "full cloud", "naive"
+_Plan = namedtuple("_Plan", "theta engine work")
+
+
+def _cutoff(g: Graphex, cfg: SamplerConfig) -> float:
+    """cfg's theta_max, or else the cutoff that meets its budget eps."""
+    if cfg.theta_max is not None:
+        return cfg.theta_max
+    return choose_theta_max(g, float(cfg.nu), cfg.eps)
+
+
+def _plan(g: Graphex, cfg: SamplerConfig) -> _Plan:
+    """The cutoff, engine and expected work of a draw at cfg, refused over
+    ``_MAX_LATENT_POINTS`` expected latent points. A lazy draw (see the
+    module docstring) expects c0 (nu sum F)^2 proposal endpoints,
+    nu * (heavy width) heavy points and a count per stratum; a full cloud
+    nu * theta_max points and at most 2 nu^2 ||W||_1 proposals and heavy
+    coins (c0 < 2, and f > 1/2 on a set no wider than 2 ||f||_1), or
+    2 nu^2 ||r||_1^2 for a rate factor r; the naive path, and a full cloud
+    of unknown norm, (nu * theta_max)^2 / 2 coins."""
+    nu = float(cfg.nu)
+    if not math.isfinite(g.isolated_rate):
+        raise SamplerError("the isolated-edge rate is infinite; the graph would have "
+                           "infinitely many edges")
+    theta = _cutoff(g, cfg)
+    points = nu * theta
+    if points > _MAX_LATENT_POINTS:
+        raise SamplerError(
+            f"the truncation level {theta:.6g} implies ~{points:.3g} latent points, over "
+            f"max_latent_points ({_MAX_LATENT_POINTS:.3g}); raise eps or lower nu")
+    naive = points + points * points / 2.0
+    if not (cfg.use_fast_path and (g.separable_f is not None or g.rate_factor is not None)):
+        return _Plan(theta, _NAIVE, naive)
+    if g.s is None and getattr(g.separable_f, "nonincreasing", False):
+        _, bound, mass, heavy = _strata(g, theta)
+        covered = _C0 * (nu * mass) ** 2 + nu * heavy
+        if covered < points:
+            return _Plan(theta, _LAZY, covered + bound.size)
+    norm = g.w_l1_value
+    if g.rate_factor is not None:
+        try:
+            norm = g.rate_l1() ** 2
+        except (GraphexError, EvalError):  # no norm, or an r that fails at a node
+            norm = None
+    return _Plan(theta, _FULL, naive if norm is None else points + 2.0 * nu * nu * norm)
+
 
 def _block_size(g: Graphex, cfg: SamplerConfig) -> tuple[int, float]:
     """How many replicates at cfg share one block, and the expected work of
-    one draw: as many as split ``_BLOCK_WORK`` by that work. A lazy draw
-    expects c0 (nu sum F)^2 proposal endpoints, nu * (heavy width) heavy
-    points and a Poisson count per stratum. A full cloud expects
-    nu * theta_max points, and for ordered proposals at most 2 nu^2 ||W||_1
-    proposals and heavy coins (c0 < 2, and f > 1/2 on a set no wider than
-    2 ||f||_1), the naive path (nu * theta_max)^2 / 2 coins. The pair keys
-    of a block stay below 2^63."""
-    nu = float(cfg.nu)
-    theta = cfg.theta_max if cfg.theta_max is not None else choose_theta_max(g, nu, cfg.eps)
-    points = nu * theta
-    if _lazy_strata(g, cfg, theta) is not None:
-        _, bound, mass, heavy = _strata(g, theta)
-        work = _C0 * (nu * mass) ** 2 + nu * heavy + bound.size
-    else:
-        norm = g.w_l1_value if g.separable_f is not None else None
-        rate_l1 = g._cache.get(("rate_l1",))
-        if g.rate_factor is not None and rate_l1 is not None and rate_l1.converged:
-            norm = rate_l1.value ** 2
-        fast = cfg.use_fast_path and norm is not None
-        work = points + (2.0 * nu * nu * norm if fast else points * points / 2.0)
+    one draw (``_plan``): as many as split ``_BLOCK_WORK`` by that work. The
+    pair keys of a block stay below 2^63."""
+    theta, _, work = _plan(g, cfg)
     size = int(_BLOCK_WORK // max(work, 1.0))
-    return max(1, min(size, int(2.0 ** 61 / (1.1 * points + 100.0) ** 2))), work
+    return max(1, min(size, int(2.0 ** 61 / (1.1 * (cfg.nu * theta) + 100.0) ** 2))), work
 
 
 def _full_points(expected: float, theta: float, planted: np.ndarray, reps: int, gens):
@@ -1051,17 +1067,8 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     own, in the same order; between the calls, every stage runs once over
     the whole block. Labels are drawn only where ``labels`` asks for them."""
     nu = float(cfg.nu)
-    if not math.isfinite(g.isolated_rate):
-        raise SamplerError("the isolated-edge rate is infinite; the graph would have "
-                           "infinitely many edges")
-    theta = cfg.theta_max if cfg.theta_max is not None else choose_theta_max(g, nu, cfg.eps)
-
-    expected_points = nu * theta
-    if expected_points > cfg.max_latent_points:
-        raise SamplerError(
-            f"the truncation level {theta:.6g} implies ~{expected_points:.3g} latent "
-            "points, over max_latent_points; raise eps or the cap")
-
+    plan = _plan(g, cfg)
+    theta, lazy = plan.theta, plan.engine == _LAZY
     planted = np.asarray([float(x) for x in planted], dtype=float)
     for x in planted.tolist():
         if not (math.isfinite(x) and x >= 0):
@@ -1073,15 +1080,12 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     def gens(stream):
         return rngmod.streams(seeds, stream)
 
-    strata = _lazy_strata(g, cfg, theta)
-    if strata is not None:
-        cloud = _LazyClouds(g, *strata, planted, nu, gens(_STREAM_LATENT))
+    if lazy:
+        cloud = _LazyClouds(g, *_strata(g, theta)[:2], planted, nu, gens(_STREAM_LATENT))
         base, n_cloud = cloud.base, cloud.n_cloud
     else:
-        pts, base, n_cloud = _full_points(expected_points, theta, planted, reps,
-                                          gens(_STREAM_LATENT))
-        fast = g.separable_f is not None or g.rate_factor is not None
-        cloud = _Clouds(g, pts, base) if cfg.use_fast_path and fast else None
+        pts, base, n_cloud = _full_points(nu * theta, theta, planted, reps, gens(_STREAM_LATENT))
+        cloud = _Clouds(g, pts, base) if plan.engine == _FULL else None
     n = np.diff(base)
     most = int(n.max())
     planted_slots = (base[:-1] + n_cloud)[:, None] + np.arange(planted.size)
@@ -1090,18 +1094,18 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     pairs = np.empty((0, 2), dtype=np.int64)
     if g.w is not None and most >= 2:
         if cloud is not None:
-            pairs = _kernel_pairs(cloud, gens(_STREAM_PAIRS), cfg)
+            pairs = _kernel_pairs(cloud, gens(_STREAM_PAIRS))
         else:
-            naive = [_pairs_naive(g, pts[base[r]:base[r + 1]], gen, cfg) + base[r]
+            naive = [_pairs_naive(g, pts[base[r]:base[r + 1]], gen) + base[r]
                      for r, gen in enumerate(gens(_STREAM_PAIRS)) if n[r] >= 2]
             pairs = naive[0] if len(naive) == 1 else np.concatenate(naive)
-    if strata is None:
+    if not lazy:
         cloud = None  # a full cloud's weights and tables serve only its pairs
 
     # self loops
     loops = np.empty(0, dtype=np.int64)
     if g.self_edges and g.diag is not None and most:
-        if strata is not None:
+        if lazy:
             loops = cloud.loops(g, gens(_STREAM_SELF))
         else:
             d = np.clip(np.asarray(g.diag_at(pts), dtype=float), 0.0, 1.0)
@@ -1195,7 +1199,7 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     latent = None
     if cfg.retain_latent:
         latent = np.full(total, np.nan)
-        latent[vertex] = pts[visible] if strata is None else cloud.positions(visible)[0]
+        latent[vertex] = cloud.positions(visible)[0] if lazy else pts[visible]
 
     at = n_ends + loops.size + hubs.size
     planted_final = index[at:].reshape(planted_slots.shape) - vertex_start[:-1, None]
@@ -1266,12 +1270,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     if not (_number(reps, int) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
     _check_level(lam, "lam")
-    _check_level(nu, "nu")
-    _check_seed(seed)
-    _check_eps(eps)
-    if theta_max is not None:
-        _check_level(theta_max, "theta_max")
-    theta = theta_max if theta_max is not None else choose_theta_max(g, nu, eps)
+    theta = _cutoff(g, SamplerConfig(nu=nu, seed=seed, eps=eps, theta_max=theta_max))
     if getattr(g.separable_f, "nonincreasing", False):
         edges = _strata(g, theta)[0]
         bound = np.clip(np.asarray(g.w_at(lam, edges[:-1]), dtype=float), 0.0, 1.0)

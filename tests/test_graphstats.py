@@ -151,6 +151,24 @@ def test_degrees_match_unique_reference(edges, dtype):
     assert ids.dtype == ref_ids.dtype and deg.dtype == np.int64
 
 
+@given(st.sampled_from([np.int64, np.uint64]),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=40),
+       st.integers(0, 2**64 - 1), st.integers(1, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_degrees_of_sparse_and_shifted_ids_match_unique_counts(dtype, pairs, base, spread):
+    # a few ids spread far apart and shifted anywhere in the dtype's range,
+    # uint64 ones past 2^63 included: too sparse for the slot table
+    info = np.iinfo(dtype)
+    width = int(info.max) - int(info.min) + 1
+    arr = np.array([[(base + v * spread) % width + int(info.min) for v in pair] for pair in pairs],
+                   dtype=dtype)
+    ids, deg = degrees(arr)
+    ref_ids, ref_counts = np.unique(arr, return_counts=True)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(deg, ref_counts)
+    assert ids.dtype == arr.dtype and deg.dtype == np.int64
+
+
 def test_degrees_of_uint64_ids_past_int64():
     arr = np.array([[2**64 - 1, 2**64 - 2], [2**64 - 1, 2**64 - 1]], dtype=np.uint64)
     ids, deg = degrees(arr)

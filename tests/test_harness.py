@@ -110,6 +110,17 @@ def test_validate_argument_errors():
         validate_expectations(FAST, (3.0,), 30, seed=0, stats=("degree_<k>",))
 
 
+@pytest.mark.parametrize("experiment", [
+    validate_expectations, degdist_experiment, connectivity_experiment,
+])
+@pytest.mark.parametrize("nus", [("3",), (3.0, "100"), "35", (True,), (3.0, None)])
+def test_a_grid_level_must_be_a_number(experiment, nus):
+    # as projectivity's single level is: "3" once ran at nu = 3.0, and the
+    # string "35" as the grid (3.0, 5.0)
+    with pytest.raises(HarnessError, match="the nu grid must be nonempty"):
+        experiment(FAST, nus, 30, 0)
+
+
 @pytest.mark.parametrize("name", [
     "degree_1_2", "degree_+2", "degree_ 2", "degree_2 ", "degree_02", "degree_0",
     "degree_-1", "degree_2.0", "degree_\u00b2", "degree_\u0662", "degree_", "degree",

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +11,16 @@ from hypothesis import strategies as st
 from scipy import integrate, sparse
 from scipy import stats as sps
 
+from graphex import sampler
 from graphex.model import build, dilate
 from graphex.rng import stream
 from graphex.sampler import (
+    _C0,
     _CSV_BLOCK,
+    _FULL,
     _GUIDE_PER_POINT,
+    _LAZY,
+    _NAIVE,
     PROV_ISOLATED,
     PROV_KERNEL,
     PROV_NAMES,
@@ -23,7 +29,7 @@ from graphex.sampler import (
     SamplerConfig,
     SamplerError,
     _endpoints,
-    _lazy_strata,
+    _plan,
     _block_size,
     _draw,
     _LazyClouds,
@@ -223,19 +229,35 @@ def test_config_validation():
         SamplerConfig(nu=1.0, seed=False)
 
 
-def test_capacity_guards():
+def test_capacity_guards(monkeypatch):
     # slow tail at nu=100 needs theta ~ 3.3e6, far over the latent budget
     with pytest.raises(SamplerError, match="latent"):
         sample_keg(SLOW, SamplerConfig(nu=100.0, seed=0))
+    # the caps are the module's constants, not settings of a draw
+    with pytest.raises(TypeError):
+        SamplerConfig(nu=50.0, seed=0, max_pair_coins=10)
+    lazy = SamplerConfig(nu=5.0, seed=0, eps=1e-2)
+    assert _plan(SLOW, lazy).engine == _LAZY
+    monkeypatch.setattr(sampler, "_MAX_LATENT_POINTS", 10.0)
+    # a lazy draw makes few of its points, but is capped by all of them
+    with pytest.raises(SamplerError, match="max_latent_points"):
+        sample_keg(SLOW, lazy)
+    with pytest.raises(SamplerError, match="max_latent_points"):
+        _block_size(SLOW, lazy)
+    monkeypatch.undo()
     const = build({"family": "constant", "params": {"p": 0.5, "c": 2.0}})
+    monkeypatch.setattr(sampler, "_MAX_PAIR_COINS", 10)
     # f = sqrt(p) > 1/2 everywhere, so the fast path guards the heavy block
     with pytest.raises(SamplerError, match="heavy pairs"):
-        sample_keg(const, SamplerConfig(nu=50.0, seed=0, max_pair_coins=10))
+        sample_keg(const, SamplerConfig(nu=50.0, seed=0))
     with pytest.raises(SamplerError, match="pair coins"):
-        sample_keg(const, SamplerConfig(nu=50.0, seed=0, max_pair_coins=10,
-                                        use_fast_path=False))
+        sample_keg(const, SamplerConfig(nu=50.0, seed=0, use_fast_path=False))
+    monkeypatch.undo()
+    monkeypatch.setattr(sampler, "_MAX_PROPOSALS", 1e-6)
     with pytest.raises(SamplerError, match="proposal"):
-        sample_keg(FAST, SamplerConfig(nu=10.0, seed=0, max_proposals=1e-6))
+        sample_keg(FAST, SamplerConfig(nu=10.0, seed=0))
+    with pytest.raises(SamplerError, match="proposal"):
+        sample_keg(SLOW, lazy)
     inf_iso = build({"family": "custom", "exprs": {"W": "0"}, "I": math.inf})
     with pytest.raises(SamplerError, match="isolated"):
         sample_keg(inf_iso, SamplerConfig(nu=1.0, seed=0))
@@ -414,7 +436,9 @@ def endpoint_cases(draw):
 def test_endpoints_match_searchsorted(case):
     cum, keys = case
     want = np.searchsorted(cum, keys, side="right")
-    got = _endpoints(cum, keys)
+    # every case with at least as many keys as entries takes the table
+    with mock.patch.object(sampler, "_GUIDE_PROBES", 0):
+        got = _endpoints(cum, keys)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
@@ -429,8 +453,9 @@ def test_endpoints_settle_a_low_bucket_estimate():
     assert math.floor(y * (k / total)) == 6
     cum = np.cumsum([y, 0.0, 0.0, 0.0, total - y])
     keys = np.full(n, y)
-    np.testing.assert_array_equal(_endpoints(cum, keys),
-                                  np.searchsorted(cum, keys, side="right"))
+    with mock.patch.object(sampler, "_GUIDE_PROBES", 0):
+        np.testing.assert_array_equal(_endpoints(cum, keys),
+                                      np.searchsorted(cum, keys, side="right"))
 
 
 # --------------------------------------------------------------------------
@@ -728,8 +753,7 @@ LAZY_REPS = 2000
 def test_lazy_cloud_matches_naive(case):
     # the lazy engine against the all-pairs reference
     g, nu, eps, planted = LAZY_CASES[case]
-    assert _lazy_strata(g, SamplerConfig(nu=nu, seed=0, eps=eps),
-                        choose_theta_max(g, nu, eps)) is not None
+    assert _plan(g, SamplerConfig(nu=nu, seed=0, eps=eps)).engine == _LAZY
     naive = naive_counts_matching_fast(g, nu, eps, planted, LAZY_REPS, (40_000, 50_000))
     assert naive[:, 2].mean() > 0.5 and naive[:, 4].mean() > 0.5
     if case == "constant-loops-planted":
@@ -757,7 +781,7 @@ FULL_REPS = 1000
 def test_full_cloud_matches_naive(case):
     # the full cloud's ordered proposals against the all-pairs reference
     g, nu, planted = FULL_CASES[case]
-    assert _lazy_strata(g, SamplerConfig(nu=nu, seed=0), choose_theta_max(g, nu, 1e-3)) is None
+    assert _plan(g, SamplerConfig(nu=nu, seed=0)).engine == _FULL
     naive = naive_counts_matching_fast(g, nu, 1e-3, planted, FULL_REPS, (60_000, 70_000))
     assert naive[:, 4].mean() > 0.5 and naive[:, 5].mean() > 0.5
 
@@ -795,7 +819,7 @@ def test_lazy_self_loops_come_in_order(seed):
     # points, and no other kernel edge to merge them with
     g = build({"family": "fast-decay", "self_edges": True})
     cfg = SamplerConfig(nu=1.0, seed=seed)
-    assert _lazy_strata(g, cfg, choose_theta_max(g, 1.0, cfg.eps)) is not None
+    assert _plan(g, cfg).engine == _LAZY
     d = sample_keg(g, cfg, planted=(0.05,))
     assert d.n_edges >= 2 and np.all(d.edges[:, 0] == d.edges[:, 1])
     check_graph_invariants(d)
@@ -855,7 +879,7 @@ def test_a_wrong_monotonicity_declaration_is_caught():
     rising.nonincreasing = True
     g = dataclasses.replace(FAST, separable_f=rising)
     cfg = SamplerConfig(nu=2.0, seed=0, theta_max=6.0)
-    assert _lazy_strata(g, cfg, 6.0) is not None
+    assert _plan(g, cfg).engine == _LAZY
     with pytest.raises(SamplerError, match="not nonincreasing"):
         for seed in range(20):
             sample_keg(g, dataclasses.replace(cfg, seed=seed))
@@ -863,8 +887,8 @@ def test_a_wrong_monotonicity_declaration_is_caught():
     with pytest.raises(SamplerError, match="not nonincreasing"):
         sample_planted_degrees(wrong_w, 2.0, 1.0, 200, 0, theta_max=6.0)
     # swapping f drops the mark: a replaced factor takes the full cloud
-    assert _lazy_strata(dataclasses.replace(SLOW, separable_f=lambda x: 0.5 / (1.0 + x)),
-                        SamplerConfig(nu=5.0, seed=0), 1e3) is None
+    assert _plan(dataclasses.replace(SLOW, separable_f=lambda x: 0.5 / (1.0 + x)),
+                 SamplerConfig(nu=5.0, seed=0, theta_max=1e3)).engine == _FULL
 
 
 # --------------------------------------------------------------------------
@@ -980,7 +1004,7 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
     # (sample_keg) draws at its seed: each stream gets the same calls
     g, nu, eps, planted = BLOCK_CASES[case]
     cfg = SamplerConfig(nu=nu, seed=0, eps=eps, retain_latent=True)
-    lazy = _lazy_strata(g, cfg, choose_theta_max(g, nu, eps)) is not None
+    lazy = _plan(g, cfg).engine == _LAZY
     assert lazy == case.startswith("lazy")
     alone = [sample_keg(g, dataclasses.replace(cfg, seed=seed), planted) for seed in BLOCK_SEEDS]
     for size in (1, 7, _block_size(g, cfg)[0]):
@@ -1022,6 +1046,56 @@ def test_a_block_without_labels_refuses_to_make_graphs():
             block.graph(i)
     labelled = _draw(FAST, SamplerConfig(nu=5.0, seed=0), (1, 2))
     assert labelled.graph(1).n_edges == block.edge_start[2] - block.edge_start[1]
+
+
+@pytest.mark.parametrize("spec, cfg, engine", [
+    ({"family": "slow-decay"}, SamplerConfig(nu=5.0, seed=0, eps=1e-2), _LAZY),
+    ({"family": "fast-decay"}, SamplerConfig(nu=20.0, seed=0), _FULL),
+    # a fresh graphex given its cutoff: no cutoff has integrated ||r||_1 yet
+    ({"family": "caron-fox"}, SamplerConfig(nu=50.0, seed=0, theta_max=8.0), _FULL),
+    ({"family": "fast-decay"}, SamplerConfig(nu=20.0, seed=0, use_fast_path=False), _NAIVE),
+    ({"family": "custom", "exprs": {"W": "exp(-x-y)"}}, SamplerConfig(nu=3.0, seed=0), _NAIVE),
+])
+def test_the_plan_estimates_the_work_of_the_engine_a_draw_runs(monkeypatch, spec, cfg, engine):
+    g = build(spec)
+    size, work = _block_size(g, cfg)
+    theta, planned, _ = _plan(g, cfg)
+    ran = []
+    kernel_pairs, pairs_naive = sampler._kernel_pairs, sampler._pairs_naive
+    monkeypatch.setattr(sampler, "_kernel_pairs",
+                        lambda cloud, gens: ran.append(type(cloud)) or kernel_pairs(cloud, gens))
+    monkeypatch.setattr(sampler, "_pairs_naive",
+                        lambda *args: ran.append(None) or pairs_naive(*args))
+    sample_keg(g, cfg)
+    runs = {_LAZY: _LazyClouds, _FULL: sampler._Clouds, _NAIVE: None}[engine]
+    assert planned == engine and ran and set(ran) == {runs}
+    nu, points = cfg.nu, cfg.nu * theta
+    if engine == _LAZY:
+        _, bound, mass, heavy = _strata(g, theta)
+        want = _C0 * (nu * mass) ** 2 + nu * heavy + bound.size
+    elif engine == _FULL:
+        norm = g.w_l1_value if g.rate_factor is None else g.rate_l1() ** 2
+        want = points + 2.0 * nu * nu * norm
+    else:
+        want = points + points * points / 2.0
+    assert work == pytest.approx(want, rel=1e-12)
+    if spec["family"] == "caron-fox":
+        # ||r||_1^2 = 2 for g = exp(-x): 400 points and 10,000 proposals,
+        # where all 80,000 pairs would be coined on the naive path
+        assert work == pytest.approx(10_400.0, rel=1e-9)
+    # a graphex whose cutoff was computed before plans the same
+    g = build(spec)
+    choose_theta_max(g, cfg.nu, cfg.eps)
+    assert _block_size(g, cfg) == (size, work)
+
+
+def test_a_rate_factor_that_fails_at_a_quadrature_node_draws_at_a_given_cutoff():
+    # g divides by zero at x = 1, a node of the rule that integrates ||r||_1
+    # but no point of a draw: the draw runs, its work counted as all pairs
+    g = build({"family": "caron-fox", "exprs": {"g": "exp(-x)/abs(x-1)"}})
+    cfg = SamplerConfig(nu=5.0, seed=0, theta_max=5.0)
+    assert _plan(g, cfg) == (5.0, _FULL, 25.0 + 25.0 ** 2 / 2.0)
+    assert sample_keg(g, cfg).n_edges > 0
 
 
 def test_a_large_draw_is_a_block_of_its_own():
