@@ -67,7 +67,7 @@ from .graphstats import degrees as _degrees
 # not called here, but bound for perfbench's tracer, which wraps these in
 # every module that holds them
 from .graphstats import largest_component  # noqa: F401
-from .model import Graphex, _number
+from .model import Graphex, _finite, _number
 from .sampler import SamplerConfig, _block_size, _draw
 from .sampler import restrict, sample_keg  # noqa: F401
 
@@ -113,7 +113,7 @@ def _check_grid(nus) -> tuple[float, ...]:
     except TypeError:
         grid = ()  # not an iterable: refused below
     # a level is a number, as projectivity's is: not a bool, nor a string
-    if not grid or not all(_number(v) and math.isfinite(v) and v > 0 for v in grid):
+    if not grid or not all(_finite(v) and v > 0 for v in grid):
         raise HarnessError(f"the nu grid must be nonempty with positive entries, got {nus!r}")
     return tuple(float(v) for v in grid)
 
@@ -321,7 +321,7 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
     _check_reps(reps)
     grid = _check_grid(nus)
     parsed = [(name, *statistic(name)) for name in stats]
-    _check_verdict_level(z_crit, "z_crit", lambda z: math.isfinite(z) and z > 0,
+    _check_verdict_level(z_crit, "z_crit", lambda z: _finite(z) and z > 0,
                          "a finite number > 0")
 
     def counts(block, i_nu):
@@ -519,7 +519,7 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     p-value is used; with integer-valued samples it is conservative.
     """
     _check_reps(reps)
-    _check_verdict_level(nu, "nu", lambda v: math.isfinite(v) and v > 0, "positive and finite")
+    _check_verdict_level(nu, "nu", lambda v: _finite(v) and v > 0, "positive and finite")
     _check_verdict_level(p_floor, "p_floor", lambda p: 0.0 < p < 1.0, "in (0, 1)")
 
     def edge_count(block, i_nu):

@@ -329,6 +329,15 @@ def _number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """A number (see :func:`_number`) that is finite as a float: an int too
+    large for a float is refused here, not raised on as an OverflowError."""
+    try:
+        return _number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _compile_expr(source: str, allowed_vars: set[str], what: str) -> exprmod.Expr:
     try:
         e = exprmod.parse(source)
@@ -379,7 +388,7 @@ def _family_constant(params: dict, exprs: dict):
     p = params.get("p")
     c = params.get("c")
     _require(_number(p) and 0.0 <= p <= 1.0, "constant: p must be in [0, 1]")
-    _require(_number(c) and c > 0 and math.isfinite(c),
+    _require(_finite(c) and c > 0,
              "constant: c must be a finite positive number")
     p, c = float(p), float(c)
 
@@ -413,7 +422,7 @@ def _family_constant(params: dict, exprs: dict):
 def _family_graphon_dilation(params: dict, exprs: dict):
     c = params.get("c")
     grid = params.get("grid")
-    _require(_number(c) and c > 0 and math.isfinite(c),
+    _require(_finite(c) and c > 0,
              "graphon-dilation: c must be a finite positive number")
     c = float(c)
     try:
@@ -624,7 +633,7 @@ def build(spec: dict) -> Graphex:
     _require(isinstance(self_edges, bool), "self_edges must be true or false")
 
     isolated = spec.get("I", 0.0)
-    _require(_number(isolated) and not math.isnan(isolated) and isolated >= 0,
+    _require((_finite(isolated) or isolated == math.inf) and isolated >= 0,
              "I must be a number >= 0 (math.inf is representable but unsampleable)")
     isolated = float(isolated)
 

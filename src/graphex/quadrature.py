@@ -17,12 +17,26 @@ the same stop per element. Every number comes from the same floating-point
 operations on the same operands in the same order, sums included, so value,
 error, convergence and evaluation count are SciPy's bit for bit; a test
 holds the two against each other. Only SciPy's probe of the centre node, a
-node that level 0 evaluates anyway, is left out. What is the same for many
-integrals is computed once: every [a, inf) integral has the same nodes t on
-[0, 1], so t, 1/t - 1, t^-2 and the weights are made once per level (and
-cached), and each row adds only its a. The integrand sees the finite rows
-first, then the [a, inf) rows; it is elementwise, so their order moves no
-bit.
+node that level 0 evaluates anyway, is left out. The integrand sees the
+finite rows first, then the [a, inf) rows; it is elementwise, so their
+order moves no bit.
+
+A call of a few rows costs mostly the rule's own NumPy calls, so what is the
+same for many integrals or many levels is computed once:
+
+- per process and level (cached): the nodes and weights; for [a, inf), whose
+  integrals all share the nodes t on [0, 1], also t, 1/t - 1, t^-2, the
+  weights, the nodes that no row can use (no weight, or t^-2 infinite) and
+  the outermost other node at each end; and the terms of levels 3 and 2 that
+  the first test (level 4) sums again;
+- per call: the limits are checked and laid out as one (2, n) array, and
+  each row adds only its a to the shared 1/t - 1;
+- per level: one finiteness pass over f serves both the check for a
+  non-finite value and, on finite rows, the nodes to leave out (there f is
+  finite wherever the weight is not zero). A block of [a, inf) rows whose
+  f t^-2 is finite wherever t^-2 is takes its outermost node from the cache;
+  only a block with another non-finite value is searched node by node. Rows
+  are dropped only when some stop and others go on.
 
 :func:`poisson_tail` evaluates P(Poisson(lam) > k) through the regularized
 lower incomplete gamma function, accurate to ~1e-14 absolute across the
@@ -148,156 +162,231 @@ def _tail_nodes(level, through=False):
     """What every [a, inf) row shares at a level, as the rule makes it for a
     finite row on [0, 1]: arrays of shape (1, 2, n) of the nodes t (axis 1
     is the end a node is measured from: 1, then 0), 1/t - 1, t^-2 and the
-    weights; cached on first use."""
+    weights; then the nodes that can never be the outermost one (no weight,
+    or t^-2 infinite, so that f t^-2 is not finite either), and of the
+    others the outermost one at each end (:func:`_outermost`, shape (1, 2)).
+    Cached on first use."""
     key = (level, through)
     if key not in _TAIL_NODES:
         xjc, wj = _pairs(level, through)
         t = np.concatenate((1.0 - 0.5 * xjc, 0.5 * xjc)).reshape(1, 2, -1)
         with np.errstate(over="ignore", divide="ignore"):
-            nodes = (t, 1 / t - 1, t**-2., np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5))
+            t_jac = t**-2.
+            t_w = np.where((t <= 0.0) | (t >= 1.0), 0.0, wj * 0.5)
+            idle = (t_w == 0) | np.isinf(t_jac)
+            nodes = (t, 1 / t - 1, t_jac, t_w, idle, *_outermost(idle, _OUTWARD * t))
         for v in nodes:
             v.flags.writeable = False
         _TAIL_NODES[key] = nodes
     return _TAIL_NODES[key]
 
 
-# the ends a node is measured from (axis 1 of the nodes), as indices
-_ENDS = np.arange(2)
+# the first call's terms of levels 0 to _TS_MINLEVEL - 1, then of levels 0
+# to _TS_MINLEVEL - 2: in a row of 2n terms, the first n1 (then n2) from
+# each end
+_N, _N1, _N2 = (_N_BASE_STEPS * 2**(_TS_MINLEVEL - back) + 1 for back in (0, 1, 2))
+_LOWER = np.r_[0:_N1, _N:_N + _N1, 0:_N2, _N:_N + _N2]
+_N_LOWER = 2 * _N1
+# no node yet at either end: how far out (-inf), f (NaN) and |f w| (NaN)
+_NO_EDGE = np.array([[-np.inf] * 2, [np.nan] * 2, [np.nan] * 2])[:, None]
 
 
-def _limits(a, b):
-    """The limits as float arrays; refuses a NaN, an infinite lower limit
-    and b < a."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.isfinite(a).all() or np.isnan(b).any():
-        raise QuadratureError("a lower limit must be finite and an upper limit not NaN")
-    if np.any(b < a):
+def _as_limit(v):
+    """A limit as a float array; a string, a complex number or a ragged
+    list is refused by name."""
+    try:
+        limit = np.asarray(v)
+        if limit.dtype.kind in "biufO":
+            return limit.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise QuadratureError(f"a limit must be a number, got {v!r}")
+
+
+def _limits(a, b, args=()):
+    """The limits broadcast with ``args``, as one float array of shape
+    (2, size), and the broadcast shape; refuses a limit that is not a
+    number, limits and args that do not broadcast, a NaN, an infinite lower
+    limit and b < a."""
+    a, b = _as_limit(a), _as_limit(b)
+    try:
+        shape = np.broadcast(a, b, *args).shape
+    except ValueError:
+        shapes = ", ".join(str(np.shape(v)) for v in (a, b, *args))
+        raise QuadratureError(f"the limits and args do not broadcast together: "
+                              f"shapes {shapes}") from None
+    ab = np.empty((2, *shape))
+    ab[0], ab[1] = a, b
+    ab = ab.reshape(2, -1)
+    lo, hi = ab[0], ab[1]
+    if np.count_nonzero(np.isfinite(lo) & (lo <= hi)) < lo.size:
+        if not np.isfinite(lo).all() or np.isnan(hi).any():
+            raise QuadratureError("a lower limit must be finite and an upper limit not NaN")
         raise QuadratureError("upper limit below lower limit")
-    return a, b
+    return ab, shape
+
+
+def _outermost(invalid, outward):
+    """For a block of rows of nodes (rows, 2 ends, n) and each row and end:
+    the index into the block's terms of the outermost node that is not
+    ``invalid`` (ties to the first, as SciPy's argmax), and how far out it
+    lies (-inf where there is none)."""
+    out = np.where(invalid, -np.inf, outward)
+    k, _, n = out.shape
+    return out.argmax(axis=-1) + np.arange(0, 2 * k * n, n).reshape(k, 2), out.max(axis=-1)
+
+
+def _finite_block(lo, hi, xjc, wj, x):
+    """The nodes of finite rows [lo, hi], written into x (rows, 2, n), and
+    the rows' weights, their nodes without weight and the outermost other
+    node at each end (:func:`_outermost`). On a finite row f is finite
+    wherever the weight is not zero, so only the weight decides."""
+    alpha = (hi - lo) / 2
+    # axis 1 is the end a node is measured from: b, then a
+    np.concatenate((-alpha * xjc + hi, alpha * xjc + lo), axis=1, out=x)
+    w = np.where((x <= lo) | (x >= hi), 0.0, wj * alpha)
+    zero = w == 0
+    return w, zero, *_outermost(zero, _OUTWARD * x)
 
 
 def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
     if not (0.0 < rel_tol <= 1e-2):
         raise QuadratureError(f"rel_tol must be in (0, 1e-2], got {rel_tol!r}")
-    a, b = _limits(a, b)
+    ab, shape = _limits(a, b, args)
+    lo, hi = ab[0], ab[1]
     # the rule returns NaN on an interval one ulp wide; at double precision
-    # a few ulps hold no mass, so such an interval is closed up
-    b = np.where(b - a <= 4.0 * np.spacing(np.abs(a)), a, b)
-    shape = np.broadcast_shapes(a.shape, b.shape, *(np.shape(x) for x in args))
-    lo, hi = (np.broadcast_to(v, shape).ravel() for v in (a, b))
+    # a few ulps hold no mass, so such an interval is closed up, and it and
+    # an empty one are settled before any node, as zero
+    converged = hi - lo <= 4.0 * np.spacing(np.abs(lo))
     value = np.zeros(lo.size)
     error = np.zeros(lo.size)
-    success = lo == hi  # an empty interval is settled before any node
     # SciPy's count starts at 1 for its probe of the centre node, which is
     # evaluated here only as a node of level 0; the count is kept as SciPy's
-    nfev = np.ones(lo.size, dtype=np.int32)
+    nfev = converged.astype(np.int32)
     # the open integrals, a row each, and a row leaves when it stops. [a, inf)
     # is integrated over t in [0, 1], x = 1/t - 1 + a, dx = dt/t^2, and
     # those rows share their nodes in t, so the nf finite rows come first
-    rows = np.flatnonzero(~success)
-    finite = np.isfinite(hi[rows])
-    rows = np.concatenate((rows[finite], rows[~finite]))
-    nf = np.count_nonzero(finite)
-    lo, hi = lo[rows, None, None], hi[rows, None, None]
+    tail = hi == np.inf
+    rows = (~(converged | tail)).nonzero()[0]
+    nf = rows.size
+    rows = np.concatenate((rows, tail.nonzero()[0]))
+    ab = ab.take(rows, axis=1)
+    lo, hi = ab[0, :, None, None], ab[1, :, None, None]
     rest = [np.broadcast_to(np.asarray(x), shape).ravel()[rows, None] for x in args]
     # the outermost node at each end so far whose weight is not zero and
-    # whose value is finite, and its value and weight: the error estimate
-    # needs the last term of the sum
-    reach = np.full((rows.size, 2), -np.inf)
-    edge_f = np.full((rows.size, 2), np.nan)
-    edge_w = np.zeros((rows.size, 2))
+    # whose value is finite: how far out it lies, its value, and |f w| there
+    # (the error estimate needs the last term of the sum)
+    edge = _NO_EDGE.repeat(rows.size, axis=1)
     rtol = min(rel_tol, _TS_RTOL)
     calls = 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for level in range(_TS_MINLEVEL, maxlevel + 1):
-            if not rows.size:
-                break
             m = rows.size
+            if not m:
+                break
             h = _H0 / 2**level
             # the first call evaluates levels 0 to _TS_MINLEVEL at once
             through = level == _TS_MINLEVEL
-            # the points where f is evaluated, and each block of rows (the
-            # finite ones, then the [a, inf) ones) with its nodes and weights
-            blocks = []
             xjc, wj = _pairs(level, through)
-            x = np.empty((m, 2, xjc.size))
+            n = xjc.size
+            # the points where f is evaluated, the finite rows' first, and
+            # each block of rows with its weights, the nodes that have no
+            # weight or no finite value, and at each end of a row the
+            # outermost other node (see _outermost)
+            x = np.empty((m, 2, n))
+            blocks = []
             if nf:
-                ta, tb = lo[:nf], hi[:nf]
-                alpha = (tb - ta) / 2
-                # axis 1 is the end a node is measured from: b, then a
-                xj = np.concatenate((-alpha * xjc + tb, alpha * xjc + ta), axis=1,
-                                    out=x[:nf])
-                blocks.append((slice(0, nf), xj,
-                               np.where((xj <= ta) | (xj >= tb), 0.0, wj * alpha)))
+                blocks.append((slice(0, nf), *_finite_block(lo[:nf], hi[:nf], xjc, wj, x[:nf])))
             if nf < m:
-                t, t_inv, t_jac, t_w = _tail_nodes(level, through)
-                blocks.append((slice(nf, m), t, t_w))
-                np.add(t_inv, lo[nf:], out=x[nf:])
+                t, t_inv, t_jac, t_w, idle, t_edge, t_far = _tail_nodes(level, through)
+                np.add(t_inv, lo[nf:], x[nf:])
             x = x.reshape(m, -1)
             fj = np.asarray(f(x, *rest), dtype=float)
             if fj.shape != x.shape:
                 raise QuadratureError("the integrand must return one value per node")
-            if not np.isfinite(fj).all():
+            calls += 2 * n
+            if np.count_nonzero(np.isfinite(fj)) < fj.size:
                 # a node that rounds onto an endpoint carries no weight
                 bad = ~np.isfinite(fj) & (x > lo[:, 0]) & (x < hi[:, 0])
                 if bad.any():
                     raise QuadratureError(f"the integrand is not finite at t = {x[bad][0]!r}")
-            del x
-            calls += fj.shape[-1]
             f3 = fj.reshape(m, 2, -1)  # a view, written in place
             if nf < m:
-                f3[nf:] *= t_jac
-            for part, nodes, w in blocks:
+                ft = f3[nf:]
+                ft *= t_jac
+                if np.count_nonzero(np.isfinite(ft) | idle) == ft.size:
+                    # only the nodes that every [a, inf) row lacks: the
+                    # outermost other one is the same in every row
+                    i = t_edge + np.arange(0, ft.size, 2 * n)[:, None]
+                    blocks.append((slice(nf, m), t_w, idle, i, t_far))
+                else:
+                    invalid = ~np.isfinite(ft) | (t_w == 0)
+                    blocks.append((slice(nf, m), t_w, invalid,
+                                   *_outermost(invalid, _OUTWARD * t)))
+            for part, w, invalid, i, far in blocks:
                 fp = f3[part]
-                invalid = ~np.isfinite(fp) | (w == 0)
-                out = np.where(invalid, -np.inf, _OUTWARD * nodes)
-                row, i = np.arange(fp.shape[0])[:, None], np.argmax(out, axis=-1)
-                far = out[row, _ENDS, i]
-                new = far > reach[part]
-                np.copyto(reach[part], far, where=new)
-                np.copyto(edge_f[part], fp[row, _ENDS, i], where=new)
-                np.copyto(edge_w[part], np.broadcast_to(w, fp.shape)[row, _ENDS, i], where=new)
-                # a node without a finite value takes the outermost one's
-                np.copyto(fp, edge_f[part, :, None], where=invalid)
+                reach, edge_f, edge_fw = edge[0, part], edge[1, part], edge[2, part]
+                new = far > reach
+                np.copyto(reach, far, where=new)
+                np.copyto(edge_f, fp.take(i), where=new)
+                # a node without a weight or a finite value takes the
+                # outermost one's value
+                np.copyto(fp, edge_f[:, :, None], where=invalid)
                 fp *= w
-            # f3 now holds the terms f_j w_j
+                np.copyto(edge_fw, np.abs(fp.take(i)), where=new)
+            # fj now holds the terms f_j w_j
             fjwj = fj
-            del blocks, nodes, w, fj, f3, fp, invalid, out
-            Sn = np.sum(fjwj, axis=-1) * h
-            if level == _TS_MINLEVEL:
+            del x, f3, fp, w, invalid, blocks
+            Sn = fjwj.sum(axis=-1) * h
+            if through:
                 # the estimates one and two levels down, from the same terms
-                terms = fjwj.reshape(m, 2, -1)
-                Snm1, Snm2 = (
-                    np.sum(terms[:, :, :_pairs(level - back, through=True)[0].size]
-                           .reshape(m, -1), axis=-1) * (2**back * h)
-                    for back in (1, 2))
+                lower = fjwj.take(_LOWER, axis=1)
+                S = np.empty((2, m))
+                S[0] = lower[:, :_N_LOWER].sum(axis=-1) * (2 * h)
+                S[1] = lower[:, _N_LOWER:].sum(axis=-1) * (4 * h)
             else:
-                Sn = Snm1 / 2 + Sn
-            # the error estimate of Bailey, Jeyabalan & Li (2005), section 5
-            d1 = np.abs(Sn - Snm1)
-            d2 = np.abs(Sn - Snm2)
-            d3 = _EPS * np.max(np.abs(fjwj), axis=-1)
-            d4 = np.max(np.abs(edge_f * edge_w), axis=-1)
-            d5 = _EPS * np.abs(Sn)
-            del fjwj
-            temp = np.where(d1 > 0, d1**(np.log(d1) / np.log(d2)), 0)
-            # the largest of temp, d1^2, d3 and d4, clipped to [d5, d1]
+                Sn = S[0] / 2 + Sn
+            # the error estimate of Bailey, Jeyabalan & Li (2005), section 5:
+            # with d1 and d2 how far Sn lies from the estimates one and two
+            # levels down, d1^(log d1 / log d2) (0 where d1 is 0), d1^2,
+            # eps max |f_j w_j|, the larger last term and eps |Sn|, the
+            # largest of them, at most d1
+            d = np.abs(Sn - S)
+            d1 = d[0]
+            log_d = np.log(d)
+            temp = np.zeros(m)
+            np.power(d1, log_d[0] / log_d[1], out=temp, where=d1 > 0)
+            abs_sn = np.abs(Sn)
             aerr = np.minimum(np.maximum(np.maximum(np.maximum(np.maximum(
-                temp, d1**2), d3), d4), d5), d1)
-            done = (aerr / np.abs(Sn) < rtol) | (aerr < _TS_ATOL)
-            stop = done | ~np.isfinite(Sn) | (level == maxlevel)
-            value[rows[stop]], error[rows[stop]] = Sn[stop], aerr[stop]
-            success[rows[stop]] = done[stop]
-            nfev[rows[stop]] = calls
-            keep = ~stop
-            nf = np.count_nonzero(keep[:nf])
-            rows, lo, hi = rows[keep], lo[keep], hi[keep]
-            rest = [v[keep] for v in rest]
-            reach, edge_f, edge_w = reach[keep], edge_f[keep], edge_w[keep]
-            Snm2, Snm1 = Snm1[keep], Sn[keep]
-    converged = success | (np.isfinite(value) & (error <= rel_tol * np.abs(value)))
-    return tuple(r.reshape(shape)[()] for r in (value, error, converged, nfev))
+                temp, np.square(d1)), _EPS * np.abs(fjwj).max(axis=-1)),
+                np.maximum(edge[2, :, 0], edge[2, :, 1])), _EPS * abs_sn), d1)
+            del fjwj
+            done = (aerr / abs_sn < rtol) | (aerr < _TS_ATOL)
+            finite = np.isfinite(Sn)
+            if level < maxlevel:
+                keep = finite & ~done
+                left = np.count_nonzero(keep)
+            else:
+                # a row stopped by the last level is settled if its error
+                # estimate is within rel_tol (the rounding floor of a very
+                # short interval)
+                done |= finite & (aerr <= rel_tol * abs_sn)
+                left = 0
+            if not left:
+                value[rows], error[rows], converged[rows], nfev[rows] = Sn, aerr, done, calls
+                break
+            if left < m:
+                stop = ~keep
+                r = rows[stop]
+                value[r], error[r], converged[r], nfev[r] = Sn[stop], aerr[stop], done[stop], calls
+                nf = np.count_nonzero(keep[:nf])
+                rows, lo, hi, edge = rows[keep], lo[keep], hi[keep], edge[:, keep]
+                rest = [v[keep] for v in rest]
+                S, Sn = S[:, keep], Sn[keep]
+            S[1] = S[0]
+            S[0] = Sn
+    return (value.reshape(shape)[()], error.reshape(shape)[()],
+            converged.reshape(shape)[()], nfev.reshape(shape)[()])
 
 
 # Refinement: on a jump, two levels of the rule can agree by chance and
@@ -345,14 +434,12 @@ def refine(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
     ``(value, error, converged, evaluations)``; ``converged`` is False for
     a divergent integral, or one whose jumps the budget cannot isolate.
     """
-    a, b = _limits(a, b)
-    n, k = a.shape
+    (a, b), (n, k) = _limits(a, b)
     value = np.zeros(n)  # sums over the kept pieces
     error = np.zeros(n)
     nfev = np.zeros(n, dtype=int)
     status = np.zeros(n, dtype=int)  # 0 open, 1 settled, 2 given up
     owner = np.repeat(np.arange(n), k)  # the open pieces
-    a, b = a.ravel(), b.ravel()
     whole = np.full(owner.size, np.nan)  # each open piece's own value
     for depth in range(1, _MAX_DEPTH + 1):  # every open piece has been split depth times
         if not owner.size:

@@ -121,7 +121,7 @@ import numpy as np
 from . import rng as rngmod
 from .expr import EvalError
 from .graphstats import ranked_unique, sorted_unique
-from .model import Graphex, GraphexError, _number
+from .model import Graphex, GraphexError, _finite, _number
 
 __all__ = [
     "PROV_ISOLATED",
@@ -203,12 +203,12 @@ class SamplerConfig:
 
 
 def _check_level(nu, name: str) -> None:
-    if not (_number(nu) and math.isfinite(nu) and nu >= 0):
+    if not (_finite(nu) and nu >= 0):
         raise SamplerError(f"{name} must be a finite number >= 0, got {nu!r}")
 
 
 def _check_eps(eps) -> None:
-    if not (_number(eps) and eps > 0):
+    if not ((_finite(eps) or eps == math.inf) and eps > 0):
         raise SamplerError(f"eps must be > 0, got {eps!r}")
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graphex, GraphexError, _number
+from .model import Graphex, GraphexError, _finite, _number
 from .quadrature import QuadratureError, poisson_tail
 
 __all__ = [
@@ -79,7 +79,7 @@ class ExpectationResult:
 
 
 def _check_nu(nu: float) -> float:
-    if not (_number(nu) and math.isfinite(nu) and nu >= 0):
+    if not (_finite(nu) and nu >= 0):
         raise TheoryError(f"truncation level nu must be a finite number >= 0, got {nu!r}")
     return float(nu)
 

@@ -22,7 +22,7 @@ from graphex.harness import (
     write_csv,
     write_json,
 )
-from graphex.model import build, dilate
+from graphex.model import SpecError, build, dilate
 from graphex.sampler import (
     SamplerConfig,
     _block_size,
@@ -30,7 +30,13 @@ from graphex.sampler import (
     choose_theta_max,
     sample_planted_degrees,
 )
-from graphex.theory import TheoryError, degree_ccdf, degree_pmf, expected_degree_count
+from graphex.theory import (
+    TheoryError,
+    degree_ccdf,
+    degree_pmf,
+    expected_degree_count,
+    expected_edges,
+)
 
 FAST = build({"family": "fast-decay"})
 NULL = build({"family": "custom", "exprs": {"W": "0"}})
@@ -207,6 +213,37 @@ def test_degdist_argument_errors():
 def test_bool_is_refused_as_a_number(call, error):
     with pytest.raises(error):
         call()
+
+
+# an int too large for a float is no finite level either: each module names
+# it in its own error, not in an OverflowError from the float conversion
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: SamplerConfig(nu=HUGE, seed=0), SamplerError),
+    (lambda: SamplerConfig(nu=1, seed=0, theta_max=HUGE), SamplerError),
+    (lambda: SamplerConfig(nu=1, seed=0, eps=HUGE), SamplerError),
+    (lambda: validate_expectations(FAST, (HUGE,), 30, 0), HarnessError),
+    (lambda: degdist_experiment(FAST, (HUGE,), 30, 0), HarnessError),
+    (lambda: projectivity_test(FAST, HUGE, 30, 0), HarnessError),
+    (lambda: validate_expectations(FAST, (2.0,), 30, 0, z_crit=HUGE), HarnessError),
+    (lambda: expected_edges(FAST, HUGE), TheoryError),
+], ids=["sampler-nu", "sampler-theta-max", "sampler-eps", "validate-grid", "degdist-grid",
+        "projectivity-nu", "validate-z-crit", "theory-nu"])
+def test_an_int_too_large_for_a_float_is_refused_by_name(call, error):
+    with pytest.raises(error, match="got .*10000000000"):
+        call()
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"family": "constant", "params": {"p": 0.5, "c": HUGE}}, "c"),
+    ({"family": "graphon-dilation", "params": {"c": HUGE, "grid": [[0.5]]}}, "c"),
+    ({"family": "fast-decay", "I": HUGE}, "I"),
+])
+def test_a_declaration_refuses_an_int_too_large_for_a_float(spec, name):
+    with pytest.raises(SpecError, match=f"{name} must be"):
+        build(spec)
 
 
 # --------------------------------------------------------------------------

@@ -351,6 +351,26 @@ def test_limits_must_be_numbers_and_the_lower_one_finite(a, b):
             refine(f, a2, b2)
 
 
+@pytest.mark.parametrize("a, b, args, match", [
+    ("a", 1.0, (), "a limit must be a number, got 'a'"),
+    (0.0, [1.0, "x"], (), r"a limit must be a number, got \[1.0, 'x'\]"),
+    (0.0, 1j, (), r"a limit must be a number, got 1j"),
+    ([0.0, 1.0], [1.0, 2.0, 3.0], (), r"do not broadcast together: shapes \(2,\), \(3,\)"),
+    ([0.0, 1.0], math.inf, (np.ones(3),),
+     r"do not broadcast together: shapes \(2,\), \(\), \(3,\)"),
+])
+def test_limits_and_args_that_are_not_numbers_or_do_not_broadcast_are_named(a, b, args, match):
+    # the rule's own error, naming the value or the shapes, not NumPy's
+    # bare ValueError
+    f = lambda t, *c: np.exp(-t)  # noqa: E731
+    for integrate in (first_pass, integrate_array):
+        with pytest.raises(QuadratureError, match=match):
+            integrate(f, a, b, args=args)
+    if not args:
+        with pytest.raises(QuadratureError, match="limit"):
+            refine(f, np.atleast_2d(a), np.atleast_2d(b))
+
+
 def test_integrand_must_return_one_value_per_node():
     with pytest.raises(QuadratureError, match="one value per node"):
         first_pass(lambda t: np.ones(3), 0.0, 1.0)
@@ -406,6 +426,21 @@ RULE_CASES = {
                    [0.0, 0.0, 0.5, 2.0, 1.0, 0.25, 3.0, 0.0],
                    np.array([3.0, math.inf, 2.0, math.inf, 40.0, math.inf, 3.0, math.inf]),
                    (np.array([[0.5], [5.0], [60.0], [800.0]]),)),
+    # one [a, inf) row that settles at the first test, level 4
+    "one row at level 4": (lambda t: np.exp(-t), 0.0, math.inf, ()),
+    # finite and [a, inf) rows that all stop at the same level
+    "rows that stop together": (lambda t, c: np.exp(-c * t), [0.0, 1.0, 0.0, 2.0, 0.5],
+                                [2.0, 4.0, math.inf, math.inf, math.inf],
+                                (np.array([1.0, 1.0, 1.0, 1.0, 2.0]),)),
+    # no row stops before the last level
+    "rows that never stop early": (lambda t, c: c / (1.0 + t), [0.0, 1.0, 3.0], math.inf,
+                                   (np.array([1.0, 2.0, 0.5]),)),
+    # f t^-2 overflows far out on [a, inf), where t^-2 does not, and
+    # (1 - t)^-0.5 is infinite on the nodes that round onto b = 1: one end
+    # of each row has nodes without a finite value or without weight
+    "one-sided edges": (lambda t, k: np.where(k == 0, 1e300 * (1.0 + t) ** -1.5,
+                                              (1.0 - t) ** -0.5),
+                        [0.0, 3.0, 0.0], [math.inf, math.inf, 1.0], (np.array([0, 0, 1]),)),
 }
 
 
@@ -425,6 +460,19 @@ def test_the_mixed_rows_stop_at_different_levels(maxlevel):
     evaluations = quadrature._tanhsinh(f, a, b, 1e-8, args, maxlevel)[3]
     for rows in (np.isfinite(b) & (np.array(a) < b), np.isinf(b)):
         assert len(np.unique(evaluations[:, rows])) >= (2 if maxlevel == 5 else 4)
+
+
+@pytest.mark.parametrize("maxlevel", [5, 10])
+def test_the_added_cases_stop_where_their_names_say(maxlevel):
+    # the first test is at level 4, after 2 * 129 nodes and SciPy's probe;
+    # level k > 4 adds 2 * 8 * 2^(k - 1) nodes
+    calls = {4: 259, maxlevel: 3 + 2 * quadrature._N_BASE_STEPS * 2**maxlevel}
+    for case, level in [("one row at level 4", 4), ("rows that stop together", 4),
+                        ("rows that never stop early", maxlevel),
+                        ("one-sided edges", maxlevel)]:
+        f, a, b, args = RULE_CASES[case]
+        evaluations = quadrature._tanhsinh(f, a, b, 1e-8, args, maxlevel)[3]
+        assert np.all(evaluations == calls[level]), case
 
 
 @pytest.mark.parametrize("decl", [
