@@ -179,7 +179,6 @@ def cmd_sample(args) -> int:
     g = _load_graphex(args.graphex)
     cfg = SamplerConfig(nu=args.nu, seed=args.seed, eps=args.eps,
                         theta_max=args.theta_max,
-                        retain_latent=bool(args.latent_out),
                         use_fast_path=not args.no_fast_path)
     graph = sample_keg(g, cfg)
     graph.write_csv(args.out if args.out else sys.stdout)

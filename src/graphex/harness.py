@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -97,14 +98,18 @@ class HarnessError(ValueError):
     pass
 
 
-def _check_reps(reps: int) -> None:
-    if not (isinstance(reps, int) and reps >= MIN_REPLICATES):
+# the checks below return what a report stores, as Python numbers, which
+# JSON writes whatever scalar type the caller gave
+def _check_reps(reps: int) -> int:
+    if not (_number(reps, numbers.Integral) and reps >= MIN_REPLICATES):
         raise HarnessError(f"need at least {MIN_REPLICATES} replicates, got {reps!r}")
+    return int(reps)
 
 
-def _check_verdict_level(value, name: str, ok, what: str) -> None:
+def _check_verdict_level(value, name: str, ok, what: str) -> float:
     if not (_number(value) and ok(value)):
         raise HarnessError(f"{name} must be {what}, got {value!r}")
+    return float(value)
 
 
 def _check_grid(nus) -> tuple[float, ...]:
@@ -318,10 +323,10 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
 
     All statistics at one nu are read off the same R graphs.
     """
-    _check_reps(reps)
+    reps = _check_reps(reps)
     grid = _check_grid(nus)
     parsed = [(name, *statistic(name)) for name in stats]
-    _check_verdict_level(z_crit, "z_crit", lambda z: _finite(z) and z > 0,
+    z_crit = _check_verdict_level(z_crit, "z_crit", lambda z: _finite(z) and z > 0,
                          "a finite number > 0")
 
     def counts(block, i_nu):
@@ -343,7 +348,7 @@ def validate_expectations(g: Graphex, nus, reps: int, seed: int,
             z = _z_score(mean, sd, se, expected, reps)
             rows.append(StatRow(label, nu, reps, mean, sd, se, expected, z,
                                 "pass" if abs(z) <= z_crit else "fail"))
-    return ValidationReport(tuple(rows), z_crit, seed, dict(g.spec))
+    return ValidationReport(tuple(rows), z_crit, int(seed), dict(g.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +402,15 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
     once regardless of its size. k is fixed, or per-nu as floor(nu^beta).
     Graphs with no visible vertices are excluded and counted as rejected.
     """
-    _check_reps(reps)
+    reps = _check_reps(reps)
     grid = _check_grid(nus)
     if (k is None) == (beta is None):
         raise HarnessError("exactly one of k and beta must be given")
-    if k is not None and not (_number(k, int) and k >= 1):
+    if k is not None and not (_number(k, numbers.Integral) and k >= 1):
         raise HarnessError(f"k must be an integer >= 1, got {k!r}")
     if beta is not None:
         _check_verdict_level(beta, "beta", lambda b: 0.0 < b < 1.0, "in (0, 1)")
-    ks = [k if k is not None else max(1, int(math.floor(nu ** beta))) for nu in grid]
+    ks = [int(k) if k is not None else max(1, int(math.floor(nu ** beta))) for nu in grid]
 
     def fractions(block, i_nu):
         rep, deg = _degree_table(block)
@@ -425,7 +430,7 @@ def degdist_experiment(g: Graphex, nus, reps: int, seed: int, k: int | None = No
             empirical_pmf=float(arr[:, 1].mean()),
             theory_pmf=theory.degree_pmf(g, nu, k_nu),
         ))
-    return DegreeLawReport(tuple(rows), seed, dict(g.spec))
+    return DegreeLawReport(tuple(rows), int(seed), dict(g.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +473,10 @@ def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
                             eps: float = 1e-3, threshold: float = 0.95) -> ConnectivityReport:
     """Mean largest-component fraction across a nu grid. The components of
     a block's replicates come from one search of the block's graph."""
-    _check_reps(reps)
+    reps = _check_reps(reps)
     grid = _check_grid(nus)
-    _check_verdict_level(threshold, "threshold", lambda t: 0.0 <= t <= 1.0, "in [0, 1]")
+    threshold = _check_verdict_level(threshold, "threshold", lambda t: 0.0 <= t <= 1.0,
+                                     "in [0, 1]")
 
     def fraction(block, i_nu):
         ids, component = components(block.edges)
@@ -485,7 +491,7 @@ def connectivity_experiment(g: Graphex, nus, reps: int, seed: int,
     for nu, results in _replicates(g, grid, reps, seed, eps, fraction):
         kept, rejected = _drop_empty(results, nu, "is the kernel identically zero?")
         rows.append(ConnectivityRow(nu, reps, rejected, float(np.mean(kept))))
-    return ConnectivityReport(tuple(rows), threshold, seed, dict(g.spec))
+    return ConnectivityReport(tuple(rows), threshold, int(seed), dict(g.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +524,9 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
     p-value flags a restriction or sampling defect. The asymptotic KS
     p-value is used; with integer-valued samples it is conservative.
     """
-    _check_reps(reps)
-    _check_verdict_level(nu, "nu", lambda v: _finite(v) and v > 0, "positive and finite")
-    _check_verdict_level(p_floor, "p_floor", lambda p: 0.0 < p < 1.0, "in (0, 1)")
+    reps = _check_reps(reps)
+    nu = _check_verdict_level(nu, "nu", lambda v: _finite(v) and v > 0, "positive and finite")
+    p_floor = _check_verdict_level(p_floor, "p_floor", lambda p: 0.0 < p < 1.0, "in (0, 1)")
 
     def edge_count(block, i_nu):
         per_replicate = np.diff(block.edge_start)
@@ -539,7 +545,7 @@ def projectivity_test(g: Graphex, nu: float, reps: int, seed: int,
 
     result = ks_2samp(arm_a, arm_b, method="asymp")
     return ProjectivityReport(
-        nu=float(nu), replicates=reps, ks_statistic=float(result.statistic),
-        p_value=float(result.pvalue), p_floor=p_floor, seed=seed,
+        nu=nu, replicates=reps, ks_statistic=float(result.statistic),
+        p_value=float(result.pvalue), p_floor=p_floor, seed=int(seed),
         graphex=dict(g.spec),
     )

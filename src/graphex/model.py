@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -324,9 +325,11 @@ def _require(cond: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _number(value, kinds=(int, float)) -> bool:
-    # bool is a subclass of int, but True (JSON's true) is no number
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _number(value, kind=numbers.Real) -> bool:
+    """A number of ``kind`` (``numbers.Real`` or ``numbers.Integral``), NumPy
+    scalars among them; a bool, Python's or NumPy's, is none: True is JSON's
+    true."""
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
 
 def _finite(value) -> bool:
@@ -431,7 +434,7 @@ def _family_graphon_dilation(params: dict, exprs: dict):
         arr = np.empty(0)  # ragged, or entries that are no numbers: refused below
     _require(arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.shape[0] >= 1,
              "graphon-dilation: grid must be a square matrix")
-    _require(all(_number(v, (int, float, np.number)) for row in grid for v in row),
+    _require(all(_number(v) for row in grid for v in row),
              "graphon-dilation: grid entries must be numbers")
     _require(bool(np.all((arr >= 0.0) & (arr <= 1.0))),
              "graphon-dilation: grid entries must lie in [0, 1]")

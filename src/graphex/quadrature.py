@@ -114,6 +114,8 @@ def first_pass(f, a, b, rel_tol: float = 1e-8, args: tuple = ()):
     the limits at known jumps. A non-finite integrand value raises
     QuadratureError; the rule would put the nearest finite one in its place.
     Nested integrands use this pass alone, not a refinement at every node.
+    ``f`` may return a read-only array, or one it keeps: the rule writes
+    into the array ``f`` returns only where nothing else holds it.
     """
     return _tanhsinh(f, a, b, rel_tol, args, _TS_MAXLEVEL)
 
@@ -249,6 +251,16 @@ def _finite_block(lo, hi, xjc, wj, x):
     return w, zero, *_outermost(zero, _OUTWARD * x)
 
 
+def _lone_references() -> int:
+    """What sys.getrefcount reads for an array that one local variable
+    holds, as ``_tanhsinh`` holds the integrand's ``fj``."""
+    fj = np.empty(1)
+    return sys.getrefcount(fj)
+
+
+_LONE_REFERENCES = _lone_references()
+
+
 def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
     if not (0.0 < rel_tol <= 1e-2):
         raise QuadratureError(f"rel_tol must be in (0, 1e-2], got {rel_tol!r}")
@@ -304,6 +316,13 @@ def _tanhsinh(f, a, b, rel_tol, args, maxlevel):
             fj = np.asarray(f(x, *rest), dtype=float)
             if fj.shape != x.shape:
                 raise QuadratureError("the integrand must return one value per node")
+            # the terms are weighted in place, in f's array only where the
+            # rule alone holds it: one that the integrand keeps, a view, or a
+            # read-only one is copied first, and a fresh one, the usual case,
+            # costs no copy
+            if not (fj.flags.owndata and fj.flags.writeable
+                    and sys.getrefcount(fj) <= _LONE_REFERENCES):
+                fj = fj.copy()
             calls += 2 * n
             if np.count_nonzero(np.isfinite(fj)) < fj.size:
                 # a node that rounds onto an endpoint carries no weight

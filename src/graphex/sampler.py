@@ -84,6 +84,13 @@ kernel takes the naive path, the reference. ``_plan`` alone makes this
 choice, with the cutoff and the expected work of a draw, and the ``_MAX_*``
 constants cap a draw's latent points, pair coins and proposals.
 
+The engines share one interface. ``_plan`` names the engine's class, and
+``Engine(g, theta, planted, nu, seeds)`` draws the block's latent stream.
+It gives each replicate's slots ``n``, first slot ``base`` and cloud points
+``n_cloud`` (planted points come last), the kernel pairs ``pairs(g, gens)``
+and self loops ``loops(g, gens)``, and ``positions(slots)``, latent
+coordinates; ``_draw`` runs every engine alike.
+
 All paths produce the same distribution; differential tests in the test
 suite hold the full cloud, the lazy cloud and the Caron-Fox construction
 against the naive path.
@@ -98,14 +105,15 @@ be needed, which draws the same numbers, since a coin is one uniform and
 nothing reads the stream after it. Every stage between the calls runs once
 over the block: the latent strata or points, positions through
 ``uniform_at``, partner searches, dedupe, acceptance, self loops,
-visibility and indexing. Slots, pair keys and vertex ids run through the
-block, replicate by replicate, so a sort or a dedupe over the block keeps
-each replicate's own order, and a search in a replicate's own table is
-done row by row or, for many small rows, as one search of the pairs
-(replicate, value). Stars, isolated edges, labels and the naive path loop
-over the replicates. ``_block_size`` sets how many replicates share a block
-from the expected work of one draw (``_plan``), so a large draw is a block
-of its own.
+visibility and indexing. Slots and vertex ids run through the block,
+replicate by replicate, and the key of a pair of slots u < v is
+u * span + v, span the block's number of slots, so a sort or a dedupe over
+the block keeps each replicate's own order, and a search in a replicate's
+own table is done row by row or, for many small rows, as one search of the
+pairs (replicate, value). Stars, isolated edges, labels and the naive path
+loop over the replicates. ``_block_size`` sets how many replicates share a
+block from the expected work of one draw (``_plan``), so a large draw is a
+block of its own.
 """
 
 from __future__ import annotations
@@ -113,6 +121,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -183,20 +192,21 @@ class SamplerConfig:
     for any kernel whose diagonal decays at least as fast as its marginal).
     ``theta_max`` sets the cutoff in place of eps, and
     ``use_fast_path=False`` coins every pair on the naive path, the
-    reference. The caps on a draw's size are module constants.
+    reference. The caps on a draw's size are module constants. A NumPy
+    integer seed is stored as a Python int.
     """
 
     nu: float
     seed: int
     eps: float = 1e-3
     theta_max: float | None = None
-    retain_latent: bool = False
     use_fast_path: bool = True
 
     def __post_init__(self):
         _check_level(self.nu, "nu")
-        if not (_number(self.seed, int) and self.seed >= 0):
+        if not (_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise SamplerError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         _check_eps(self.eps)
         if self.theta_max is not None:
             _check_level(self.theta_max, "theta_max")
@@ -219,8 +229,9 @@ class SampledGraph:
     ``edges`` is an (E, 2) int64 array with u <= v per row, indices into
     ``labels``. ``provenance`` tags each edge 0 (kernel, including self
     loops), 1 (star leaf) or 2 (isolated pair). Only visible vertices are
-    stored. ``latent`` (when retained) carries the latent coordinate of each
-    vertex, NaN for star leaves and isolated endpoints, which have none.
+    stored. ``latent`` carries the latent coordinate of each vertex, NaN for
+    star leaves and isolated endpoints, which have none; every drawn graph
+    has it, and a graph built without it cannot write it.
     """
 
     nu: float
@@ -287,7 +298,7 @@ class SampledGraph:
 
     def write_latent_csv(self, dest) -> None:
         if self.latent is None:
-            raise SamplerError("latent coordinates were not retained for this graph")
+            raise SamplerError("this graph carries no latent coordinates")
         with _out_stream(dest) as fh:
             fh.write("vertex_index,latent\n")
             for i, x in enumerate(self.latent.tolist()):
@@ -515,31 +526,11 @@ def _coins_of(keys: np.ndarray, bounds: np.ndarray, offsets: np.ndarray,
     return coins[np.repeat(offsets - (np.cumsum(per) - per), per) + np.arange(keys.size)]
 
 
-def _pairs_of(keys: np.ndarray, kbase: np.ndarray, n: np.ndarray, base: np.ndarray):
-    """The slot pairs (u, v), one row each, of the ascending pair keys
-    kbase[r] + u' * n[r] + v' of replicate r, whose slots u', v' start at
-    base[r]."""
+def _pairs_of(keys: np.ndarray, span: int) -> np.ndarray:
+    """The slot pairs (u, v), one row each, of the pair keys u * span + v."""
     pairs = np.empty((keys.size, 2), dtype=np.int64)
-    if n.size == 1:
-        np.divmod(keys, n[0], out=(pairs[:, 0], pairs[:, 1]))
-        return pairs
-    per = np.diff(np.searchsorted(keys, kbase))
-    np.divmod(keys - np.repeat(kbase[:-1], per), np.repeat(n, per), out=(pairs[:, 0], pairs[:, 1]))
-    pairs += np.repeat(base[:-1], per)[:, None]
+    np.divmod(keys, span, out=(pairs[:, 0], pairs[:, 1]))
     return pairs
-
-
-def _heavy_pairs(heavy: np.ndarray):
-    """(replicate, a, b) of each pair of heavy points a < b of a replicate,
-    which has heavy[r] of them, counted through the block: replicate by
-    replicate, in ``np.triu_indices`` order. The replicate of a block of one
-    is 0."""
-    iu, ju = np.triu_indices(int(heavy.max()), k=1)
-    if heavy.size == 1:
-        return 0, iu, ju
-    rep, pair = np.nonzero(ju < heavy[:, None])
-    first = np.concatenate(([0], np.cumsum(heavy)))[rep]
-    return rep, first + iu[pair], first + ju[pair]
 
 
 class _Clouds:
@@ -557,8 +548,8 @@ class _Clouds:
     def __init__(self, g: Graphex, pts: np.ndarray, base: np.ndarray):
         self.thin = g.rate_factor is None
         weight = g.separable_f if self.thin else g.rate_factor
-        # clipped in place; pts itself is still needed for self loops, stars
-        # and retain_latent, so an f that is pts (or a view of it) is copied
+        # clipped in place; pts itself still serves self loops, stars and
+        # latent coordinates, so an f that is pts (or a view of it) is copied
         f = np.require(np.asarray(weight(pts), dtype=float), requirements="W")
         if np.shares_memory(f, pts):
             f = f.copy()
@@ -575,13 +566,7 @@ class _Clouds:
         f = self.f[slots]
         return f, f
 
-    def acceptance(self, lo, hi):
-        """The probability f_lo f_hi / (1 - exp(-c0 f_lo f_hi)) of accepting a
-        proposed pair."""
-        p = self.f[lo] * self.f[hi]
-        return p / (-np.expm1(-_C0 * p))
-
-    def propose(self, kbase: np.ndarray) -> None:
+    def propose(self) -> None:
         """Lay out the proposal rates: slot u of replicate r draws
         K_u ~ Poi(c0 f_u R_u) partners in proportion to f, R_u being the
         f-mass its table holds past u. Each replicate's entries come in the
@@ -606,7 +591,9 @@ class _Clouds:
         self.at = self.table[self.row, col]
         self.reach = self.table[self.row, -1] - self.at
         self.rate = self.c0 * f[order] * self.reach
-        self.keybase = kbase[rep] + col * n[rep]
+        # a key u * span + v is this, plus the column of v in the table
+        first = self.base[rep]
+        self.keybase = (first + col) * self.base[-1] + first
 
     def draw(self, r: int, gen):
         """Replicate r's partner counts and the uniforms of its partner keys,
@@ -621,11 +608,10 @@ class _Clouds:
             return None
         return counts, gen.random(m), gen.random(m) if self.thin else None
 
-    def pair_keys(self, draws, kbase):
-        """Distinct proposed pair keys kbase[r] + u' * n[r] + v', u' < v' the
-        slots inside replicate r, ascending, and each one's coin: slot u's
-        keys fall in [cum[u], cum[-1]), where each later partner v holds
-        [cum[v - 1], cum[v])."""
+    def pair_keys(self, draws):
+        """Distinct proposed pair keys u * span + v, ascending, and each one's
+        coin: slot u's keys fall in [cum[u], cum[-1]) of its table, where each
+        later partner v holds [cum[v - 1], cum[v])."""
         counts = np.zeros(self.rate.size, dtype=np.int64)
         picks, coins, offsets, m = [], [], np.zeros(self.n.size, dtype=np.int64), 0
         for r, drawn in enumerate(draws):
@@ -649,7 +635,8 @@ class _Clouds:
         key = sorted_unique(key)
         if not self.thin:
             return key, None
-        return key, _coins_of(key, kbase, offsets, coins[0] if len(coins) == 1 else np.concatenate(coins))
+        return key, _coins_of(key, self.base * self.base[-1], offsets,
+                              coins[0] if len(coins) == 1 else np.concatenate(coins))
 
 
 _STRATUM_RATIO = 1.25  # f falls by at most this factor inside a stratum
@@ -686,14 +673,15 @@ class _LazyClouds:
 
     thin = True  # every proposal is accepted with its own probability
 
-    def __init__(self, g: Graphex, edges, bound, planted, nu: float, gens):
+    def __init__(self, g: Graphex, theta: float, planted, nu: float, seeds):
+        edges, bound = _strata(g, theta)[:2]
         self.f = g.separable_f
         self.lo = np.concatenate((edges[:-1], planted))
         self.width = np.concatenate((np.diff(edges), 0.0 * planted))
         self.bnd = np.concatenate((bound, np.clip(self.f(planted), 0.0, 1.0)))
         mean = nu * np.diff(edges)
         counts, keys = [], []
-        for gen in gens:
+        for gen in rngmod.streams(seeds, _STREAM_LATENT):
             counts.append(gen.poisson(mean))
             # gen.integers(2 ** 64, dtype=np.uint64) is this word, at a
             # fraction of the cost
@@ -735,7 +723,7 @@ class _LazyClouds:
         off = (keys - below[rows, s]) / rate[s]
         return self.start[rows, s] + np.minimum(off, self.count[rows, s] - 1).astype(np.int64), s
 
-    def propose(self, kbase: np.ndarray) -> None:
+    def propose(self) -> None:
         """Each replicate's expected number of ordered pairs, c0 (sum F)^2 / 2."""
         total = self.below[:, -1]
         self.lam = _C0 * total * total / 2.0
@@ -750,46 +738,41 @@ class _LazyClouds:
         m = int(gen.poisson(self.lam[r]))
         return gen.random(3 * m).reshape(3, m) if m else None
 
-    def pair_keys(self, draws, kbase):
-        """Distinct proposed pair keys kbase[r] + u' * n[r] + v', u' < v' the
-        slots inside replicate r, ascending, and each one's coin: M ordered
-        pairs with endpoints i.i.d. in proportion to F, less self pairs and
-        heavy-heavy ones, so a pair {u, v} is proposed Poi(c0 F_u F_v) times,
-        independently of all others."""
+    def pair_keys(self, draws):
+        """Distinct proposed pair keys u * span + v, u < v, ascending, and
+        each one's coin: M ordered pairs with endpoints i.i.d. in proportion
+        to F, less self pairs and heavy-heavy ones, so a pair {u, v} is
+        proposed Poi(c0 F_u F_v) times, independently of all others."""
         m = np.array([0 if d is None else d.shape[1] for d in draws], dtype=np.int64)
         if not m.any():
             return np.empty(0, dtype=np.int64), np.empty(0)
         offsets = np.cumsum(m) - m
         u, v, coins = np.concatenate([d for d in draws if d is not None], axis=1)
-        rows = np.repeat(np.arange(m.size), m) if m.size > 1 else 0
         u, su = self.locate(u, m, self.below, self.bnd)
         v, sv = self.locate(v, m, self.below, self.bnd)
         big = self.bnd > _TAU
         ok = (u != v) & ~(big[su] & big[sv])
-        key = np.minimum(u, v) - self.base[rows]
-        key *= self.n[rows]
-        key += np.maximum(u, v) - self.base[rows]
-        key += kbase[rows]
-        key = sorted_unique(key[ok])
-        return key, _coins_of(key, kbase, offsets, coins)
+        span = self.base[-1]
+        key = sorted_unique((np.minimum(u, v) * span + np.maximum(u, v))[ok])
+        return key, _coins_of(key, self.base * span, offsets, coins)
 
-    def acceptance(self, lo, hi):
-        """The probability f_lo f_hi / (1 - exp(-c0 F_lo F_hi)) of accepting
-        a proposed pair."""
-        (f_lo, bound_lo), (f_hi, bound_hi) = self.value(lo), self.value(hi)
-        return f_lo * f_hi / (-np.expm1(-_C0 * (bound_lo * bound_hi)))
-
-    def positions(self, slots):
+    def place(self, slots):
         """Latent coordinates of the slots, and their strata."""
         flat = np.searchsorted(self.start.ravel(), slots, side="right") - 1
         rows, s = np.divmod(flat, self.bnd.size)
         u = rngmod.uniform_at(self.key[rows], slots - self.base[rows])
         return self.lo[s] + self.width[s] * u, s
 
+    def positions(self, slots):
+        return self.place(slots)[0]
+
+    def pairs(self, g: Graphex, gens) -> np.ndarray:
+        return _kernel_pairs(self, gens)
+
     def value(self, slots, h=None):
         """f at the slots and its bound there, or h and the bound's square for
         an h bounded by f^2."""
-        x, s = self.positions(slots)
+        x, s = self.place(slots)
         bound = self.bnd[s] if h is None else self.bnd[s] ** 2
         return _checked(x, (h or self.f)(x), bound), bound
 
@@ -850,17 +833,17 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
     once with probability f_u f_v / (1 - exp(-c0 F_u F_v)) where the cloud
     thins them; see the module docstring. Each replicate's stream draws, in
     this order, its heavy coins and its proposals."""
-    n, base = cloud.n, cloud.base
-    # pair keys kbase[r] + u' * n[r] + v' order the pairs of the whole block
+    n = cloud.n
+    # pair keys u * span + v order the pairs of the whole block
     # (``_block_size`` keeps them below 2^63)
-    kbase = np.concatenate(([0], np.cumsum(n * n)))
+    span = int(cloud.base[-1])
     heavy = cloud.n_heavy
     worst = int(heavy.max())
     if worst * (worst - 1) / 2 > _MAX_PAIR_COINS:
         raise SamplerError(
             f"{worst} latent points have f > {_TAU}; too many heavy pairs to coin "
             f"(over max_pair_coins, {_MAX_PAIR_COINS:.3g}); lower nu")
-    cloud.propose(kbase)
+    cloud.propose()
     coins, draws = [], []
     for r, gen in enumerate(gens):
         if n[r] < 2:
@@ -873,10 +856,11 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
 
     # each run holds pair keys, ascending: the heavy pairs come out of
     # triu_indices over ascending slots, the light ones out of the dedupe
-    runs = [_heavy_keys(cloud, coins, kbase)] if coins else []
-    key, coin = cloud.pair_keys(draws, kbase)
+    runs = [_heavy_keys(cloud, coins, span)] if coins else []
+    key, coin = cloud.pair_keys(draws)
     if key.size and cloud.thin:
-        key = key[coin < cloud.acceptance(*_pairs_of(key, kbase, n, base).T)]
+        (f_u, bound_u), (f_v, bound_v) = (cloud.value(s) for s in _pairs_of(key, span).T)
+        key = key[coin < f_u * f_v / -np.expm1(-_C0 * (bound_u * bound_v))]
     if key.size:
         runs.append(key)
     if not runs:
@@ -884,19 +868,22 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
     # a stable sort merges two sorted runs in one pass; no heavy pair was
     # proposed, so they share no key
     key = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs), kind="stable")
-    return _pairs_of(key, kbase, n, base)
+    return _pairs_of(key, span)
 
 
-def _heavy_keys(cloud, coins: list, kbase: np.ndarray) -> np.ndarray:
-    """The pair keys of the heavy pairs that the coins keep, ascending: pair
-    {u, v} is kept with probability f_u f_v."""
-    rep, a, b = _heavy_pairs(cloud.n_heavy)
+def _heavy_keys(cloud, coins: list, span: int) -> np.ndarray:
+    """The pair keys of the heavy pairs that the coins keep, ascending: the
+    pairs a < b of each replicate's heavy slots, replicate by replicate and
+    in ``np.triu_indices`` order, each kept with probability f_a f_b."""
+    heavy = cloud.n_heavy
+    a, b = np.triu_indices(int(heavy.max()), k=1)
+    if heavy.size > 1:
+        rep, pair = np.nonzero(b < heavy[:, None])
+        first = np.concatenate(([0], np.cumsum(heavy)))[rep]
+        a, b = first + a[pair], first + b[pair]
     fh = cloud.value(cloud.heavy)[0]
     keep = np.concatenate(coins) < fh[a] * fh[b]
-    u, v = cloud.heavy[a[keep]], cloud.heavy[b[keep]]
-    rep = rep[keep] if np.ndim(rep) else rep
-    base = cloud.base[rep]
-    return kbase[rep] + (u - base) * cloud.n[rep] + (v - base)
+    return cloud.heavy[a[keep]] * span + cloud.heavy[b[keep]]
 
 
 _NAIVE_BLOCK = 2048
@@ -930,6 +917,48 @@ def _pairs_naive(g: Graphex, pts: np.ndarray, gen) -> np.ndarray:
     return np.column_stack((u[order], v[order])).astype(np.int64)
 
 
+class _NaiveCloud:
+    """Every latent point of each replicate of a block, drawn up front,
+    replicate by replicate with its planted ones last: the naive path, which
+    coins every pair with W and every point's self loop with W(x, x)."""
+
+    def __init__(self, g: Graphex, theta: float, planted, nu: float, seeds):
+        expected, empty = nu * theta, np.empty(0)
+        clouds = [empty] * len(seeds)
+        if expected > 0:
+            clouds = []
+            for gen in rngmod.streams(seeds, _STREAM_LATENT):
+                k = int(gen.poisson(expected))
+                clouds.append(gen.uniform(0.0, theta, k) if k else empty)
+        self.n_cloud = np.array([c.size for c in clouds], dtype=np.int64)
+        self.pts = np.concatenate([x for c in clouds for x in (c, planted)])
+        self.base = np.concatenate(([0], np.cumsum(self.n_cloud + planted.size)))
+        self.n = np.diff(self.base)
+
+    def positions(self, slots):
+        return self.pts[slots]
+
+    def pairs(self, g: Graphex, gens) -> np.ndarray:
+        base = self.base.tolist()
+        naive = [_pairs_naive(g, self.pts[b0:b1], gen) + b0
+                 for b0, b1, gen in zip(base, base[1:], gens) if b1 - b0 >= 2]
+        return naive[0] if len(naive) == 1 else np.concatenate(naive)
+
+    def loops(self, g: Graphex, gens) -> np.ndarray:
+        """Slots with a self loop, ascending: a coin each."""
+        d = np.clip(np.asarray(g.diag_at(self.pts), dtype=float), 0.0, 1.0)
+        coins = [gen.random(k) for gen, k in zip(gens, self.n.tolist()) if k]
+        return np.flatnonzero(np.concatenate(coins) < d)
+
+
+class _FullCloud(_NaiveCloud):
+    """The naive cloud, its pairs drawn by ordered proposals (``_Clouds``)."""
+
+    def pairs(self, g: Graphex, gens) -> np.ndarray:
+        # the weights and tables serve only the pairs, and go with them
+        return _kernel_pairs(_Clouds(g, self.pts, self.base), gens)
+
+
 # ---------------------------------------------------------------------------
 # Full draw
 # ---------------------------------------------------------------------------
@@ -939,8 +968,9 @@ class _Block:
     """The draws of a block of replicates, as one graph: replicate i owns the
     vertices vertex_start[i]:vertex_start[i + 1] and the edges
     edge_start[i]:edge_start[i + 1], whose endpoints are vertex ids of the
-    block. ``labels`` is None where they were not drawn; ``planted`` holds
-    each replicate's planted vertices, numbered inside the replicate."""
+    block. ``labels`` and ``latent`` (coordinates, NaN where a vertex has
+    none) are None where labels were not drawn; ``planted`` holds each
+    replicate's planted vertices, numbered inside the replicate."""
 
     nu: float
     theta: float
@@ -973,8 +1003,7 @@ class _Block:
         return SampledGraph(
             nu=self.nu, seed=self.seeds[i], theta_max=self.theta, epsilon=self.eps,
             labels=self.labels[v0:v1], edges=edges - v0 if v0 else edges,
-            provenance=self.provenance[e0:e1],
-            latent=None if self.latent is None else self.latent[v0:v1],
+            provenance=self.provenance[e0:e1], latent=self.latent[v0:v1],
             planted_indices=tuple(self.planted[i].tolist()),
         )
 
@@ -986,8 +1015,8 @@ class _Block:
 # of it 30% slower
 _BLOCK_WORK = 1 << 14
 
-# a draw's cutoff, its engine (one of the three) and its expected work
-_LAZY, _FULL, _NAIVE = "lazy strata", "full cloud", "naive"
+# a draw's cutoff, its engine's class (one of the three) and its expected work
+_LAZY, _FULL, _NAIVE = _LazyClouds, _FullCloud, _NaiveCloud
 _Plan = namedtuple("_Plan", "theta engine work")
 
 
@@ -1037,27 +1066,11 @@ def _plan(g: Graphex, cfg: SamplerConfig) -> _Plan:
 def _block_size(g: Graphex, cfg: SamplerConfig) -> tuple[int, float]:
     """How many replicates at cfg share one block, and the expected work of
     one draw (``_plan``): as many as split ``_BLOCK_WORK`` by that work. The
-    pair keys of a block stay below 2^63."""
+    pair keys u * span + v of a block stay below 2^63: its slots, span,
+    stay below 2^30.5 at 1.1 times a draw's expected points, plus 100."""
     theta, _, work = _plan(g, cfg)
     size = int(_BLOCK_WORK // max(work, 1.0))
-    return max(1, min(size, int(2.0 ** 61 / (1.1 * (cfg.nu * theta) + 100.0) ** 2))), work
-
-
-def _full_points(expected: float, theta: float, planted: np.ndarray, reps: int, gens):
-    """Every replicate's latent points, replicate by replicate, its planted
-    ones last; the first slot of each replicate, and its number of points
-    that are not planted."""
-    empty = np.empty(0)
-    clouds = [empty] * reps
-    if expected > 0:
-        clouds = []
-        for gen in gens:
-            k = int(gen.poisson(expected))
-            clouds.append(gen.uniform(0.0, theta, k) if k else empty)
-    n_cloud = np.array([c.size for c in clouds], dtype=np.int64)
-    pts = np.concatenate([x for c in clouds for x in (c, planted)])
-    base = np.concatenate(([0], np.cumsum(n_cloud + planted.size)))
-    return pts, base, n_cloud
+    return max(1, min(size, int(2.0 ** 30.5 / (1.1 * (cfg.nu * theta) + 100.0)))), work
 
 
 def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True) -> _Block:
@@ -1065,10 +1078,10 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     ``sample_keg`` draws at cfg with seed seeds[i] (cfg.seed is not read),
     to the bit. Each of its streams gets the calls it gets in a draw of its
     own, in the same order; between the calls, every stage runs once over
-    the whole block. Labels are drawn only where ``labels`` asks for them."""
+    the whole block. Labels, and the latent coordinates of the visible
+    points, are given only where ``labels`` asks for them."""
     nu = float(cfg.nu)
-    plan = _plan(g, cfg)
-    theta, lazy = plan.theta, plan.engine == _LAZY
+    theta, engine, _ = _plan(g, cfg)
     planted = np.asarray([float(x) for x in planted], dtype=float)
     for x in planted.tolist():
         if not (math.isfinite(x) and x >= 0):
@@ -1080,47 +1093,28 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     def gens(stream):
         return rngmod.streams(seeds, stream)
 
-    if lazy:
-        cloud = _LazyClouds(g, *_strata(g, theta)[:2], planted, nu, gens(_STREAM_LATENT))
-        base, n_cloud = cloud.base, cloud.n_cloud
-    else:
-        pts, base, n_cloud = _full_points(nu * theta, theta, planted, reps, gens(_STREAM_LATENT))
-        cloud = _Clouds(g, pts, base) if plan.engine == _FULL else None
-    n = np.diff(base)
+    cloud = engine(g, theta, planted, nu, seeds)
+    base, n = cloud.base, cloud.n
     most = int(n.max())
-    planted_slots = (base[:-1] + n_cloud)[:, None] + np.arange(planted.size)
+    planted_slots = (base[:-1] + cloud.n_cloud)[:, None] + np.arange(planted.size)
 
-    # kernel pairs
     pairs = np.empty((0, 2), dtype=np.int64)
     if g.w is not None and most >= 2:
-        if cloud is not None:
-            pairs = _kernel_pairs(cloud, gens(_STREAM_PAIRS))
-        else:
-            naive = [_pairs_naive(g, pts[base[r]:base[r + 1]], gen) + base[r]
-                     for r, gen in enumerate(gens(_STREAM_PAIRS)) if n[r] >= 2]
-            pairs = naive[0] if len(naive) == 1 else np.concatenate(naive)
-    if not lazy:
-        cloud = None  # a full cloud's weights and tables serve only its pairs
-
-    # self loops
+        pairs = cloud.pairs(g, gens(_STREAM_PAIRS))
     loops = np.empty(0, dtype=np.int64)
     if g.self_edges and g.diag is not None and most:
-        if lazy:
-            loops = cloud.loops(g, gens(_STREAM_SELF))
-        else:
-            d = np.clip(np.asarray(g.diag_at(pts), dtype=float), 0.0, 1.0)
-            coins = [gen.random(k) for gen, k in zip(gens(_STREAM_SELF), n.tolist()) if k]
-            loops = np.flatnonzero(np.concatenate(coins) < d)
+        loops = cloud.loops(g, gens(_STREAM_SELF))
 
     # star leaves (a lazy draw has no star rate)
     n_leaves = np.zeros(reps, dtype=np.int64)
     hubs = np.empty(0, dtype=np.int64)
     if g.s is not None and most:
-        rates = nu * np.clip(np.asarray(g.s_at(pts), dtype=float), 0.0, None)
+        slots = np.arange(base[-1])
+        rates = nu * np.clip(np.asarray(g.s_at(cloud.positions(slots)), dtype=float), 0.0, None)
         leaves = [gen.poisson(rates[base[r]:base[r + 1]]) if n[r] else np.empty(0, dtype=np.int64)
                   for r, gen in enumerate(gens(_STREAM_STARS))]
         n_leaves = np.array([k.sum() for k in leaves], dtype=np.int64)
-        hubs = np.repeat(np.arange(pts.size, dtype=np.int64), np.concatenate(leaves))
+        hubs = np.repeat(slots, np.concatenate(leaves))
 
     # isolated edges
     n_iso = np.zeros(reps, dtype=np.int64)
@@ -1190,16 +1184,13 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
         edges = np.empty((0, 2), dtype=np.int64)
         provenance = np.empty(0, dtype=np.uint8)
 
-    drawn_labels = None
+    drawn_labels = latent = None
     if labels:
         drawn_labels = [gen.uniform(0.0, nu, k) if k else np.empty(0)
                         for gen, k in zip(gens(_STREAM_LABELS), n_vertices.tolist())]
         drawn_labels = drawn_labels[0] if reps == 1 else np.concatenate(drawn_labels)
-
-    latent = None
-    if cfg.retain_latent:
         latent = np.full(total, np.nan)
-        latent[vertex] = cloud.positions(visible)[0] if lazy else pts[visible]
+        latent[vertex] = cloud.positions(visible)
 
     at = n_ends + loops.size + hubs.size
     planted_final = index[at:].reshape(planted_slots.shape) - vertex_start[:-1, None]
@@ -1267,7 +1258,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     """
     if g.w is None:
         raise SamplerError("the graphex has no kernel, the planted degree is always 0")
-    if not (_number(reps, int) and reps >= 1):
+    if not (_number(reps, numbers.Integral) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
     _check_level(lam, "lam")
     theta = _cutoff(g, SamplerConfig(nu=nu, seed=seed, eps=eps, theta_max=theta_max))

@@ -32,6 +32,7 @@ inner passes of the first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def _check_nu(nu: float) -> float:
 
 
 def _check_k(k, least: int, why: str = "") -> None:
-    if not (_number(k, int) and k >= least):
+    if not (_number(k, numbers.Integral) and k >= least):
         raise TheoryError(f"k must be an integer >= {least}, got {k!r}{why}")
 
 

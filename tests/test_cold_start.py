@@ -1,7 +1,8 @@
 """Cold start: importing graphex, building a declaration, drawing a graph
-and integrating load no SciPy module, and neither do the CLI's ``expect
---stat edges|vertices`` and ``check``, of a closed-form family and of a
-custom kernel, whose integrals are nested.
+and integrating load no SciPy module, and neither do the CLI's ``sample``
+on each of its engines (full cloud, caron-fox, lazy strata with latent
+coordinates, naive) nor its ``expect --stat edges|vertices`` and ``check``,
+of a closed-form family and of a custom kernel, whose integrals are nested.
 
 SciPy costs about 0.9 s to import cold, more than a fast-decay ``sample``
 needs in all. The package integrates with its own rule, so no step that
@@ -16,6 +17,7 @@ call of each deferred import, which must still work and load it.
 """
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -71,6 +73,19 @@ caron_fox_csv = os.path.join(out_dir, "caron-fox.csv")
 caron_fox_code = cli.main(["sample", "--graphex", '{"family": "caron-fox"}', "--nu", "20",
                            "--seed", "1", "--out", caron_fox_csv])
 loaded["cli sample caron-fox"] = scipy_modules()
+# the other two engines: lazy strata, placing the visible points, and the
+# naive path of a kernel that does not factorise
+lazy_csv, lazy_latent = (os.path.join(out_dir, f"lazy.{kind}.csv") for kind in ("edges", "latent"))
+lazy_code = cli.main(["sample", "--graphex", '{"family": "slow-decay"}', "--nu", "20",
+                      "--eps", "1e-2", "--seed", "1", "--out", lazy_csv,
+                      "--latent-out", lazy_latent])
+loaded["cli sample lazy"] = scipy_modules()
+naive_csv = os.path.join(out_dir, "naive.csv")
+naive_code = cli.main(["sample", "--graphex", json.dumps(DECLS["custom"]), "--nu", "3",
+                       "--seed", "1", "--out", naive_csv])
+loaded["cli sample naive"] = scipy_modules()
+with open(lazy_latent) as fh:
+    lazy_rows = fh.read().splitlines()
 try:
     cli.main(["--version"])
 except SystemExit:
@@ -108,6 +123,9 @@ print(json.dumps({
     "loaded": loaded, "edges": int(graph.n_edges), "cli_code": code,
     "csv_bytes": os.path.getsize(csv), "caron_fox_code": caron_fox_code,
     "caron_fox_csv_bytes": os.path.getsize(caron_fox_csv), "expected_edges": edges_expected,
+    "lazy_code": lazy_code, "naive_code": naive_code,
+    "lazy_csv_bytes": os.path.getsize(lazy_csv), "naive_csv_bytes": os.path.getsize(naive_csv),
+    "lazy_latent": lazy_rows,
     "largest_component": list(giant), "ks_p_value": ks.p_value,
     "expect_codes": expect_codes, "check_code": check_code, "custom_codes": custom_codes,
     "custom_vertices": custom_vertices,
@@ -117,7 +135,8 @@ print(json.dumps({
 NO_SCIPY_STEPS = [
     "import", "build slow-decay", "build fast-decay", "build constant-self",
     "build caron-fox", "build graphon-dilation", "build custom", "build separable",
-    "sample_keg", "cli sample", "cli sample caron-fox", "cli --version", "cli expect edges",
+    "sample_keg", "cli sample", "cli sample caron-fox", "cli sample lazy", "cli sample naive",
+    "cli --version", "cli expect edges",
     "cli expect vertices", "cli check", "cli expect vertices custom", "cli check custom",
     "expected_edges",
 ]
@@ -144,6 +163,11 @@ def test_the_scipy_free_steps_did_their_work(cold):
     assert cold["csv_bytes"] > 0
     assert cold["caron_fox_code"] == 0
     assert cold["caron_fox_csv_bytes"] > 0
+    assert cold["lazy_code"] == cold["naive_code"] == 0
+    assert cold["lazy_csv_bytes"] > 0 and cold["naive_csv_bytes"] > 0
+    header, *rows = cold["lazy_latent"]
+    assert header == "vertex_index,latent" and rows
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
     assert cold["expect_codes"] == [0, 0]
     assert cold["check_code"] == 0
     assert cold["custom_codes"] == [0, 0]

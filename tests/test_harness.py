@@ -28,6 +28,7 @@ from graphex.sampler import (
     _block_size,
     SamplerError,
     choose_theta_max,
+    sample_keg,
     sample_planted_degrees,
 )
 from graphex.theory import (
@@ -206,13 +207,55 @@ def test_degdist_argument_errors():
     (lambda: projectivity_test(FAST, "1", 30, 0), HarnessError),
     (lambda: projectivity_test(FAST, None, 30, 0), HarnessError),
     (lambda: degdist_experiment(FAST, (3.0,), 30, 0, beta="0.5"), HarnessError),
+    (lambda: SamplerConfig(nu=5.0, seed=np.bool_(True)), SamplerError),
+    (lambda: validate_expectations(FAST, (2.0,), 30, 0, z_crit=np.bool_(True)), HarnessError),
 ], ids=["degdist-k", "grid-nu", "projectivity-nu", "sampler-eps", "sampler-theta-max",
         "planted-reps", "planted-eps", "planted-theta-max", "cutoff-nu", "degk-k", "ccdf-k",
         "pmf-k", "validate-z-crit", "projectivity-p-floor", "connectivity-threshold",
-        "projectivity-nu-text", "projectivity-nu-none", "degdist-beta-text"])
+        "projectivity-nu-text", "projectivity-nu-none", "degdist-beta-text",
+        "sampler-seed-numpy-bool", "validate-z-crit-numpy-bool"])
 def test_bool_is_refused_as_a_number(call, error):
     with pytest.raises(error):
         call()
+
+
+def _metadata(cfg):
+    return sample_keg(FAST, cfg).metadata()
+
+
+# (a call given NumPy scalars, the same call given Python numbers)
+@pytest.mark.parametrize("numpy_call, python_call", [
+    (lambda: _metadata(SamplerConfig(nu=5.0, seed=np.int64(3))),
+     lambda: _metadata(SamplerConfig(nu=5.0, seed=3))),
+    (lambda: _metadata(SamplerConfig(nu=np.int64(5), seed=np.uint64(3))),
+     lambda: _metadata(SamplerConfig(nu=5.0, seed=3))),
+    (lambda: _metadata(SamplerConfig(nu=np.float32(5), seed=3, eps=np.float32(0.5))),
+     lambda: _metadata(SamplerConfig(nu=5.0, seed=3, eps=float(np.float32(0.5))))),
+    (lambda: validate_expectations(FAST, np.array([5, 10]), 30, 0).to_dict(),
+     lambda: validate_expectations(FAST, (5.0, 10.0), 30, 0).to_dict()),
+    (lambda: validate_expectations(FAST, (5.0,), np.int64(30), np.int64(0),
+                                   z_crit=np.float32(4)).to_dict(),
+     lambda: validate_expectations(FAST, (5.0,), 30, 0, z_crit=4.0).to_dict()),
+    (lambda: degdist_experiment(FAST, (5.0,), 30, np.uint64(0), k=np.int64(1)).to_dict(),
+     lambda: degdist_experiment(FAST, (5.0,), 30, 0, k=1).to_dict()),
+    (lambda: projectivity_test(FAST, np.float32(2), np.int64(30), 0,
+                               p_floor=np.float64(1e-3)).to_dict(),
+     lambda: projectivity_test(FAST, 2.0, 30, 0, p_floor=1e-3).to_dict()),
+    (lambda: connectivity_experiment(FAST, (np.float32(4),), 30, 0,
+                                     threshold=np.float32(0.5)).to_dict(),
+     lambda: connectivity_experiment(FAST, (4.0,), 30, 0, threshold=0.5).to_dict()),
+    (lambda: expected_edges(FAST, np.int64(5)).to_dict(),
+     lambda: expected_edges(FAST, 5.0).to_dict()),
+    (lambda: expected_degree_count(FAST, np.float32(5), np.int64(2)).to_dict(),
+     lambda: expected_degree_count(FAST, 5.0, 2).to_dict()),
+], ids=["sampler-seed", "sampler-nu-int", "sampler-nu-float32", "validate-grid",
+        "validate-reps-seed-z-crit", "degdist-k", "projectivity", "connectivity",
+        "expected-edges", "expected-degree-count"])
+def test_numpy_scalars_are_numbers_and_are_written_as_python_ones(numpy_call, python_call,
+                                                                   tmp_path):
+    path = tmp_path / "out.json"
+    write_json(numpy_call(), path)
+    assert json.loads(path.read_text()) == python_call()
 
 
 # an int too large for a float is no finite level either: each module names

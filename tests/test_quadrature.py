@@ -376,6 +376,28 @@ def test_integrand_must_return_one_value_per_node():
         first_pass(lambda t: np.ones(3), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("b", [1.0, math.inf])
+@pytest.mark.parametrize("view", [False, True])
+def test_the_rule_leaves_the_integrands_arrays_alone(b, view):
+    # a read-only result is integrated, and a result the integrand keeps,
+    # returned as it is or as a view, still holds its values afterwards
+    exact = -math.expm1(-b)
+    value, _, converged, _ = first_pass(lambda t: np.broadcast_to(1.0, t.shape), 0.0, 1.0)
+    assert converged and value == pytest.approx(1.0, rel=1e-12)
+    value, _, converged, _ = first_pass(lambda t: np.broadcast_to(np.exp(-t), t.shape), 0.0, b)
+    assert converged and value == pytest.approx(exact, rel=1e-12)
+    kept = []
+
+    def f(t):
+        kept.append((t.copy(), np.exp(-t)))
+        return kept[-1][1][...] if view else kept[-1][1]
+
+    value, _, converged, _ = first_pass(f, 0.0, b)
+    assert converged and value == pytest.approx(exact, rel=1e-12)
+    for t, ft in kept:
+        np.testing.assert_array_equal(ft, np.exp(-t))
+
+
 # ---------------------------------------------------------------------------
 # The rule against SciPy's: value, error, convergence and evaluation count
 # must be equal, not close

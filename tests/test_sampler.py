@@ -13,13 +13,14 @@ from scipy import stats as sps
 
 from graphex import sampler
 from graphex.model import build, dilate
-from graphex.rng import stream
 from graphex.sampler import (
+    _BLOCK_WORK,
     _C0,
     _CSV_BLOCK,
     _FULL,
     _GUIDE_PER_POINT,
     _LAZY,
+    _MAX_LATENT_POINTS,
     _NAIVE,
     PROV_ISOLATED,
     PROV_KERNEL,
@@ -185,22 +186,22 @@ def test_planted_point_is_kept_even_if_invisible():
 
 
 def test_latent_retention():
-    cfg = SamplerConfig(nu=8.0, seed=11, retain_latent=True)
+    cfg = SamplerConfig(nu=8.0, seed=11)
     g = sample_keg(FAST, cfg)
     assert g.latent is not None and g.latent.size == g.n_vertices
     assert np.isfinite(g.latent).all()  # kernel-only graph: every vertex latent
-    g2 = sample_keg(STAR_ISO, SamplerConfig(nu=8.0, seed=11, retain_latent=True))
+    g2 = sample_keg(STAR_ISO, SamplerConfig(nu=8.0, seed=11))
     assert np.isnan(g2.latent[g2.edges[g2.provenance == PROV_STAR, 1]]).all()
-    g3 = sample_keg(FAST, SamplerConfig(nu=8.0, seed=11))
-    assert g3.latent is None
-    with pytest.raises(SamplerError):
+    # a graph built without latent coordinates cannot write them
+    g3 = dataclasses.replace(g, latent=None)
+    with pytest.raises(SamplerError, match="no latent coordinates"):
         g3.write_latent_csv(io.StringIO())
 
 
 def test_fast_path_leaves_the_latent_cloud_alone():
     # the fast path clips f in place; an f that hands back the latent array
     # itself, or a view of it, must leave the coordinates unclipped
-    cfg = SamplerConfig(nu=4.0, seed=5, theta_max=3.0, retain_latent=True)
+    cfg = SamplerConfig(nu=4.0, seed=5, theta_max=3.0)
     draws = [sample_keg(dataclasses.replace(FAST, separable_f=f), cfg)
              for f in (lambda x: x.copy(), lambda x: x, lambda x: x[:])]
     assert draws[0].latent.max() > 1.0 and draws[0].n_edges > 0
@@ -390,8 +391,7 @@ def draw_digest(g: SampledGraph) -> str:
 def test_frozen_draws(graphex, nu, seed, planted, digest):
     # frozen sha256 of whole draws: any change to how randomness is consumed,
     # or to vertex indexing and edge order, shows here
-    g = sample_keg(graphex, SamplerConfig(nu=nu, seed=seed, retain_latent=True),
-                   planted=planted)
+    g = sample_keg(graphex, SamplerConfig(nu=nu, seed=seed), planted=planted)
     assert draw_digest(g) == digest
 
 
@@ -787,8 +787,7 @@ def test_full_cloud_matches_naive(case):
 
 
 def test_lazy_draws_keep_planted_points_and_their_latent_coordinates():
-    g = sample_keg(SLOW, SamplerConfig(nu=20.0, seed=4, eps=1e-2, retain_latent=True),
-                   planted=(0.25, 5000.0))
+    g = sample_keg(SLOW, SamplerConfig(nu=20.0, seed=4, eps=1e-2), planted=(0.25, 5000.0))
     assert g.latent[list(g.planted_indices)].tolist() == [0.25, 5000.0]
     theta = choose_theta_max(SLOW, 20.0, 1e-2)
     others = np.delete(g.latent, list(g.planted_indices))
@@ -799,15 +798,14 @@ def test_lazy_positions_are_fixed_per_slot():
     # a slot's position is the same whenever and in whatever order it is
     # touched, and lies in its stratum; a planted point sits where it was put
     edges, bound = _strata(SLOW, 1e4)[:2]
-    cloud = _LazyClouds(SLOW, edges, bound, np.array([3.5]), 20.0, [stream(0, 0)])
+    cloud = _LazyClouds(SLOW, 1e4, np.array([3.5]), 20.0, (0,))
     n = int(cloud.n[0])
     slots = np.random.default_rng(1).integers(0, n, 5000)
-    x, s = cloud.positions(slots)
-    again, _ = cloud.positions(slots[::-1])
-    np.testing.assert_array_equal(again[::-1], x)
+    x, s = cloud.place(slots)
+    np.testing.assert_array_equal(cloud.positions(slots[::-1])[::-1], x)
     assert np.all((x >= edges[np.minimum(s, bound.size - 1)]) | (s == bound.size))
     assert np.all((x <= edges[np.minimum(s + 1, bound.size)]) | (s == bound.size))
-    assert cloud.positions(np.array([n - 1]))[0].tolist() == [3.5]
+    assert cloud.positions(np.array([n - 1])).tolist() == [3.5]
     # the heavy slots are those of strata whose bound exceeds 1/2
     heavy = np.flatnonzero(np.repeat(cloud.bnd > 0.5, cloud.count[0]))
     np.testing.assert_array_equal(cloud.heavy, heavy)
@@ -1003,7 +1001,7 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
     # every replicate of a block is, to the bit, the graph a block of one
     # (sample_keg) draws at its seed: each stream gets the same calls
     g, nu, eps, planted = BLOCK_CASES[case]
-    cfg = SamplerConfig(nu=nu, seed=0, eps=eps, retain_latent=True)
+    cfg = SamplerConfig(nu=nu, seed=0, eps=eps)
     lazy = _plan(g, cfg).engine == _LAZY
     assert lazy == case.startswith("lazy")
     alone = [sample_keg(g, dataclasses.replace(cfg, seed=seed), planted) for seed in BLOCK_SEEDS]
@@ -1020,14 +1018,14 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
                     assert v1 - v0 == want.n_vertices
                     np.testing.assert_array_equal(block.edges[e0:e1] - v0, want.edges)
                     np.testing.assert_array_equal(block.provenance[e0:e1], want.provenance)
-                    np.testing.assert_array_equal(block.latent[v0:v1], want.latent)
                     assert tuple(block.planted[i].tolist()) == want.planted_indices
                     if labels:
+                        np.testing.assert_array_equal(block.latent[v0:v1], want.latent)
                         np.testing.assert_array_equal(got.labels, want.labels)
                         np.testing.assert_array_equal(got.edges, want.edges)
                         assert got.seed == want.seed and got.theta_max == want.theta_max
                     else:
-                        assert block.labels is None
+                        assert block.labels is None and block.latent is None
     # the cases draw something, in every stage they name
     counts = np.sum([g.edge_counts_by_provenance()["kernel"] for g in alone])
     assert counts > 0 or case == "stars-isolated"
@@ -1055,7 +1053,8 @@ def test_a_block_without_labels_refuses_to_make_graphs():
     ({"family": "caron-fox"}, SamplerConfig(nu=50.0, seed=0, theta_max=8.0), _FULL),
     ({"family": "fast-decay"}, SamplerConfig(nu=20.0, seed=0, use_fast_path=False), _NAIVE),
     ({"family": "custom", "exprs": {"W": "exp(-x-y)"}}, SamplerConfig(nu=3.0, seed=0), _NAIVE),
-])
+], ids=["spec0-cfg0-lazy strata", "spec1-cfg1-full cloud", "spec2-cfg2-full cloud",
+        "spec3-cfg3-naive", "spec4-cfg4-naive"])
 def test_the_plan_estimates_the_work_of_the_engine_a_draw_runs(monkeypatch, spec, cfg, engine):
     g = build(spec)
     size, work = _block_size(g, cfg)
@@ -1066,9 +1065,12 @@ def test_the_plan_estimates_the_work_of_the_engine_a_draw_runs(monkeypatch, spec
                         lambda cloud, gens: ran.append(type(cloud)) or kernel_pairs(cloud, gens))
     monkeypatch.setattr(sampler, "_pairs_naive",
                         lambda *args: ran.append(None) or pairs_naive(*args))
-    sample_keg(g, cfg)
+    graph = sample_keg(g, cfg)
     runs = {_LAZY: _LazyClouds, _FULL: sampler._Clouds, _NAIVE: None}[engine]
     assert planned == engine and ran and set(ran) == {runs}
+    # every engine places its visible points: here every vertex is latent
+    assert graph.n_vertices and graph.latent.size == graph.n_vertices
+    assert np.all((graph.latent >= 0.0) & (graph.latent <= theta))
     nu, points = cfg.nu, cfg.nu * theta
     if engine == _LAZY:
         _, bound, mass, heavy = _strata(g, theta)
@@ -1101,4 +1103,22 @@ def test_a_rate_factor_that_fails_at_a_quadrature_node_draws_at_a_given_cutoff()
 def test_a_large_draw_is_a_block_of_its_own():
     assert _block_size(FAST, SamplerConfig(nu=1000.0, seed=0))[0] == 1
     assert _block_size(SLOW, SamplerConfig(nu=5.0, seed=0, eps=1e-2))[0] > 100
+
+
+def test_the_pair_keys_of_a_block_of_huge_lazy_clouds_fit_int64():
+    # 4.2e7 latent points a draw, near max_latent_points, but little work:
+    # the key span u * span + v, not the work, caps the block, and its last
+    # replicate, whose keys are the largest, is still its own draw
+    cfg = SamplerConfig(nu=5.0, seed=0, eps=1e-6)
+    theta, engine, work = _plan(SLOW, cfg)
+    assert engine == _LAZY and 0.8 < cfg.nu * theta / _MAX_LATENT_POINTS <= 1.0
+    size = _block_size(SLOW, cfg)[0]
+    assert 1 < size < _BLOCK_WORK // work
+    span = int(_LazyClouds(SLOW, theta, np.empty(0), cfg.nu, range(size)).base[-1])
+    assert span ** 2 < 2 ** 63
+    block = _draw(SLOW, cfg, range(size))
+    alone = sample_keg(SLOW, dataclasses.replace(cfg, seed=size - 1))
+    assert alone.n_edges > 0
+    np.testing.assert_array_equal(block.graph(size - 1).edges, alone.edges)
+    np.testing.assert_array_equal(block.graph(size - 1).latent, alone.latent)
 
