@@ -39,7 +39,6 @@ from .theory import (
     ExpectationResult,
     InfiniteExpectationError,
     TheoryError,
-    classify_density,
     degree_ccdf,
     degree_pmf,
     expected_degree_count,
@@ -78,7 +77,6 @@ __all__ = [
     "build_from_json",
     "check_local_finiteness",
     "choose_theta_max",
-    "classify_density",
     "connectivity_experiment",
     "counts",
     "degdist_experiment",

@@ -9,12 +9,20 @@ is NOT required: W(x, y) = 1[x * y <= 1] has an infinite double integral yet
 satisfies every condition.
 
 Verdicts are evidence-graded. "holds-analytic" means implied by declared
-analytic metadata; "holds-numeric" means supported by quadrature probes;
-"violated"
-means the probes show divergence; "undecidable" means the probe budget could
-not separate slow convergence from divergence. Numeric verdicts for the
-level-set condition assume the marginal is eventually nonincreasing, which is
-true for every built-in family and stated in each note.
+analytic metadata; "holds-numeric" means supported by quadrature;
+"violated" means the probes show divergence; "undecidable" means the probe
+budget could not separate slow convergence from divergence.
+
+A finite ||W||_1 settles the level-set and restricted-kernel conditions at
+once, and :meth:`Graphex.w_l1_bound` is the one place that knows a bound:
+the norm the separable, slow-decay, fast-decay, constant and
+graphon-dilation families declare (holds-analytic), or ||r||_1^2 for the
+rate factor r of caron-fox, W = 1 - exp(-r(x) r(y)) <= r(x) r(y), where
+||r||_1 converges (holds-numeric, as ||r||_1 is a quadrature value). Only
+kernels with no bound, a custom W or a caron-fox g whose ||r||_1 diverges,
+have their marginal probed: a search for the crossing of mu through 1, then
+the restricted kernel over doubling shells. Those level-set verdicts assume
+the marginal is eventually nonincreasing, as each note says.
 
 The probe budgets are fixed constants: at most ``_MAX_SHELLS`` doubling
 shells from a first shell of width 1, each integrated to ``_SHELL_REL_TOL``
@@ -200,26 +208,46 @@ def _safe_marginal(g: Graphex, xs: np.ndarray) -> np.ndarray:
     return np.where(settled & np.isfinite(value), value, math.inf)
 
 
+def _check_kernel(g: Graphex) -> tuple[ConditionVerdict, ConditionVerdict]:
+    """The two conditions on W: the marginal's level sets and the restricted
+    kernel. A bound B on ||W||_1 (:meth:`Graphex.w_l1_bound`) settles both:
+    mu is then a.e. finite, {mu > 1} has measure at most B by Markov's
+    inequality, and the restriction integrates to at most B. A declared norm
+    holds analytically; the majorant ||r||_1^2 of a rate factor r holds
+    numerically, since ||r||_1 is a quadrature value. A kernel with no bound
+    gets the probes."""
+    if g.w is None:
+        return (ConditionVerdict("marginal_level_sets", HOLDS, "no kernel declared, mu = 0",
+                                 bound=0.0),
+                ConditionVerdict("kernel_core_integrable", HOLDS, "no kernel declared",
+                                 bound=0.0))
+    bound = g.w_l1_bound()
+    if bound is None:
+        level, crossing = _check_level_sets(g)
+        return level, _check_restricted_kernel(g, crossing)
+    value, source = bound
+    status, total = HOLDS, f"integrates to {value:.6g}"
+    if source == "majorant":
+        status = HOLDS_NUMERIC
+        total = (f"integrates to at most ||r||_1^2 = {value:.6g} (W(x, y) <= r(x) r(y) for "
+                 "its rate factor r; ||r||_1 is a quadrature value)")
+    return (ConditionVerdict("marginal_level_sets", status,
+                             f"the kernel {total}, so mu is a.e. finite and the level set "
+                             f"{{mu > 1}} has measure at most {value:.6g}", bound=value),
+            ConditionVerdict("kernel_core_integrable", status,
+                             f"the full kernel {total}, which dominates the restriction",
+                             bound=value))
+
+
 def _check_level_sets(g: Graphex):
-    """Condition on the marginal: a.e. finite, and {mu > 1} of finite measure.
+    """Probes of the marginal: a.e. finite, and {mu > 1} of finite measure.
 
     Returns (verdict, crossing) where crossing is a numeric upper bound for
     sup{x : mu(x) > 1} under the eventually-nonincreasing assumption; it is
     reused by the restricted-kernel condition. crossing is None when the
-    verdict already settles everything analytically.
+    condition is violated.
     """
     key = "marginal_level_sets"
-    if g.w is None:
-        return ConditionVerdict(key, HOLDS, "no kernel declared, mu = 0", bound=0.0), 0.0
-    if g.w_l1_value is not None and math.isfinite(g.w_l1_value):
-        note = (f"the kernel integrates to {g.w_l1_value:.6g}, so mu is a.e. finite and "
-                f"the level set {{mu > 1}} has measure at most {g.w_l1_value:.6g}")
-        return ConditionVerdict(key, HOLDS, note, bound=g.w_l1_value), None
-    if math.isfinite(g.support):
-        note = (f"the kernel is supported on [0, {g.support:.6g}]^2 with values in [0, 1], "
-                "so mu is bounded and compactly supported")
-        return ConditionVerdict(key, HOLDS, note, bound=g.support), g.support
-
     xs = _probe_grid()
     mu_vals = _safe_marginal(g, xs)
     infinite = ~np.isfinite(mu_vals)
@@ -276,15 +304,8 @@ def _check_level_sets(g: Graphex):
 
 
 def _check_restricted_kernel(g: Graphex, crossing: float | None) -> ConditionVerdict:
-    """Integrability of W over the region where both marginals are <= 1."""
+    """Probes of W's integral over the region where both marginals are <= 1."""
     key = "kernel_core_integrable"
-    if g.w is None:
-        return ConditionVerdict(key, HOLDS, "no kernel declared", bound=0.0)
-    if g.w_l1_value is not None and math.isfinite(g.w_l1_value):
-        return ConditionVerdict(
-            key, HOLDS,
-            f"the full kernel integrates to {g.w_l1_value:.6g}, which dominates "
-            "the restriction", bound=g.w_l1_value)
     if crossing is None:
         return ConditionVerdict(
             key, UNDECIDABLE,
@@ -331,11 +352,9 @@ def _check_diagonal(g: Graphex) -> ConditionVerdict:
 
 def check_local_finiteness(g: Graphex) -> FinitenessReport:
     """Run all five local-finiteness conditions against a graphex."""
-    level, crossing = _check_level_sets(g)
     return FinitenessReport((
         _check_isolated(g),
         _check_star(g),
-        level,
-        _check_restricted_kernel(g, crossing),
+        *_check_kernel(g),
         _check_diagonal(g),
     ))

@@ -28,7 +28,6 @@ __all__ = [
     "largest_component",
     "largest_component_size",
     "sparsity_ratio",
-    "summarize",
 ]
 
 
@@ -198,19 +197,3 @@ def sparsity_ratio(edges) -> float:
     if v == 0:
         raise GraphStatsError("sparsity ratio is undefined for an empty graph")
     return math.sqrt(arr.shape[0]) / v
-
-
-def summarize(edges) -> dict:
-    arr = _as_edges(edges)
-    v = count_vertices(arr)
-    out = {
-        "edges": count_edges(arr),
-        "vertices": v,
-        "largest_component": largest_component_size(arr),
-    }
-    if v:
-        ids, deg = degrees(arr)
-        out["max_degree"] = int(deg.max())
-        out["mean_degree"] = float(deg.mean())
-        out["sparsity_ratio"] = sparsity_ratio(arr)
-    return out

@@ -290,6 +290,31 @@ class Graphex:
         return self._norm("rate_l1", self.rate_factor, 1e-9,
                           "||r||_1 of the rate factor did not converge")
 
+    def w_l1_bound(self) -> tuple[float, str] | None:
+        """A finite upper bound on ||W||_1 and where it comes from, or None:
+        (w_l1_value, "declared") for a declared finite norm, else
+        (||r||_1^2, "majorant") for a rate factor r whose ||r||_1 converges,
+        since 1 - e^-t <= t gives W <= r(x) r(y). Found once per graphex."""
+        if "w_l1_bound" not in self._cache:
+            bound = None
+            if self.w_l1_value is not None and math.isfinite(self.w_l1_value):
+                bound = (self.w_l1_value, "declared")
+            elif self.rate_factor is not None:
+                try:
+                    bound = (self.rate_l1() ** 2, "majorant")
+                except (GraphexError, exprmod.EvalError):  # no norm, or r fails at a node
+                    pass
+            self._cache["w_l1_bound"] = bound
+        return self._cache["w_l1_bound"]
+
+    def majorant_tail(self, a: float, rel_tol: float) -> float:
+        """||r||_1 * integral of r past a, which bounds tail_mu(a) where
+        :meth:`w_l1_bound` is a majorant, at the cost of a single integral."""
+        res = self.integrate(self.rate_factor, rel_tol, lo=a)
+        if not res.converged:
+            raise GraphexError(f"tail of the rate factor past x={a!r} did not converge")
+        return self.rate_l1() * res.value
+
     def s_l1(self) -> float:
         return self.tail_s(0.0)
 

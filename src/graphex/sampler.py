@@ -321,12 +321,12 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     every kernel edge with an endpoint past a is counted through that
     endpoint's expected degree nu * mu, and star edges through nu * S.
 
-    A kernel W = 1 - exp(-r(x) r(y)) (``Graphex.rate_factor``) puts the
-    separable majorant ||r||_1 * (integral of r past a) in place of
-    tail_mu(a): 1 - e^-t <= t gives W <= r(x) r(y), so the budget stays an
-    upper bound, and each probe costs one single integral instead of a
-    nested one. ||r||_1 is computed once per graphex (``Graphex.rate_l1``);
-    where it does not converge, the nested tail_mu is used.
+    Where ``Graphex.w_l1_bound`` is the majorant ||r||_1^2 of a kernel
+    W = 1 - exp(-r(x) r(y)), ``Graphex.majorant_tail``, ||r||_1 * (integral
+    of r past a), takes the place of tail_mu(a): W <= r(x) r(y), so the
+    budget stays an upper bound, and each probe costs one single integral
+    instead of a nested one. Where ||r||_1 does not converge, the nested
+    tail_mu is used.
     """
     _check_level(nu, "nu")
     _check_eps(eps)
@@ -361,7 +361,8 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
         return nu * nu * t
 
     try:
-        tail_mu = _majorant_tail(g) or g.tail_mu
+        bound = g.w_l1_bound()
+        tail_mu = g.majorant_tail if bound and bound[1] == "majorant" else g.tail_mu
         if budget(0.0) <= eps:
             g._cache[cache_key] = 0.0
             return 0.0
@@ -388,27 +389,6 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
             "cannot be sampled; one with jumps can, given theta_max (--theta-max)") from err
     g._cache[cache_key] = hi
     return hi
-
-
-def _majorant_tail(g: Graphex):
-    """(a, rel_tol) -> ||r||_1 * integral of r past a, which bounds
-    tail_mu(a) for a kernel with a rate factor r; None without one, or where
-    ||r||_1 does not converge."""
-    r = g.rate_factor
-    if r is None:
-        return None
-    try:
-        norm = g.rate_l1()
-    except GraphexError:
-        return None
-
-    def tail(a: float, rel_tol: float) -> float:
-        res = g.integrate(r, rel_tol, lo=a)
-        if not res.converged:
-            raise GraphexError(f"tail of the rate factor past x={a!r} did not converge")
-        return norm * res.value
-
-    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -1032,10 +1012,11 @@ def _plan(g: Graphex, cfg: SamplerConfig) -> _Plan:
     ``_MAX_LATENT_POINTS`` expected latent points. A lazy draw (see the
     module docstring) expects c0 (nu sum F)^2 proposal endpoints,
     nu * (heavy width) heavy points and a count per stratum; a full cloud
-    nu * theta_max points and at most 2 nu^2 ||W||_1 proposals and heavy
-    coins (c0 < 2, and f > 1/2 on a set no wider than 2 ||f||_1), or
-    2 nu^2 ||r||_1^2 for a rate factor r; the naive path, and a full cloud
-    of unknown norm, (nu * theta_max)^2 / 2 coins."""
+    nu * theta_max points and at most 2 nu^2 B proposals and heavy coins,
+    where B, ``Graphex.w_l1_bound``, is ||W||_1 = ||f||_1^2 for a separable
+    f (c0 < 2, and f > 1/2 on a set no wider than 2 ||f||_1) and ||r||_1^2
+    for a rate factor r; the naive path, and a full cloud with no bound,
+    (nu * theta_max)^2 / 2 coins."""
     nu = float(cfg.nu)
     if not math.isfinite(g.isolated_rate):
         raise SamplerError("the isolated-edge rate is infinite; the graph would have "
@@ -1054,13 +1035,8 @@ def _plan(g: Graphex, cfg: SamplerConfig) -> _Plan:
         covered = _C0 * (nu * mass) ** 2 + nu * heavy
         if covered < points:
             return _Plan(theta, _LAZY, covered + bound.size)
-    norm = g.w_l1_value
-    if g.rate_factor is not None:
-        try:
-            norm = g.rate_l1() ** 2
-        except (GraphexError, EvalError):  # no norm, or an r that fails at a node
-            norm = None
-    return _Plan(theta, _FULL, naive if norm is None else points + 2.0 * nu * nu * norm)
+    bound = g.w_l1_bound()
+    return _Plan(theta, _FULL, naive if bound is None else points + 2.0 * nu * nu * bound[0])
 
 
 def _block_size(g: Graphex, cfg: SamplerConfig) -> tuple[int, float]:

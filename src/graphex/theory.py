@@ -49,7 +49,6 @@ __all__ = [
     "expected_degree_count",
     "degree_ccdf",
     "degree_pmf",
-    "classify_density",
 ]
 
 
@@ -265,27 +264,3 @@ def degree_pmf(g: Graphex, nu: float, k: int) -> float:
     _check_k(k, 1)
     above, at_least = _ccdfs(g, nu, (k - 1, k))
     return above - at_least
-
-
-# ---------------------------------------------------------------------------
-# Density regime
-# ---------------------------------------------------------------------------
-
-def classify_density(g: Graphex) -> str:
-    """One of "dense", "sparse" or "unknown".
-
-    Finite declared support means the vertex count grows like nu and the edge
-    count like nu^2: dense. An integrable kernel on unbounded support gives
-    e = Theta(nu^2) edges with v growing superlinearly only through the
-    visibility integral: sparse (edge count is o(v^2)). A non-integrable
-    kernel that still passes local finiteness is left unclassified.
-    """
-    if math.isfinite(g.support):
-        return "dense"
-    try:
-        w_l1 = g.w_l1(rel_tol=1e-6)
-    except (GraphexError, QuadratureError):
-        return "unknown"
-    if math.isfinite(w_l1):
-        return "sparse"
-    return "unknown"

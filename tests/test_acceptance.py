@@ -7,9 +7,11 @@ passed on the first seed tried, so no seed was shopped (margins are noted in
 the repository notes). Criterion 4 has two parts: the finite-size value of
 the degree-two fraction is asserted exactly (04b_value), and the 1e-3
 closeness to its asymptotic limit is a strict expected failure
-(04b_limit), because the true distance at nu = 1e4 is 1.234e-3; the limit
-is approached at a 1/log(nu) rate, so no correct implementation can pass
-that tolerance at that nu.
+(04b_limit), because the true distance at nu = 1e4 is 1.234e-3; the
+distance shrinks about threefold per decade of nu, roughly like nu^(-1/2)
+(0.0135, 0.0040, 0.00123 and 0.00039 at nu = 1e2 to 1e5, from
+``degree_pmf``), so no correct implementation can pass that tolerance at
+that nu.
 """
 
 import math
@@ -141,7 +143,8 @@ def test_criterion_04b_degree_two_pmf_value():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the degree-two fraction converges to 1/8 like 1/log(nu); at "
+    reason="the degree-two fraction converges to 1/8 about threefold per decade "
+           "of nu, roughly like nu^(-1/2); at "
            "nu = 1e4 the true distance is 1.234e-3, which already exceeds "
            "the requested 1e-3, so no correct implementation can pass")
 def test_criterion_04b_degree_two_pmf_limit():

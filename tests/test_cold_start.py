@@ -2,7 +2,8 @@
 and integrating load no SciPy module, and neither do the CLI's ``sample``
 on each of its engines (full cloud, caron-fox, lazy strata with latent
 coordinates, naive) nor its ``expect --stat edges|vertices`` and ``check``,
-of a closed-form family and of a custom kernel, whose integrals are nested.
+of a closed-form family and of a custom kernel, whose integrals are nested,
+nor the ``check`` of a caron-fox kernel, which integrates its rate factor.
 
 SciPy costs about 0.9 s to import cold, more than a fast-decay ``sample``
 needs in all. The package integrates with its own rule, so no step that
@@ -100,6 +101,10 @@ for stat in ("edges", "vertices"):
 check_code = cli.main(["check", "--graphex", '{"family": "slow-decay"}', "--out",
                        os.path.join(out_dir, "check.json")])
 loaded["cli check"] = scipy_modules()
+# a caron-fox check reads the majorant ||r||_1^2 of its kernel
+caron_fox_check_code = cli.main(["check", "--graphex", '{"family": "caron-fox"}', "--out",
+                                 os.path.join(out_dir, "caron-fox-check.json")])
+loaded["cli check caron-fox"] = scipy_modules()
 # a custom kernel's expectation and check are nested integrals, whose inner
 # marginals the graphex memoises
 CUSTOM = json.dumps(DECLS["custom"])
@@ -128,6 +133,7 @@ print(json.dumps({
     "lazy_latent": lazy_rows,
     "largest_component": list(giant), "ks_p_value": ks.p_value,
     "expect_codes": expect_codes, "check_code": check_code, "custom_codes": custom_codes,
+    "caron_fox_check_code": caron_fox_check_code,
     "custom_vertices": custom_vertices,
 }))
 """
@@ -137,7 +143,8 @@ NO_SCIPY_STEPS = [
     "build caron-fox", "build graphon-dilation", "build custom", "build separable",
     "sample_keg", "cli sample", "cli sample caron-fox", "cli sample lazy", "cli sample naive",
     "cli --version", "cli expect edges",
-    "cli expect vertices", "cli check", "cli expect vertices custom", "cli check custom",
+    "cli expect vertices", "cli check", "cli check caron-fox", "cli expect vertices custom",
+    "cli check custom",
     "expected_edges",
 ]
 
@@ -169,7 +176,7 @@ def test_the_scipy_free_steps_did_their_work(cold):
     assert header == "vertex_index,latent" and rows
     assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
     assert cold["expect_codes"] == [0, 0]
-    assert cold["check_code"] == 0
+    assert cold["check_code"] == cold["caron_fox_check_code"] == 0
     assert cold["custom_codes"] == [0, 0]
     custom = graphex.build({"family": "custom", "exprs": {"W": "exp(-x-y)"}})
     assert cold["custom_vertices"]["value"] == theory.expected_vertices(custom, 20.0).value

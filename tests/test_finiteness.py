@@ -6,7 +6,7 @@ import pytest
 
 from graphex import finiteness
 from graphex.finiteness import CONDITION_KEYS, FinitenessReport, check_local_finiteness
-from graphex.model import build, dilate
+from graphex.model import Graphex, build, dilate
 
 ANALYTIC = "holds-analytic"
 NUMERIC = "holds-numeric"
@@ -113,6 +113,43 @@ def test_integrable_diagonal_numeric():
     v = rep["diagonal_integrable"]
     assert v.status == NUMERIC
     assert v.ok
+
+
+def test_caron_fox_holds_from_the_majorant_without_a_marginal(monkeypatch):
+    # W = 1 - exp(-r(x) r(y)) <= r(x) r(y), so ||W||_1 <= ||r||_1^2 = 2 for
+    # r = sqrt(2) exp(-x); no marginal is evaluated to show it
+    def no_marginal(*args, **kwargs):
+        raise AssertionError("the check evaluated a marginal")
+
+    monkeypatch.setattr(Graphex, "refined_marginal", no_marginal)
+    monkeypatch.setattr(Graphex, "marginal_nodes", no_marginal)
+    rep = check_local_finiteness(build({"family": "caron-fox"}))
+    assert rep.all_hold
+    for key in ("marginal_level_sets", "kernel_core_integrable"):
+        assert rep[key].status == NUMERIC
+        assert rep[key].bound == pytest.approx(2.0, rel=1e-12)
+        assert "r(x) r(y)" in rep[key].note
+
+
+def test_caron_fox_with_a_jump_holds_from_the_majorant():
+    # the theory cannot integrate this kernel's nested marginal across the
+    # jump at 1, so this check is its only certificate: ||r||_1^2 = 2 (2 - 1/e)^2
+    g = build({"family": "caron-fox", "exprs": {"g": "exp(-x)*(1+le(x,1))"}})
+    rep = check_local_finiteness(g)
+    assert rep.all_hold
+    for key in ("marginal_level_sets", "kernel_core_integrable"):
+        assert rep[key].status == NUMERIC
+        assert rep[key].bound == pytest.approx(2.0 * (2.0 - math.exp(-1.0)) ** 2, rel=1e-9)
+        assert rep[key].bound == pytest.approx(5.3276, abs=1e-4)
+
+
+def test_caron_fox_without_a_majorant_keeps_its_probes():
+    # ||r||_1 of g = 1/(1+x) diverges, so there is no bound and the probes
+    # see mu = infinity everywhere
+    st = statuses(check_local_finiteness(build({"family": "caron-fox",
+                                                "exprs": {"g": "1/(1+x)"}})))
+    assert st["marginal_level_sets"] == "violated"
+    assert st["kernel_core_integrable"] == "undecidable"
 
 
 def test_null_graphex_holds_trivially():

@@ -109,8 +109,8 @@ CHECK_CASES = {
     "custom-indicator": {"family": "custom", "exprs": {"W": "le(x*y, 1)"}},
 }
 CHECK_GOLDEN = {
-    "caron-fox": "90fced1746351b850f41b3b742d582dcee22cd1536228c3e4e4c64ad4011f490",
-    "caron-fox-self": "baf545252ae29b56f7aff634922158ca03fb7e6a269f6b12cb9a8b1fc7d18430",
+    "caron-fox": "4efb960b9c7a12b615557df21693d649f8dd6f0335838f4fbc613d394e5d1f30",
+    "caron-fox-self": "8e4f4686ae2dee4c042f9f2a4aacaef920a511d4c58edb160e8bb689461c8255",
     "custom-exp": "8dcd1ea737d34004744bc41cfd9b8bb58549009831d9e33e98b363dcbc0d59ae",
     "custom-indicator": "a1cdf948cd05b604b7f5ee4f702c04aab7b73ac7816ae7ee17e585314198650e",
     "custom-recipe": "53abc58df5e5f5cbcf90594b380fe7aaa75962b1432a07fdfa8bf7e4ad394e1d",

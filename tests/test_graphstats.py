@@ -17,7 +17,6 @@ from graphex.graphstats import (
     largest_component_size,
     ranked_unique,
     sparsity_ratio,
-    summarize,
 )
 
 
@@ -97,19 +96,6 @@ def test_rejects_malformed_input():
         count_edges(np.ones((3, 3), dtype=np.int64))
     with pytest.raises(GraphStatsError):
         count_edges(np.array([[0.5, 1.0]]))
-
-
-def test_summarize_keys():
-    out = summarize([(0, 1), (1, 2)])
-    assert out == {
-        "edges": 2,
-        "vertices": 3,
-        "largest_component": 3,
-        "max_degree": 2,
-        "mean_degree": pytest.approx(4 / 3),
-        "sparsity_ratio": pytest.approx(np.sqrt(2) / 3),
-    }
-    assert summarize([]) == {"edges": 0, "vertices": 0, "largest_component": 0}
 
 
 edge_lists = st.lists(

@@ -37,7 +37,6 @@ from graphex.theory import (
     ExpectationResult,
     InfiniteExpectationError,
     TheoryError,
-    classify_density,
     degree_ccdf,
     degree_pmf,
     expected_degree_count,
@@ -334,14 +333,6 @@ def test_expectation_result_shape():
     assert set(d) == {"value", "components", "error_estimate"}
     with pytest.raises(Exception):
         res.value = 0.0  # frozen
-
-
-def test_classify_density():
-    assert classify_density(build({"family": "constant",
-                                   "params": {"p": 0.5, "c": 1.0}})) == "dense"
-    assert classify_density(build(SLOW)) == "sparse"
-    assert classify_density(build({"family": "custom",
-                                   "exprs": {"W": "le(x*y, 1)"}})) == "unknown"
 
 
 def test_closed_form_values_are_frozen():
