@@ -190,13 +190,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    g = _load_graphex(args.graphex)
     name = args.stat
     if name == "degk":
         if args.k is None:
             raise HarnessError("--stat degk requires --k")
         name = f"degree_{args.k}"
+    elif args.k is not None:
+        raise HarnessError(f"--k applies only to --stat degk, not to --stat {name}")
     _, predict = statistic(name)
+    g = _load_graphex(args.graphex)
     payload = {"statistic": name, "nu": args.nu}
     payload.update(predict(g, args.nu).to_dict())
     _emit(payload, args)

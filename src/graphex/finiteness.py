@@ -342,11 +342,8 @@ def _check_diagonal(g: Graphex) -> ConditionVerdict:
         return ConditionVerdict(key, HOLDS,
                                 f"declared integral of W(x, x) = {g.diag_l1_value:.6g}",
                                 bound=g.diag_l1_value)
-    if math.isfinite(g.support):
-        return ConditionVerdict(
-            key, HOLDS,
-            f"the diagonal is bounded by 1 on [0, {g.support:.6g}] and zero beyond",
-            bound=g.support)
+    # the finite-support families (constant, graphon-dilation) declare the
+    # integral, so only an unbounded support is left to probe
     return _probe_verdict(key, _probe_tail(g.diag_at, 0.0), "integral of W(x, x): ")
 
 

@@ -690,8 +690,6 @@ def build(spec: dict) -> Graphex:
         "self_edges": self_edges,
     }
 
-    if not self_edges:
-        parts["diag_l1_value"] = 0.0
     return Graphex(isolated_rate=isolated, s=s_fn, self_edges=self_edges, spec=echo,
                    tail_s_fn=tail_s_fn, **parts)
 

@@ -73,23 +73,22 @@ ones: an endpoint is a stratum chosen in proportion to n_l F_l and a uniform
 index in it; a point gets its position, uniform in its stratum, only where
 touched; a pair is accepted with probability
 f_i f_j / (1 - exp(-c0 F_i F_j)).
-Strata with F > 1/2 are heavy, the other points' self loops are thinned
-against F^2 alike, and a planted point is a stratum of its own. A drawn f(x)
-over its bound raises SamplerError. theta_max and the law of the draw stay
-those of the full cloud; the streams differ, and kept points are indexed
-stratum by stratum. The full cloud stays where the expected proposal
-endpoints and heavy points number at least the latent points, and for a
-user ``separable`` f or a star rate, which declare no bound; any other
-kernel takes the naive path, the reference. ``_plan`` alone makes this
-choice, with the cutoff and the expected work of a draw, and the ``_MAX_*``
-constants cap a draw's latent points, pair coins and proposals.
+Strata with F > 1/2 are heavy, and the other points' self loops are thinned
+against F^2 alike. A drawn f(x) over its bound raises SamplerError.
+theta_max and the law of the draw stay those of the full cloud; the streams
+differ, and kept points are indexed stratum by stratum. The full cloud stays
+where the expected proposal endpoints and heavy points number at least the
+latent points, and for a user ``separable`` f or a star rate, which declare
+no bound; any other kernel takes the naive path, the reference. ``_plan``
+alone makes this choice, with the cutoff and the expected work of a draw,
+and the ``_MAX_*`` constants cap a draw's latent points, pair coins and
+proposals.
 
 The engines share one interface. ``_plan`` names the engine's class, and
-``Engine(g, theta, planted, nu, seeds)`` draws the block's latent stream.
-It gives each replicate's slots ``n``, first slot ``base`` and cloud points
-``n_cloud`` (planted points come last), the kernel pairs ``pairs(g, gens)``
-and self loops ``loops(g, gens)``, and ``positions(slots)``, latent
-coordinates; ``_draw`` runs every engine alike.
+``Engine(g, theta, nu, seeds)`` draws the block's latent stream, the Poisson
+cloud alone. It gives each replicate's slots ``n`` and first slot ``base``,
+the kernel pairs ``pairs(g, gens)`` and self loops ``loops(g, gens)``, and
+``positions(slots)``, latent coordinates; ``_draw`` runs every engine alike.
 
 All paths produce the same distribution; differential tests in the test
 suite hold the full cloud, the lazy cloud and the Caron-Fox construction
@@ -168,7 +167,7 @@ _STREAM_SELF = 2
 _STREAM_STARS = 3
 _STREAM_ISOLATED = 4
 _STREAM_LABELS = 5
-_STREAM_PLANTED = 6
+_STREAM_DEGREES = 6  # the one stream of sample_planted_degrees
 
 
 class SamplerError(GraphexError):
@@ -242,7 +241,6 @@ class SampledGraph:
     edges: np.ndarray
     provenance: np.ndarray
     latent: np.ndarray | None = None
-    planted_indices: tuple[int, ...] = ()
 
     @property
     def n_vertices(self) -> int:
@@ -644,22 +642,20 @@ def _strata(g: Graphex, theta: float):
 class _LazyClouds:
     """The latent clouds of a block of replicates, in strata: stratum l of
     replicate r holds count[r, l] ~ Poi(nu width[l]) points on
-    [lo[l], lo[l] + width[l]), where f <= bnd[l], and a planted point is a
-    stratum of its own, of zero width. Slots run through the block,
-    replicate by replicate and in each stratum by stratum; slot i of
-    replicate r is slot base[r] + i. It sits at lo + width * u_i, with u_i
-    read from the replicate's counter-based stream, so only the slots a draw
-    touches are placed, and each the same whenever it is touched."""
+    [lo[l], lo[l] + width[l]), where f <= bnd[l], the strata being
+    ``_strata``'s. Slots run through the block, replicate by replicate and
+    in each stratum by stratum; slot i of replicate r is slot base[r] + i.
+    It sits at lo + width * u_i, with u_i read from the replicate's
+    counter-based stream, so only the slots a draw touches are placed, and
+    each the same whenever it is touched."""
 
     thin = True  # every proposal is accepted with its own probability
 
-    def __init__(self, g: Graphex, theta: float, planted, nu: float, seeds):
-        edges, bound = _strata(g, theta)[:2]
+    def __init__(self, g: Graphex, theta: float, nu: float, seeds):
+        edges, self.bnd = _strata(g, theta)[:2]
         self.f = g.separable_f
-        self.lo = np.concatenate((edges[:-1], planted))
-        self.width = np.concatenate((np.diff(edges), 0.0 * planted))
-        self.bnd = np.concatenate((bound, np.clip(self.f(planted), 0.0, 1.0)))
-        mean = nu * np.diff(edges)
+        self.lo, self.width = edges[:-1], np.diff(edges)
+        mean = nu * self.width
         counts, keys = [], []
         for gen in rngmod.streams(seeds, _STREAM_LATENT):
             counts.append(gen.poisson(mean))
@@ -667,11 +663,10 @@ class _LazyClouds:
             # fraction of the cost
             keys.append(gen.bit_generator.random_raw())
         self.key = np.array(keys, dtype=np.uint64)
-        self.count = np.ones((len(counts), self.bnd.size), dtype=np.int64)
-        self.count[:, :bound.size] = counts
+        self.count = np.array(counts, dtype=np.int64)
         start = np.zeros((len(counts), self.bnd.size + 1), dtype=np.int64)
         np.cumsum(self.count, axis=1, out=start[:, 1:])
-        self.n, self.n_cloud = start[:, -1].copy(), start[:, bound.size].copy()
+        self.n = start[:, -1].copy()
         self.base = np.concatenate(([0], np.cumsum(self.n)))
         # the first slot of each stratum
         start += self.base[:-1, None]
@@ -782,7 +777,9 @@ class _LazyClouds:
             d, q = self.value(cand, g.diag_at)
             coin = _coins_of(cand, self.base, offsets, coin)
             hits.append(cand[coin < d / -np.expm1(-_C0 * q)])
-        # a planted heavy slot comes after the light ones of its cloud
+        # a replicate's heavy slots come before its light ones, but the
+        # heavy slots of a block's later replicates come after its first
+        # replicate's light ones
         return np.sort(np.concatenate(hits))
 
 
@@ -899,10 +896,10 @@ def _pairs_naive(g: Graphex, pts: np.ndarray, gen) -> np.ndarray:
 
 class _NaiveCloud:
     """Every latent point of each replicate of a block, drawn up front,
-    replicate by replicate with its planted ones last: the naive path, which
-    coins every pair with W and every point's self loop with W(x, x)."""
+    replicate by replicate: the naive path, which coins every pair with W
+    and every point's self loop with W(x, x)."""
 
-    def __init__(self, g: Graphex, theta: float, planted, nu: float, seeds):
+    def __init__(self, g: Graphex, theta: float, nu: float, seeds):
         expected, empty = nu * theta, np.empty(0)
         clouds = [empty] * len(seeds)
         if expected > 0:
@@ -910,10 +907,9 @@ class _NaiveCloud:
             for gen in rngmod.streams(seeds, _STREAM_LATENT):
                 k = int(gen.poisson(expected))
                 clouds.append(gen.uniform(0.0, theta, k) if k else empty)
-        self.n_cloud = np.array([c.size for c in clouds], dtype=np.int64)
-        self.pts = np.concatenate([x for c in clouds for x in (c, planted)])
-        self.base = np.concatenate(([0], np.cumsum(self.n_cloud + planted.size)))
-        self.n = np.diff(self.base)
+        self.n = np.array([c.size for c in clouds], dtype=np.int64)
+        self.pts = np.concatenate(clouds)
+        self.base = np.concatenate(([0], np.cumsum(self.n)))
 
     def positions(self, slots):
         return self.pts[slots]
@@ -949,8 +945,7 @@ class _Block:
     vertices vertex_start[i]:vertex_start[i + 1] and the edges
     edge_start[i]:edge_start[i + 1], whose endpoints are vertex ids of the
     block. ``labels`` and ``latent`` (coordinates, NaN where a vertex has
-    none) are None where labels were not drawn; ``planted`` holds each
-    replicate's planted vertices, numbered inside the replicate."""
+    none) are None where labels were not drawn."""
 
     nu: float
     theta: float
@@ -962,7 +957,6 @@ class _Block:
     vertex_start: np.ndarray
     labels: np.ndarray | None
     latent: np.ndarray | None
-    planted: np.ndarray
 
     @property
     def reps(self) -> int:
@@ -984,7 +978,6 @@ class _Block:
             nu=self.nu, seed=self.seeds[i], theta_max=self.theta, epsilon=self.eps,
             labels=self.labels[v0:v1], edges=edges - v0 if v0 else edges,
             provenance=self.provenance[e0:e1], latent=self.latent[v0:v1],
-            planted_indices=tuple(self.planted[i].tolist()),
         )
 
 
@@ -1049,7 +1042,7 @@ def _block_size(g: Graphex, cfg: SamplerConfig) -> tuple[int, float]:
     return max(1, min(size, int(2.0 ** 30.5 / (1.1 * (cfg.nu * theta) + 100.0)))), work
 
 
-def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True) -> _Block:
+def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     """Draw a block of replicates: replicate i is the graph that
     ``sample_keg`` draws at cfg with seed seeds[i] (cfg.seed is not read),
     to the bit. Each of its streams gets the calls it gets in a draw of its
@@ -1058,21 +1051,15 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     points, are given only where ``labels`` asks for them."""
     nu = float(cfg.nu)
     theta, engine, _ = _plan(g, cfg)
-    planted = np.asarray([float(x) for x in planted], dtype=float)
-    for x in planted.tolist():
-        if not (math.isfinite(x) and x >= 0):
-            raise SamplerError(f"planted latent coordinates must be finite and >= 0, "
-                               f"got {x!r}")
     seeds = tuple(seeds)
     reps = len(seeds)
 
     def gens(stream):
         return rngmod.streams(seeds, stream)
 
-    cloud = engine(g, theta, planted, nu, seeds)
+    cloud = engine(g, theta, nu, seeds)
     base, n = cloud.base, cloud.n
     most = int(n.max())
-    planted_slots = (base[:-1] + cloud.n_cloud)[:, None] + np.arange(planted.size)
 
     pairs = np.empty((0, 2), dtype=np.int64)
     if g.w is not None and most >= 2:
@@ -1101,8 +1088,7 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
     # visibility and final indexing: each replicate's kept latent slots in
     # slot order, then its star leaves and its isolated-edge endpoints
     n_ends = 2 * pairs.shape[0]
-    visible, index = ranked_unique(np.concatenate((pairs.ravel(), loops, hubs,
-                                                   planted_slots.ravel())))
+    visible, index = ranked_unique(np.concatenate((pairs.ravel(), loops, hubs)))
     first_visible = np.searchsorted(visible, base)
     v0 = np.diff(first_visible)
     n_vertices = v0 + n_leaves + 2 * n_iso
@@ -1168,25 +1154,20 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, planted=(), labels: bool = True
         latent = np.full(total, np.nan)
         latent[vertex] = cloud.positions(visible)
 
-    at = n_ends + loops.size + hubs.size
-    planted_final = index[at:].reshape(planted_slots.shape) - vertex_start[:-1, None]
-
     return _Block(
         nu=nu, theta=float(theta), eps=float(cfg.eps), seeds=seeds,
         edges=edges, provenance=provenance,
         edge_start=np.searchsorted(edges[:, 0], vertex_start) if reps > 1
         else np.array([0, edges.shape[0]]),
         vertex_start=vertex_start, labels=drawn_labels, latent=latent,
-        planted=planted_final,
     )
 
 
-def sample_keg(g: Graphex, cfg: SamplerConfig, planted=()) -> SampledGraph:
-    """Draw one graph. ``planted`` lists latent coordinates of extra points
-    that join the latent cloud deterministically and are always kept in the
-    vertex set, visible or not (their final indices are reported in
-    ``planted_indices``). It is the block of one of the replicate engine."""
-    return _draw(g, cfg, (cfg.seed,), planted).graph(0)
+def sample_keg(g: Graphex, cfg: SamplerConfig) -> SampledGraph:
+    """Draw one graph: the block of one of the replicate engine. The degree
+    of a vertex at a given latent coordinate is drawn, without a graph, by
+    ``sample_planted_degrees``."""
+    return _draw(g, cfg, (cfg.seed,)).graph(0)
 
 
 def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:
@@ -1213,7 +1194,6 @@ def restrict(graph: SampledGraph, nu_new: float) -> SampledGraph:
         edges=new_ids.reshape(kept.shape),
         provenance=graph.provenance[keep],
         latent=graph.latent[old_ids] if graph.latent is not None else None,
-        planted_indices=(),
     )
 
 
@@ -1244,7 +1224,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     else:
         edges, bound = np.array([0.0, theta]), np.ones(1)
     cum = np.cumsum(np.diff(edges) * bound)
-    gen = rngmod.stream(seed, _STREAM_PLANTED)
+    gen = rngmod.stream(seed, _STREAM_DEGREES)
     counts = gen.poisson(nu * cum[-1], size=reps).astype(np.int64)
     degrees = np.empty(reps, dtype=np.int64)
     # blocks of about 2e6 expected candidates bound the memory when B = 1

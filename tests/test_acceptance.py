@@ -105,6 +105,7 @@ def test_criterion_03_monte_carlo_expectations():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.frozen
 def test_criterion_04a_degree_one_fraction_near_half():
     t0 = time.perf_counter()
     report = degdist_experiment(SLOW, (300.0,), 200, seed=0, k=1, eps=5.0)
@@ -235,6 +236,7 @@ def test_criterion_10_planted_degree_chi_square():
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.frozen
 def test_criterion_11_byte_identical_reruns(tmp_path):
     decl = '{"family": "fast-decay"}'
     edges = []

@@ -54,6 +54,7 @@ def test_sample_deterministic_files(tmp_path):
     assert out3.read_bytes() != data
 
 
+@pytest.mark.frozen
 def test_sample_caron_fox_is_frozen(tmp_path):
     # no closed-form marginal: the cutoff comes from the separable majorant
     # 2 ||g||_1 (integral of g past a), and this digest pins it (theta_max
@@ -164,6 +165,19 @@ def test_expect_degk_requires_k(capsys):
                "--stat", "degk") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("stat", ["edges", "vertices"])
+def test_expect_refuses_k_without_degk(stat, capsys):
+    # --k names a degree only for --stat degk; elsewhere it is refused, not
+    # ignored
+    assert run("expect", "--graphex", FAST, "--nu", "10", "--stat", stat,
+               "--k", "3") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"graphex: error: --k applies only to --stat degk, "
+                            f"not to --stat {stat}\n")
+
+
+@pytest.mark.frozen
 @pytest.mark.parametrize("argv, digest", [
     (("--stat", "edges"),
      "ddc774f9768305ebf5da29e5dacbecb12c0e9bd5da72c0b1cd0ae8aa9fa1aa39"),

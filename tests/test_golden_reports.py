@@ -87,6 +87,7 @@ def report_digests(report, tmp_path):
     return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (json_path, csv_path))
 
 
+@pytest.mark.frozen
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_are_frozen(case, tmp_path):
     assert report_digests(CASES[case](), tmp_path) == GOLDEN[case]
@@ -118,6 +119,7 @@ CHECK_GOLDEN = {
 }
 
 
+@pytest.mark.frozen
 @pytest.mark.parametrize("case", sorted(CHECK_CASES))
 def test_check_report_bytes_are_frozen(case, tmp_path):
     path = tmp_path / "check.json"

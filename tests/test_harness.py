@@ -375,6 +375,7 @@ def test_write_json_and_csv(tmp_path):
 # blocks and threads
 # --------------------------------------------------------------------------
 
+@pytest.mark.frozen
 def test_reports_are_the_same_bytes_for_any_thread_count(monkeypatch):
     # several blocks per level; a pool forced on for every draw, on 1, 2 and 4
     # usable cores and with threads switching often, gives the serial

@@ -57,6 +57,7 @@ def test_key_words_fit_uint64():
     assert 0 <= w1 <= 2**64 - 1
 
 
+@pytest.mark.frozen
 def test_frozen_key_values():
     # the derivation chain is part of the reproducibility contract; these
     # values pin it so an accidental change shows up as a test failure rather

@@ -335,6 +335,7 @@ def test_expectation_result_shape():
         res.value = 0.0  # frozen
 
 
+@pytest.mark.frozen
 def test_closed_form_values_are_frozen():
     # the benchmark's analytic table (one graphex per family, called in this
     # order), then fast-decay's ccdf and pmf at k = sqrt(nu)
@@ -355,6 +356,7 @@ def test_closed_form_values_are_frozen():
     assert digest == CLOSED_FORM_TABLE_SHA256
 
 
+@pytest.mark.frozen
 def test_blackbox_values_are_frozen():
     values = []
     for spec in ({"family": "caron-fox"},
