@@ -216,11 +216,6 @@ def _check_kernel(g: Graphex) -> tuple[ConditionVerdict, ConditionVerdict]:
     holds analytically; the majorant ||r||_1^2 of a rate factor r holds
     numerically, since ||r||_1 is a quadrature value. A kernel with no bound
     gets the probes."""
-    if g.w is None:
-        return (ConditionVerdict("marginal_level_sets", HOLDS, "no kernel declared, mu = 0",
-                                 bound=0.0),
-                ConditionVerdict("kernel_core_integrable", HOLDS, "no kernel declared",
-                                 bound=0.0))
     bound = g.w_l1_bound()
     if bound is None:
         level, crossing = _check_level_sets(g)
@@ -296,10 +291,9 @@ def _check_level_sets(g: Graphex):
         lo, hi = float(grid[last]), float(grid[last + 1])
     note = (f"{origin_note}mu crosses 1 near x = {hi:.6g}; under the "
             "eventually-nonincreasing marginal assumption the level set {mu > 1} "
-            f"has measure about {hi:.6g} (numeric crossing, probe resolution)")
-    if g.mu is None:
-        note += ("; a null infinite-marginal set cannot be certified from point "
-                 "probes of a black-box kernel")
+            f"has measure about {hi:.6g} (numeric crossing, probe resolution); a null "
+            "infinite-marginal set cannot be certified from point probes of a "
+            "black-box kernel")
     return ConditionVerdict(key, HOLDS_NUMERIC, note, bound=hi), hi
 
 
@@ -335,7 +329,7 @@ def _check_restricted_kernel(g: Graphex, crossing: float | None) -> ConditionVer
 
 def _check_diagonal(g: Graphex) -> ConditionVerdict:
     key = "diagonal_integrable"
-    if not g.self_edges or g.diag is None:
+    if not g.self_edges:
         return ConditionVerdict(key, HOLDS, "self edges disabled, the diagonal is unused",
                                 bound=0.0)
     if g.diag_l1_value is not None and math.isfinite(g.diag_l1_value):

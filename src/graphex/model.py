@@ -63,6 +63,9 @@ _SYMMETRY_TOL = 1e-12
 # then level 5), while a finiteness check or a cutoff search passes through
 # up to about 20 that it uses once each
 _MARGINAL_MEMO_SIZE = 16
+# relative tolerance of the cached norms ||W||_1, ||r||_1 and the integral
+# of W(x, x) (:meth:`Graphex._norm`)
+_NORM_REL_TOL = 1e-9
 
 
 class GraphexError(ValueError):
@@ -87,8 +90,11 @@ def _probe_grid() -> np.ndarray:
 class Graphex:
     """A validated graphex.
 
-    ``w``, ``s`` and ``diag`` are vectorised callables (``s`` and ``diag`` may
-    be None, meaning identically zero). Analytic metadata is optional; every
+    ``w`` and ``diag`` are vectorised callables, W(x, y) and W(x, x); every
+    family declares both, the null kernel as W = 0. ``s``, the star rate, is
+    a vectorised callable too, or None when no star rate is declared (the
+    sampler then may use its lazy clouds and the closed-form cutoff, which a
+    declared S = 0 does not). Analytic metadata is optional; every
     consumer falls back to quadrature through the accessor methods, which is
     exact but slower. ``separable_f`` is set when W(x, y) = f(x) f(y) off the
     diagonal, which unlocks the sampler's fast path; an f that carries
@@ -103,9 +109,9 @@ class Graphex:
     """
 
     isolated_rate: float
-    w: Callable | None
+    w: Callable
     s: Callable | None
-    diag: Callable | None
+    diag: Callable
     self_edges: bool
     spec: dict = field(repr=False)
 
@@ -126,20 +132,13 @@ class Graphex:
 
     # -- kernel access ------------------------------------------------------
 
-    def w_at(self, x, y):
-        """W(x, y), vectorised, zero when no kernel is declared."""
-        if self.w is None:
-            return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape) \
-                if (np.ndim(x) or np.ndim(y)) else 0.0
-        return self.w(x, y)
-
     def s_at(self, x):
         if self.s is None:
             return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         return self.s(x)
 
     def diag_at(self, x):
-        if self.diag is None or not self.self_edges:
+        if not self.self_edges:
             return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         return self.diag(x)
 
@@ -228,8 +227,6 @@ class Graphex:
         """
         if self.mu is not None:
             return self.mu(x) if np.ndim(x) else float(self.mu(x))
-        if self.w is None:
-            return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
         value, settled = self.refined_marginal(x)
         if not settled.all():
             bad = np.asarray(x, dtype=float)[~settled]
@@ -244,8 +241,6 @@ class Graphex:
         fails the outer integral at once instead of refining every node."""
         if self.mu is not None:
             return self.mu(x)
-        if self.w is None:
-            return np.zeros(np.shape(x))
         value, settled = self.marginal_nodes(x, rel_tol)
         if not settled.all():
             raise _Unsettled
@@ -255,8 +250,6 @@ class Graphex:
         """integral of mu over [x, inf). Used for truncation budgets."""
         if self.tail_mu_fn is not None:
             return float(self.tail_mu_fn(x))
-        if self.w is None:
-            return 0.0
         # when the marginal is itself numeric, every outer node costs a full
         # inner integral, so let a loose caller buy loose inner evaluations
         inner_tol = max(1e-8, 0.1 * rel_tol)
@@ -276,18 +269,16 @@ class Graphex:
                                "the star rate may be non-integrable")
         return float(value)
 
-    def w_l1(self, rel_tol: float = 1e-9) -> float:
+    def w_l1(self) -> float:
         """||W||_1, the double integral of W."""
         if self.w_l1_value is not None:
             return self.w_l1_value
-        if self.w is None:
-            return 0.0
-        return self._norm("w_l1", self.nested_marginal, rel_tol,
+        return self._norm("w_l1", self.nested_marginal,
                           "||W||_1 did not converge; the kernel may be non-integrable")
 
     def rate_l1(self) -> float:
         """||r||_1 of the rate factor (see ``rate_factor``)."""
-        return self._norm("rate_l1", self.rate_factor, 1e-9,
+        return self._norm("rate_l1", self.rate_factor,
                           "||r||_1 of the rate factor did not converge")
 
     def w_l1_bound(self) -> tuple[float, str] | None:
@@ -320,22 +311,22 @@ class Graphex:
 
     def diag_l1(self) -> float:
         """integral of W(x, x) dx (zero when self edges are disabled)."""
-        if not self.self_edges or self.diag is None:
+        if not self.self_edges:
             return 0.0
         if self.diag_l1_value is not None:
             return self.diag_l1_value
-        return self._norm("diag_l1", self.diag_at, 1e-9,
+        return self._norm("diag_l1", self.diag,
                           "the diagonal W(x, x) is not integrable within probe budget")
 
-    def _norm(self, name: str, h, rel_tol: float, message: str) -> float:
-        """The integral of h over the latent axis, cached by (name, rel_tol)
-        with its outcome: one that did not converge raises every time."""
-        key = (name, rel_tol)
-        if key not in self._cache:
-            self._cache[key] = self.integrate(h, rel_tol)
-        if not self._cache[key].converged:
+    def _norm(self, name: str, h, message: str) -> float:
+        """The integral of h over the latent axis to ``_NORM_REL_TOL``, cached
+        by name with its outcome: one that did not converge raises every
+        time."""
+        if name not in self._cache:
+            self._cache[name] = self.integrate(h, _NORM_REL_TOL)
+        if not self._cache[name].converged:
             raise GraphexError(message)
-        return self._cache[key].value
+        return self._cache[name].value
 
     def to_json(self) -> str:
         return json.dumps(self.spec, sort_keys=True)

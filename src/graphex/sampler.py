@@ -328,7 +328,7 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     """
     _check_level(nu, "nu")
     _check_eps(eps)
-    if nu == 0.0 or (g.w is None and g.s is None):
+    if nu == 0.0:
         return 0.0
     if math.isfinite(g.support) and g.s is None:
         return g.support
@@ -345,18 +345,12 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
     # tail to a few digits, so probe loosely and stop the bisection early.
     # The certificate is then exact up to quadrature error, which it always
     # was for numeric tails.
-    analytic = ((g.w is None or g.tail_mu_fn is not None)
-                and (g.s is None or g.tail_s_fn is not None))
+    analytic = g.tail_mu_fn is not None and (g.s is None or g.tail_s_fn is not None)
     probe_tol = 1e-9 if analytic else 1e-4
     width_tol = 1e-12 if analytic else 1e-4
 
     def budget(a: float) -> float:
-        t = 0.0
-        if g.w is not None:
-            t += tail_mu(a, probe_tol)
-        if g.s is not None:
-            t += g.tail_s(a, probe_tol)
-        return nu * nu * t
+        return nu * nu * (tail_mu(a, probe_tol) + g.tail_s(a, probe_tol))
 
     try:
         bound = g.w_l1_bound()
@@ -707,8 +701,6 @@ class _LazyClouds:
         """Replicate r's u keys, v keys and coins, as three rows of M ~
         Poi(c0 (sum F)^2 / 2) uniforms; there is at most one coin per
         distinct pair, and nothing reads the stream after the coins."""
-        if self.below[r, -1] <= 0.0:
-            return None
         _check_proposals(self.lam[r])
         m = int(gen.poisson(self.lam[r]))
         return gen.random(3 * m).reshape(3, m) if m else None
@@ -878,15 +870,13 @@ def _pairs_naive(g: Graphex, pts: np.ndarray, gen) -> np.ndarray:
         xi = pts[i0:i0 + _NAIVE_BLOCK]
         for j0 in range(i0, n, _NAIVE_BLOCK):
             xj = pts[j0:j0 + _NAIVE_BLOCK]
-            prob = np.asarray(g.w_at(xi[:, None], xj[None, :]), dtype=float)
+            prob = np.asarray(g.w(xi[:, None], xj[None, :]), dtype=float)
             hits = gen.random(prob.shape) < prob
             if j0 == i0:
                 hits &= np.triu(np.ones(hits.shape, dtype=bool), k=1)
             ii, jj = np.nonzero(hits)
             us.append(ii + i0)
             vs.append(jj + j0)
-    if not us:
-        return np.empty((0, 2), dtype=np.int64)
     u = np.concatenate(us)
     v = np.concatenate(vs)
     # blocks come row band by row band; return (u, v) order, as _kernel_pairs does
@@ -1062,10 +1052,10 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     most = int(n.max())
 
     pairs = np.empty((0, 2), dtype=np.int64)
-    if g.w is not None and most >= 2:
+    if most >= 2:
         pairs = cloud.pairs(g, gens(_STREAM_PAIRS))
     loops = np.empty(0, dtype=np.int64)
-    if g.self_edges and g.diag is not None and most:
+    if g.self_edges and most:
         loops = cloud.loops(g, gens(_STREAM_SELF))
 
     # star leaves (a lazy draw has no star rate)
@@ -1212,15 +1202,13 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
     module docstring), else 1, and a candidate at x is an edge with
     probability W(lam, x) / B. The draw never reads the theory.
     """
-    if g.w is None:
-        raise SamplerError("the graphex has no kernel, the planted degree is always 0")
     if not (_number(reps, numbers.Integral) and reps >= 1):
         raise SamplerError(f"reps must be a positive integer, got {reps!r}")
     _check_level(lam, "lam")
     theta = _cutoff(g, SamplerConfig(nu=nu, seed=seed, eps=eps, theta_max=theta_max))
     if getattr(g.separable_f, "nonincreasing", False):
         edges = _strata(g, theta)[0]
-        bound = np.clip(np.asarray(g.w_at(lam, edges[:-1]), dtype=float), 0.0, 1.0)
+        bound = np.clip(np.asarray(g.w(lam, edges[:-1]), dtype=float), 0.0, 1.0)
     else:
         edges, bound = np.array([0.0, theta]), np.ones(1)
     cum = np.cumsum(np.diff(edges) * bound)
@@ -1234,7 +1222,7 @@ def sample_planted_degrees(g: Graphex, nu: float, lam: float, reps: int, seed: i
         keys = gen.uniform(0.0, cum[-1], int(c.sum()))
         s = _search_row(cum, keys)
         x = edges[s] + (keys - np.append(0.0, cum)[s]) / bound[s]
-        hit = gen.random(keys.size) < _checked(x, g.w_at(lam, x), bound[s]) / bound[s]
+        hit = gen.random(keys.size) < _checked(x, g.w(lam, x), bound[s]) / bound[s]
         # hits of replicate i are those at positions ends[i] .. ends[i+1]
         ends = np.concatenate(([0], np.cumsum(c)))
         degrees[r0:r0 + block] = np.diff(np.flatnonzero(hit).searchsorted(ends))

@@ -118,15 +118,11 @@ def _latent_count(g: Graphex, nu: float, density, what, leaves: bool) -> Expecta
         zero = {"latent": 0.0, "star_leaves": 0.0, "isolated": 0.0}
         return ExpectationResult(0.0, zero, 0.0)
 
-    err_total = 0.0
-    latent = 0.0
-    if g.w is not None or g.s is not None:
-        res = g.integrate(density, _REL_TOL)
-        if not res.converged:
-            raise TheoryError(f"the {what} did not converge; "
-                              "check local finiteness first")
-        latent += nu * res.value
-        err_total += nu * res.error_estimate
+    res = g.integrate(density, _REL_TOL)
+    if not res.converged:
+        raise TheoryError(f"the {what} did not converge; "
+                          "check local finiteness first")
+    latent = nu * res.value
 
     star_leaves = 0.0
     isolated = 0.0
@@ -137,7 +133,7 @@ def _latent_count(g: Graphex, nu: float, density, what, leaves: bool) -> Expecta
             raise InfiniteExpectationError(f"the star rate is not integrable: {err}") from err
         isolated = 2.0 * nu * nu * g.isolated_rate
     components = {"latent": latent, "star_leaves": star_leaves, "isolated": isolated}
-    return ExpectationResult(sum(components.values()), components, err_total)
+    return ExpectationResult(sum(components.values()), components, nu * res.error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +209,6 @@ def _ccdfs(g: Graphex, nu: float, ks) -> list:
     nu = _check_nu(nu)
     for k in ks:
         _check_k(k, 0)
-    if g.w is None:
-        raise TheoryError("the graphex has no kernel, so no latent vertex is ever visible")
     if nu == 0.0:
         raise TheoryError("nu = 0 produces an empty graph with no degree law")
     if not any(ks):

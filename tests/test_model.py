@@ -15,7 +15,7 @@ from graphex.model import Graphex, GraphexError, SpecError, build, build_from_js
 def num_marginal(g, x, rel_tol=1e-10):
     """Marginal by QUADPACK on the kernel, ignoring analytic meta: a
     reference independent of the package's own quadrature."""
-    value, _ = integrate.quad(lambda y: float(g.w_at(x, y)), 0.0, g.support,
+    value, _ = integrate.quad(lambda y: float(g.w(x, y)), 0.0, g.support,
                               epsabs=0.0, epsrel=rel_tol, limit=200)
     return value
 
@@ -32,7 +32,7 @@ def test_slow_decay_metadata():
     assert g.tail_mu(0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert g.tail_mu(1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert g.diag_l1() == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert g.w_at(0.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert g.w(0.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_fast_decay_metadata():
@@ -48,8 +48,8 @@ def test_constant_family_metadata():
     g = build({"family": "constant", "params": {"p": 0.5, "c": 2.0},
                "self_edges": True})
     assert g.support == 2.0
-    assert g.w_at(1.0, 1.5) == 0.5
-    assert g.w_at(1.0, 2.5) == 0.0
+    assert g.w(1.0, 1.5) == 0.5
+    assert g.w(1.0, 2.5) == 0.0
     assert g.marginal(1.0) == pytest.approx(1.0)
     assert g.marginal(2.5) == 0.0
     assert g.w_l1() == pytest.approx(2.0)
@@ -63,15 +63,15 @@ def test_constant_without_self_edges_zeroes_diagonal():
     assert g.diag_at(1.0) == 0.0
     assert g.diag_l1() == 0.0
     # off-diagonal unaffected
-    assert g.w_at(1.0, 1.5) == 0.5
+    assert g.w(1.0, 1.5) == 0.5
 
 
 def test_checkerboard_dilation():
     g = dilate([[0.0, 1.0], [1.0, 0.0]], 2.0)
     assert g.marginal(0.5) == pytest.approx(1.0, rel=1e-12)
     assert g.marginal(1.5) == pytest.approx(1.0, rel=1e-12)
-    assert g.w_at(0.5, 1.5) == 1.0
-    assert g.w_at(0.5, 0.5) == 0.0
+    assert g.w(0.5, 1.5) == 1.0
+    assert g.w(0.5, 0.5) == 0.0
     assert g.w_l1() == pytest.approx(2.0, rel=1e-12)
     assert g.tail_mu(0.0) == pytest.approx(2.0, rel=1e-12)
     assert g.marginal(2.5) == 0.0
@@ -99,7 +99,7 @@ def test_separable_expression_matches_fast_decay():
     sep = build({"family": "separable", "exprs": {"f": "exp(-x)"}})
     fast = build({"family": "fast-decay"})
     for x, y in [(0.0, 0.0), (0.5, 2.0), (3.0, 1.0)]:
-        assert sep.w_at(x, y) == pytest.approx(fast.w_at(x, y), rel=1e-12)
+        assert sep.w(x, y) == pytest.approx(fast.w(x, y), rel=1e-12)
     assert sep.w_l1() == pytest.approx(1.0)
     assert sep.marginal(1.0) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
@@ -107,22 +107,42 @@ def test_separable_expression_matches_fast_decay():
 def test_caron_fox_shapes():
     g = build({"family": "caron-fox", "params": {}, "exprs": {"g": "exp(-x)"},
                "self_edges": True})
-    assert g.w_at(0.0, 0.0) == pytest.approx(-math.expm1(-2.0), rel=1e-12)
+    assert g.w(0.0, 0.0) == pytest.approx(-math.expm1(-2.0), rel=1e-12)
     assert g.diag_at(1.0) == pytest.approx(-math.expm1(-math.exp(-2.0)), rel=1e-12)
     # symmetric by construction
-    assert g.w_at(0.3, 1.7) == pytest.approx(g.w_at(1.7, 0.3), rel=1e-15)
+    assert g.w(0.3, 1.7) == pytest.approx(g.w(1.7, 0.3), rel=1e-15)
 
 
 def test_custom_kernel_broadcasts():
     g = build({"family": "custom", "exprs": {"W": "le(x*y, 1)"}})
     xs = np.array([0.5, 2.0])
-    vals = g.w_at(xs[:, None], xs[None, :])
+    vals = g.w(xs[:, None], xs[None, :])
     assert vals.shape == (2, 2)
     assert vals[0, 0] == 1.0 and vals[1, 1] == 0.0
     scalar_w = build({"family": "custom", "exprs": {"W": "0.25"}})
-    vals = scalar_w.w_at(xs[:, None], xs[None, :])
+    vals = scalar_w.w(xs[:, None], xs[None, :])
     assert vals.shape == (2, 2)
     assert np.all(vals == 0.25)
+
+
+def test_every_family_declares_its_kernel_and_diagonal():
+    # the sampler and the theory call g.w and g.diag without a None check;
+    # the null kernel is declared as W = 0
+    specs = {
+        "constant": {"params": {"p": 0.5, "c": 2.0}},
+        "graphon-dilation": {"params": {"c": 1.0, "grid": [[0.6, 0.1], [0.1, 0.3]]}},
+        "separable": {"exprs": {"f": "exp(-x)"}},
+        "slow-decay": {},
+        "fast-decay": {},
+        "caron-fox": {},
+        "custom": {"exprs": {"W": "0"}},
+    }
+    assert set(specs) == set(model.FAMILIES)
+    for family, spec in specs.items():
+        g = build({"family": family, **spec})
+        assert callable(g.w) and callable(g.diag), family
+        assert np.shape(g.w(np.zeros(3), np.ones(3))) == (3,)
+        assert np.shape(g.diag(np.ones(3))) == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +215,16 @@ def test_caron_fox_marginal_and_tail_match_series():
     tails = [g.tail_mu(float(x)) for x in xs[::10]]
     np.testing.assert_allclose(tails, ein_series(u[::10], 2), rtol=1e-10, atol=0)
     assert g.w_l1() == pytest.approx(ein_series(2.0, 2), rel=1e-10)
+
+
+def test_caron_fox_diagonal_integral_matches_ein():
+    # caron-fox declares no integral of W(x, x) = 1 - exp(-e^-2x), so the
+    # self-edge count comes from quadrature: 10 * Ein(1) / 2
+    g = build({"family": "caron-fox", "self_edges": True})
+    assert g.diag_l1_value is None
+    self_count = theory.expected_edges(g, 10.0).components["self"]
+    assert self_count == pytest.approx(3.982997996485267, rel=1e-12)
+    assert self_count == pytest.approx(5.0 * ein_series(1.0, 1), rel=1e-12)
 
 
 def test_marginal_finds_band_mass_away_from_the_origin():

@@ -41,6 +41,7 @@ from graphex.sampler import (
     sample_planted_degrees,
 )
 from graphex.theory import expected_edges, expected_vertices
+from test_model import ein_series
 
 FAST = build({"family": "fast-decay"})
 SLOW = build({"family": "slow-decay"})
@@ -648,6 +649,19 @@ def test_planted_degree_moments():
     assert abs(d2.mean() - mean2) <= 4.0 * math.sqrt(mean2 / 2000)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_planted_degrees_on_the_unit_bound_path(lam):
+    # caron-fox declares no nonincreasing factor, so candidates are thinned
+    # against B = 1; the degree is Poisson(nu * mu(lam)), mu(x) = Ein(2 e^-x)
+    g = build({"family": "caron-fox"})
+    assert not getattr(g.separable_f, "nonincreasing", False)
+    nu, reps = 5.0, 4000
+    draws = sample_planted_degrees(g, nu, lam, reps, 0)
+    want = nu * ein_series(2.0 * math.exp(-lam), 1)
+    assert abs(draws.mean() - want) <= 4.0 * draws.std(ddof=1) / math.sqrt(reps)
+    assert 0.9 <= draws.var(ddof=1) / draws.mean() <= 1.1
+
+
 def test_planted_degree_determinism_and_validation():
     a = sample_planted_degrees(FAST, 10.0, 0.0, 100, 5)
     b = sample_planted_degrees(FAST, 10.0, 0.0, 100, 5)
@@ -870,7 +884,7 @@ def chi_square_p(draws, mean):
 def test_planted_degrees_are_poisson_in_strata(spec, nu, lam, theta_max):
     g = build(spec)
     theta = theta_max if theta_max is not None else choose_theta_max(g, nu, 1e-3)
-    mean = nu * integrate.quad(lambda x: float(g.w_at(lam, x)), 0.0, theta,
+    mean = nu * integrate.quad(lambda x: float(g.w(lam, x)), 0.0, theta,
                                points=[2.0] if theta_max else None, epsabs=0.0,
                                epsrel=1e-12, limit=200)[0]
     draws = sample_planted_degrees(g, nu, lam, 5000, 3, theta_max=theta_max)
