@@ -68,6 +68,22 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
 SLOT_TABLE_RATIO = 32
 
 
+def fills(size: int, span: int) -> bool:
+    """Whether ``size`` values spread over ``span`` slots are ranked or
+    counted through a table of the slots (``SLOT_TABLE_RATIO``)."""
+    return size * SLOT_TABLE_RATIO >= span
+
+
+def _slots(a: np.ndarray, lo: int, span: int) -> tuple[np.ndarray, int]:
+    """The values of a as slots of a table, and the value of slot 0: int64
+    values from near 0 (lo <= span) are the slots themselves, with no copy;
+    others are shifted to start at 0, in int64, since a narrow dtype would
+    wrap on a range wider than its own."""
+    if a.dtype == np.int64 and 0 <= lo <= span:
+        return a, 0
+    return a.astype(np.int64, copy=False) - lo, lo
+
+
 def ranked_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(a, return_inverse=True) for a 1-D integer array: its sorted
     distinct values (int64) and the rank of each element among them, without
@@ -80,7 +96,7 @@ def ranked_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lo = int(a.min())
     span = int(a.max()) - lo + 1
-    if a.size * SLOT_TABLE_RATIO < span or a.dtype == np.uint64:
+    if not fills(a.size, span) or a.dtype == np.uint64:
         # ranked in the values' own dtype: int64 against uint64 compares in
         # float64, which merges values past 2^53
         ids = sorted_unique(a)
@@ -88,14 +104,16 @@ def ranked_unique(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if int(ids[-1]) <= np.iinfo(np.int64).max:
             ids = ids.astype(np.int64, copy=False)
         return ids, ranks
-    # in int64: a narrow dtype would wrap on a range wider than its own
-    slot = a.astype(np.int64, copy=False) - lo
-    seen = np.zeros(span, dtype=bool)
+    slot, origin = _slots(a, lo, span)
+    seen = np.zeros(lo + span - origin, dtype=bool)
     seen[slot] = True
     ids = np.flatnonzero(seen)
-    table = np.empty(span, dtype=np.int64)
+    del seen
+    table = np.empty(ids[-1] + 1, dtype=np.int64)
     table[ids] = np.arange(ids.size, dtype=np.int64)
-    return ids + lo, table[slot]
+    if origin:
+        ids += origin
+    return ids, table[slot]
 
 
 def count_vertices(edges) -> int:
@@ -119,13 +137,18 @@ def degrees(edges) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0, dtype=arr.dtype), np.empty(0, dtype=np.int64)
     lo = int(arr.min())
     span = int(arr.max()) - lo + 1
-    # dense ids, as ranked_unique's rule has it, are counted slot by slot, in
-    # int64, since a narrow dtype would wrap on a wide range; uint64 ids past
-    # the int64 range would wrap there, so they are ranked like sparse ones
-    if arr.size * SLOT_TABLE_RATIO >= span and arr.dtype != np.uint64:
-        tally = np.bincount(arr.ravel().astype(np.int64, copy=False) - lo, minlength=span)
-        slots = np.flatnonzero(tally)
-        return (slots + lo).astype(arr.dtype, copy=False), tally[slots]
+    # dense ids, as ranked_unique's rule has it, are counted slot by slot
+    # (``_slots``); uint64 ids past the int64 range would wrap there, so they
+    # are ranked like sparse ones
+    if fills(arr.size, span) and arr.dtype != np.uint64:
+        slot, origin = _slots(arr.ravel(), lo, span)
+        tally = np.bincount(slot, minlength=lo + span - origin)
+        del slot
+        ids = np.flatnonzero(tally)
+        degree = tally[ids]
+        if origin:
+            ids += origin
+        return ids.astype(arr.dtype, copy=False), degree
     ids, rank = ranked_unique(arr.ravel())
     return ids.astype(arr.dtype, copy=False), np.bincount(rank, minlength=ids.size)
 

@@ -133,9 +133,11 @@ def _check_grid(nus) -> tuple[float, ...]:
 # 3544 -> 1640 ms and at nu = 300 (1.85e5) 394 -> 248 ms; at 8.4e4 the pool
 # is level to 25% faster, at 4.8e4 and below level or slower (2.2e4: 49 -> 93)
 _POOL_WORK = 1 << 17
-# expected work of the draws in flight at once. A draw's peak holds about 16
-# bytes per unit (tracemalloc, fast-decay nu = 200 and 1000: 1.4 and 32.6 MB),
-# so this caps the pool's draws near 270 MB, 8 at nu = 1000
+# expected work of the draws in flight at once. A pooled draw's peak, with its
+# degrees, holds 19 to 7.5 bytes per unit as the draw grows (tracemalloc,
+# fast-decay nu = 255 and 1000: 2.6 and 15.1 MB), so this caps the pool's
+# draws near 125 MB, 8 at nu = 1000, and near 320 MB for draws just over
+# _POOL_WORK
 _POOL_BUDGET = 1 << 24
 
 

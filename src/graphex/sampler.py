@@ -20,9 +20,10 @@ The generative process at truncation level nu:
    larger) invisible majority. Kept points are indexed in latent-slot
    order, then star leaves, then isolated-edge endpoints. When a draw has
    many edge endpoints per latent slot, a boolean mask over the slots finds
-   the kept points and one slot -> index table maps the endpoints; a huge
-   cloud with a small visible graph sorts its few endpoints and
-   binary-searches them instead, which gives the same indices.
+   the kept points and one slot -> index table maps the endpoints, in place
+   and a bounded slice at a time; a huge cloud with a small visible graph
+   sorts its few endpoints and binary-searches them instead, which gives
+   the same indices.
 
 Pair sampling has three interchangeable implementations. The naive path
 flips one coin per pair in vectorised blocks, which is exact but quadratic.
@@ -55,7 +56,7 @@ A partner is the index where a key, uniform on [C_u, C_n) for the cumulative
 f C of the slot's table (cumsum(f), or cumsum of f with heavy slots zeroed),
 falls in that table; each later slot v of the table holds [C_{v-1}, C_v).
 Where many keys search a long table, a guide table (Chen & Asau 1974; see
-``_endpoints``) finds the indices a binary search would, so every drawn
+``_Guide``) finds the indices a binary search would, so every drawn
 number is the same either way. The pairs come out in (u, v) order, heavy
 and light runs merged, and keep it through the slot -> index map, so only a
 draw whose kernel pairs meet self loops or star edges sorts its rows.
@@ -113,11 +114,32 @@ pairs (replicate, value). Stars, isolated edges, labels and the naive path
 loop over the replicates. ``_block_size`` sets how many replicates share a
 block from the expected work of one draw (``_plan``), so a large draw is a
 block of its own.
+
+Range by range. Every proposal of a full cloud comes from the entry of its
+lower slot u, so the keys proposed from a range of lower slots dedupe on
+their own and come after those of every earlier range. ``pair_keys`` takes
+the ranges of about ``_CHUNK_KEYS`` keys in slot order: each gathers its
+light-table and heavy-table uniforms, searches its partners through guide
+tables built once per draw, dedupes, looks up its coins and is accepted
+before the next begins; a lazy cloud, whose keys come in no such order,
+dedupes them at once and accepts them in slices as long. The heavy pairs are
+coined over rows of ``np.triu_indices`` order as many at a time. While later
+ranges come, a range's accepted keys are kept as offsets from its first
+possible key, in 32 bits where they fit, as are the heavy keys where every
+key of the block does; the pairs are written at the end, range by range,
+with the heavy keys merged in. Only the drawn numbers (partner uniforms and
+coins, one value per proposal) and the slot tables are full-size while the
+ranges run, so a fast-decay draw at nu = 1000 peaks at 1.7 times the graph
+it returns (15.1 against 8.9 MB). A block whose work
+fits in one range, as every block of several replicates does, is one range.
+The ranges re-slice numbers already drawn, so every draw is the same at any
+``_CHUNK_KEYS``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import numbers
@@ -128,7 +150,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .expr import EvalError
-from .graphstats import ranked_unique, sorted_unique
+from .graphstats import fills, ranked_unique, sorted_unique
 from .model import Graphex, GraphexError, _finite, _number
 
 __all__ = [
@@ -149,7 +171,10 @@ PROV_STAR = 1
 PROV_ISOLATED = 2
 PROV_NAMES = ("kernel", "star", "isolated")
 
-_CSV_BLOCK = 1 << 16  # edges formatted per write in SampledGraph.write_csv
+# edges formatted per write in SampledGraph.write_csv. Its text and object
+# arrays hold about 160 bytes an edge: 3.5 MB at this size, 10.7 at 1 << 16
+# (tracemalloc, fast-decay nu = 1000), which is more than the draw holds
+_CSV_BLOCK = 1 << 14
 _TAU = 0.5
 _C0 = -math.log(1.0 - _TAU) / _TAU  # 1.3862943611...
 
@@ -387,6 +412,16 @@ def choose_theta_max(g: Graphex, nu: float, eps: float) -> float:
 # Kernel edges
 # ---------------------------------------------------------------------------
 
+# keys per range of a large draw's pair-key pipeline: it searches, dedupes,
+# coins and accepts its proposals range by range of lower slots, so it holds
+# one range's temporaries, not the whole draw's, and it maps its endpoints to
+# vertex ids as many at a time. Twice _BLOCK_WORK, so a block of replicates,
+# whose expected work stays under that, is one range. Against whole-draw
+# passes, on 2 cores, the pooled degdist level of fast-decay at nu = 1000 ran
+# 11% slower at 1 << 14, from the cost of each range, and 8% faster at this
+# size; at 1 << 16 the draw holds 1.4 MB more (tracemalloc)
+_CHUNK_KEYS = 1 << 15
+
 _GUIDE_PER_POINT = 4  # guide-table buckets per entry of cum
 # binary-search probes, keys * log2(entries), from which a guide table pays
 # for its fixed cost of about 45 us. On 2 cores: 1.9k keys over 71 strata, 23
@@ -395,11 +430,11 @@ _GUIDE_PER_POINT = 4  # guide-table buckets per entry of cum
 _GUIDE_PROBES = 1 << 14
 
 
-def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
+class _Guide:
     """``np.searchsorted(cum, keys, side="right")`` for a non-empty,
-    nondecreasing ``cum``, found through a guide table (Chen & Asau 1974)
-    where the keys number at least the entries and make at least
-    ``_GUIDE_PROBES`` binary-search probes.
+    nondecreasing ``cum``, for keys that number ``n_keys`` in all and may come
+    in several calls: found through a guide table (Chen & Asau 1974), built
+    once, where ``_guided`` finds that it pays.
 
     A value y falls in bucket B(y) = int(y * (K / total)), clipped to
     [0, K - 1], of K = 4n buckets. B is nondecreasing in y as computed in
@@ -412,32 +447,57 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     The answer is the same index in every case, so draws through it stay
     bit-identical.
     """
+
+    def __init__(self, cum: np.ndarray, n_keys: int):
+        self.cum, self.start = cum, None
+        if not _guided(cum, n_keys):
+            return
+        self.k = _GUIDE_PER_POINT * cum.size
+        self.scale = self.k / float(cum[-1])
+        guide = np.concatenate(([0], np.cumsum(np.bincount(self._bucket(cum), minlength=self.k))))
+        # the start of each bucket, or -1 for a crowded one, in 32 bits where
+        # the entries allow: a draw keeps its rows' tables while it searches
+        start = guide[:-1]
+        start[guide[1:] - start > 1] = -1
+        self.start = start.astype(np.int32) if cum.size < 1 << 31 else start
+        self.padded = np.append(cum, np.inf)
+
+    def _bucket(self, y):
+        b = (y * self.scale).astype(np.intp)
+        return np.clip(b, 0, self.k - 1, out=b)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        if self.start is None:
+            return np.searchsorted(self.cum, keys, side="right")
+        out = self.start[self._bucket(keys)].astype(np.intp)
+        out += self.padded[out] <= keys  # -1 reads +inf: no change
+        wide = np.flatnonzero(out < 0)
+        if wide.size:
+            order = np.argsort(keys[wide])
+            wide = wide[order]
+            out[wide] = np.searchsorted(self.cum, keys[wide], side="right")
+        return out
+
+
+def _guided(cum: np.ndarray, n_keys: int) -> bool:
+    """Whether n_keys keys search cum through a guide table: where they
+    number at least its entries and make at least ``_GUIDE_PROBES``
+    binary-search probes, since a table cannot pay for itself over fewer, and
+    where its total is neither denormal nor infinite, which would leave the
+    bucket width or its inverse unusable."""
     n = cum.size
+    if n_keys < n or n_keys * math.log2(n) < _GUIDE_PROBES:
+        return False
     total = float(cum[-1])
-    k = _GUIDE_PER_POINT * n
-    # a table cannot pay for itself over fewer keys, and a total that is
-    # denormal or infinite leaves the bucket width or its inverse unusable
-    if (keys.size < n or keys.size * math.log2(n) < _GUIDE_PROBES
-            or not (math.isfinite(total) and total / k >= np.finfo(float).tiny)):
+    return math.isfinite(total) and total / (_GUIDE_PER_POINT * n) >= np.finfo(float).tiny
+
+
+def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, keys, side="right")``, through ``_Guide`` where
+    it pays."""
+    if not _guided(cum, keys.size):
         return np.searchsorted(cum, keys, side="right")
-    scale = k / total
-
-    def bucket(y):
-        b = (y * scale).astype(np.intp)
-        return np.clip(b, 0, k - 1, out=b)
-
-    guide = np.concatenate(([0], np.cumsum(np.bincount(bucket(cum), minlength=k))))
-    # the start of each bucket, or -1 for a crowded one
-    start = guide[:-1]
-    start[guide[1:] - start > 1] = -1
-    out = start[bucket(keys)]
-    out += np.append(cum, np.inf)[out] <= keys  # -1 reads +inf: no change
-    wide = np.flatnonzero(out < 0)
-    if wide.size:
-        order = np.argsort(keys[wide])
-        wide = wide[order]
-        out[wide] = np.searchsorted(cum, keys[wide], side="right")
-    return out
+    return _Guide(cum, keys.size)(keys)
 
 
 # keys per row from which a table is searched row by row; measured on 2
@@ -446,63 +506,91 @@ def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
 _ROW_KEYS = 1024
 
 
-def _search_row(row: np.ndarray, keys: np.ndarray, out=None) -> np.ndarray:
+def _search_row(row: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``np.searchsorted(row, keys, side="right")``, except that a key that
     rounds up to the row's total goes to the first index holding it."""
     where = _endpoints(row, keys)
-    return np.minimum(where, np.searchsorted(row, row[-1]), out=where if out is None else out)
+    return np.minimum(where, np.searchsorted(row, row[-1]), out=where)
 
 
-def _partners(table: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+class _Partners:
     """Where each key falls in its row of a table whose rows are
-    nondecreasing, the keys coming row by row, counts[r] of them in row r:
-    ``np.searchsorted(row, key, side="right")``, except that a key that
-    rounds up to the row's total goes to the first index holding the total.
+    nondecreasing: ``np.searchsorted(row, key, side="right")``, except that a
+    key that rounds up to the row's total goes to the first index holding
+    the total. ``counts[r]`` keys fall in row r in all; they may come in
+    several calls, each with its keys row by row and its own counts.
 
     A table of at most two rows (one draw's light and heavy tables), or one
     with ``_ROW_KEYS`` keys per row, is searched row by row, through the
-    guide table of ``_endpoints`` where a row has many keys. Other tables are
-    searched at once, for the pairs (r, key) among the pairs (r, entry),
-    ordered lexicographically as the complex numbers r + entry j are: that
-    gives each row's own answer, which a search of offset floats would
-    not."""
+    guide table of ``_Guide`` where a row has many keys in all; each row's
+    guide is built once. Other tables are searched at once, for the pairs
+    (r, key) among the pairs (r, entry), ordered lexicographically as the
+    complex numbers r + entry j are: that gives each row's own answer, which
+    a search of offset floats would not."""
+
+    def __init__(self, table: np.ndarray, counts: np.ndarray):
+        height, width = table.shape
+        self.by_row = height <= 2 or counts.sum() >= _ROW_KEYS * height
+        if self.by_row:
+            # each row's guide, and its first index holding its total
+            self.rows = [(_Guide(row, c), int(np.searchsorted(row, row[-1])))
+                         for row, c in zip(table, counts.tolist())]
+            return
+        self.last = np.count_nonzero(table < table[:, -1:], axis=1)
+        flat = np.empty(table.shape, dtype=complex)
+        flat.real = np.arange(height)[:, None]
+        flat.imag = table
+        self.flat, self.width = flat.ravel(), width
+
+    def __call__(self, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The keys' indices, counts[r] of them in row r."""
+        if self.by_row:
+            out = np.empty(keys.size, dtype=np.int64)
+            bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+            for (search, last), b0, b1 in zip(self.rows, bounds, bounds[1:]):
+                if b1 > b0:
+                    np.minimum(search(keys[b0:b1]), last, out=out[b0:b1])
+            return out
+        rows = np.repeat(np.arange(self.last.size), counts)
+        probe = np.empty(keys.size, dtype=complex)
+        probe.real = rows
+        probe.imag = keys
+        return np.minimum(np.searchsorted(self.flat, probe, side="right") - rows * self.width,
+                          self.last[rows])
+
+
+def _partners(table: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``_Partners`` for keys that come in one call."""
     if table.shape[0] == 1:
         return _search_row(table[0], keys)
-    if table.shape[0] == 2 or keys.size >= _ROW_KEYS * table.shape[0]:
-        out = np.empty(keys.size, dtype=np.int64)
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        for row, b0, b1 in zip(table, bounds, bounds[1:]):
-            _search_row(row, keys[b0:b1], out[b0:b1])
-        return out
-    last = np.count_nonzero(table < table[:, -1:], axis=1)
-    height, width = table.shape
-    rows = np.repeat(np.arange(height), counts)
-    flat = np.empty(table.shape, dtype=complex)
-    flat.real = np.arange(height)[:, None]
-    flat.imag = table
-    flat = flat.ravel()
-    probe = np.empty(keys.size, dtype=complex)
-    probe.real = rows
-    probe.imag = keys
-    return np.minimum(np.searchsorted(flat, probe, side="right") - rows * width, last[rows])
+    return _Partners(table, counts)(keys, counts)
 
 
-def _coins_of(keys: np.ndarray, bounds: np.ndarray, offsets: np.ndarray,
+def _coins_of(keys: np.ndarray, bounds: np.ndarray, next_coin: np.ndarray,
               coins: np.ndarray) -> np.ndarray:
     """The coin of each of the ascending ``keys``: replicate r owns the keys
-    in [bounds[r], bounds[r + 1]), and its k-th key takes
-    coins[offsets[r] + k]."""
+    in [bounds[r], bounds[r + 1]), and they take coins[next_coin[r]],
+    coins[next_coin[r] + 1], ... in turn; next_coin moves past them."""
     if bounds.size == 2:
-        return coins[:keys.size]
+        k = int(next_coin[0])
+        next_coin[0] += keys.size
+        return coins[k:k + keys.size]
     per = np.diff(np.searchsorted(keys, bounds))
-    return coins[np.repeat(offsets - (np.cumsum(per) - per), per) + np.arange(keys.size)]
+    coin = coins[np.repeat(next_coin - (np.cumsum(per) - per), per) + np.arange(keys.size)]
+    next_coin += per
+    return coin
 
 
-def _pairs_of(keys: np.ndarray, span: int) -> np.ndarray:
-    """The slot pairs (u, v), one row each, of the pair keys u * span + v."""
-    pairs = np.empty((keys.size, 2), dtype=np.int64)
-    np.divmod(keys, span, out=(pairs[:, 0], pairs[:, 1]))
-    return pairs
+def _cuts(before: np.ndarray) -> list:
+    """Bounds 0 = k_0 < k_1 < ... = n of ranges of n items, given the work
+    of the items before each bound (n + 1 values from 0): a range ends at the
+    item that takes the work past the next multiple of ``_CHUNK_KEYS``, so a
+    range holds about that much work, and work that fits in one chunk is
+    one range."""
+    if before[-1] <= _CHUNK_KEYS:
+        return [0, before.size - 1]
+    marks = np.searchsorted(before, np.arange(_CHUNK_KEYS, before[-1], _CHUNK_KEYS))
+    return np.unique(np.concatenate(([0], marks, [before.size - 1]))).tolist()
 
 
 class _Clouds:
@@ -557,12 +645,12 @@ class _Clouds:
             table.ravel()[at + width] = np.where(self.big, 0.0, f)
         self.table = np.cumsum(table, axis=1)
         # the entries: each slot, with the row of the table it searches
-        order = np.argsort(rep * tables + self.big, kind="stable") if tables == 2 else slice(None)
-        rep, col = rep[order], col[order]
-        self.row = rep * tables + self.big[order]
+        self.order = np.argsort(rep * tables + self.big, kind="stable") if tables == 2 else slice(None)
+        rep, col = rep[self.order], col[self.order]
+        self.row = rep * tables + self.big[self.order]
         self.at = self.table[self.row, col]
         self.reach = self.table[self.row, -1] - self.at
-        self.rate = self.c0 * f[order] * self.reach
+        self.rate = self.c0 * f[self.order] * self.reach
         # a key u * span + v is this, plus the column of v in the table
         first = self.base[rep]
         self.keybase = (first + col) * self.base[-1] + first
@@ -581,34 +669,59 @@ class _Clouds:
         return counts, gen.random(m), gen.random(m) if self.thin else None
 
     def pair_keys(self, draws):
-        """Distinct proposed pair keys u * span + v, ascending, and each one's
-        coin: slot u's keys fall in [cum[u], cum[-1]) of its table, where each
-        later partner v holds [cum[v - 1], cum[v])."""
+        """Runs of distinct proposed pair keys u * span + v, each ascending and
+        under the bound it comes with, which no key of a later run is under,
+        and each key's coin: slot u's keys fall in [cum[u], cum[-1]) of its
+        table, where each later partner v holds [cum[v - 1], cum[v]). A run
+        is a range of lower slots u, of about ``_CHUNK_KEYS`` keys, searched,
+        deduplicated and coined together; its keys come after those of every
+        earlier range."""
         counts = np.zeros(self.rate.size, dtype=np.int64)
-        picks, coins, offsets, m = [], [], np.zeros(self.n.size, dtype=np.int64), 0
+        picks, coins, next_coin, m = [], [], np.zeros(self.n.size, dtype=np.int64), 0
         for r, drawn in enumerate(draws):
             if drawn is not None:
                 counts[self.base[r]:self.base[r + 1]] = drawn[0]
                 picks.append(drawn[1])
                 coins.append(drawn[2])
-                offsets[r] = m
+                next_coin[r] = m
                 m += drawn[1].size
         draws.clear()  # each array goes as soon as it is read
         if not picks:
-            return np.empty(0, dtype=np.int64), np.empty(0)
+            return
         pick = picks[0] if len(picks) == 1 else np.concatenate(picks)
-        del picks
-        pick *= np.repeat(self.reach, counts)
-        pick += np.repeat(self.at, counts)
-        per_row = np.bincount(self.row, counts, self.table.shape[0]).astype(np.int64)
-        key = np.repeat(self.keybase, counts)
-        key += _partners(self.table, per_row, pick)
-        del pick
-        key = sorted_unique(key)
-        if not self.thin:
-            return key, None
-        return key, _coins_of(key, self.base * self.base[-1], offsets,
-                              coins[0] if len(coins) == 1 else np.concatenate(coins))
+        coin = None if not self.thin else coins[0] if len(coins) == 1 else np.concatenate(coins)
+        del picks, coins, drawn
+        rows = self.table.shape[0]
+        per_row = np.bincount(self.row, counts, rows).astype(np.int64)
+        search = _Partners(self.table, per_row)
+        end = np.cumsum(counts)  # past each entry's last pick
+        span = int(self.base[-1])
+        bounds = self.base * span
+        cuts = [0, counts.size]
+        if m > _CHUNK_KEYS:
+            entry = np.empty(counts.size, dtype=np.int64)  # the entry of each slot
+            entry[self.order] = np.arange(counts.size)
+            cuts = _cuts(np.append(0, np.cumsum(counts[entry])))
+        for s0, s1 in itertools.pairwise(cuts):
+            if s1 - s0 == counts.size:
+                # one range: every entry, and the picks as they are
+                e, c, p, e_rows = slice(None), counts, pick, per_row
+            else:
+                # the range's entries in the order of their picks, row by row
+                e = np.sort(entry[s0:s1])
+                c = counts[e]
+                at = np.repeat(end[e] - np.cumsum(c), c)
+                at += np.arange(at.size)
+                p = pick[at]
+                del at
+                e_rows = np.bincount(self.row[e], c, rows).astype(np.int64)
+            p *= np.repeat(self.reach[e], c)
+            p += np.repeat(self.at[e], c)
+            key = search(p, e_rows)
+            del p
+            key += np.repeat(self.keybase[e], c)
+            key = sorted_unique(key)
+            yield s1 * span, key, None if coin is None else _coins_of(key, bounds, next_coin, coin)
 
 
 _STRATUM_RATIO = 1.25  # f falls by at most this factor inside a stratum
@@ -707,21 +820,26 @@ class _LazyClouds:
 
     def pair_keys(self, draws):
         """Distinct proposed pair keys u * span + v, u < v, ascending, and
-        each one's coin: M ordered pairs with endpoints i.i.d. in proportion
-        to F, less self pairs and heavy-heavy ones, so a pair {u, v} is
-        proposed Poi(c0 F_u F_v) times, independently of all others."""
+        each one's coin, in runs of ``_CHUNK_KEYS`` as ``_Clouds.pair_keys``
+        gives them: M ordered pairs with endpoints i.i.d. in proportion to F,
+        less self pairs and heavy-heavy ones, so a pair {u, v} is proposed
+        Poi(c0 F_u F_v) times, independently of all others."""
         m = np.array([0 if d is None else d.shape[1] for d in draws], dtype=np.int64)
         if not m.any():
-            return np.empty(0, dtype=np.int64), np.empty(0)
+            return
         offsets = np.cumsum(m) - m
-        u, v, coins = np.concatenate([d for d in draws if d is not None], axis=1)
+        drawn = [d for d in draws if d is not None]
+        u, v, coins = drawn[0] if len(drawn) == 1 else np.concatenate(drawn, axis=1)
         u, su = self.locate(u, m, self.below, self.bnd)
         v, sv = self.locate(v, m, self.below, self.bnd)
         big = self.bnd > _TAU
         ok = (u != v) & ~(big[su] & big[sv])
-        span = self.base[-1]
+        span = int(self.base[-1])
         key = sorted_unique((np.minimum(u, v) * span + np.maximum(u, v))[ok])
-        return key, _coins_of(key, self.base * span, offsets, coins)
+        coin = _coins_of(key, self.base * span, offsets, coins)
+        for k0 in range(0, key.size, _CHUNK_KEYS):
+            k1 = k0 + _CHUNK_KEYS
+            yield int(key[k1]) if k1 < key.size else span * span, key[k0:k1], coin[k0:k1]
 
     def place(self, slots):
         """Latent coordinates of the slots, and their strata."""
@@ -801,7 +919,10 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
     coins for the heavy pairs, then the cloud's proposals, each accepted
     once with probability f_u f_v / (1 - exp(-c0 F_u F_v)) where the cloud
     thins them; see the module docstring. Each replicate's stream draws, in
-    this order, its heavy coins and its proposals."""
+    this order, its heavy coins and its proposals. The proposals' keys come
+    in ascending runs (``pair_keys``), each accepted as it comes; the pairs
+    are written run by run, each merged with the heavy keys under its
+    bound."""
     n = cloud.n
     # pair keys u * span + v order the pairs of the whole block
     # (``_block_size`` keeps them below 2^63)
@@ -823,36 +944,81 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
             coins.append(gen.random(h * (h - 1) // 2))
         draws.append(cloud.draw(r, gen))
 
-    # each run holds pair keys, ascending: the heavy pairs come out of
-    # triu_indices over ascending slots, the light ones out of the dedupe
-    runs = [_heavy_keys(cloud, coins, span)] if coins else []
-    key, coin = cloud.pair_keys(draws)
-    if key.size and cloud.thin:
-        (f_u, bound_u), (f_v, bound_v) = (cloud.value(s) for s in _pairs_of(key, span).T)
-        key = key[coin < f_u * f_v / -np.expm1(-_C0 * (bound_u * bound_v))]
-    if key.size:
-        runs.append(key)
+    # the heavy pairs come out of triu_indices order over ascending slots,
+    # ascending; no heavy pair was proposed, so they share no key with a run
+    heavy = _heavy_keys(cloud, coins, span)
+    runs, lo, last = [], 0, span * span
+    for bound, key, coin in cloud.pair_keys(draws):
+        if key.size and cloud.thin:
+            # f_u f_v / (1 - exp(-c0 F_u F_v)), its temporaries dropped as it goes
+            u, v = np.divmod(key, span)
+            (f_u, bound_u), (f_v, bound_v) = cloud.value(u), cloud.value(v)
+            del u, v
+            f_uv, accept = f_u * f_v, bound_u * bound_v
+            del f_u, f_v, bound_u, bound_v
+            accept *= -_C0
+            np.expm1(accept, out=accept)
+            np.negative(accept, out=accept)
+            np.divide(f_uv, accept, out=accept)
+            key = key[coin < accept]
+            del f_uv, accept
+        # the run's keys lie in [lo, bound); while later runs come, they are
+        # kept as offsets from lo, in 32 bits where they fit
+        if bound < last and bound - lo <= 1 << 32:
+            runs.append((bound, lo, (key - lo).astype(np.uint32)))
+        else:
+            runs.append((bound, 0, key))
+        lo = bound
+        del key, coin  # a coin is a view of all the coins
     if not runs:
-        return np.empty((0, 2), dtype=np.int64)
-    # a stable sort merges two sorted runs in one pass; no heavy pair was
-    # proposed, so they share no key
-    key = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs), kind="stable")
-    return _pairs_of(key, span)
+        runs.append((last, 0, np.empty(0, dtype=np.int64)))
+    # each run, merged with the heavy keys under its bound (the last run with
+    # every heavy key left), goes out as pairs and is dropped
+    pairs = np.empty((heavy.size + sum(run[2].size for run in runs), 2), dtype=np.int64)
+    at = h0 = 0
+    for i, (bound, lo, key) in enumerate(runs):
+        runs[i] = None
+        if key.dtype == np.uint32:
+            key = key.astype(np.int64)
+            key += lo
+        h1 = int(np.searchsorted(heavy, bound)) if i + 1 < len(runs) else heavy.size
+        if h1 > h0:
+            # a stable sort merges two sorted runs in one pass
+            key = np.sort(np.concatenate((heavy[h0:h1], key)), kind="stable")
+            h0 = h1
+        np.divmod(key, span, out=(pairs[at:at + key.size, 0], pairs[at:at + key.size, 1]))
+        at += key.size
+    return pairs
 
 
 def _heavy_keys(cloud, coins: list, span: int) -> np.ndarray:
     """The pair keys of the heavy pairs that the coins keep, ascending: the
     pairs a < b of each replicate's heavy slots, replicate by replicate and
-    in ``np.triu_indices`` order, each kept with probability f_a f_b."""
-    heavy = cloud.n_heavy
-    a, b = np.triu_indices(int(heavy.max()), k=1)
-    if heavy.size > 1:
-        rep, pair = np.nonzero(b < heavy[:, None])
-        first = np.concatenate(([0], np.cumsum(heavy)))[rep]
-        a, b = first + a[pair], first + b[pair]
-    fh = cloud.value(cloud.heavy)[0]
-    keep = np.concatenate(coins) < fh[a] * fh[b]
-    return cloud.heavy[a[keep]] * span + cloud.heavy[b[keep]]
+    in ``np.triu_indices`` order, each kept with probability f_a f_b. Rows
+    of that order, one per heavy slot a, are coined ``_CHUNK_KEYS`` pairs at
+    a time, and the coins go once read."""
+    if not coins:
+        return np.empty(0, dtype=np.int64)
+    coin = coins[0] if len(coins) == 1 else np.concatenate(coins)
+    coins.clear()
+    heavy = cloud.heavy
+    # row k pairs heavy slot k with the later heavy slots of its replicate
+    per = np.repeat(np.cumsum(cloud.n_heavy), cloud.n_heavy) - np.arange(1, heavy.size + 1)
+    before = np.zeros(heavy.size + 1, dtype=np.int64)
+    np.cumsum(per, out=before[1:])
+    fh = cloud.value(heavy)[0]
+    runs = []
+    for k0, k1 in itertools.pairwise(_cuts(before)):
+        c = per[k0:k1]
+        a = np.repeat(np.arange(k0, k1), c)
+        # pair j of row k is (k, k + 1 + j - before[k])
+        b = np.arange(before[k0] + 1, before[k1] + 1) - np.repeat(before[k0:k1], c)
+        b += a
+        keep = coin[before[k0]:before[k1]] < fh[a] * fh[b]
+        # kept in 32 bits where every key of the block fits
+        runs.append((heavy[a[keep]] * span + heavy[b[keep]]).astype(
+            np.uint32 if span * span <= 1 << 32 else np.int64, copy=False))
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 _NAIVE_BLOCK = 2048
@@ -978,6 +1144,13 @@ class _Block:
 # of it 30% slower
 _BLOCK_WORK = 1 << 14
 
+
+def _row_slices(arrays):
+    """Views of the arrays' rows, ``_CHUNK_KEYS`` at a time."""
+    for a in arrays:
+        for i in range(0, a.shape[0], _CHUNK_KEYS):
+            yield a[i:i + _CHUNK_KEYS]
+
 # a draw's cutoff, its engine's class (one of the three) and its expected work
 _LAZY, _FULL, _NAIVE = _LazyClouds, _FullCloud, _NaiveCloud
 _Plan = namedtuple("_Plan", "theta engine work")
@@ -1076,9 +1249,28 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
                           for gen in gens(_STREAM_ISOLATED)], dtype=np.int64)
 
     # visibility and final indexing: each replicate's kept latent slots in
-    # slot order, then its star leaves and its isolated-edge endpoints
-    n_ends = 2 * pairs.shape[0]
-    visible, index = ranked_unique(np.concatenate((pairs.ravel(), loops, hubs)))
+    # slot order, then its star leaves and its isolated-edge endpoints. The
+    # endpoints become vertex ids in place, _CHUNK_KEYS rows at a time:
+    # where they fill their range of slots as ``ranked_unique`` asks of its
+    # table, through a mask and a slot -> vertex table over that range, else
+    # by a binary search of their few distinct slots
+    ends = [a for a in (pairs, loops, hubs) if a.size]
+    dense = False
+    if ends:
+        # each is ascending in its first column: the pairs by u < v, the loops
+        # and the hubs by slot
+        lo = min([int(a.flat[0]) for a in ends])
+        span = max([int(a.max()) for a in ends]) - lo + 1
+        dense = fills(pairs.size + loops.size + hubs.size, span)
+    if dense:
+        seen = np.zeros(span, dtype=bool)
+        for part in _row_slices(ends):
+            seen[part - lo] = True
+        visible = np.flatnonzero(seen)
+        visible += lo
+        del seen
+    else:
+        visible = sorted_unique(np.concatenate((pairs.ravel(), loops, hubs)))
     first_visible = np.searchsorted(visible, base)
     v0 = np.diff(first_visible)
     n_vertices = v0 + n_leaves + 2 * n_iso
@@ -1086,16 +1278,26 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     vertex = np.arange(visible.size, dtype=np.int64)
     if reps > 1:
         vertex += np.repeat(vertex_start[:-1] - first_visible[:-1], v0)
-        index = vertex[index]
+    if dense:
+        table = np.empty(span, dtype=np.int64)
+        table[visible - lo] = vertex
+
+        def vertex_of(slots):
+            return table[slots - lo]
+    else:
+        def vertex_of(slots):
+            at = visible.searchsorted(slots)
+            return vertex[at] if reps > 1 else at
+    for part in _row_slices(ends):
+        part[...] = vertex_of(part)
 
     rows = []
     provs = []
     if pairs.shape[0]:
-        rows.append(index[:n_ends].reshape(pairs.shape))
+        rows.append(pairs)
         provs.append(np.zeros(pairs.shape[0], dtype=np.uint8))
     if loops.size:
-        at = index[n_ends:n_ends + loops.size]
-        rows.append(np.column_stack((at, at)))
+        rows.append(np.column_stack((loops, loops)))
         provs.append(np.zeros(loops.size, dtype=np.uint8))
     # the k-th leaf, and the k-th isolated edge, of the block: the ones before
     # it in its replicate come after that replicate's latent vertices (and
@@ -1103,8 +1305,7 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     first = vertex_start[:-1] + v0
     if hubs.size:
         leaf = np.arange(hubs.size) + np.repeat(first - (np.cumsum(n_leaves) - n_leaves), n_leaves)
-        at = n_ends + loops.size
-        rows.append(np.column_stack((index[at:at + hubs.size], leaf)))
+        rows.append(np.column_stack((hubs, leaf)))
         provs.append(np.full(hubs.size, PROV_STAR, dtype=np.uint8))
     if n_iso.any():
         first += n_leaves - 2 * (np.cumsum(n_iso) - n_iso)

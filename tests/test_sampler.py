@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import integrate, sparse
 from scipy import stats as sps
 
 from graphex import sampler
+from graphex.graphstats import degrees, ranked_unique
 from graphex.model import build, dilate
 from graphex.sampler import (
     _BLOCK_WORK,
@@ -393,6 +395,23 @@ def test_frozen_draws(graphex, nu, seed, digest):
     # or to vertex indexing and edge order, shows here
     g = sample_keg(graphex, SamplerConfig(nu=nu, seed=seed))
     assert draw_digest(g) == digest
+
+
+# the frozen draws that run the full cloud's ranges, each with a chunk of a
+# few keys: the heavy pairs' rows, the partner search, the dedupe, the coins
+# and the slot -> vertex map then run over many ranges (the benchmark draw's
+# 546k keys over about 550)
+@pytest.mark.parametrize("graphex, nu, seed, chunk", [
+    (FAST, 50.0, 5, 5),
+    (STAR_ISO, 10.0, 3, 3),
+    (FAST, 300.0, 1, 97),
+    (FAST, 1000.0, 3, 1000),
+], ids=["fast-50", "star-isolated", "fast-large", "fast-1000"])
+def test_chunk_seams_move_no_number(monkeypatch, graphex, nu, seed, chunk):
+    cfg = SamplerConfig(nu=nu, seed=seed)
+    want = draw_digest(sample_keg(graphex, cfg))
+    monkeypatch.setattr(sampler, "_CHUNK_KEYS", chunk)
+    assert draw_digest(sample_keg(graphex, cfg)) == want
 
 
 @st.composite
@@ -1061,6 +1080,55 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
                                  for d in alone])
         heavy = on_heavy_strata(g, _plan(g, cfg).theta, looped)
         assert heavy.any() and not heavy.all()
+
+
+@pytest.mark.parametrize("case", ["full", "full-loops", "caron-fox",
+                                  "full-stars-isolated-loops", "lazy", "lazy-heavy"])
+def test_a_block_over_chunks_of_a_few_keys_draws_the_same(monkeypatch, case):
+    # ranges of a few keys split each replicate's slots, and ranges run
+    # across the replicates of a block; the lazy clouds accept their sorted
+    # keys in slices as short, and a lazy fast-decay draw, with heavy pairs
+    # and no self loops to sort its rows, writes them between the slices
+    g, nu, eps = BLOCK_CASES[case] if case in BLOCK_CASES else (FAST, 3.0, 1e-3)
+    cfg = SamplerConfig(nu=nu, seed=0, eps=eps)
+    seeds = BLOCK_SEEDS[:7]
+    want = _draw(g, cfg, seeds)
+    monkeypatch.setattr(sampler, "_CHUNK_KEYS", 3)
+    got = _draw(g, cfg, seeds)
+    assert want.edges.shape[0] > 0
+    for name in ("edges", "provenance", "edge_start", "vertex_start", "labels", "latent"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_a_large_draw_holds_at_most_twice_its_graph():
+    # traced (NumPy 2.4.6, Python 3.11.7): the benchmark's draw peaks at 15.1 MB
+    # over a graph whose arrays hold 8.94 MB (33.7 MB before its keys went
+    # range by range); degrees then holds its outputs and its tally of 7,587
+    # slots plus a few hundred bytes of array and tuple objects, and
+    # ranked_unique its outputs, its table and its mask of seen slots, with no
+    # int64 copy of the 1.04M endpoints
+    cfg = SamplerConfig(nu=1000.0, seed=3)
+    sample_keg(FAST, cfg)  # the cutoff is cached before the trace
+
+    def grows(f):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        graph, peak = grows(lambda: sample_keg(FAST, cfg))
+        (ids, degree), counted = grows(lambda: degrees(graph.edges))
+        (ranked, rank), ranking = grows(lambda: ranked_unique(graph.edges.ravel()))
+    finally:
+        tracemalloc.stop()
+    assert graph.n_edges == 518_572
+    own = sum(a.nbytes for a in (graph.edges, graph.labels, graph.latent, graph.provenance))
+    assert peak <= 2 * own
+    slots = int(graph.edges.max()) + 1
+    assert counted <= ids.nbytes + degree.nbytes + 8 * slots + 4096
+    assert ranking <= ranked.nbytes + rank.nbytes + 9 * slots + 4096
 
 
 def test_a_block_without_labels_refuses_to_make_graphs():
