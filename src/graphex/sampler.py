@@ -57,9 +57,11 @@ f C of the slot's table (cumsum(f), or cumsum of f with heavy slots zeroed),
 falls in that table; each later slot v of the table holds [C_{v-1}, C_v).
 Where many keys search a long table, a guide table (Chen & Asau 1974; see
 ``_Guide``) finds the indices a binary search would, so every drawn
-number is the same either way. The pairs come out in (u, v) order, heavy
-and light runs merged, and keep it through the slot -> index map, so only a
-draw whose kernel pairs meet self loops or star edges sorts its rows.
+number is the same either way. The kernel rows come out in (u, v) order,
+heavy and light runs merged with the self loops, whose key s * span + s
+puts them before the pairs (s, v > s), and keep it through the slot ->
+index map; star and isolated rows are merged in by first column, so
+``_draw`` sorts nothing.
 
 Lazy clouds. In a sparse draw almost every latent point stays invisible.
 When the family declares f nonincreasing (slow-decay, fast-decay, constant)
@@ -88,8 +90,9 @@ proposals.
 The engines share one interface. ``_plan`` names the engine's class, and
 ``Engine(g, theta, nu, seeds)`` draws the block's latent stream, the Poisson
 cloud alone. It gives each replicate's slots ``n`` and first slot ``base``,
-the kernel pairs ``pairs(g, gens)`` and self loops ``loops(g, gens)``, and
-``positions(slots)``, latent coordinates; ``_draw`` runs every engine alike.
+the kernel rows ``pairs(g, gens)``, pairs and self loops drawn from the
+streams ``gens(stream)`` gives, and ``positions(slots)``, latent
+coordinates; ``_draw`` runs every engine alike.
 
 All paths produce the same distribution; differential tests in the test
 suite hold the full cloud, the lazy cloud and the Caron-Fox construction
@@ -126,12 +129,13 @@ dedupes them at once and accepts them in slices as long. The heavy pairs are
 coined over rows of ``np.triu_indices`` order as many at a time. While later
 ranges come, a range's accepted keys are kept as offsets from its first
 possible key, in 32 bits where they fit, as are the heavy keys where every
-key of the block does; the pairs are written at the end, range by range,
-with the heavy keys merged in. Only the drawn numbers (partner uniforms and
-coins, one value per proposal) and the slot tables are full-size while the
-ranges run, so a fast-decay draw at nu = 1000 peaks at 1.7 times the graph
-it returns (15.1 against 8.9 MB). A block whose work
-fits in one range, as every block of several replicates does, is one range.
+key of the block does; the rows are written at the end, range by range,
+with the heavy and loop keys merged in. Only the drawn numbers (partner
+uniforms and coins, one value per proposal) and the slot tables are
+full-size while the ranges run, so a fast-decay draw at nu = 1000 peaks at
+1.7 times the graph it returns (15.1 against 8.9 MB), with self edges or
+not. A block whose work fits in one range, as every block of several
+replicates does, is one range.
 The ranges re-slice numbers already drawn, so every draw is the same at any
 ``_CHUNK_KEYS``.
 """
@@ -455,11 +459,12 @@ class _Guide:
         self.k = _GUIDE_PER_POINT * cum.size
         self.scale = self.k / float(cum[-1])
         guide = np.concatenate(([0], np.cumsum(np.bincount(self._bucket(cum), minlength=self.k))))
-        # the start of each bucket, or -1 for a crowded one, in 32 bits where
-        # the entries allow: a draw keeps its rows' tables while it searches
+        # the start of each bucket, or -1 for a crowded one, in 32 bits: a
+        # draw keeps its rows' tables while it searches, and a row holds at
+        # most a block's slots (``_block_size``) or ``_strata``'s grid
         start = guide[:-1]
         start[guide[1:] - start > 1] = -1
-        self.start = start.astype(np.int32) if cum.size < 1 << 31 else start
+        self.start = start.astype(np.int32)
         self.padded = np.append(cum, np.inf)
 
     def _bucket(self, y):
@@ -492,14 +497,6 @@ def _guided(cum: np.ndarray, n_keys: int) -> bool:
     return math.isfinite(total) and total / (_GUIDE_PER_POINT * n) >= np.finfo(float).tiny
 
 
-def _endpoints(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, keys, side="right")``, through ``_Guide`` where
-    it pays."""
-    if not _guided(cum, keys.size):
-        return np.searchsorted(cum, keys, side="right")
-    return _Guide(cum, keys.size)(keys)
-
-
 # keys per row from which a table is searched row by row; measured on 2
 # cores, the search at once costs 4x less at 100 keys per row, 4x more at
 # 7,000
@@ -509,7 +506,7 @@ _ROW_KEYS = 1024
 def _search_row(row: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``np.searchsorted(row, keys, side="right")``, except that a key that
     rounds up to the row's total goes to the first index holding it."""
-    where = _endpoints(row, keys)
+    where = _Guide(row, keys.size)(keys)
     return np.minimum(where, np.searchsorted(row, row[-1]), out=where)
 
 
@@ -557,13 +554,6 @@ class _Partners:
         probe.imag = keys
         return np.minimum(np.searchsorted(self.flat, probe, side="right") - rows * self.width,
                           self.last[rows])
-
-
-def _partners(table: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``_Partners`` for keys that come in one call."""
-    if table.shape[0] == 1:
-        return _search_row(table[0], keys)
-    return _Partners(table, counts)(keys, counts)
 
 
 def _coins_of(keys: np.ndarray, bounds: np.ndarray, next_coin: np.ndarray,
@@ -801,7 +791,7 @@ class _LazyClouds:
         rows = np.repeat(np.arange(counts.size), counts) if counts.size > 1 else 0
         cum = below[:, 1:]
         keys *= cum[rows, -1]
-        s = _partners(cum, counts, keys)
+        s = _Partners(cum, counts)(keys, counts) if counts.size > 1 else _search_row(cum[0], keys)
         off = (keys - below[rows, s]) / rate[s]
         return self.start[rows, s] + np.minimum(off, self.count[rows, s] - 1).astype(np.int64), s
 
@@ -852,7 +842,8 @@ class _LazyClouds:
         return self.place(slots)[0]
 
     def pairs(self, g: Graphex, gens) -> np.ndarray:
-        return _kernel_pairs(self, gens)
+        loops = self.loops(g, gens(_STREAM_SELF)) if g.self_edges else None
+        return _kernel_pairs(self, gens(_STREAM_PAIRS), loops)
 
     def value(self, slots, h=None):
         """f at the slots and its bound there, or h and the bound's square for
@@ -862,8 +853,8 @@ class _LazyClouds:
         return _checked(x, (h or self.f)(x), bound), bound
 
     def loops(self, g: Graphex, gens) -> np.ndarray:
-        """Slots with a self loop, ascending: heavy ones by a coin each, the
-        others by thinning Poi(c0 F^2) proposals per point against W(x, x).
+        """Slots with a self loop: heavy ones by a coin each, the others by
+        thinning Poi(c0 F^2) proposals per point against W(x, x).
         A replicate's stream draws its heavy coins, its proposal count, and
         its proposals with a coin for each of at most that many distinct
         candidates in one call."""
@@ -887,10 +878,7 @@ class _LazyClouds:
             d, q = self.value(cand, g.diag_at)
             coin = _coins_of(cand, self.base, offsets, coin)
             hits.append(cand[coin < d / -np.expm1(-_C0 * q)])
-        # a replicate's heavy slots come before its light ones, but the
-        # heavy slots of a block's later replicates come after its first
-        # replicate's light ones
-        return np.sort(np.concatenate(hits))
+        return np.concatenate(hits)
 
 
 def _checked(x, value, bound):
@@ -913,16 +901,17 @@ def _check_proposals(lam: float) -> None:
             "lower nu")
 
 
-def _kernel_pairs(cloud, gens) -> np.ndarray:
-    """Kernel pairs of a block of full or lazy clouds, as slot pairs (u, v),
-    u < v, replicate by replicate and in (u, v) order inside each: direct
-    coins for the heavy pairs, then the cloud's proposals, each accepted
-    once with probability f_u f_v / (1 - exp(-c0 F_u F_v)) where the cloud
-    thins them; see the module docstring. Each replicate's stream draws, in
-    this order, its heavy coins and its proposals. The proposals' keys come
-    in ascending runs (``pair_keys``), each accepted as it comes; the pairs
-    are written run by run, each merged with the heavy keys under its
-    bound."""
+def _kernel_pairs(cloud, gens, loops) -> np.ndarray:
+    """Kernel rows of a block of full or lazy clouds, as slot pairs (u, v),
+    u < v, and the self loops (s, s) among the slots ``loops`` (None without
+    self edges), replicate by replicate and in (u, v) order inside each:
+    direct coins for the heavy pairs, then the cloud's proposals, each
+    accepted once with probability f_u f_v / (1 - exp(-c0 F_u F_v)) where
+    the cloud thins them; see the module docstring. Each replicate's stream
+    draws, in this order, its heavy coins and its proposals. The proposals'
+    keys come in ascending runs (``pair_keys``), each accepted as it comes;
+    the rows are written run by run, each merged with the heavy and loop
+    keys under its bound."""
     n = cloud.n
     # pair keys u * span + v order the pairs of the whole block
     # (``_block_size`` keeps them below 2^63)
@@ -945,8 +934,12 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
         draws.append(cloud.draw(r, gen))
 
     # the heavy pairs come out of triu_indices order over ascending slots,
-    # ascending; no heavy pair was proposed, so they share no key with a run
+    # ascending, and a loop's key s * span + s goes before the keys of the
+    # pairs (s, v > s); no heavy pair or loop was proposed, so they share no
+    # key with a run
     heavy = _heavy_keys(cloud, coins, span)
+    if loops is not None:
+        heavy = np.sort(np.concatenate((heavy, (loops * (span + 1)).astype(heavy.dtype))))
     runs, lo, last = [], 0, span * span
     for bound, key, coin in cloud.pair_keys(draws):
         if key.size and cloud.thin:
@@ -972,8 +965,8 @@ def _kernel_pairs(cloud, gens) -> np.ndarray:
         del key, coin  # a coin is a view of all the coins
     if not runs:
         runs.append((last, 0, np.empty(0, dtype=np.int64)))
-    # each run, merged with the heavy keys under its bound (the last run with
-    # every heavy key left), goes out as pairs and is dropped
+    # each run, merged with the heavy and loop keys under its bound (the last
+    # run with every one left), goes out as rows and is dropped
     pairs = np.empty((heavy.size + sum(run[2].size for run in runs), 2), dtype=np.int64)
     at = h0 = 0
     for i, (bound, lo, key) in enumerate(runs):
@@ -1071,10 +1064,16 @@ class _NaiveCloud:
         return self.pts[slots]
 
     def pairs(self, g: Graphex, gens) -> np.ndarray:
+        """Kernel rows in (u, v) order: a coin per pair and, with self edges,
+        per point, whose loop (s, s) goes before the pairs (s, v > s)."""
         base = self.base.tolist()
-        naive = [_pairs_naive(g, self.pts[b0:b1], gen) + b0
-                 for b0, b1, gen in zip(base, base[1:], gens) if b1 - b0 >= 2]
-        return naive[0] if len(naive) == 1 else np.concatenate(naive)
+        rows = [_pairs_naive(g, self.pts[b0:b1], gen) + b0
+                for b0, b1, gen in zip(base, base[1:], gens(_STREAM_PAIRS)) if b1 - b0 >= 2]
+        rows = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
+        if g.self_edges:
+            loops = self.loops(g, gens(_STREAM_SELF))
+            rows = np.insert(rows, np.searchsorted(rows[:, 0], loops), loops[:, None], axis=0)
+        return rows
 
     def loops(self, g: Graphex, gens) -> np.ndarray:
         """Slots with a self loop, ascending: a coin each."""
@@ -1087,8 +1086,9 @@ class _FullCloud(_NaiveCloud):
     """The naive cloud, its pairs drawn by ordered proposals (``_Clouds``)."""
 
     def pairs(self, g: Graphex, gens) -> np.ndarray:
+        loops = self.loops(g, gens(_STREAM_SELF)) if g.self_edges else None
         # the weights and tables serve only the pairs, and go with them
-        return _kernel_pairs(_Clouds(g, self.pts, self.base), gens)
+        return _kernel_pairs(_Clouds(g, self.pts, self.base), gens(_STREAM_PAIRS), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,6 +1205,26 @@ def _block_size(g: Graphex, cfg: SamplerConfig) -> tuple[int, float]:
     return max(1, min(size, int(2.0 ** 30.5 / (1.1 * (cfg.nu * theta) + 100.0)))), work
 
 
+def _merged(edges: np.ndarray, provenance: np.ndarray, u: np.ndarray, v: np.ndarray,
+            tag: int) -> tuple:
+    """The edges and their provenance, with the rows (u, v), of provenance
+    ``tag``, merged in by first column: a row goes after every edge whose
+    first column is at most its own. Both come ascending in their first
+    column."""
+    at = np.searchsorted(edges[:, 0], u, side="right")
+    at += np.arange(at.size)
+    out = np.empty((edges.shape[0] + at.size, 2), dtype=np.int64)
+    old = np.ones(out.shape[0], dtype=bool)
+    old[at] = False
+    out[at, 0], out[at, 1] = u, v
+    # each edge as one 16-byte item, which a gather moves at once
+    item = np.dtype((np.void, 16))
+    out.view(item)[old] = edges.view(item)
+    tags = np.full(old.size, tag, dtype=np.uint8)
+    tags[old] = provenance
+    return out, tags
+
+
 def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     """Draw a block of replicates: replicate i is the graph that
     ``sample_keg`` draws at cfg with seed seeds[i] (cfg.seed is not read),
@@ -1224,12 +1244,10 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     base, n = cloud.base, cloud.n
     most = int(n.max())
 
-    pairs = np.empty((0, 2), dtype=np.int64)
-    if most >= 2:
-        pairs = cloud.pairs(g, gens(_STREAM_PAIRS))
-    loops = np.empty(0, dtype=np.int64)
-    if g.self_edges and most:
-        loops = cloud.loops(g, gens(_STREAM_SELF))
+    # the kernel rows, pairs and self loops, in (u, v) order through the block
+    edges = np.empty((0, 2), dtype=np.int64)
+    if most >= 2 or (most and g.self_edges):
+        edges = cloud.pairs(g, gens)
 
     # star leaves (a lazy draw has no star rate)
     n_leaves = np.zeros(reps, dtype=np.int64)
@@ -1254,14 +1272,14 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
     # where they fill their range of slots as ``ranked_unique`` asks of its
     # table, through a mask and a slot -> vertex table over that range, else
     # by a binary search of their few distinct slots
-    ends = [a for a in (pairs, loops, hubs) if a.size]
+    ends = [a for a in (edges, hubs) if a.size]
     dense = False
     if ends:
-        # each is ascending in its first column: the pairs by u < v, the loops
-        # and the hubs by slot
+        # each is ascending in its first column: the kernel rows by u <= v,
+        # the hubs by slot
         lo = min([int(a.flat[0]) for a in ends])
         span = max([int(a.max()) for a in ends]) - lo + 1
-        dense = fills(pairs.size + loops.size + hubs.size, span)
+        dense = fills(edges.size + hubs.size, span)
     if dense:
         seen = np.zeros(span, dtype=bool)
         for part in _row_slices(ends):
@@ -1270,7 +1288,7 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
         visible += lo
         del seen
     else:
-        visible = sorted_unique(np.concatenate((pairs.ravel(), loops, hubs)))
+        visible = sorted_unique(np.concatenate((edges.ravel(), hubs)))
     first_visible = np.searchsorted(visible, base)
     v0 = np.diff(first_visible)
     n_vertices = v0 + n_leaves + 2 * n_iso
@@ -1290,59 +1308,31 @@ def _draw(g: Graphex, cfg: SamplerConfig, seeds, labels: bool = True) -> _Block:
             return vertex[at] if reps > 1 else at
     for part in _row_slices(ends):
         part[...] = vertex_of(part)
+    del ends
 
-    rows = []
-    provs = []
-    if pairs.shape[0]:
-        rows.append(pairs)
-        provs.append(np.zeros(pairs.shape[0], dtype=np.uint8))
-    if loops.size:
-        rows.append(np.column_stack((loops, loops)))
-        provs.append(np.zeros(loops.size, dtype=np.uint8))
     # the k-th leaf, and the k-th isolated edge, of the block: the ones before
     # it in its replicate come after that replicate's latent vertices (and
-    # leaves)
+    # leaves). The kernel rows keep their (u, v) order, since the slot ->
+    # index map is increasing, and the star and isolated rows are merged in
+    # by first column: a star row after its hub's kernel rows, an isolated
+    # row after every other row of its replicate
     first = vertex_start[:-1] + v0
+    provenance = np.zeros(edges.shape[0], dtype=np.uint8)
     if hubs.size:
         leaf = np.arange(hubs.size) + np.repeat(first - (np.cumsum(n_leaves) - n_leaves), n_leaves)
-        rows.append(np.column_stack((hubs, leaf)))
-        provs.append(np.full(hubs.size, PROV_STAR, dtype=np.uint8))
+        edges, provenance = _merged(edges, provenance, hubs, leaf, PROV_STAR)
+        del hubs, leaf
     if n_iso.any():
         first += n_leaves - 2 * (np.cumsum(n_iso) - n_iso)
         left = 2 * np.arange(int(n_iso.sum())) + np.repeat(first, n_iso)
-        rows.append(np.column_stack((left, left + 1)))
-        provs.append(np.full(left.size, PROV_ISOLATED, dtype=np.uint8))
-
-    total = int(vertex_start[-1])
-    if rows:
-        edges = np.vstack(rows).astype(np.int64, copy=False) if len(rows) > 1 else rows[0]
-        provenance = np.concatenate(provs)
-        # each run is in (u, v) order through the block: the kernel pairs
-        # (the slot -> index map is increasing), the self loops, the star
-        # edges, and the isolated edges, whose vertices come after all others
-        # of their replicate. Only where two of the first three meet, or the
-        # isolated edges follow rows of several replicates, do the rows need
-        # sorting
-        kernel_runs = (pairs.shape[0] > 0) + (loops.size > 0) + (hubs.size > 0)
-        if kernel_runs > 1 or (reps > 1 and kernel_runs and n_iso.any()):
-            # one stable sort on a combined key is the lexicographic order of
-            # (u, v, provenance) at half the cost of np.lexsort; u, v <
-            # total and provenance < 3, so the key fits int64 below 1.7e9
-            # vertices
-            key = (edges[:, 0] * total + edges[:, 1]) * len(PROV_NAMES) + provenance
-            order = np.argsort(key, kind="stable")
-            edges = edges[order]
-            provenance = provenance[order]
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-        provenance = np.empty(0, dtype=np.uint8)
+        edges, provenance = _merged(edges, provenance, left, left + 1, PROV_ISOLATED)
 
     drawn_labels = latent = None
     if labels:
         drawn_labels = [gen.uniform(0.0, nu, k) if k else np.empty(0)
                         for gen, k in zip(gens(_STREAM_LABELS), n_vertices.tolist())]
         drawn_labels = drawn_labels[0] if reps == 1 else np.concatenate(drawn_labels)
-        latent = np.full(total, np.nan)
+        latent = np.full(int(vertex_start[-1]), np.nan)
         latent[vertex] = cloud.positions(visible)
 
     return _Block(

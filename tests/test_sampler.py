@@ -31,7 +31,7 @@ from graphex.sampler import (
     SampledGraph,
     SamplerConfig,
     SamplerError,
-    _endpoints,
+    _Guide,
     _plan,
     _block_size,
     _draw,
@@ -457,7 +457,7 @@ def test_endpoints_match_searchsorted(case):
     want = np.searchsorted(cum, keys, side="right")
     # every case with at least as many keys as entries takes the table
     with mock.patch.object(sampler, "_GUIDE_PROBES", 0):
-        got = _endpoints(cum, keys)
+        got = _Guide(cum, keys.size)(keys)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
@@ -473,7 +473,7 @@ def test_endpoints_settle_a_low_bucket_estimate():
     cum = np.cumsum([y, 0.0, 0.0, 0.0, total - y])
     keys = np.full(n, y)
     with mock.patch.object(sampler, "_GUIDE_PROBES", 0):
-        np.testing.assert_array_equal(_endpoints(cum, keys),
+        np.testing.assert_array_equal(_Guide(cum, keys.size)(keys),
                                       np.searchsorted(cum, keys, side="right"))
 
 
@@ -1025,6 +1025,9 @@ BLOCK_CASES = {
     # every point heavy: heavy coins only, and self loops on a full cloud
     "full-loops": (build({"family": "constant", "params": {"p": 0.5, "c": 2.0},
                           "self_edges": True}), 6.0, 1e-3),
+    # about one point a replicate: blocks with self loops and no pair
+    "full-lone-loops": (build({"family": "constant", "params": {"p": 0.5, "c": 2.0},
+                               "self_edges": True}), 0.5, 1e-3),
     "caron-fox": (build({"family": "caron-fox", "exprs": {"g": "5*exp(-3*x)"},
                          "self_edges": True}), 5.0, 1e-3),
     "naive": (build({"family": "custom", "exprs": {"W": "exp(-x-y)"}, "self_edges": True}),
@@ -1083,12 +1086,13 @@ def test_a_block_of_replicates_draws_each_as_a_block_of_one(case):
 
 
 @pytest.mark.parametrize("case", ["full", "full-loops", "caron-fox",
-                                  "full-stars-isolated-loops", "lazy", "lazy-heavy"])
+                                  "full-stars-isolated-loops", "lazy", "lazy-heavy",
+                                  "lazy-loops"])
 def test_a_block_over_chunks_of_a_few_keys_draws_the_same(monkeypatch, case):
     # ranges of a few keys split each replicate's slots, and ranges run
     # across the replicates of a block; the lazy clouds accept their sorted
-    # keys in slices as short, and a lazy fast-decay draw, with heavy pairs
-    # and no self loops to sort its rows, writes them between the slices
+    # keys in slices as short, and a lazy fast-decay draw writes its heavy
+    # pairs, and its self loops, between the slices
     g, nu, eps = BLOCK_CASES[case] if case in BLOCK_CASES else (FAST, 3.0, 1e-3)
     cfg = SamplerConfig(nu=nu, seed=0, eps=eps)
     seeds = BLOCK_SEEDS[:7]
@@ -1103,12 +1107,13 @@ def test_a_block_over_chunks_of_a_few_keys_draws_the_same(monkeypatch, case):
 def test_a_large_draw_holds_at_most_twice_its_graph():
     # traced (NumPy 2.4.6, Python 3.11.7): the benchmark's draw peaks at 15.1 MB
     # over a graph whose arrays hold 8.94 MB (33.7 MB before its keys went
-    # range by range); degrees then holds its outputs and its tally of 7,587
-    # slots plus a few hundred bytes of array and tuple objects, and
+    # range by range), and so does the draw with self edges (34.7 MB while
+    # its rows were sorted); the draw with S = exp(-x) peaks at 64.4 over
+    # 42.4 MB (118.4 MB sorted). Degrees then holds its outputs and its tally
+    # of the slots plus a few hundred bytes of array and tuple objects, and
     # ranked_unique its outputs, its table and its mask of seen slots, with no
-    # int64 copy of the 1.04M endpoints
+    # int64 copy of the endpoints
     cfg = SamplerConfig(nu=1000.0, seed=3)
-    sample_keg(FAST, cfg)  # the cutoff is cached before the trace
 
     def grows(f):
         tracemalloc.reset_peak()
@@ -1116,19 +1121,24 @@ def test_a_large_draw_holds_at_most_twice_its_graph():
         out = f()
         return out, tracemalloc.get_traced_memory()[1] - base
 
-    tracemalloc.start()
-    try:
-        graph, peak = grows(lambda: sample_keg(FAST, cfg))
-        (ids, degree), counted = grows(lambda: degrees(graph.edges))
-        (ranked, rank), ranking = grows(lambda: ranked_unique(graph.edges.ravel()))
-    finally:
-        tracemalloc.stop()
-    assert graph.n_edges == 518_572
-    own = sum(a.nbytes for a in (graph.edges, graph.labels, graph.latent, graph.provenance))
-    assert peak <= 2 * own
-    slots = int(graph.edges.max()) + 1
-    assert counted <= ids.nbytes + degree.nbytes + 8 * slots + 4096
-    assert ranking <= ranked.nbytes + rank.nbytes + 9 * slots + 4096
+    for g, n_edges in ((FAST, 518_572),
+                       (build({"family": "fast-decay", "self_edges": True}), 519_114),
+                       (build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}}), 1_532_524)):
+        sample_keg(g, cfg)  # the cutoff is cached before the trace
+        tracemalloc.start()
+        try:
+            graph, peak = grows(lambda: sample_keg(g, cfg))
+            (ids, degree), counted = grows(lambda: degrees(graph.edges))
+            (ranked, rank), ranking = grows(lambda: ranked_unique(graph.edges.ravel()))
+        finally:
+            tracemalloc.stop()
+        assert graph.n_edges == n_edges
+        own = sum(a.nbytes for a in (graph.edges, graph.labels, graph.latent, graph.provenance))
+        assert peak <= 2 * own, n_edges
+        slots = int(graph.edges.max()) + 1
+        assert counted <= ids.nbytes + degree.nbytes + 8 * slots + 4096
+        assert ranking <= ranked.nbytes + rank.nbytes + 9 * slots + 4096
+        del graph, ids, degree, ranked, rank
 
 
 def test_a_block_without_labels_refuses_to_make_graphs():
@@ -1157,7 +1167,8 @@ def test_the_plan_estimates_the_work_of_the_engine_a_draw_runs(monkeypatch, spec
     ran = []
     kernel_pairs, pairs_naive = sampler._kernel_pairs, sampler._pairs_naive
     monkeypatch.setattr(sampler, "_kernel_pairs",
-                        lambda cloud, gens: ran.append(type(cloud)) or kernel_pairs(cloud, gens))
+                        lambda cloud, gens, loops: ran.append(type(cloud))
+                        or kernel_pairs(cloud, gens, loops))
     monkeypatch.setattr(sampler, "_pairs_naive",
                         lambda *args: ran.append(None) or pairs_naive(*args))
     graph = sample_keg(g, cfg)
