@@ -5,8 +5,11 @@ truncation level nu of a grid it draws R graphs, and replicate ``rep`` at
 grid index ``i_nu`` always uses the child seed
 ``derive_key(seed, i_nu, rep)[0]`` of the one base seed. The graphs are drawn
 in blocks of replicates (``sampler._draw``), as many per block as the
-expected work of a draw allows, and on a thread pool where draws are large
-(``_workers``). Replicate ``rep`` of a block is, to the bit, the graph
+expected work of a draw allows, and on several threads where draws are large
+(``_workers``). The caller is one of those threads (``_pooled``): glibc keeps
+a thread's heap at its high-water mark, and the caller's heap serves its
+later work, so the caller's share of the draws leaves one pool heap fewer
+behind. Replicate ``rep`` of a block is, to the bit, the graph
 ``sample_keg`` draws at its child seed. So results do not depend on blocks
 or scheduling, which change only wall time. The experiment's measure
 reduces each block to one value per replicate: counts of registered
@@ -133,17 +136,18 @@ def _check_grid(nus) -> tuple[float, ...]:
 # 3544 -> 1640 ms and at nu = 300 (1.85e5) 394 -> 248 ms; at 8.4e4 the pool
 # is level to 25% faster, at 4.8e4 and below level or slower (2.2e4: 49 -> 93)
 _POOL_WORK = 1 << 17
-# expected work of the draws in flight at once. A pooled draw's peak, with its
-# degrees, holds 19 to 7.5 bytes per unit as the draw grows (tracemalloc,
-# fast-decay nu = 255 and 1000: 2.6 and 15.1 MB), so this caps the pool's
-# draws near 125 MB, 8 at nu = 1000, and near 320 MB for draws just over
-# _POOL_WORK
+# expected work of the draws in flight at once, the caller's among them. A
+# pooled draw's peak, with its degrees, holds 19 to 7.5 bytes per unit as the
+# draw grows (tracemalloc, fast-decay nu = 255 and 1000: 2.6 and 15.1 MB), so
+# this caps a level's draws near 125 MB, 8 at nu = 1000, and near 320 MB for
+# draws just over _POOL_WORK
 _POOL_BUDGET = 1 << 24
 
 
 def _workers(work: float, blocks: int) -> int:
-    """Threads for a level's blocks: 1 unless there are several and a draw's
-    work reaches ``_POOL_WORK``, else one per block and core, within budget."""
+    """Threads that draw a level's blocks at once, the caller among them: 1
+    unless there are several and a draw's work reaches ``_POOL_WORK``, else
+    one per block and core, within budget."""
     if blocks < 2 or work < _POOL_WORK:
         return 1
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -155,8 +159,9 @@ def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float, measure,
                 labelled=()):
     """Yield (nu, [value of each replicate]) per grid level, with replicate
     seeds as in the module docstring. ``measure(block, i_nu)`` gives the
-    values of a block's replicates, drawn on ``_workers`` threads, which only
-    read ``g._cache``. Labels are drawn only at the level indices in ``labelled``."""
+    values of a block's replicates, drawn on ``_workers`` threads, the caller
+    among them, which only read ``g._cache``. Labels are drawn only at the
+    level indices in ``labelled``."""
     for i_nu, nu in enumerate(grid):
         cfg = SamplerConfig(nu=nu, seed=seed, eps=eps)
         seeds = rngmod.derive_keys(seed, i_nu, np.arange(reps))[0].tolist()
@@ -168,12 +173,34 @@ def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float, measure,
 
         workers = _workers(work, len(chunks))
         if workers > 1:
-            # map keeps the order of the blocks
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(one, chunks))
+            parts = _pooled(one, chunks, workers)
         else:
             parts = [one(chunk) for chunk in chunks]
         yield nu, [value for part in parts for value in part]
+
+
+def _pooled(one, chunks: list, workers: int) -> list:
+    """[one(chunk) for chunk in chunks] on ``workers - 1`` pool threads and
+    the caller (the module docstring says why). The pool takes the blocks
+    from the front, and the caller, from the back, each one it can still
+    cancel, so each runs once. At the first error the blocks still queued
+    are cancelled and the error raised."""
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(one, chunk) for chunk in chunks]
+        try:
+            own = {}
+            # the caller stops once a pool block has raised; and the pool
+            # takes blocks in order, so a block the caller cannot cancel
+            # leaves none before it to the caller
+            for i in reversed(range(len(chunks))):
+                if (any(f.done() and f.exception() is not None for f in futures[:i])
+                        or not futures[i].cancel()):
+                    break
+                own[i] = one(chunks[i])
+            return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _degree_table(block):

@@ -93,6 +93,7 @@ def test_report_bytes_are_frozen(case, tmp_path):
     assert report_digests(CASES[case](), tmp_path) == GOLDEN[case]
 
 
+@pytest.mark.frozen
 def test_rejected_replicates_are_counted():
     report = CASES["degdist-rejected"]()
     assert [r.rejected for r in report.rows] == [20, 8]

@@ -2,7 +2,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from graphex.harness import (
     write_json,
 )
 from graphex.model import SpecError, build, dilate
+from graphex.rng import derive_key
 from graphex.sampler import (
     SamplerConfig,
     _block_size,
@@ -379,17 +381,19 @@ def test_write_json_and_csv(tmp_path):
 def test_reports_are_the_same_bytes_for_any_thread_count(monkeypatch):
     # several blocks per level; a pool forced on for every draw, on 1, 2 and 4
     # usable cores and with threads switching often, gives the serial
-    # engine's bytes
+    # engine's bytes. A pooled level draws on as many threads as cores, the
+    # caller among them
     g = build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.1})
     assert _block_size(g, SamplerConfig(nu=30.0, seed=0))[0] < 20
-    pools = []
+    drew = {}  # (seed, nu) of a level -> the threads that drew its blocks
+    draw = harness._draw
 
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def traced(g, cfg, seeds, **kwargs):
+        drew.setdefault((cfg.seed, cfg.nu), set()).add(threading.get_ident())
+        time.sleep(1e-3)  # holds the thread, so that every thread gets a block
+        return draw(g, cfg, seeds, **kwargs)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_draw", traced)
     runs = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -398,7 +402,7 @@ def test_reports_are_the_same_bytes_for_any_thread_count(monkeypatch):
             monkeypatch.setattr(harness, "_POOL_WORK", math.inf if cores is None else 0.0)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)),
                                 raising=False)
-            pools.clear()
+            drew.clear()
             reports = (
                 validate_expectations(g, (3.0, 30.0), 60, 7),
                 degdist_experiment(g, (3.0, 30.0), 60, 8, k=1),
@@ -406,10 +410,40 @@ def test_reports_are_the_same_bytes_for_any_thread_count(monkeypatch):
                 projectivity_test(g, 15.0, 60, 10),
             )
             runs[cores] = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-            assert max(pools, default=1) == (cores or 1)
+            assert all(threading.get_ident() in threads for threads in drew.values())
+            assert max(map(len, drew.values())) == (cores or 1)
     finally:
         sys.setswitchinterval(interval)
     assert runs[None] == runs[1] == runs[2] == runs[4]
+
+
+def test_a_failing_pooled_level_stops_drawing(monkeypatch):
+    # a measure that raises in the first block of a pooled level: the error
+    # comes out, and the blocks still queued are not drawn
+    monkeypatch.setattr(harness, "_POOL_WORK", 0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    g = build({"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.1})
+    cfg = SamplerConfig(nu=30.0, seed=0)
+    size = _block_size(g, cfg)[0]
+    reps = 30 * size
+    first = derive_key(0, 0, 0)[0]  # replicate 0's seed, in the first block
+    drawn = []
+    draw = harness._draw
+
+    def counted(g, cfg, seeds, **kwargs):
+        drawn.append(seeds[0])
+        return draw(g, cfg, seeds, **kwargs)
+
+    def measure(block, i_nu):
+        if block.seeds[0] == first:
+            raise RuntimeError("a broken measure")
+        return [0] * block.reps
+
+    monkeypatch.setattr(harness, "_draw", counted)
+    with pytest.raises(RuntimeError, match="a broken measure"):
+        list(harness._replicates(g, (30.0,), reps, 0, cfg.eps, measure))
+    assert first in drawn
+    assert len(drawn) < 30
 
 
 def test_a_level_is_pooled_only_when_its_draws_are_large(monkeypatch):

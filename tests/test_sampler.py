@@ -1104,6 +1104,7 @@ def test_a_block_over_chunks_of_a_few_keys_draws_the_same(monkeypatch, case):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+@pytest.mark.frozen
 def test_a_large_draw_holds_at_most_twice_its_graph():
     # traced (NumPy 2.4.6, Python 3.11.7): the benchmark's draw peaks at 15.1 MB
     # over a graph whose arrays hold 8.94 MB (33.7 MB before its keys went
