@@ -4,12 +4,14 @@ One binary, subcommand style. Every subcommand is deterministic given its
 full flag set (including --seed), emits UTF-8 with LF line endings and
 stable column order, and exits 0 on success/all-pass, 1 when a validation
 or experiment check fails, 2 on configuration errors (bad flags, malformed
-graphex declarations, divergent requests).
+graphex declarations, divergent requests) and on an output that cannot be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -66,11 +68,23 @@ def _str_list(text: str):
     return parts
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """A context around the writing of the output ``path`` (None: stdout):
+    an OSError in opening or writing it is raised as a GraphexError that
+    names it, on which ``main`` exits with EXIT_CONFIG."""
+    try:
+        yield
+    except OSError as err:
+        raise GraphexError(f"cannot write {path or 'stdout'}: {err.strerror or err}") from err
+
+
 def _emit(report_dict: dict, args) -> None:
-    if args.out:
-        write_json(report_dict, args.out)
-    else:
-        sys.stdout.write(json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
+    with _writing(args.out):
+        if args.out:
+            write_json(report_dict, args.out)
+        else:
+            sys.stdout.write(json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
 
 
 def _add_graphex(p) -> None:
@@ -181,11 +195,14 @@ def cmd_sample(args) -> int:
                         theta_max=args.theta_max,
                         use_fast_path=not args.no_fast_path)
     graph = sample_keg(g, cfg)
-    graph.write_csv(args.out if args.out else sys.stdout)
+    with _writing(args.out):
+        graph.write_csv(args.out or sys.stdout)
     if args.latent_out:
-        graph.write_latent_csv(args.latent_out)
+        with _writing(args.latent_out):
+            graph.write_latent_csv(args.latent_out)
     if args.meta_out:
-        graph.write_metadata(args.meta_out)
+        with _writing(args.meta_out):
+            graph.write_metadata(args.meta_out)
     return EXIT_OK
 
 
@@ -224,7 +241,8 @@ def _report_command(experiment: str, levels: str, *options: str):
             **{name: getattr(args, name) for name in options})
         _emit(report.to_dict(), args)
         if args.csv:
-            write_csv(args.csv, *report.csv_rows())
+            with _writing(args.csv):
+                write_csv(args.csv, *report.csv_rows())
         return EXIT_OK if report.ok else EXIT_FAIL
 
     return run

@@ -58,7 +58,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -72,7 +71,7 @@ from .graphstats import degrees as _degrees
 # every module that holds them
 from .graphstats import largest_component  # noqa: F401
 from .model import Graphex, _finite, _number
-from .sampler import SamplerConfig, _block_size, _draw
+from .sampler import SamplerConfig, _block_size, _cores, _draw
 from .sampler import restrict, sample_keg  # noqa: F401
 
 __all__ = [
@@ -147,12 +146,10 @@ _POOL_BUDGET = 1 << 24
 def _workers(work: float, blocks: int) -> int:
     """Threads that draw a level's blocks at once, the caller among them: 1
     unless there are several and a draw's work reaches ``_POOL_WORK``, else
-    one per block and core, within budget."""
+    one per block and usable core (``sampler._cores``), within budget."""
     if blocks < 2 or work < _POOL_WORK:
         return 1
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return max(1, min(blocks, cores, int(_POOL_BUDGET // work)))
+    return max(1, min(blocks, _cores(), int(_POOL_BUDGET // work)))
 
 
 def _replicates(g: Graphex, grid, reps: int, seed: int, eps: float, measure,

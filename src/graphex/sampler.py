@@ -143,11 +143,14 @@ The ranges re-slice numbers already drawn, so every draw is the same at any
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
 import numbers
+import os
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,9 +178,12 @@ PROV_STAR = 1
 PROV_ISOLATED = 2
 PROV_NAMES = ("kernel", "star", "isolated")
 
-# edges formatted per write in SampledGraph.write_csv. Its text and object
-# arrays hold about 160 bytes an edge: 3.5 MB at this size, 10.7 at 1 << 16
-# (tracemalloc, fast-decay nu = 1000), which is more than the draw holds
+# edges formatted per block in SampledGraph.write_csv. A block in flight holds
+# about 170 bytes an edge, 2.8 MB at this size (tracemalloc, fast-decay
+# nu = 1000): its row array of the five padded fields, the mask of its padding
+# and its squeezed bytes. A write has one block in flight per usable core, the
+# caller's among them, and holds a pool thread's formatted block until the
+# caller's is done: 6.7 MB on 2 cores
 _CSV_BLOCK = 1 << 14
 _TAU = 0.5
 _C0 = -math.log(1.0 - _TAU) / _TAU  # 1.3862943611...
@@ -203,11 +209,29 @@ class SamplerError(GraphexError):
     pass
 
 
-def _out_stream(dest):
-    """A context over a path (opened and closed) or a stream (left open)."""
-    if hasattr(dest, "write"):
-        return contextlib.nullcontext(dest)
-    return open(dest, "w", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _byte_sink(dest):
+    """A context giving a write(bytes) function over a path (opened "wb" and
+    closed) or an open text stream (left open): its ``buffer`` after a
+    flush, or, for a stream with none such as ``io.StringIO``, the stream,
+    each write decoded as ASCII."""
+    if not hasattr(dest, "write"):
+        with open(dest, "wb") as fh:
+            yield fh.write
+        return
+    buffer = getattr(dest, "buffer", None)
+    if buffer is None:
+        yield lambda data: dest.write(str(data, "ascii"))
+        return
+    dest.flush()
+    yield buffer.write
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -301,40 +325,75 @@ class SampledGraph:
     def write_csv(self, dest) -> None:
         """One row per edge: u_index,v_index,u_label,v_label,provenance.
 
-        ``dest`` is a path or an open text stream. Labels are written as the
-        ``repr`` of the float. Each vertex's ``"i,"`` and ``"label,"`` are
-        formatted once, into object arrays. Rows go out in blocks of
-        ``_CSV_BLOCK`` edges: a block gathers its five fields per row into
-        one object array by the edge and provenance arrays, and is written by
-        one ``"".join``, so memory stays bounded by a block's text, not the
-        file's.
+        ``dest`` is a path or an open text stream (``_byte_sink``). Labels
+        are written as the ``repr`` of the float. Each vertex's ``"i,"`` and
+        ``"label,"`` are formatted once, into byte tables of fixed width
+        padded with zeros. Rows go out in blocks of ``_CSV_BLOCK`` edges
+        (``_csv_block``), so memory stays bounded by the blocks in flight,
+        not the file. Since NumPy's gathers and squeeze release the GIL, the
+        blocks are formatted on the usable cores: on ``cores - 1`` pool
+        threads and the caller, which formats the last block of each group
+        of ``cores``. A group is written in order before the next is
+        submitted, so each thread has at most one block in flight, and a
+        write of one block submits none and starts no thread. An error in
+        any block or write is raised once the group's pool blocks are done,
+        and no later block is formatted.
         """
-        index = np.array([f"{i}," for i in range(self.n_vertices)], dtype=object)
-        label = np.array([f"{x!r}," for x in np.asarray(self.labels, dtype=float).tolist()],
-                         dtype=object)
-        prov = np.array([f"{name}\n" for name in PROV_NAMES], dtype=object)
-        with _out_stream(dest) as fh:
-            fh.write("u_index,v_index,u_label,v_label,provenance\n")
-            for b0 in range(0, self.n_edges, _CSV_BLOCK):
-                uv = self.edges[b0:b0 + _CSV_BLOCK]
-                fields = np.empty((uv.shape[0], 5), dtype=object)
-                fields[:, :2] = index[uv]
-                fields[:, 2:4] = label[uv]
-                fields[:, 4] = prov[self.provenance[b0:b0 + _CSV_BLOCK]]
-                fh.write("".join(fields.ravel().tolist()))
+        starts = range(0, self.n_edges, _CSV_BLOCK)
+        workers = max(1, min(_cores(), len(starts)))
+        block = functools.partial(_csv_block, _csv_tables(self.labels), self.edges,
+                                  self.provenance)
+        with _byte_sink(dest) as write, ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            write(b"u_index,v_index,u_label,v_label,provenance\n")
+            for k in range(0, len(starts), workers):
+                group = starts[k:k + workers]
+                futures = [pool.submit(block, b0) for b0 in group[:-1]]
+                own = block(group[-1])
+                for future in futures:
+                    write(future.result())
+                write(own)
+                del own, futures  # no block outlives its write
 
     def write_latent_csv(self, dest) -> None:
+        """One row per vertex: vertex_index,latent, the ``repr`` of the
+        float, ``nan`` for star leaves and isolated endpoints; each block of
+        ``_CSV_BLOCK`` rows is written by one join."""
         if self.latent is None:
             raise SamplerError("this graph carries no latent coordinates")
-        with _out_stream(dest) as fh:
-            fh.write("vertex_index,latent\n")
-            for i, x in enumerate(self.latent.tolist()):
-                fh.write(f"{i},{float(x)!r}\n")
+        latent = np.asarray(self.latent, dtype=float)
+        with _byte_sink(dest) as write:
+            write(b"vertex_index,latent\n")
+            for b0 in range(0, latent.size, _CSV_BLOCK):
+                write("".join([f"{i},{x!r}\n" for i, x in
+                               enumerate(latent[b0:b0 + _CSV_BLOCK].tolist(), b0)]).encode())
 
     def write_metadata(self, dest) -> None:
-        with _out_stream(dest) as fh:
-            json.dump(self.metadata(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        with _byte_sink(dest) as write:
+            write((json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n").encode())
+
+
+def _csv_tables(labels: np.ndarray) -> tuple:
+    """The zero-padded uint8 tables that ``_csv_block`` gathers rows from:
+    each vertex's ``"i,"``, each vertex's ``"label,"`` and each
+    provenance's ``"name\\n"``, one row each."""
+    tables = (
+        np.array([f"{i}," for i in range(labels.size)], dtype="S"),
+        np.array([f"{x!r}," for x in np.asarray(labels, dtype=float).tolist()], dtype="S"),
+        np.array([f"{name}\n" for name in PROV_NAMES], dtype="S"),
+    )
+    return tuple(t.view(np.uint8).reshape(t.size, t.itemsize) for t in tables)
+
+
+def _csv_block(tables: tuple, edges: np.ndarray, provenance: np.ndarray, b0: int) -> np.ndarray:
+    """The CSV bytes of edges b0 to b0 + _CSV_BLOCK: each row's five fields
+    are gathered from ``tables`` into one uint8 row array by contiguous
+    takes, and its zero padding is dropped."""
+    index, label, prov = tables
+    uv = edges[b0:b0 + _CSV_BLOCK]
+    rows = np.concatenate([index.take(uv, axis=0).reshape(len(uv), -1),
+                           label.take(uv, axis=0).reshape(len(uv), -1),
+                           prov.take(provenance[b0:b0 + _CSV_BLOCK], axis=0)], axis=1)
+    return rows[rows != 0]
 
 
 # ---------------------------------------------------------------------------

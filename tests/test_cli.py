@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +318,33 @@ def test_projectivity_cli(tmp_path):
 def test_bad_graphex_is_config_error(decl, capsys):
     assert run("expect", "--graphex", decl, "--nu", "1") == EXIT_CONFIG
     assert "graphex: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--nu", "5", "--seed", "1", "--out", "{missing}"),
+    ("sample", "--nu", "5", "--seed", "1", "--out", "{tmp}/e.csv", "--meta-out", "{missing}"),
+    ("expect", "--nu", "5", "--out", "{missing}"),
+], ids=["sample-out", "sample-meta-out", "expect-out"])
+def test_an_output_in_a_missing_directory_is_config_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x")
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    assert run(argv[0], "--graphex", FAST, *argv[1:]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"graphex: error: cannot write {missing}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_fails_a_pooled_csv_write_with_config_error(monkeypatch, capsys):
+    # three CSV blocks on two usable cores: the first block's write fails
+    # while a pool thread holds a block; the error comes out as one line and
+    # the pool's thread is gone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.active_count()
+    assert run("sample", "--graphex", FAST, "--nu", "300", "--seed", "1",
+               "--out", "/dev/full") == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "graphex: error: cannot write /dev/full: No space left on device\n"
+    assert threading.active_count() == before
 
 
 def test_bad_nus_list():

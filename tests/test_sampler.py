@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, sparse
 from scipy import stats as sps
 
-from graphex import sampler
+from graphex import cli, sampler
 from graphex.graphstats import degrees, ranked_unique
 from graphex.model import build, dilate
 from graphex.sampler import (
@@ -349,6 +352,104 @@ def test_write_csv_matches_reference_on_a_draw(tmp_path):
     buf = io.StringIO()
     empty.write_csv(buf)
     assert buf.getvalue() == blockwise_csv(empty) == "u_index,v_index,u_label,v_label,provenance\n"
+
+
+def labelled_draw() -> SampledGraph:
+    """The draw of test_write_csv_matches_reference_on_a_draw: kernel pairs,
+    self loops, star and isolated edges over six CSV blocks, and labels and
+    latent values whose repr has an exponent."""
+    decl = {"family": "fast-decay", "exprs": {"S": "exp(-x)"}, "I": 0.2, "self_edges": True}
+    g = sample_keg(build(decl), SamplerConfig(nu=250.0, seed=4))
+    g.labels[:3] = [1e-05, 2.5e-07, 1.2345678901234567e+16]
+    g.latent[:3] = [1e-05, 2.5e-07, 1.2345678901234567e+16]
+    return g
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_write_csv_is_the_same_bytes_on_any_core_count(cores, tmp_path, monkeypatch,
+                                                        capsysbinary):
+    # to a path, to a stream with no buffer and to stdout through the CLI: the
+    # blockwise reference's bytes, formatted by the caller and cores - 1 pool
+    # threads, and by the caller alone where the write is one block
+    g = labelled_draw()
+    want = blockwise_csv(g)
+    assert g.n_edges > 4 * _CSV_BLOCK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    threads = set()
+    block = sampler._csv_block
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        time.sleep(2e-3)  # holds the thread, so that every thread gets a block
+        return block(*args)
+
+    monkeypatch.setattr(sampler, "_csv_block", recorded)
+    monkeypatch.setattr(cli, "sample_keg", lambda graph, cfg: g)
+    before = threading.active_count()
+    path = tmp_path / "edges.csv"
+    g.write_csv(path)
+    assert_same_text(path.read_bytes().decode("ascii"), want)
+    assert threading.get_ident() in threads and len(threads) == cores
+    buf = io.StringIO()
+    g.write_csv(buf)
+    assert_same_text(buf.getvalue(), want)
+    capsysbinary.readouterr()
+    assert cli.main(["sample", "--graphex", '{"family": "fast-decay"}', "--nu", "250",
+                     "--seed", "4"]) == 0
+    assert_same_text(capsysbinary.readouterr().out.decode("ascii"), want)
+    assert threading.active_count() == before
+
+    threads.clear()
+    small = sample_keg(FAST, SamplerConfig(nu=10.0, seed=1))
+    assert 0 < small.n_edges <= _CSV_BLOCK
+    small.write_csv(path)
+    assert path.read_bytes().decode("ascii") == blockwise_csv(small)
+    assert threads == {threading.get_ident()}
+
+
+def test_a_failing_csv_block_stops_the_write(tmp_path, monkeypatch):
+    # an error in the caller's block of the first group of a pooled write:
+    # it comes out, no later block is formatted, and no thread is left
+    g = labelled_draw()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    formatted = []
+    block = sampler._csv_block
+
+    def failing(tables, edges, provenance, b0):
+        formatted.append(b0)
+        if b0 == _CSV_BLOCK:
+            raise RuntimeError("block 1")
+        return block(tables, edges, provenance, b0)
+
+    monkeypatch.setattr(sampler, "_csv_block", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 1"):
+        g.write_csv(tmp_path / "edges.csv")
+    assert _CSV_BLOCK in formatted and set(formatted) <= {0, _CSV_BLOCK}
+    assert threading.active_count() == before
+
+
+def per_row_latent_csv(g: SampledGraph) -> str:
+    """Reference writer: one format call per vertex."""
+    return "vertex_index,latent\n" + "".join(
+        f"{i},{float(x)!r}\n" for i, x in enumerate(g.latent.tolist()))
+
+
+def test_write_latent_csv_matches_a_per_row_writer(tmp_path):
+    # nan for star leaves and isolated endpoints, exponents as repr writes
+    # them, over several blocks
+    g = labelled_draw()
+    assert g.n_vertices > 4 * _CSV_BLOCK
+    by_prov = g.edge_counts_by_provenance()
+    assert by_prov["star"] > 0 and by_prov["isolated"] > 0
+    want = per_row_latent_csv(g)
+    assert "nan" in want and "e-05" in want and "e+16" in want
+    buf = io.StringIO()
+    g.write_latent_csv(buf)
+    assert_same_text(buf.getvalue(), want)
+    path = tmp_path / "latent.csv"
+    g.write_latent_csv(path)
+    assert_same_text(path.read_bytes().decode("ascii"), want)
 
 
 def draw_digest(g: SampledGraph) -> str:
